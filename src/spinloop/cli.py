@@ -56,7 +56,7 @@ def simulate_main(argv=None) -> int:
         run_scenario(cfg, config_path=args.config)
     except ConfigError as e:
         return _fail("config", str(e))
-    except (ValueError, OSError) as e:
+    except (ValueError, ArithmeticError, OSError) as e:
         return _fail("runtime", str(e))
     return 0
 
@@ -117,7 +117,7 @@ def analyze_main(argv=None) -> int:
             emit_json(out / f"{args.kind}.json", result)
         else:
             emit_csv(out / f"{args.kind}.csv", header, rows)
-    except (ValueError, OSError) as e:
+    except (ValueError, ArithmeticError, OSError) as e:
         return _fail("runtime", str(e))
     return 0
 

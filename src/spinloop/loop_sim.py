@@ -1,9 +1,10 @@
 """Closed-loop plant / sensor / controller simulation.
 
-The plant is the spin direction integrated with RK4 on the torque flow
-dv/dt = omega x v at a fixed plant step.  The sensor samples once per
-controller period; the control rate passes through a FIFO transport delay
-(quantized to plant steps) and is held constant between updates.
+The plant is the spin direction under the torque flow dv/dt = omega x v.
+The sensor samples once per controller period; the control rate passes
+through a FIFO transport delay and is held constant between updates, so
+between two rate changes omega is fixed and the plant moves by an exact
+rotation.  plant_dt only sets the grid that the delay is rounded to.
 """
 
 from __future__ import annotations
@@ -18,24 +19,28 @@ import numpy as np
 from . import controller as ctl
 from .controller import FixedPointFormat, QktSchedule
 from .measurement import MeasurementModel, measure, pointing_uncertainty, qpn_variance
-from .models import KtParams, LmgParams, kt_step
-from .spin_core import RotationNoise, SphericalAngles, SpinVector, draw_shot_noise, from_angles
-
-LN2 = math.log(2.0)
+from .models import KtParams, LmgParams, _tangent_basis
+from .spin_core import (
+    RotationNoise,
+    SphericalAngles,
+    SpinVector,
+    draw_shot_noise,
+    from_angles,
+    rodrigues,
+)
 
 
 @dataclass(frozen=True)
 class LoopConfig:
     sample_period: float = 2e-6  # 500 kHz controller
     latency: float = 6e-6  # measurement-to-actuation transport delay
-    plant_dt: float = 1e-7
+    plant_dt: float = 1e-7  # grid the transport delay is rounded to
     duration: float = 1.5e-3
     decay_half_time: float | None = 2e-3  # None disables spin-length decay
     initial_state: SphericalAngles = SphericalAngles(math.pi / 2.0, 0.0)
     qpn: bool = False  # initial-tilt + frozen-offset projection noise
     shot: bool = False  # photon shot noise on each sample
     rotation_noise: RotationNoise | None = None
-    rf_phase_convention: float = 0.0  # azimuth of the linear-drive axis
     fixed_point: FixedPointFormat | None = None  # controller arithmetic mode
     rate_cap: float = ctl.DEFAULT_RATE_CAP
 
@@ -95,21 +100,28 @@ def latency_metric(alpha_lin: float, latency: float) -> float:
     return alpha_lin * latency
 
 
-def _rk4_rotation_step(x, y, z, wx, wz, dt):
-    """One RK4 step of dv/dt = omega x v, omega = (wx, 0, wz), renormalized."""
+def _hold(x, y, z, wx, wz, t):
+    """Exact flow of dv/dt = omega x v for time t, omega = (wx, 0, wz)."""
+    w = math.hypot(wx, wz)
+    if w == 0.0:
+        return x, y, z
+    return rodrigues(x, y, z, wx / w, 0.0, wz / w, -w * t)
 
-    def f(vx, vy, vz):
-        return (-wz * vy, wz * vx - wx * vz, wx * vy)
 
-    k1 = f(x, y, z)
-    k2 = f(x + 0.5 * dt * k1[0], y + 0.5 * dt * k1[1], z + 0.5 * dt * k1[2])
-    k3 = f(x + 0.5 * dt * k2[0], y + 0.5 * dt * k2[1], z + 0.5 * dt * k2[2])
-    k4 = f(x + dt * k3[0], y + dt * k3[1], z + dt * k3[2])
-    x += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    y += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    z += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    n = math.sqrt(x * x + y * y + z * z)
-    return x / n, y / n, z / n
+def _shot_start(cfg: LoopConfig, model: MeasurementModel, rng):
+    """Per-shot draws, in stream order: rotation noise (detuning, amplitude
+    factor), the initial direction, and the frozen QPN offset."""
+    detuning = 0.0
+    amp = 1.0
+    if cfg.rotation_noise is not None:
+        draw = draw_shot_noise(cfg.rotation_noise, rng)
+        detuning = draw.detuning
+        amp = 1.0 + draw.amp_error
+    v = _initial_vector(cfg, model, rng)
+    qpn_offset = (
+        math.sqrt(qpn_variance(model)) * rng.standard_normal() if cfg.qpn else 0.0
+    )
+    return detuning, amp, v.as_tuple(), qpn_offset
 
 
 def _initial_vector(cfg: LoopConfig, model: MeasurementModel, rng) -> SpinVector:
@@ -117,21 +129,13 @@ def _initial_vector(cfg: LoopConfig, model: MeasurementModel, rng) -> SpinVector
     if not cfg.qpn:
         return v
     # projection-noise pointing error: Gaussian tilt at a random azimuth
-    sigma = pointing_uncertainty(model)
-    tilt = sigma * rng.standard_normal()
+    tilt = pointing_uncertainty(model) * rng.standard_normal()
     chi = rng.uniform(0.0, 2.0 * math.pi)
-    seed = SpinVector(0.0, 0.0, 1.0) if abs(v.z) < 0.9 else SpinVector(1.0, 0.0, 0.0)
-    e1 = seed.cross(v)
-    e1 = e1.normalized()
-    e2 = v.cross(e1)
-    axis = SpinVector(
-        math.cos(chi) * e1.x + math.sin(chi) * e2.x,
-        math.cos(chi) * e1.y + math.sin(chi) * e2.y,
-        math.cos(chi) * e1.z + math.sin(chi) * e2.z,
-    )
+    e1, e2 = _tangent_basis(v)
+    axis = math.cos(chi) * e1 + math.sin(chi) * e2
     from .spin_core import rotate
 
-    return rotate(v, axis, tilt)
+    return rotate(v, SpinVector(*axis.tolist()), tilt)
 
 
 def _j_true(j0: float, t: float, half_time: float | None) -> float:
@@ -145,27 +149,15 @@ def run_lmg_loop(
 ) -> TrajectoryRecord:
     """Closed-loop emulation of the linear-plus-quadratic flow.
 
-    The plant sees a constant linear drive about the equatorial axis set by
-    rf_phase_convention plus the delayed, zero-order-held feedback rate
-    about z."""
+    The plant sees a constant linear drive about x plus the delayed,
+    zero-order-held feedback rate about z; it is rotated exactly over each
+    stretch between FIFO releases."""
     n = cfg.n_samples
     sps = cfg.steps_per_sample
     eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     j0 = model.j_collective
 
-    shot_draw = None
-    detuning = 0.0
-    amp = 1.0
-    if cfg.rotation_noise is not None:
-        shot_draw = draw_shot_noise(cfg.rotation_noise, rng)
-        detuning = shot_draw.detuning
-        amp = 1.0 + shot_draw.amp_error
-
-    v = _initial_vector(cfg, model, rng)
-    x, y, z = v.x, v.y, v.z
-    qpn_offset = (
-        math.sqrt(qpn_variance(model)) * rng.standard_normal() if cfg.qpn else 0.0
-    )
+    detuning, amp, (x, y, z), qpn_offset = _shot_start(cfg, model, rng)
 
     wx = amp * p.alpha_lin
     fmt = cfg.fixed_point
@@ -208,11 +200,13 @@ def run_lmg_loop(
         cx[k] = wx
         je[k] = j_est
 
-        for _ in range(sps):
+        end = step + sps
+        while step < end:
             while pending and pending[0][0] <= step:
                 applied = pending.popleft()[1]
-            x, y, z = _rk4_rotation_step(x, y, z, wx, amp * applied + detuning, dt)
-            step += 1
+            nxt = min(pending[0][0], end) if pending else end
+            x, y, z = _hold(x, y, z, wx, amp * applied + detuning, (nxt - step) * dt)
+            step = nxt
 
     rec = TrajectoryRecord(t_arr, xs, ys, zs, js, ms, cz, cx, je)
     rec.meta["final_state"] = (x, y, z)
@@ -232,10 +226,11 @@ def run_kt_loop(
 
     Each step is a linear segment (x rotation through alpha), a drive-free
     gap in which the measurement is taken, and a kick segment (z rotation
-    through the wrapped feedback angle).  Stroboscopic indices are stored
-    in meta: 'strob_gap_idx' (measurement samples) and 'strob_period_idx'
-    (period boundaries, comparable to the iterated map)."""
-    sps = cfg.steps_per_sample
+    through the wrapped feedback angle).  The static detuning acts about z
+    in all three.  The plant is rotated exactly over each sample.
+    Stroboscopic indices are stored in meta: 'strob_gap_idx' (measurement
+    samples) and 'strob_period_idx' (period boundaries, comparable to the
+    iterated map)."""
     if cfg.latency > sched.t_gap + 1e-15:
         raise ValueError("latency exceeds the measurement gap")
     n_lin = round(sched.t_linear / cfg.sample_period)
@@ -251,19 +246,7 @@ def run_kt_loop(
     half = cfg.decay_half_time
     fmt = cfg.fixed_point
 
-    shot_draw = None
-    detuning = 0.0
-    amp = 1.0
-    if cfg.rotation_noise is not None:
-        shot_draw = draw_shot_noise(cfg.rotation_noise, rng)
-        detuning = shot_draw.detuning
-        amp = 1.0 + shot_draw.amp_error
-
-    v = _initial_vector(cfg, model, rng)
-    x, y, z = v.x, v.y, v.z
-    qpn_offset = (
-        math.sqrt(qpn_variance(model)) * rng.standard_normal() if cfg.qpn else 0.0
-    )
+    detuning, amp, (x, y, z), qpn_offset = _shot_start(cfg, model, rng)
 
     # the map's linear rotation corresponds to a drive of -alpha about the
     # x axis in flow form, and the kick to +psi about z
@@ -273,12 +256,11 @@ def run_kt_loop(
     gap_idx = []
     period_idx = []
 
-    dt = cfg.plant_dt
+    ts = cfg.sample_period
     k_samp = 0
-    kick_rate = 0.0
 
     def record(wz_applied, wx_applied, m_val, j_est_val):
-        t_k = k_samp * cfg.sample_period
+        t_k = k_samp * ts
         cols["t"][k_samp] = t_k
         cols["x"][k_samp] = x
         cols["y"][k_samp] = y
@@ -293,11 +275,10 @@ def run_kt_loop(
         for _ in range(n_lin):
             record(0.0, w_lin, math.nan, math.nan)
             k_samp += 1
-            for _ in range(sps):
-                x, y, z = _rk4_rotation_step(x, y, z, w_lin, detuning, dt)
+            x, y, z = _hold(x, y, z, w_lin, detuning, ts)
         # measurement in the gap; the kick value is ready because the
         # transport delay is no longer than the gap
-        t_now = k_samp * cfg.sample_period
+        t_now = k_samp * ts
         j_now = _j_true(j0, t_now, half)
         sample = measure(
             max(-1.0, min(1.0, z)), j_now, eff_model, cfg.sample_period, rng,
@@ -311,12 +292,11 @@ def run_kt_loop(
         for i in range(n_gap):
             record(0.0, 0.0, sample.value if i == 0 else math.nan, j_est)
             k_samp += 1
-            # free evolution in the gap
+            x, y, z = _hold(x, y, z, 0.0, detuning, ts)
         for _ in range(n_kick):
             record(kick_rate, 0.0, math.nan, math.nan)
             k_samp += 1
-            for _ in range(sps):
-                x, y, z = _rk4_rotation_step(x, y, z, 0.0, kick_rate, dt)
+            x, y, z = _hold(x, y, z, 0.0, kick_rate + detuning, ts)
         period_idx.append(k_samp)
 
     record(0.0, 0.0, math.nan, math.nan)

@@ -168,7 +168,6 @@ def _axis_rotation(state: QuantumSpinState, ax: float, az: float) -> QuantumSpin
     psi = vecs @ (np.exp(1j * beta * vals) * (vecs.conj().T @ psi))
     psi = np.exp(1j * omega * mv) * psi
     psi = vecs @ (np.exp(-1j * beta * vals) * (vecs.conj().T @ psi))
-    out = QuantumSpinState(state.j, psi)
     n = np.linalg.norm(psi)
     return QuantumSpinState(state.j, psi / n)
 

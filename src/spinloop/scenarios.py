@@ -27,7 +27,7 @@ from .measurement import (
     noise_budget_fit,
     qpn_variance,
 )
-from .models import KtParams, LmgParams, kt_step
+from .models import KtParams, LmgParams, _tangent_basis, kt_step
 from .quantum import expect, qmf_step, sample_outcome, scs_state, spin_operators
 from .runio import (
     RunManifest,
@@ -131,11 +131,7 @@ def _run_ssb(cfg, out):
 def _tilted_kt_ensemble(p, x0, tilt, n, rng, n_steps):
     """Ensemble of map iterates from Gaussian-tilted copies of x0; returns
     the elevation-angle series, one row per member."""
-    base = np.array(x0.as_tuple())
-    seed = np.array([0, 0, 1.0]) if abs(base[2]) < 0.9 else np.array([1.0, 0, 0])
-    e1 = np.cross(seed, base)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(base, e1)
+    e1, e2 = _tangent_basis(x0)
     series = np.zeros((n, n_steps + 1))
     for i in range(n):
         chi = rng.uniform(0.0, 2.0 * math.pi)

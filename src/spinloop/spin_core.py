@@ -30,16 +30,6 @@ class SpinVector:
             raise ValueError("zero vector has no direction")
         return SpinVector(self.x / n, self.y / n, self.z / n)
 
-    def dot(self, other: "SpinVector") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "SpinVector") -> "SpinVector":
-        return SpinVector(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
@@ -126,6 +116,19 @@ def to_angles(v: SpinVector) -> SphericalAngles:
     return SphericalAngles(theta, phi)
 
 
+def rodrigues(x, y, z, ax, ay, az, angle):
+    """Float-level Rodrigues rotation of (x, y, z) about the unit axis
+    (ax, ay, az), unchecked; the kernel behind rotate()."""
+    c = math.cos(angle)
+    s = math.sin(angle)
+    d = x * ax + y * ay + z * az
+    return (
+        x * c + (y * az - z * ay) * s + ax * d * (1.0 - c),
+        y * c + (z * ax - x * az) * s + ay * d * (1.0 - c),
+        z * c + (x * ay - y * ax) * s + az * d * (1.0 - c),
+    )
+
+
 def rotate(v: SpinVector, axis: SpinVector, angle: float) -> SpinVector:
     """Rodrigues rotation of v about axis; rotate(z_hat, x_hat, pi/2) = y_hat."""
     n = axis.norm()
@@ -133,15 +136,7 @@ def rotate(v: SpinVector, axis: SpinVector, angle: float) -> SpinVector:
         raise ValueError(f"rotation axis norm {n} deviates from 1 by more than {_NORM_TOL}")
     if n != 1.0:
         axis = SpinVector(axis.x / n, axis.y / n, axis.z / n)
-    c = math.cos(angle)
-    s = math.sin(angle)
-    d = v.dot(axis)
-    cr = v.cross(axis)
-    return SpinVector(
-        v.x * c + cr.x * s + axis.x * d * (1.0 - c),
-        v.y * c + cr.y * s + axis.y * d * (1.0 - c),
-        v.z * c + cr.z * s + axis.z * d * (1.0 - c),
-    )
+    return SpinVector(*rodrigues(v.x, v.y, v.z, axis.x, axis.y, axis.z, angle))
 
 
 def larmor_precess(v: SpinVector, omega_l: float, t: float) -> SpinVector:

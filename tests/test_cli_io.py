@@ -148,6 +148,20 @@ def test_simulate_cli_rejects_bad_config(tmp_path, capsys):
     assert "loop.typo" in err["message"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_simulate_cli_reports_arithmetic_error(tmp_path, capsys):
+    # an enormous kick strength drives the Lyapunov tangent vector out of
+    # tolerance, which raises FloatingPointError inside the scenario
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("[run]\nkind = lyapunov\n\n[kt]\nalpha = 1.5707963267948966\n"
+                    "k = 1.7e308\n")
+    assert simulate_main(["lyapunov", "--config", str(cfgp),
+                          "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "runtime"
+    assert "tangent vector" in err["message"]
+
+
 def test_simulate_cli_kind_mismatch(tmp_path):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(MINIMAL)

@@ -14,7 +14,7 @@ from spinloop.loop_sim import (
 )
 from spinloop.measurement import MeasurementModel
 from spinloop.models import KtParams, LmgParams, kt_step, lmg_energy
-from spinloop.spin_core import SphericalAngles, SpinVector, from_angles
+from spinloop.spin_core import RotationNoise, SphericalAngles, SpinVector, from_angles
 
 ALPHA_LIN = 2.0 * math.pi * 6.25e3
 LMG07 = LmgParams(s=0.7, lambda_=ALPHA_LIN / 0.3)
@@ -67,6 +67,22 @@ def test_ideal_loop_conserves_energy():
     assert max(e) - min(e) < 1e-3
 
 
+def test_plant_is_exact_rotation():
+    # s = 0 leaves only the linear drive: a rotation about x at alpha_lin,
+    # so every sample must sit on the analytic circle
+    cfg = LoopConfig(latency=0.0, decay_half_time=None,
+                     initial_state=SphericalAngles(2.0, 0.5))
+    rec = run_lmg_loop(cfg, LmgParams(s=0.0, lambda_=ALPHA_LIN), MODEL,
+                       np.random.default_rng(0))
+    v0 = from_angles(cfg.initial_state)
+    c = np.cos(ALPHA_LIN * rec.t)
+    s = np.sin(ALPHA_LIN * rec.t)
+    assert rec.t[-1] == pytest.approx(1.5e-3 - cfg.sample_period)
+    assert np.max(np.abs(rec.x - v0.x)) < 1e-12
+    assert np.max(np.abs(rec.y - (v0.y * c - v0.z * s))) < 1e-12
+    assert np.max(np.abs(rec.z - (v0.z * c + v0.y * s))) < 1e-12
+
+
 def test_latency_enters_after_fifo_delay():
     # with a long latency the first feedback activation must not appear
     # before latency_steps plant steps have elapsed
@@ -100,6 +116,21 @@ def test_kt_loop_matches_iterated_map():
         w = kt_step(v, p)
         err = max(abs(rec.x[b] - w.x), abs(rec.y[b] - w.y), abs(rec.z[b] - w.z))
         assert err < 1e-8, f"step {n}: {err}"
+
+
+def test_kt_loop_detuning_acts_over_whole_period():
+    # with no linear rotation and no kick, a static detuning precesses the
+    # spin about z through the linear segment, the gap and the kick alike
+    delta = 2.0 * math.pi * 500.0
+    sched = qkt_schedule(40e-6, 6e-6, 2e-6, 5)
+    cfg = LoopConfig(latency=4e-6, duration=1.3e-3, decay_half_time=None,
+                     initial_state=SphericalAngles(math.pi / 2.0, 0.3),
+                     rotation_noise=RotationNoise(fixed_detuning=delta))
+    rec = run_kt_loop(cfg, sched, KtParams(alpha=0.0, k=0.0), MODEL,
+                      np.random.default_rng(0))
+    idx = [0] + list(rec.meta["strob_period_idx"])
+    phi = np.unwrap(np.arctan2(rec.y[idx], rec.x[idx]))
+    assert np.allclose(np.diff(phi), delta * sched.period, rtol=0.0, atol=1e-12)
 
 
 def test_kt_loop_rejects_excess_latency():
