@@ -12,8 +12,8 @@ import numpy as np
 from spinloop.loop_sim import LoopConfig, run_batch, shot_rng
 from spinloop.measurement import MeasurementModel
 from spinloop.models import LmgParams
-from spinloop.quantum import expect, qmf_step, sample_outcome, scs_state, spin_operators
 from spinloop.runio import emit_csv
+from spinloop.scenarios import quantum_trajectory
 from spinloop.spin_core import SphericalAngles
 
 
@@ -30,18 +30,12 @@ def main():
     alpha_lin = 2.0 * math.pi * 6.25e3
     p = LmgParams(s=args.s, lambda_=alpha_lin / (1.0 - args.s))
     dt = 2e-6
-    ops = spin_operators(args.j)
 
-    zq = np.zeros((args.traj, args.steps + 1))
-    for i in range(args.traj):
-        rng = shot_rng(777, i)
-        state = scs_state(args.j, SphericalAngles(1e-6, 0.0))
-        for n in range(args.steps + 1):
-            zq[i, n] = expect(state, ops.jz) / args.j
-            if n == args.steps:
-                break
-            m = sample_outcome(state, args.sigma, rng)
-            state = qmf_step(state, m, p, dt, args.sigma)
+    zq = np.array([
+        quantum_trajectory(args.j, SphericalAngles(1e-6, 0.0), p, args.sigma, dt,
+                           args.steps, shot_rng(777, i))[0][:, 2]
+        for i in range(args.traj)
+    ])
 
     model = MeasurementModel(n1_eff=args.j, ratio_n2_n1=1.0, f=1.0,
                              sn_coeff=args.sigma**2 * dt)

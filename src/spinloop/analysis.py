@@ -62,9 +62,13 @@ def lyapunov_jacobian(
     w = np.array([1.0, 0.0])
     acc = 0.0
     for _ in range(n_steps):
-        j = kt_jacobian(v, p)
-        w = j @ w
-        nrm = float(np.linalg.norm(w))
+        # an overflow raises here instead of printing a numpy warning
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                w = kt_jacobian(v, p) @ w
+                nrm = float(np.linalg.norm(w))
+        except FloatingPointError:
+            nrm = math.nan
         if not np.isfinite(nrm) or nrm == 0.0:
             raise FloatingPointError("tangent vector left numerical tolerance")
         acc += math.log(nrm)

@@ -340,8 +340,15 @@ def run_batch(
     shots in parallel processes."""
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    jobs = int(os.environ.get("SPINLOOP_JOBS", "1"))
+    raw = os.environ.get("SPINLOOP_JOBS", "1")
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"SPINLOOP_JOBS must be an integer >= 1, got {raw!r}")
     work = [(cfg, params, model, sched, master_seed, i) for i in range(n_shots)]
+    jobs = min(jobs, n_shots)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

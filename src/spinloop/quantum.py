@@ -1,6 +1,14 @@
 """Exact quantum simulation of the measurement-and-feedback protocol for a
 single collective spin j: Gaussian Kraus measurement, outcome sampling, and
-the measurement-conditioned unitary.  Dense matrices; j is capped at 500."""
+the measurement-conditioned unitary.
+
+State vectors live in the Jz basis.  Jz is diagonal and Jx, Jy are
+tridiagonal, so the engine keeps only the ladder coefficients and one cached
+real eigenbasis of Jx (Jx = W diag(lam) W^T).  The conditioned unitary is a
+ZXZ Euler product: two diagonal Jz phases around e^{i b Jx}, which costs two
+real products with W.  Coherent states use the same basis, because Jy is Jx
+conjugated by a diagonal Jz phase.  The Bloch read-out is O(dim).  W is a
+dense (2j+1)^2 real matrix, so j is capped at 500."""
 
 from __future__ import annotations
 
@@ -46,62 +54,83 @@ class SpinOperators:
     jz: np.ndarray
 
 
-def spin_operators(j: float) -> SpinOperators:
-    """Standard ladder-operator construction; jz diagonal with j .. -j."""
+@lru_cache(maxsize=8)
+def _ladder(j: float) -> np.ndarray:
+    """<m+1| J+ |m> = sqrt(j(j+1) - m(m+1)) for m = j-1 .. -j, the
+    superdiagonal of J+ in the basis m = j .. -j."""
     if j > J_MAX:
         raise ValueError(f"j = {j} too large for dense storage (cap {J_MAX})")
     if abs(2 * j - round(2 * j)) > 1e-9 or j < 0.5:
         raise ValueError("2j must be a positive integer")
-    dim = int(round(2 * j)) + 1
-    m = j - np.arange(dim)
-    jz = np.diag(m.astype(complex))
-    # <m+1| J+ |m> = sqrt(j(j+1) - m(m+1)); basis is descending in m
-    cp = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    jp = np.zeros((dim, dim), dtype=complex)
-    jp[np.arange(dim - 1), np.arange(1, dim)] = cp
+    m = j - np.arange(1, int(round(2 * j)) + 1)
+    cp = np.sqrt(j * (j + 1) - m * (m + 1))
+    cp.setflags(write=False)
+    return cp
+
+
+def spin_operators(j: float) -> SpinOperators:
+    """Dense Jx, Jy, Jz from the ladder coefficients; jz diagonal with
+    j .. -j.  For tests and reference calculations: the trajectory engine
+    works from the ladder coefficients and the Jx eigenbasis instead."""
+    cp = _ladder(j)
+    m = j - np.arange(len(cp) + 1)
+    jp = np.diag(cp.astype(complex), k=1)
     jm = jp.conj().T
     jx = 0.5 * (jp + jm)
     jy = -0.5j * (jp - jm)
-    return SpinOperators(j, jx, jy, jz)
+    return SpinOperators(j, jx, jy, np.diag(m.astype(complex)))
 
 
 @lru_cache(maxsize=8)
-def _cached_ops(j: float) -> SpinOperators:
-    return spin_operators(j)
+def _jx_eigensystem(j: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jx = W diag(lam) W^T; Jx is real symmetric tridiagonal, so W is real."""
+    half = 0.5 * _ladder(j)
+    lam, w = np.linalg.eigh(np.diag(half, k=1) + np.diag(half, k=-1))
+    lam.setflags(write=False)
+    w.setflags(write=False)
+    return lam, w
 
 
-@lru_cache(maxsize=8)
-def _jy_eigensystem(j: float):
-    ops = _cached_ops(j)
-    vals, vecs = np.linalg.eigh(ops.jy)
-    return vals, vecs
+def _real_matvec(mat: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """mat @ psi for a real matrix and a complex vector, as one real product
+    with the stacked (re, im) rows; never forms a complex copy of mat."""
+    r = np.stack((psi.real, psi.imag)) @ mat.T
+    return r[0] + 1j * r[1]
 
 
 def scs_state(j: float, angles: SphericalAngles) -> QuantumSpinState:
-    """Spin coherent state: the stretched m = +j state rotated to point
-    along (theta, phi)."""
+    """Spin coherent state exp(-i phi Jz) exp(-i theta Jy) |j, j>: the
+    stretched m = +j state rotated to point along (theta, phi)."""
     dim = int(round(2 * j)) + 1
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0
     state = QuantumSpinState(j, amps)
     if angles.theta == 0.0 and angles.phi == 0.0:
         return state
-    # rotate by theta about the axis at azimuth phi + pi/2 (moves +z toward
-    # the target direction), built from the exact Jy rotation conjugated by
-    # the diagonal Jz phase
-    vals, vecs = _jy_eigensystem(j)
+    # Jy = R Jx R* with the diagonal R = exp(-i (pi/2)(Jz - j)), and
+    # R* |j, j> = |j, j>, so exp(-i theta Jy)|j, j> = R W e^{-i theta lam} W^T |j, j>
+    lam, w = _jx_eigensystem(j)
     m = state.m_values
-    phase = np.exp(-1j * angles.phi * m)
-    # e^{-i theta Jy} applied in the rotated frame: R = P e^{-i theta Jy} P*
-    core = vecs @ (np.exp(-1j * angles.theta * vals) * (vecs.conj().T @ (phase.conj() * amps)))
+    core = _real_matvec(w, np.exp(-1j * angles.theta * lam) * w[0])
+    phase = np.exp(-1j * (angles.phi * m + 0.5 * math.pi * (m - j)))
     return QuantumSpinState(j, phase * core).normalized()
 
 
 def expect(state: QuantumSpinState, op: np.ndarray) -> float:
+    """<psi| op |psi> for a dense Hermitian operator."""
     if op.shape != (len(state.amplitudes),) * 2:
         raise ValueError("operator dimension mismatch")
     val = np.vdot(state.amplitudes, op @ state.amplitudes)
     return float(val.real)
+
+
+def bloch_vector(state: QuantumSpinState) -> tuple[float, float, float]:
+    """(<Jx>, <Jy>, <Jz>) / j in O(dim): Jz is diagonal, and
+    <J+> = <Jx> + i <Jy> has only the ladder superdiagonal."""
+    psi = state.amplitudes
+    jp = np.sum(_ladder(state.j) * psi[:-1].conj() * psi[1:])
+    jz = np.dot(state.m_values, psi.real**2 + psi.imag**2)
+    return float(jp.real) / state.j, float(jp.imag) / state.j, float(jz) / state.j
 
 
 def kraus_apply(
@@ -152,24 +181,22 @@ def qmf_step(
 
 
 def _axis_rotation(state: QuantumSpinState, ax: float, az: float) -> QuantumSpinState:
-    """Apply exp[i (ax Jx + az Jz)] using the cached Jy eigensystem:
-    the generator is a rotation of Jz by beta about y, so the exponential
-    factorizes into Jy rotations around a diagonal phase."""
-    omega = math.hypot(ax, az)
-    if omega == 0.0:
+    """Apply exp[i (ax Jx + az Jz)] = e^{i a Jz} e^{i b Jx} e^{i a Jz}.
+
+    The ZXZ Euler angles a, b are solved in SU(2), so the factorisation is
+    exact in every spin-j representation, half-integer j included."""
+    w = math.hypot(ax, az)
+    if w == 0.0:
         return state
-    # ax Jx + az Jz = omega * e^{-i beta Jy} Jz e^{+i beta Jy}
-    # with cos(beta) = az/omega, sin(beta) = ax/omega
-    beta = math.atan2(ax, az)
-    vals, vecs = _jy_eigensystem(state.j)
-    mv = state.m_values
-    psi = state.amplitudes
-    # e^{+i beta Jy} psi
-    psi = vecs @ (np.exp(1j * beta * vals) * (vecs.conj().T @ psi))
-    psi = np.exp(1j * omega * mv) * psi
-    psi = vecs @ (np.exp(-1j * beta * vals) * (vecs.conj().T @ psi))
-    n = np.linalg.norm(psi)
-    return QuantumSpinState(state.j, psi / n)
+    c, s = math.cos(w / 2), math.sin(w / 2)
+    sz = s * az / w
+    a = math.atan2(sz, c)
+    b = 2 * math.atan2(s * ax / w, math.hypot(c, sz))
+    lam, vecs = _jx_eigensystem(state.j)
+    za = np.exp(1j * a * state.m_values)
+    psi = np.exp(1j * b * lam) * _real_matvec(vecs.T, za * state.amplitudes)
+    psi = za * _real_matvec(vecs, psi)
+    return QuantumSpinState(state.j, psi / np.linalg.norm(psi))
 
 
 def mmss_variance(f: float) -> tuple[float, float]:

@@ -28,7 +28,9 @@ from .measurement import (
     qpn_variance,
 )
 from .models import KtParams, LmgParams, _tangent_basis, kt_step
-from .quantum import expect, qmf_step, sample_outcome, scs_state, spin_operators
+from .quantum import bloch_vector, qmf_step, sample_outcome, scs_state
+# bound here so the benchmark tracer (perfbench/tracing.py) can patch them
+from .quantum import expect, spin_operators  # noqa: F401
 from .runio import (
     RunManifest,
     config_sha256,
@@ -242,43 +244,49 @@ def _run_composite(cfg, out):
     return [_emit_table(cfg, out, "composite", "theta,variance", pts)]
 
 
+def quantum_trajectory(j, angles, params, sigma, dt, n_steps, rng):
+    """One exact measurement-and-feedback trajectory from the coherent state
+    along `angles`.  Returns the Bloch vectors <J>/j before each step and
+    after the last, shape (n_steps + 1, 3), and the n_steps outcomes."""
+    state = scs_state(j, angles)
+    bloch = np.empty((n_steps + 1, 3))
+    meas = np.empty(n_steps)
+    for k in range(n_steps):
+        bloch[k] = bloch_vector(state)
+        meas[k] = sample_outcome(state, sigma, rng)
+        state = qmf_step(state, meas[k], params, dt, sigma)
+    bloch[n_steps] = bloch_vector(state)
+    return bloch, meas
+
+
 def _run_quantum(cfg, out):
     q = cfg.quantum
     j = q.get("j", 200.0)
     sigma = q.get("sigma", 20.0)
     dt = q.get("dt", 2e-6)
     n_steps = q.get("n_steps", 150)
-    ops = spin_operators(j)
+    p = cfg.lmg
     rows = []
     offsets = []
     finals = []
-    row = 0
     for i in range(cfg.n_shots):
-        rng = shot_rng(cfg.master_seed, i)
-        state = scs_state(j, cfg.loop.initial_state)
-        offsets.append(row)
-        for k in range(n_steps + 1):
-            t = k * dt
-            ex = expect(state, ops.jx) / j
-            ey = expect(state, ops.jy) / j
-            ez = expect(state, ops.jz) / j
-            if k == n_steps:
-                rows.append((t, ex, ey, ez, j, math.nan, 0.0, cfg.lmg.alpha_lin, j))
-                row += 1
-                break
-            m = sample_outcome(state, sigma, rng)
-            state = qmf_step(state, m, cfg.lmg, dt, sigma)
-            rows.append((t, ex, ey, ez, j, m, cfg.lmg.k_nl * m / j, cfg.lmg.alpha_lin, j))
-            row += 1
-        finals.append((ex, ey, ez))
+        offsets.append(len(rows))
+        bloch, meas = quantum_trajectory(
+            j, cfg.loop.initial_state, p, sigma, dt, n_steps,
+            shot_rng(cfg.master_seed, i),
+        )
+        for k, m in enumerate(meas):
+            rows.append((k * dt, *bloch[k], j, m, p.k_nl * m / j, p.alpha_lin, j))
+        rows.append((n_steps * dt, *bloch[n_steps], j, math.nan, 0.0, p.alpha_lin, j))
+        finals.append(tuple(bloch[n_steps]))
     paths = [
         emit_csv(out / "trajectories.csv",
                  "t,x,y,z,j_true,meas,ctl_z,ctl_x,j_est", rows),
         emit_json(out / "trajectories.json", {
             "schema_version": 1,
             "model": "quantum",
-            "params": {"j": j, "sigma": sigma, "dt": dt, "s": cfg.lmg.s,
-                       "lambda": cfg.lmg.lambda_},
+            "params": {"j": j, "sigma": sigma, "dt": dt, "s": p.s,
+                       "lambda": p.lambda_},
             "shot_row_offsets": offsets,
             "final_states": finals,
         }),

@@ -48,11 +48,11 @@ from spinloop.models import (
 from spinloop.quantum import (
     expect,
     mmss_variance,
-    qmf_step,
     sample_outcome,
     scs_state,
     spin_operators,
 )
+from spinloop.scenarios import quantum_trajectory
 from spinloop.spin_core import (
     RotationNoise,
     SphericalAngles,
@@ -398,16 +398,11 @@ def test_11_quantum_module():
     n_steps = 150
     n_traj = 50
     checkpoints = (25, 50, 75, 100, 125)
-    zq = np.zeros((n_traj, n_steps + 1))
-    for i in range(n_traj):
-        rng_i = shot_rng(777, i)
-        state = scs_state(jq, SphericalAngles(1e-6, 0.0))
-        for n in range(n_steps + 1):
-            zq[i, n] = expect(state, ops.jz) / jq
-            if n == n_steps:
-                break
-            m = sample_outcome(state, sigma_q, rng_i)
-            state = qmf_step(state, m, LMG07, dt, sigma_q)
+    zq = np.array([
+        quantum_trajectory(jq, SphericalAngles(1e-6, 0.0), LMG07, sigma_q, dt,
+                           n_steps, shot_rng(777, i))[0][:, 2]
+        for i in range(n_traj)
+    ])
     model = MeasurementModel(n1_eff=jq, ratio_n2_n1=1.0, f=1.0, chi_p=1.0,
                              sn_coeff=sigma_q**2 * dt)
     cfg = LoopConfig(

@@ -148,18 +148,40 @@ def test_simulate_cli_rejects_bad_config(tmp_path, capsys):
     assert "loop.typo" in err["message"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_simulate_cli_reports_arithmetic_error(tmp_path, capsys):
     # an enormous kick strength drives the Lyapunov tangent vector out of
-    # tolerance, which raises FloatingPointError inside the scenario
+    # tolerance, which raises FloatingPointError inside the scenario; no
+    # numpy warning may be emitted on the way
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text("[run]\nkind = lyapunov\n\n[kt]\nalpha = 1.5707963267948966\n"
                     "k = 1.7e308\n")
     assert simulate_main(["lyapunov", "--config", str(cfgp),
                           "--out", str(tmp_path / "o")]) == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    stderr = capsys.readouterr().err
+    assert stderr.count("\n") == 1
+    err = json.loads(stderr)
     assert err["error"] == "runtime"
     assert "tangent vector" in err["message"]
+
+
+@pytest.mark.parametrize("jobs", ["two", "0"])
+def test_simulate_cli_rejects_bad_jobs(tmp_path, capsys, monkeypatch, jobs):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("SPINLOOP_JOBS", jobs)
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(MINIMAL + "\n[loop]\nduration = 1e-4\n")
+    assert simulate_main(["lmg-run", "--config", str(cfgp), "--shots", "2",
+                          "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime"
+    assert "SPINLOOP_JOBS" in err["message"]
+    assert repr(jobs) in err["message"]
 
 
 def test_simulate_cli_kind_mismatch(tmp_path):

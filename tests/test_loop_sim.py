@@ -156,6 +156,33 @@ def test_batch_shot_isolated_reproducibility():
     assert np.array_equal(recs[2].column_stack(), lone.column_stack())
 
 
+def test_batch_pool_no_wider_than_shots(monkeypatch):
+    import concurrent.futures
+
+    widths = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("SPINLOOP_JOBS", "8")
+    cfg = LoopConfig(duration=1e-4, qpn=True)
+    recs = run_batch(cfg, LMG07, MODEL, 2, master_seed=5)
+    assert widths == [2]
+    lone = run_lmg_loop(cfg, LMG07, MODEL, shot_rng(5, 1))
+    assert np.array_equal(recs[1].column_stack(), lone.column_stack())
+
+
 def test_batch_streams_differ():
     cfg = LoopConfig(duration=1e-4, qpn=True)
     recs = run_batch(cfg, LMG07, MODEL, 3, master_seed=5)

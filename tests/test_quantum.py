@@ -1,11 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from spinloop.cli import simulate_main
+from spinloop.loop_sim import shot_rng
 from spinloop.models import LmgParams
 from spinloop.quantum import (
     QuantumSpinState,
+    _axis_rotation,
+    bloch_vector,
     expect,
     kraus_apply,
     mmss_variance,
@@ -14,6 +20,8 @@ from spinloop.quantum import (
     scs_state,
     spin_operators,
 )
+from spinloop.runio import read_trajectory_csv
+from spinloop.scenarios import quantum_trajectory
 from spinloop.spin_core import SphericalAngles
 
 
@@ -50,8 +58,34 @@ def test_scs_general_direction():
     th, ph = 1.1, -0.7
     state = scs_state(j, SphericalAngles(th, ph))
     n = (math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th))
-    for op, comp in zip((ops.jx, ops.jy, ops.jz), n):
+    for op, comp, b in zip((ops.jx, ops.jy, ops.jz), n, bloch_vector(state)):
         assert expect(state, op) == pytest.approx(j * comp, abs=1e-9)
+        assert b == pytest.approx(expect(state, op) / j, abs=1e-12)
+
+
+@pytest.mark.parametrize("j", [20.0, 200.0])
+def test_scs_state_matches_dense_rotation(j):
+    ops = spin_operators(j)
+    top = np.zeros(ops.jz.shape[0], dtype=complex)
+    top[0] = 1.0
+    for th, ph in ((1.1, -0.7), (2.5, 3.0), (1e-6, 0.0)):
+        want = expm(-1j * ph * ops.jz) @ (expm(-1j * th * ops.jy) @ top)
+        got = scs_state(j, SphericalAngles(th, ph)).amplitudes
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("j", [0.5, 7.5, 50.0])
+def test_euler_step_matches_expm(j):
+    # exp[i(ax Jx + az Jz)] = e^{i a Jz} e^{i b Jx} e^{i a Jz}, exactly
+    ops = spin_operators(j)
+    rng = np.random.default_rng(3)
+    for ax, az in ((0.3, -1.2), (-0.7, 0.4), (-2.9, -2.5), (0.0, 0.9),
+                   (1.1, 0.0), (0.0, 0.0)):
+        psi = rng.standard_normal(ops.jz.shape[0]) + 1j * rng.standard_normal(ops.jz.shape[0])
+        state = QuantumSpinState(j, psi).normalized()
+        want = expm(1j * (ax * ops.jx + az * ops.jz)) @ state.amplitudes
+        got = _axis_rotation(state, ax, az).amplitudes
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_povm_completeness():
@@ -106,8 +140,6 @@ def test_qmf_step_zero_outcome_is_linear_rotation():
     p = LmgParams(s=0.5, lambda_=2.0)
     state = scs_state(j, SphericalAngles(0.3, 0.2))
     stepped = qmf_step(state, 0.0, p, dt=0.01, sigma=50.0)
-    from scipy.linalg import expm
-
     u = expm(1j * p.alpha_lin * 0.01 * ops.jx)
     post, _ = kraus_apply(state, 0.0, 50.0)
     want = u @ post.amplitudes
@@ -133,3 +165,37 @@ def test_qmf_mean_trajectory_matches_classical_flow():
     assert dz == pytest.approx(-p.alpha_lin * y0, abs=2.0)
     dx = (expect(stepped, ops.jx) / j - x0) / dt
     assert dx == pytest.approx(p.k_nl * z0 * y0, abs=2.0)
+
+
+def _quantum_config(tmp_path, j):
+    cfgp = tmp_path / "q.json"
+    cfgp.write_text(json.dumps({
+        "run": {"kind": "quantum-qmf", "n_shots": "3", "seed": "41"},
+        "loop": {"theta0": "0.4"},
+        "lmg": {"s": "0.7", "lambda": "1.3089969389957471e5"},
+        "quantum": {"j": str(j), "sigma": "3", "dt": "2e-6", "n_steps": "12"},
+    }))
+    return cfgp
+
+
+def test_quantum_shot_isolation(tmp_path):
+    # shot i of the CSV equals the runner driven by shot_rng(seed, i) alone
+    out = tmp_path / "o"
+    assert simulate_main(["quantum-qmf", "--config", str(_quantum_config(tmp_path, 10)),
+                          "--out", str(out)]) == 0
+    recs = read_trajectory_csv(out / "trajectories.csv")
+    assert len(recs) == 3
+    p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
+    for i, rec in enumerate(recs):
+        bloch, meas = quantum_trajectory(10.0, SphericalAngles(0.4, 0.0), p, 3.0,
+                                         2e-6, 12, shot_rng(41, i))
+        assert np.array_equal(np.column_stack((rec.x, rec.y, rec.z)), bloch)
+        assert np.array_equal(rec.meas[:-1], meas)
+
+
+def test_quantum_j_above_cap_is_a_json_error(tmp_path, capsys):
+    assert simulate_main(["quantum-qmf", "--config", str(_quantum_config(tmp_path, 600)),
+                          "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime"
+    assert "cap 500" in err["message"]
