@@ -7,19 +7,12 @@ import math
 
 import numpy as np
 
+from spinloop.analysis import settling_time
 from spinloop.loop_sim import LoopConfig, latency_metric, run_lmg_loop
 from spinloop.measurement import MeasurementModel
 from spinloop.models import LmgParams
 from spinloop.runio import emit_csv
 from spinloop.spin_core import SphericalAngles
-
-
-def settling_time(rec, band=0.05):
-    zf = rec.z[-1]
-    outside = np.nonzero(np.abs(rec.z - zf) > band)[0]
-    if len(outside) == len(rec.z):
-        return math.nan
-    return float(rec.t[outside[-1]]) if len(outside) else 0.0
 
 
 def main():
@@ -42,8 +35,9 @@ def main():
             initial_state=SphericalAngles(1e-3, 0.0),
         )
         rec = run_lmg_loop(cfg, p, model, np.random.default_rng(0))
+        t_settle = settling_time(rec)
         rows.append((tau, latency_metric(alpha_lin, tau),
-                     settling_time(rec), float(rec.z[-1])))
+                     math.nan if t_settle is None else t_settle, float(rec.z[-1])))
     emit_csv(args.out, "latency,alpha_tau,settling_time,z_final", rows)
     print(f"wrote {args.out}")
 

@@ -162,6 +162,20 @@ def extract_tdd(record, settle_tol: float = 1e-3):
     return -t_dd if zf < 0 else t_dd
 
 
+def settling_time(rec, band: float = 0.05) -> float | None:
+    """Last sample time at which z lies more than band from its final value,
+    0.0 when it never leaves the band, None when it is never inside it.
+
+    The band is centred on the final value, so a finite run is always inside
+    it at its last sample; a NaN z counts as outside, so a run that ends in
+    NaN never settles."""
+    z = np.asarray(rec.z, dtype=float)
+    outside = np.nonzero(~(np.abs(z - z[-1]) <= band))[0]
+    if len(outside) == len(z):
+        return None
+    return float(rec.t[outside[-1]]) if len(outside) else 0.0
+
+
 def symmetry_stats(records) -> dict:
     """Ensemble symmetry-breaking statistics."""
     if len(records) < 2:

@@ -210,6 +210,11 @@ def parse_config(path) -> ExperimentConfig:
     if "kind" not in run:
         raise ConfigError(f"{path}: run.kind is required")
     kind = run["kind"]
+    if kind not in SCENARIO_KINDS:
+        raise ConfigError(
+            f"{path}: run.kind: unknown scenario {kind!r}; "
+            f"expected one of {', '.join(SCENARIO_KINDS)}"
+        )
 
     loop_raw = c.get("loop", {})
     if "sample_period" in loop_raw and "plant_dt" in loop_raw:
@@ -230,9 +235,16 @@ def parse_config(path) -> ExperimentConfig:
 
     noise = None
     if "noise" in c:
-        noise = RotationNoise(**{
-            k: v for k, v in c["noise"].items()
-        })
+        try:
+            noise = RotationNoise(**c["noise"])
+        except ValueError as e:
+            raise ConfigError(f"{path}: noise: {e}")
+        # only the composite pulses draw drive-axis phase jitter
+        if noise.phase_noise_sigma != 0 and kind != "composite-scan":
+            raise ConfigError(
+                f"{path}: noise.phase_noise_sigma: only composite-scan uses "
+                f"phase noise; {kind} would ignore it"
+            )
 
     try:
         loop = LoopConfig(

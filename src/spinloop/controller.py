@@ -1,6 +1,11 @@
 """Digital feedforward controller emulation: fixed-point arithmetic, the
 rational exponential used by the decay tracker, kick-angle wrapping, control
-laws and gain calibration, and the kicked-top pulse schedule."""
+laws and gain calibration, and the kicked-top pulse schedule.
+
+Fixed-point arithmetic is done on raw integer words: the ``_fxp_*`` helpers
+map ints to ints under one format's fraction bits and raw range.
+``FixedPointValue`` (a raw word tagged with its format) is the boundary
+type that callers pass in and get back."""
 
 from __future__ import annotations
 
@@ -59,38 +64,42 @@ class FixedPointValue:
         return self.raw in (self.fmt.raw_min, self.fmt.raw_max)
 
 
+# Raw-integer arithmetic: operands and results are raw words of a format
+# with f fraction bits and raw range [lo, hi].
+
+
+def _sat(raw: int, lo: int, hi: int) -> int:
+    return lo if raw < lo else hi if raw > hi else raw
+
+
+def _fxp_add(a: int, b: int, lo: int, hi: int) -> int:
+    return _sat(a + b, lo, hi)
+
+
+def _fxp_mul(a: int, b: int, f: int, lo: int, hi: int) -> int:
+    # round to nearest on the dropped fraction bits
+    return _sat((a * b + (1 << (f - 1))) >> f, lo, hi)
+
+
+def _fxp_div(a: int, b: int, f: int, lo: int, hi: int) -> int:
+    if b == 0:
+        raise ZeroDivisionError("fixed-point division by zero")
+    sign = 1 if (a >= 0) == (b >= 0) else -1
+    q, r = divmod(abs(a) << f, abs(b))
+    if 2 * r >= abs(b):
+        q += 1
+    return _sat(sign * q, lo, hi)
+
+
+def _quantize_raw(x: float, f: int, lo: int, hi: int) -> int:
+    return _sat(math.floor(x * (1 << f) + 0.5), lo, hi)
+
+
 def fxp_quantize(x: float, fmt: FixedPointFormat = DEFAULT_FXP) -> FixedPointValue:
     """Round-to-nearest quantization with silent saturation at the ends."""
-    raw = math.floor(x * (1 << fmt.frac_bits) + 0.5)
-    raw = max(fmt.raw_min, min(fmt.raw_max, raw))
-    return FixedPointValue(raw, fmt)
-
-
-def _sat(raw: int, fmt: FixedPointFormat) -> int:
-    return max(fmt.raw_min, min(fmt.raw_max, raw))
-
-
-def _fxp_add(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    return FixedPointValue(_sat(a.raw + b.raw, a.fmt), a.fmt)
-
-
-def _fxp_mul(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    f = a.fmt.frac_bits
-    prod = a.raw * b.raw
-    # round to nearest on the dropped fraction bits
-    raw = (prod + (1 << (f - 1))) >> f
-    return FixedPointValue(_sat(raw, a.fmt), a.fmt)
-
-
-def _fxp_div(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    if b.raw == 0:
-        raise ZeroDivisionError("fixed-point division by zero")
-    f = a.fmt.frac_bits
-    sign = 1 if (a.raw >= 0) == (b.raw >= 0) else -1
-    q, r = divmod(abs(a.raw) << f, abs(b.raw))
-    if 2 * r >= abs(b.raw):
-        q += 1
-    return FixedPointValue(_sat(sign * q, a.fmt), a.fmt)
+    return FixedPointValue(
+        _quantize_raw(x, fmt.frac_bits, fmt.raw_min, fmt.raw_max), fmt
+    )
 
 
 def _pade_ratio_float(x: float) -> float:
@@ -127,27 +136,26 @@ def pade_exp(x):
 
 def _pade_exp_fxp(x: FixedPointValue) -> FixedPointValue:
     fmt = x.fmt
-    if x.raw > 0:
+    f, lo, hi, step = fmt.frac_bits, fmt.raw_min, fmt.raw_max, fmt.step
+    xr = x.raw
+    if xr > 0:
         raise ValueError("pade_exp is defined for x <= 0")
     halvings = 0
-    raw = x.raw
-    while raw * fmt.step < -1.0:
+    while xr * step < -1.0:
         # arithmetic shift with round-to-nearest
-        raw = (raw + 1) >> 1
+        xr = (xr + 1) >> 1
         halvings += 1
-    xr = FixedPointValue(raw, fmt)
-    num = fxp_quantize(0.0, fmt)
-    den = fxp_quantize(0.0, fmt)
+    num = den = 0
     for c in reversed(_PADE_NUM):
-        cq = fxp_quantize(c, fmt)
-        num = _fxp_add(_fxp_mul(num, xr), cq)
-        den = _fxp_add(_fxp_mul(den, FixedPointValue(-xr.raw, fmt)), cq)
-    if den.raw <= 0:
+        cq = _quantize_raw(c, f, lo, hi)
+        num = _fxp_add(_fxp_mul(num, xr, f, lo, hi), cq, lo, hi)
+        den = _fxp_add(_fxp_mul(den, -xr, f, lo, hi), cq, lo, hi)
+    if den <= 0:
         raise ValueError("rational exponential out of domain")
-    r = _fxp_div(num, den)
+    r = _fxp_div(num, den, f, lo, hi)
     for _ in range(halvings):
-        r = _fxp_mul(r, r)
-    return r
+        r = _fxp_mul(r, r, f, lo, hi)
+    return FixedPointValue(r, fmt)
 
 
 def bmod2(x: FixedPointValue) -> FixedPointValue:

@@ -144,23 +144,60 @@ def _j_true(j0: float, t: float, half_time: float | None) -> float:
     return j0 * 2.0 ** (-t / half_time)
 
 
+def _kt_segments(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int]:
+    """Samples in the linear, gap and kick segments of one kicked-top period."""
+    return (
+        round(sched.t_linear / cfg.sample_period),
+        round(sched.t_gap / cfg.sample_period),
+        round(sched.t_kick / cfg.sample_period),
+    )
+
+
+def j_est_column(
+    cfg: LoopConfig, j0: float, sched: QktSchedule | None = None
+) -> list[float]:
+    """Tracked spin length at each measurement the controller takes: every
+    sample of the LMG loop, or the gap sample of each kicked-top period.
+
+    The value depends only on (j0, decay half-time, sample time, arithmetic
+    format), never on the shot, so an ensemble evaluates it once."""
+    if sched is None:
+        ks = range(cfg.n_samples)
+    else:
+        n_lin, n_gap, n_kick = _kt_segments(cfg, sched)
+        n_per = n_lin + n_gap + n_kick
+        ks = range(n_lin, sched.n_steps * n_per, n_per)
+    half = cfg.decay_half_time
+    if half is None:
+        return [j0] * len(ks)
+    ts = cfg.sample_period
+    return [ctl.decay_estimate(j0, half, k * ts, cfg.fixed_point) for k in ks]
+
+
 def run_lmg_loop(
-    cfg: LoopConfig, p: LmgParams, model: MeasurementModel, rng
+    cfg: LoopConfig,
+    p: LmgParams,
+    model: MeasurementModel,
+    rng,
+    j_est: list[float] | None = None,
 ) -> TrajectoryRecord:
     """Closed-loop emulation of the linear-plus-quadratic flow.
 
     The plant sees a constant linear drive about x plus the delayed,
     zero-order-held feedback rate about z; it is rotated exactly over each
-    stretch between FIFO releases."""
+    stretch between FIFO releases.  j_est is the shared
+    ``j_est_column(cfg, model.j_collective)``; it is computed here when not
+    given."""
     n = cfg.n_samples
     sps = cfg.steps_per_sample
     eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     j0 = model.j_collective
+    if j_est is None:
+        j_est = j_est_column(cfg, j0)
 
     detuning, amp, (x, y, z), qpn_offset = _shot_start(cfg, model, rng)
 
     wx = amp * p.alpha_lin
-    fmt = cfg.fixed_point
 
     t_arr = np.empty(n)
     xs = np.empty(n)
@@ -170,7 +207,6 @@ def run_lmg_loop(
     ms = np.empty(n)
     cz = np.empty(n)
     cx = np.empty(n)
-    je = np.empty(n)
 
     pending: deque[tuple[int, float]] = deque()
     applied = 0.0
@@ -185,11 +221,7 @@ def run_lmg_loop(
             max(-1.0, min(1.0, z)), j_now, eff_model, cfg.sample_period, rng,
             qpn_offset=qpn_offset, t=t_k,
         )
-        if half is None:
-            j_est = j0
-        else:
-            j_est = ctl.decay_estimate(j0, half, t_k, fmt)
-        rate = ctl.lmg_control(sample.value, j_est, p, model.chi_p, cfg.rate_cap)
+        rate = ctl.lmg_control(sample.value, j_est[k], p, model.chi_p, cfg.rate_cap)
         pending.append((step + cfg.latency_steps, rate))
 
         t_arr[k] = t_k
@@ -198,7 +230,6 @@ def run_lmg_loop(
         ms[k] = sample.value
         cz[k] = applied
         cx[k] = wx
-        je[k] = j_est
 
         end = step + sps
         while step < end:
@@ -208,7 +239,7 @@ def run_lmg_loop(
             x, y, z = _hold(x, y, z, wx, amp * applied + detuning, (nxt - step) * dt)
             step = nxt
 
-    rec = TrajectoryRecord(t_arr, xs, ys, zs, js, ms, cz, cx, je)
+    rec = TrajectoryRecord(t_arr, xs, ys, zs, js, ms, cz, cx, np.array(j_est))
     rec.meta["final_state"] = (x, y, z)
     rec.meta["model"] = "lmg"
     rec.meta["params"] = {"s": p.s, "lambda": p.lambda_}
@@ -221,6 +252,7 @@ def run_kt_loop(
     p: KtParams,
     model: MeasurementModel,
     rng,
+    j_est: list[float] | None = None,
 ) -> TrajectoryRecord:
     """Closed-loop kicked-top emulation.
 
@@ -230,12 +262,12 @@ def run_kt_loop(
     in all three.  The plant is rotated exactly over each sample.
     Stroboscopic indices are stored in meta: 'strob_gap_idx' (measurement
     samples) and 'strob_period_idx' (period boundaries, comparable to the
-    iterated map)."""
+    iterated map).  j_est is the shared ``j_est_column(cfg,
+    model.j_collective, sched)``, one value per period; it is computed here
+    when not given."""
     if cfg.latency > sched.t_gap + 1e-15:
         raise ValueError("latency exceeds the measurement gap")
-    n_lin = round(sched.t_linear / cfg.sample_period)
-    n_gap = round(sched.t_gap / cfg.sample_period)
-    n_kick = round(sched.t_kick / cfg.sample_period)
+    n_lin, n_gap, n_kick = _kt_segments(cfg, sched)
     n_per = n_lin + n_gap + n_kick
     n = sched.n_steps * n_per + 1  # final period boundary included
     if (n - 1) * cfg.sample_period > cfg.duration + 1e-15:
@@ -245,6 +277,8 @@ def run_kt_loop(
     j0 = model.j_collective
     half = cfg.decay_half_time
     fmt = cfg.fixed_point
+    if j_est is None:
+        j_est = j_est_column(cfg, j0, sched)
 
     detuning, amp, (x, y, z), qpn_offset = _shot_start(cfg, model, rng)
 
@@ -271,7 +305,7 @@ def run_kt_loop(
         cols["ctl_x"][k_samp] = wx_applied
         cols["j_est"][k_samp] = j_est_val
 
-    for _step in range(sched.n_steps):
+    for step in range(sched.n_steps):
         for _ in range(n_lin):
             record(0.0, w_lin, math.nan, math.nan)
             k_samp += 1
@@ -284,13 +318,12 @@ def run_kt_loop(
             max(-1.0, min(1.0, z)), j_now, eff_model, cfg.sample_period, rng,
             qpn_offset=qpn_offset, t=t_now,
         )
-        j_est = j0 if half is None else ctl.decay_estimate(j0, half, t_now, fmt)
-        m_norm = max(-1.0, min(1.0, sample.value / (model.chi_p * j_est)))
+        m_norm = max(-1.0, min(1.0, sample.value / (model.chi_p * j_est[step])))
         psi = ctl.kick_angle(m_norm, p.k, fmt)
         kick_rate = amp * psi / sched.t_kick
         gap_idx.append(k_samp)
         for i in range(n_gap):
-            record(0.0, 0.0, sample.value if i == 0 else math.nan, j_est)
+            record(0.0, 0.0, sample.value if i == 0 else math.nan, j_est[step])
             k_samp += 1
             x, y, z = _hold(x, y, z, 0.0, detuning, ts)
         for _ in range(n_kick):
@@ -317,12 +350,12 @@ def shot_rng(master_seed: int, i: int) -> np.random.Generator:
 
 
 def _run_one(args):
-    cfg, params, model, sched, master_seed, i = args
+    cfg, params, model, sched, j_est, master_seed, i = args
     rng = shot_rng(master_seed, i)
     if isinstance(params, KtParams):
-        rec = run_kt_loop(cfg, sched, params, model, rng)
+        rec = run_kt_loop(cfg, sched, params, model, rng, j_est)
     else:
-        rec = run_lmg_loop(cfg, params, model, rng)
+        rec = run_lmg_loop(cfg, params, model, rng, j_est)
     rec.meta["seed"] = (master_seed, i)
     return rec
 
@@ -336,8 +369,10 @@ def run_batch(
     sched: QktSchedule | None = None,
 ) -> list[TrajectoryRecord]:
     """Ensemble driver; shot i uses a stream derived from (master_seed, i),
-    so results do not depend on execution order.  Set SPINLOOP_JOBS to run
-    shots in parallel processes."""
+    so results do not depend on execution order.  The tracked spin-length
+    column (``j_est_column``) is the same for every shot, so it is evaluated
+    once here and handed to each shot, in process or in the pool.  Set
+    SPINLOOP_JOBS to run shots in parallel processes."""
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     raw = os.environ.get("SPINLOOP_JOBS", "1")
@@ -347,7 +382,8 @@ def run_batch(
         jobs = 0
     if jobs < 1:
         raise ValueError(f"SPINLOOP_JOBS must be an integer >= 1, got {raw!r}")
-    work = [(cfg, params, model, sched, master_seed, i) for i in range(n_shots)]
+    j_est = j_est_column(cfg, model.j_collective, sched)
+    work = [(cfg, params, model, sched, j_est, master_seed, i) for i in range(n_shots)]
     jobs = min(jobs, n_shots)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -12,6 +12,7 @@ from spinloop.analysis import (
     lyapunov_jacobian,
     lyapunov_stddev,
     order_parameters,
+    settling_time,
     symmetry_stats,
 )
 from spinloop.controller import (
@@ -161,14 +162,6 @@ def test_04_spontaneous_symmetry_breaking():
                 f"first-measurement/well correlation {corr:.3f} > 0.3")
 
 
-def _settling_time(rec, band=0.05):
-    zf = rec.z[-1]
-    outside = np.nonzero(np.abs(rec.z - zf) > band)[0]
-    return None if len(outside) == len(rec.z) else (
-        float(rec.t[outside[-1]]) if len(outside) else 0.0
-    )
-
-
 def test_05_latency_driven_decay():
     # latency 0: conservative orbit, no settling
     cfg0 = LoopConfig(
@@ -189,8 +182,8 @@ def test_05_latency_driven_decay():
 
     rec6 = run_with_latency(6e-6)
     rec12 = run_with_latency(12e-6)
-    t6 = _settling_time(rec6)
-    t12 = _settling_time(rec12)
+    t6 = settling_time(rec6)
+    t12 = settling_time(rec12)
     settled6 = t6 is not None and abs(abs(rec6.z[-1]) - Z_STAR) < 0.05
     metric = latency_metric(ALPHA_LIN, 6e-6)
     ok = (drift0 < 1e-3 and settled6 and t12 is not None and t12 < t6

@@ -10,6 +10,7 @@ from spinloop.analysis import (
     lyapunov_jacobian,
     lyapunov_stddev,
     order_parameters,
+    settling_time,
     spectral_entropy,
     symmetry_stats,
 )
@@ -118,6 +119,19 @@ def test_extract_tdd_unsettled_returns_none():
     t = np.linspace(0.0, 1.0, 2001)
     z = np.sin(2 * math.pi * 5 * t)
     assert extract_tdd(_record(t, z)) is None
+
+
+def test_settling_time():
+    t = np.arange(6) * 1e-6
+    # never inside the band: a run that ends in NaN never settles
+    assert settling_time(_record(t, [0.9, 0.5, 0.1, -0.3, -0.7, math.nan])) is None
+    # always inside the band
+    assert settling_time(_record(t, [0.90, 0.93, 0.88, 0.91, 0.9, 0.9])) == 0.0
+    # last excursion at t[2], or at t[1] with a wider band
+    z = [0.0, 0.6, 0.8, 0.88, 0.93, 0.9]
+    assert settling_time(_record(t, z)) == t[2]
+    assert settling_time(_record(t, z), band=0.15) == t[1]
+    assert settling_time(_record(t, z), band=0.95) == 0.0
 
 
 def test_symmetry_stats():

@@ -99,6 +99,21 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back, np.array(rows))
 
 
+def test_emit_csv_matches_fmt_float(tmp_path):
+    # one "%.17g" row format must write the text fmt_float gives each value
+    edge = [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324,
+            -2.2250738585072014e-308 / 3.0, 1.7976931348623157e308, 0.1, 1, -7,
+            2**70, True, False, np.float32(0.1), np.float32(math.nan),
+            np.float64(-0.0), np.float64(math.nan), np.int64(12)]
+    rows = [edge[i:i + 5] for i in range(0, len(edge), 5)]
+    rows.append(np.array([math.pi, math.nan, -1e-300]))
+    path = emit_csv(tmp_path / "t.csv", "a,b,c,d,e", rows)
+    want = "a,b,c,d,e\n" + "".join(
+        ",".join(fmt_float(v) for v in row) + "\n" for row in rows
+    )
+    assert path.read_bytes() == want.encode()
+
+
 def test_empty_csv_is_header_only(tmp_path):
     path = emit_csv(tmp_path / "t.csv", "a,b", [])
     assert path.read_text() == "a,b\n"
@@ -146,6 +161,31 @@ def test_simulate_cli_rejects_bad_config(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert "loop.typo" in err["message"]
+    cfgp.write_text("[run]\nkind = lmg-walk\n")
+    assert simulate_main(["lmg-run", "--config", str(cfgp)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "run.kind" in err["message"] and "lmg-walk" in err["message"]
+
+
+def test_simulate_cli_rejects_unused_phase_noise(tmp_path, capsys):
+    # the closed loops draw no drive-axis phase jitter, so the key is refused
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(MINIMAL + "\n[noise]\nphase_noise_sigma = 0.01\n")
+    assert simulate_main(["lmg-run", "--config", str(cfgp),
+                          "--out", str(tmp_path / "o")]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.count("\n") == 1
+    err = json.loads(stderr)
+    assert err["error"] == "config"
+    assert "noise.phase_noise_sigma" in err["message"]
+    assert not (tmp_path / "o").exists()
+    # zero is accepted, and composite-scan takes a nonzero value
+    cfgp.write_text(MINIMAL + "\n[noise]\nphase_noise_sigma = 0\n")
+    assert parse_config(cfgp).rotation_noise.phase_noise_sigma == 0.0
+    cfgp.write_text("[run]\nkind = composite-scan\n\n[noise]\n"
+                    "phase_noise_sigma = 0.01\n\n[sweep]\ntheta = 1.0\n")
+    assert parse_config(cfgp).rotation_noise.phase_noise_sigma == 0.01
 
 
 @pytest.mark.filterwarnings("error")

@@ -119,6 +119,127 @@ def test_decay_estimate_halving():
         decay_estimate(1.0, 0.0, 1.0)
 
 
+# Independent oracle: the rational exponential composed at the
+# FixedPointValue level, one saturating operation per step.
+_PADE_C = (1.0, 1.0 / 2.0, 1.0 / 9.0, 1.0 / 72.0, 1.0 / 1008.0, 1.0 / 30240.0)
+
+
+def _o_sat(raw, fmt):
+    return max(fmt.raw_min, min(fmt.raw_max, raw))
+
+
+def _o_quantize(x, fmt):
+    return FixedPointValue(_o_sat(math.floor(x * (1 << fmt.frac_bits) + 0.5), fmt), fmt)
+
+
+def _o_add(a, b):
+    return FixedPointValue(_o_sat(a.raw + b.raw, a.fmt), a.fmt)
+
+
+def _o_mul(a, b):
+    f = a.fmt.frac_bits
+    raw = (a.raw * b.raw + (1 << (f - 1))) >> f
+    return FixedPointValue(_o_sat(raw, a.fmt), a.fmt)
+
+
+def _o_div(a, b):
+    f = a.fmt.frac_bits
+    sign = 1 if (a.raw >= 0) == (b.raw >= 0) else -1
+    q, r = divmod(abs(a.raw) << f, abs(b.raw))
+    if 2 * r >= abs(b.raw):
+        q += 1
+    return FixedPointValue(_o_sat(sign * q, a.fmt), a.fmt)
+
+
+def _o_pade_exp(x):
+    fmt = x.fmt
+    halvings = 0
+    raw = x.raw
+    while raw * fmt.step < -1.0:
+        raw = (raw + 1) >> 1
+        halvings += 1
+    xr = FixedPointValue(raw, fmt)
+    num = den = _o_quantize(0.0, fmt)
+    for c in reversed(_PADE_C):
+        cq = _o_quantize(c, fmt)
+        num = _o_add(_o_mul(num, xr), cq)
+        den = _o_add(_o_mul(den, FixedPointValue(-xr.raw, fmt)), cq)
+    if den.raw <= 0:
+        raise ValueError("rational exponential out of domain")
+    r = _o_div(num, den)
+    for _ in range(halvings):
+        r = _o_mul(r, r)
+    return r
+
+
+ORACLE_FORMATS = [
+    FixedPointFormat(word_bits=16, int_bits=4),
+    FixedPointFormat(word_bits=24, int_bits=6),
+    FixedPointFormat(word_bits=32, int_bits=4),
+    FixedPointFormat(word_bits=48, int_bits=8),
+    FixedPointFormat(word_bits=64, int_bits=8),
+    FixedPointFormat(signed=False, word_bits=32, int_bits=4),
+]
+# 0 down to -20, so every range-reduction depth up to 5 halvings is hit
+ORACLE_XS = [-i / 40.0 for i in range(801)] + [-1e-9, -0.999, -1.001, -2.0, -19.99]
+
+
+def test_raw_ops_match_oracle():
+    # raw-int helpers against the FixedPointValue-level rules, including
+    # saturation, both signs and exact halves (division ties)
+    from spinloop.controller import _fxp_add, _fxp_div, _fxp_mul
+
+    for fmt in ORACLE_FORMATS:
+        f, lo, hi = fmt.frac_bits, fmt.raw_min, fmt.raw_max
+        one = 1 << f
+        raws = [lo, lo + 1, -3 * one, -one - 1, -one, -5, -1, 0, 1, 3, one // 2,
+                one, one + 1, 5 * one // 2, hi - 1, hi]
+        raws = [r for r in raws if lo <= r <= hi]
+        for ra in raws:
+            for rb in raws:
+                a, b = FixedPointValue(ra, fmt), FixedPointValue(rb, fmt)
+                assert _fxp_add(ra, rb, lo, hi) == _o_add(a, b).raw
+                assert _fxp_mul(ra, rb, f, lo, hi) == _o_mul(a, b).raw
+                if rb:
+                    assert _fxp_div(ra, rb, f, lo, hi) == _o_div(a, b).raw
+        # 1 / (2 * one) lands exactly on a half step and rounds away from 0
+        assert _fxp_div(1, 2 * one, f, lo, hi) == 1
+        if fmt.signed:
+            assert _fxp_div(-1, 2 * one, f, lo, hi) == -1
+
+
+def _fmt_id(fmt):
+    return f"{'s' if fmt.signed else 'u'}{fmt.word_bits}_{fmt.int_bits}"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("fmt", ORACLE_FORMATS, ids=_fmt_id)
+def test_pade_exp_fixed_point_matches_oracle(fmt):
+    for x in ORACLE_XS:
+        q = _o_quantize(x, fmt)
+        got = _outcome(pade_exp, q)
+        want = _outcome(_o_pade_exp, q)
+        assert got == want, (x, got, want)
+        assert fxp_quantize(x, fmt) == q
+
+
+@pytest.mark.parametrize("fmt", ORACLE_FORMATS, ids=_fmt_id)
+def test_decay_estimate_fixed_point_matches_oracle(fmt):
+    j0, half = 2.5e5, 2e-3
+    for x in ORACLE_XS:
+        t = -x * half / math.log(2.0)
+        want = _outcome(lambda: j0 * _o_pade_exp(
+            _o_quantize(-t * math.log(2.0) / half, fmt)).value)
+        got = _outcome(decay_estimate, j0, half, t, fmt)
+        assert got == want, (t, got, want)
+
+
 def test_ctl_gain_default_calibration():
     # 2 * 1 * 3.5e3 * 4.5 * 1 / 5.75
     assert ctl_gain(CoilCalibration()) == pytest.approx(5478.26, rel=1e-4)

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spinloop.controller import qkt_schedule
+from spinloop.controller import FixedPointFormat, decay_estimate, qkt_schedule
 from spinloop.loop_sim import (
     LoopConfig,
     latency_metric,
@@ -100,6 +101,16 @@ def test_decay_tracks_half_time():
     i = len(rec.t) // 2  # t = 0.5 ms, a quarter half-time stack
     assert rec.j_true[i] == pytest.approx(MODEL.j_collective * 2 ** (-0.25), rel=1e-9)
     assert rec.j_est[i] == pytest.approx(rec.j_true[i], rel=1e-6)
+    # the kicked top tracks j at each gap sample, here in fixed point
+    fmt = FixedPointFormat(word_bits=24, int_bits=6)
+    cfg = LoopConfig(latency=4e-6, duration=1.3e-3, decay_half_time=2e-4,
+                     fixed_point=fmt)
+    rec = run_kt_loop(cfg, qkt_schedule(40e-6, 6e-6, 2e-6, 25), KtParams(1.0, 2.0),
+                      MODEL, np.random.default_rng(0))
+    gap = rec.meta["strob_gap_idx"]
+    want = [decay_estimate(MODEL.j_collective, 2e-4, rec.t[k], fmt) for k in gap]
+    assert list(rec.j_est[gap]) == want
+    assert want[-1] < 0.02 * MODEL.j_collective
 
 
 def test_kt_loop_matches_iterated_map():
@@ -149,11 +160,22 @@ def test_same_seed_reproduces_trajectory():
     assert np.array_equal(a.column_stack(), b.column_stack())
 
 
+BATCH_CASES = (
+    (LoopConfig(duration=1e-4, qpn=True), MODEL),
+    # fixed-point decay tracker with projection and photon shot noise
+    (
+        LoopConfig(duration=1e-4, qpn=True, shot=True, decay_half_time=5e-5,
+                   fixed_point=FixedPointFormat(word_bits=24, int_bits=6)),
+        replace(MODEL, sn_coeff=0.2),
+    ),
+)
+
+
 def test_batch_shot_isolated_reproducibility():
-    cfg = LoopConfig(duration=1e-4, qpn=True)
-    recs = run_batch(cfg, LMG07, MODEL, 4, master_seed=5)
-    lone = run_lmg_loop(cfg, LMG07, MODEL, shot_rng(5, 2))
-    assert np.array_equal(recs[2].column_stack(), lone.column_stack())
+    for cfg, model in BATCH_CASES:
+        recs = run_batch(cfg, LMG07, model, 4, master_seed=5)
+        lone = run_lmg_loop(cfg, LMG07, model, shot_rng(5, 2))
+        assert np.array_equal(recs[2].column_stack(), lone.column_stack())
 
 
 def test_batch_pool_no_wider_than_shots(monkeypatch):
@@ -176,11 +198,11 @@ def test_batch_pool_no_wider_than_shots(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setenv("SPINLOOP_JOBS", "8")
-    cfg = LoopConfig(duration=1e-4, qpn=True)
-    recs = run_batch(cfg, LMG07, MODEL, 2, master_seed=5)
-    assert widths == [2]
-    lone = run_lmg_loop(cfg, LMG07, MODEL, shot_rng(5, 1))
-    assert np.array_equal(recs[1].column_stack(), lone.column_stack())
+    for cfg, model in BATCH_CASES:
+        recs = run_batch(cfg, LMG07, model, 2, master_seed=5)
+        lone = run_lmg_loop(cfg, LMG07, model, shot_rng(5, 1))
+        assert np.array_equal(recs[1].column_stack(), lone.column_stack())
+    assert widths == [2, 2]
 
 
 def test_batch_streams_differ():
