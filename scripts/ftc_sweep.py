@@ -6,6 +6,7 @@ import argparse
 import math
 
 from spinloop.config import ExperimentConfig
+from spinloop.controller import qkt_schedule
 from spinloop.loop_sim import LoopConfig
 from spinloop.measurement import MeasurementModel
 from spinloop.models import KtParams
@@ -23,16 +24,18 @@ def main():
                     default=[0.90, 0.93, 0.95, 0.97, 1.0, 1.03, 1.05, 1.07, 1.10])
     args = ap.parse_args()
 
+    loop = LoopConfig(
+        latency=4e-6, duration=1.3e-3, decay_half_time=None,
+        initial_state=SphericalAngles(0.0, 0.0), qpn=True,
+    )
     cfg = ExperimentConfig(
         kind="ftc-sweep",
-        loop=LoopConfig(
-            latency=4e-6, duration=1.3e-3, decay_half_time=None,
-            initial_state=SphericalAngles(0.0, 0.0), qpn=True,
-        ),
+        loop=loop,
         measurement=MeasurementModel(),
         kt=KtParams(alpha=math.pi, k=args.k),
-        kt_schedule={"t_linear": 40e-6, "t_gap": 6e-6, "t_kick": 2e-6,
-                     "n_steps": 25},
+        kt_schedule=qkt_schedule(40e-6, 6e-6, 2e-6, 25,
+                                 sample_period=loop.sample_period,
+                                 window=loop.duration),
         sweep={"alpha": [f * math.pi for f in args.fractions]},
         n_shots=args.shots,
         master_seed=args.seed,

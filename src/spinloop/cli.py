@@ -3,6 +3,13 @@
 simulate <scenario> --config <path> [--seed N] [--shots N] [--out DIR] [--emit csv|json]
 analyze  <kind> --in <files...> [--out DIR] [--emit csv|json]
 
+A config key is accepted only if the scenario reads it (config.SCENARIOS);
+lmg.s in dpt-sweep, kt.alpha in ftc-sweep and measurement.n1_eff in
+noise-budget are also accepted, though a sweep replaces them.  The simulate
+flags are checked as the run keys they set, before any output is written,
+so --emit applies only to the scenarios that write tables (dpt-sweep,
+lyapunov, ftc-sweep, noise-budget, composite-scan).
+
 Failures exit nonzero and print a machine-readable JSON error to stderr.
 Parallelism is controlled only by the SPINLOOP_JOBS environment variable.
 """
@@ -15,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .analysis import extract_tdd, order_parameters, spectral_entropy, symmetry_stats
-from .config import SCENARIO_KINDS, ConfigError, parse_config
+from .config import SCENARIOS, ConfigError, parse_config
 from .runio import emit_csv, emit_json, read_trajectory_csv
 from .scenarios import run_scenario
 
@@ -32,7 +39,7 @@ def simulate_main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="simulate", description="Run a configured scenario."
     )
-    ap.add_argument("scenario", choices=SCENARIO_KINDS)
+    ap.add_argument("scenario", choices=tuple(SCENARIOS))
     ap.add_argument("--config", required=True)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--shots", type=int, default=None)
@@ -40,19 +47,12 @@ def simulate_main(argv=None) -> int:
     ap.add_argument("--emit", choices=("csv", "json"), default=None)
     args = ap.parse_args(argv)
     try:
-        cfg = parse_config(args.config)
+        flags = {"seed": args.seed, "n_shots": args.shots, "out": args.out, "emit": args.emit}
+        cfg = parse_config(args.config, {k: v for k, v in flags.items() if v is not None})
         if cfg.kind != args.scenario:
             raise ConfigError(
                 f"config declares kind {cfg.kind!r} but {args.scenario!r} was requested"
             )
-        if args.seed is not None:
-            cfg.master_seed = args.seed
-        if args.shots is not None:
-            cfg.n_shots = args.shots
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.emit is not None:
-            cfg.emit_format = args.emit
         run_scenario(cfg, config_path=args.config)
     except ConfigError as e:
         return _fail("config", str(e))

@@ -1,38 +1,31 @@
 """Declarative scenario configuration.
 
 A config file is either sectioned key/value text (INI style) or a JSON
-object with the same section/key structure.  Every key is validated at
-parse time; unknown sections or keys are rejected with their full path.
+object with the same section/key structure.  A key is accepted only if the
+scenario named by run.kind reads it: ``SCENARIOS`` lists the keys each
+scenario reads and the sections or keys it requires, and any other key is
+a ConfigError naming section.key and the scenario.  The simulate flags are
+checked as the run keys they set, so --emit (run.emit) applies only to the
+scenarios that write tables.  Three keys that a sweep replaces stay
+accepted, because the benchmark configs set the first two: lmg.s in
+dpt-sweep, kt.alpha in ftc-sweep and measurement.n1_eff in noise-budget.
 
-Defaults: 500 kHz controller (2 us sample period), 6 us latency, 1.5 ms
-run window, 2 ms spin-length half-time, n1_eff = 1e6, ratio = 0.5, f = 4.
+A key the file leaves out takes the default of the dataclass or builder it
+feeds; [lyapunov] and [quantum] defaults live in the scenario runners.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .controller import FixedPointFormat
+from .controller import FixedPointFormat, QktSchedule, qkt_schedule
 from .loop_sim import LoopConfig
 from .measurement import MeasurementModel
 from .models import KtParams, LmgParams
 from .spin_core import RotationNoise, SphericalAngles
-
-SCENARIO_KINDS = (
-    "lmg-run",
-    "kt-run",
-    "dpt-sweep",
-    "ssb-ensemble",
-    "lyapunov",
-    "ftc-sweep",
-    "noise-budget",
-    "composite-scan",
-    "quantum-qmf",
-)
 
 
 class ConfigError(ValueError):
@@ -51,17 +44,12 @@ class ExperimentConfig:
     out_dir: str = "."
     emit_format: str = "csv"
     sweep: dict = field(default_factory=dict)
-    kt_schedule: dict = field(default_factory=dict)
+    kt_schedule: QktSchedule | None = None
     lyapunov: dict = field(default_factory=dict)
     quantum: dict = field(default_factory=dict)
     rotation_noise: RotationNoise | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
-            raise ConfigError(
-                f"run.kind: unknown scenario {self.kind!r}; "
-                f"expected one of {', '.join(SCENARIO_KINDS)}"
-            )
         if self.n_shots < 1:
             raise ConfigError("run.n_shots: must be >= 1")
         if self.emit_format not in ("csv", "json"):
@@ -160,6 +148,60 @@ _SCHEMA = {
 }
 
 
+def _all(section: str) -> tuple[str, ...]:
+    return tuple(f"{section}.{key}" for key in _SCHEMA[section])
+
+
+# read by every scenario
+_EVERY = ("run.kind", "run.seed", "run.out")
+# the closed loop (run_batch); loop.word_bits and loop.int_bits are read
+# only when loop.fixed_point is true
+_CLOSED_LOOP = (
+    "run.n_shots", *_all("loop"), *_all("measurement"),
+    "noise.fixed_detuning", "noise.static_detuning_sigma",
+    "noise.amplitude_error_sigma",
+)
+
+# scenario -> (keys it reads besides _EVERY, sections or keys it requires)
+SCENARIOS = {
+    "lmg-run": (_CLOSED_LOOP + _all("lmg"), ("lmg",)),
+    "kt-run": (_CLOSED_LOOP + _all("kt"), ("kt",)),
+    # each sweep.s point replaces lmg.s
+    "dpt-sweep": (
+        _CLOSED_LOOP + ("run.emit", "lmg.lambda", "lmg.s", "sweep.s"),
+        ("sweep.s",),
+    ),
+    "ssb-ensemble": (_CLOSED_LOOP + _all("lmg"), ("lmg",)),
+    "lyapunov": (
+        ("run.emit", "kt.alpha", "kt.k", *_all("lyapunov"), "sweep.k"),
+        ("kt.alpha", "kt.k"),
+    ),
+    # each sweep.alpha point replaces kt.alpha
+    "ftc-sweep": (
+        _CLOSED_LOOP + _all("kt") + ("run.emit", "sweep.alpha"),
+        ("kt", "sweep.alpha"),
+    ),
+    # each sweep.n1 point replaces measurement.n1_eff
+    "noise-budget": (
+        ("run.n_shots", "run.emit", "loop.sample_period", *_all("measurement"),
+         "noise.static_detuning_sigma", "noise.rabi_rate", "sweep.n1"),
+        ("sweep.n1",),
+    ),
+    "composite-scan": (
+        ("run.n_shots", "run.emit", *_all("noise"), "sweep.theta"),
+        ("noise", "sweep.theta"),
+    ),
+    "quantum-qmf": (
+        ("run.n_shots", "loop.theta0", "loop.phi0", *_all("lmg"), *_all("quantum")),
+        ("lmg",),
+    ),
+}
+
+# run key -> ExperimentConfig field
+_RUN_FIELDS = {"n_shots": "n_shots", "seed": "master_seed", "out": "out_dir",
+               "emit": "emit_format"}
+
+
 def _read_sections(path: Path) -> dict:
     text = path.read_text()
     if path.suffix == ".json" or text.lstrip().startswith("{"):
@@ -199,123 +241,94 @@ def _convert(raw: dict, path: Path) -> dict:
     return conv
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Parse and fully validate a scenario configuration file."""
+def _check_reads(c: dict, kind: str, path: Path) -> None:
+    reads, requires = SCENARIOS[kind]
+    for sec, body in c.items():
+        for key in body:
+            name = f"{sec}.{key}"
+            if name not in reads and name not in _EVERY:
+                raise ConfigError(f"{path}: {name} is not read by scenario {kind}")
+    loop = c.get("loop", {})
+    for key in ("word_bits", "int_bits"):
+        if key in loop and not loop.get("fixed_point", False):
+            raise ConfigError(
+                f"{path}: loop.{key} is read only when loop.fixed_point = true"
+            )
+    for req in requires:
+        sec, _, key = req.partition(".")
+        if sec not in c or (key and key not in c[sec]):
+            need = req if key else f"a [{sec}] section"
+            raise ConfigError(f"{path}: scenario {kind} requires {need}")
+
+
+def _given(body: dict, *keys: str) -> dict:
+    return {k: body[k] for k in keys if k in body}
+
+
+def _build(path: Path, section: str, make, **kwargs):
+    try:
+        return make(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {section}: {e}") from None
+
+
+def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
+    """Parse and fully validate a scenario configuration file.
+
+    run_overrides holds typed [run] values (seed, n_shots, out, emit), as
+    the simulate flags give them; they replace the file's values and are
+    checked like them."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     c = _convert(_read_sections(path), path)
-
-    run = c.get("run", {})
+    run = c["run"] = {**c.get("run", {}), **(run_overrides or {})}
     if "kind" not in run:
         raise ConfigError(f"{path}: run.kind is required")
     kind = run["kind"]
-    if kind not in SCENARIO_KINDS:
+    if kind not in SCENARIOS:
         raise ConfigError(
             f"{path}: run.kind: unknown scenario {kind!r}; "
-            f"expected one of {', '.join(SCENARIO_KINDS)}"
+            f"expected one of {', '.join(SCENARIOS)}"
         )
+    _check_reads(c, kind, path)
 
-    loop_raw = c.get("loop", {})
-    if "sample_period" in loop_raw and "plant_dt" in loop_raw:
-        if loop_raw["sample_period"] < loop_raw["plant_dt"]:
-            raise ConfigError(
-                f"{path}: loop.sample_period ({loop_raw['sample_period']:g}) "
-                f"must be >= loop.plant_dt ({loop_raw['plant_dt']:g})"
-            )
-    initial = SphericalAngles(
-        loop_raw.get("theta0", math.pi / 2.0), loop_raw.get("phi0", 0.0)
-    )
+    noise = _build(path, "noise", RotationNoise, **c["noise"]) if "noise" in c else None
+    raw = c.get("loop", {})
     fmt = None
-    if loop_raw.get("fixed_point", False):
-        fmt = FixedPointFormat(
-            word_bits=loop_raw.get("word_bits", 32),
-            int_bits=loop_raw.get("int_bits", 4),
-        )
-
-    noise = None
-    if "noise" in c:
-        try:
-            noise = RotationNoise(**c["noise"])
-        except ValueError as e:
-            raise ConfigError(f"{path}: noise: {e}")
-        # only the composite pulses draw drive-axis phase jitter
-        if noise.phase_noise_sigma != 0 and kind != "composite-scan":
-            raise ConfigError(
-                f"{path}: noise.phase_noise_sigma: only composite-scan uses "
-                f"phase noise; {kind} would ignore it"
-            )
-
-    try:
-        loop = LoopConfig(
-            sample_period=loop_raw.get("sample_period", 2e-6),
-            latency=loop_raw.get("latency", 6e-6),
-            plant_dt=loop_raw.get("plant_dt", 1e-7),
-            duration=loop_raw.get("duration", 1.5e-3),
-            decay_half_time=loop_raw.get("decay_half_time", 2e-3),
-            initial_state=initial,
-            qpn=loop_raw.get("qpn", False),
-            shot=loop_raw.get("shot", False),
-            rotation_noise=noise,
-            fixed_point=fmt,
-        )
-    except ValueError as e:
-        raise ConfigError(f"{path}: loop: {e}")
-
-    meas_raw = c.get("measurement", {})
-    try:
-        meas = MeasurementModel(
-            n1_eff=meas_raw.get("n1_eff", 1e6),
-            ratio_n2_n1=meas_raw.get("ratio_n2_n1", 0.5),
-            f=meas_raw.get("f", 4.0),
-            chi_p=meas_raw.get("chi_p", 1.0),
-            sn_coeff=meas_raw.get("sn_coeff", 0.0),
-        )
-    except ValueError as e:
-        raise ConfigError(f"{path}: measurement: {e}")
+    if raw.get("fixed_point", False):
+        fmt = _build(path, "loop", FixedPointFormat, **_given(raw, "word_bits", "int_bits"))
+    start = LoopConfig.initial_state
+    loop = _build(
+        path, "loop", LoopConfig,
+        **_given(raw, "sample_period", "latency", "plant_dt", "duration",
+                 "decay_half_time", "qpn", "shot"),
+        initial_state=SphericalAngles(
+            raw.get("theta0", start.theta), raw.get("phi0", start.phi)
+        ),
+        rotation_noise=noise,
+        fixed_point=fmt,
+    )
+    meas = _build(path, "measurement", MeasurementModel, **c.get("measurement", {}))
 
     lmg = None
     if "lmg" in c:
-        g = c["lmg"]
-        try:
-            if "alpha_lin" in g or "k_nl" in g:
-                if "s" in g or "lambda" in g:
-                    raise ValueError("give either (s, lambda) or (alpha_lin, k_nl)")
-                lmg = LmgParams.from_rates(g.get("alpha_lin", 0.0), g.get("k_nl", 0.0))
-            else:
-                lmg = LmgParams(s=g.get("s", 0.0), lambda_=g.get("lambda", 2.0 * math.pi * 6.25e3))
-        except ValueError as e:
-            raise ConfigError(f"{path}: lmg: {e}")
+        g = {("lambda_" if k == "lambda" else k): v for k, v in c["lmg"].items()}
+        rates = g.keys() & {"alpha_lin", "k_nl"}
+        if rates and g.keys() & {"s", "lambda_"}:
+            raise ConfigError(f"{path}: lmg: give either (s, lambda) or (alpha_lin, k_nl)")
+        lmg = _build(path, "lmg", LmgParams.from_rates if rates else LmgParams, **g)
 
-    kt = None
-    kt_sched = {}
+    kt = sched = None
     if "kt" in c:
         g = c["kt"]
-        try:
-            kt = KtParams(alpha=g.get("alpha", math.pi / 2.0), k=g.get("k", 0.0))
-        except ValueError as e:
-            raise ConfigError(f"{path}: kt: {e}")
-        kt_sched = {
-            "n_steps": g.get("n_steps", 25),
-            "t_linear": g.get("t_linear", 40e-6),
-            "t_gap": g.get("t_gap", 6e-6),
-            "t_kick": g.get("t_kick", 2e-6),
-        }
-
-    needs = {
-        "lmg-run": ("lmg",),
-        "dpt-sweep": (),
-        "ssb-ensemble": ("lmg",),
-        "kt-run": ("kt",),
-        "ftc-sweep": (),
-        "lyapunov": ("kt",),
-        "noise-budget": (),
-        "composite-scan": (),
-        "quantum-qmf": ("lmg",),
-    }[kind]
-    for name in needs:
-        if locals()[name] is None:
-            raise ConfigError(f"{path}: scenario {kind} requires a [{name}] section")
+        kt = _build(path, "kt", KtParams, **_given(g, "alpha", "k"))
+        if kind in ("kt-run", "ftc-sweep"):  # the kicked-top loops
+            sched = _build(
+                path, "kt", qkt_schedule,
+                **_given(g, "t_linear", "t_gap", "t_kick", "n_steps"),
+                sample_period=loop.sample_period, window=loop.duration,
+            )
 
     return ExperimentConfig(
         kind=kind,
@@ -323,13 +336,10 @@ def parse_config(path) -> ExperimentConfig:
         measurement=meas,
         lmg=lmg,
         kt=kt,
-        n_shots=run.get("n_shots", 1),
-        master_seed=run.get("seed", 0),
-        out_dir=run.get("out", "."),
-        emit_format=run.get("emit", "csv"),
         sweep=c.get("sweep", {}),
-        kt_schedule=kt_sched,
+        kt_schedule=sched,
         lyapunov=c.get("lyapunov", {}),
         quantum=c.get("quantum", {}),
         rotation_noise=noise,
+        **{_RUN_FIELDS[k]: v for k, v in run.items() if k in _RUN_FIELDS},
     )

@@ -246,10 +246,10 @@ class QktSchedule:
 
 
 def qkt_schedule(
-    t_linear: float,
-    t_gap: float,
-    t_kick: float,
-    n_steps: int,
+    t_linear: float = 40e-6,
+    t_gap: float = 6e-6,
+    t_kick: float = 2e-6,
+    n_steps: int = 25,
     sample_period: float = 2e-6,
     window: float | None = None,
 ) -> QktSchedule:

@@ -48,7 +48,10 @@ class LoopConfig:
         if self.plant_dt <= 0 or self.sample_period <= 0 or self.duration <= 0:
             raise ValueError("timing fields must be > 0")
         if self.plant_dt > self.sample_period + 1e-15:
-            raise ValueError("plant_dt must not exceed sample_period")
+            raise ValueError(
+                f"sample_period ({self.sample_period:g}) must be >= "
+                f"plant_dt ({self.plant_dt:g})"
+            )
         r = self.sample_period / self.plant_dt
         if abs(r - round(r)) > 1e-6:
             raise ValueError("sample_period must be an integer number of plant steps")

@@ -18,8 +18,8 @@ class LmgParams:
     x-rotation alpha_lin = (1-s)*lambda_ and the quadratic z-term
     k_nl = s*lambda_ (both rad/s)."""
 
-    s: float
-    lambda_: float
+    s: float = 0.0
+    lambda_: float = 2.0 * math.pi * 6.25e3
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.s <= 1.0:
@@ -36,14 +36,14 @@ class LmgParams:
         return self.s * self.lambda_
 
     @classmethod
-    def from_rates(cls, alpha_lin: float, k_nl: float) -> "LmgParams":
+    def from_rates(cls, alpha_lin: float = 0.0, k_nl: float = 0.0) -> "LmgParams":
         return cls(s=lmg_s_from_rates(alpha_lin, k_nl), lambda_=alpha_lin + k_nl)
 
 
 @dataclass(frozen=True)
 class KtParams:
-    alpha: float  # linear rotation angle per period, rad
-    k: float  # kick strength, rad
+    alpha: float = math.pi / 2.0  # linear rotation angle per period, rad
+    k: float = 0.0  # kick strength, rad
     tau: float = 48e-6  # period, s
 
     def __post_init__(self) -> None:

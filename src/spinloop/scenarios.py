@@ -18,9 +18,8 @@ from .analysis import (
     order_parameters,
     symmetry_stats,
 )
-from .config import ConfigError, ExperimentConfig
-from .controller import qkt_schedule
-from .loop_sim import run_batch, shot_rng
+from .config import ExperimentConfig
+from .loop_sim import TrajectoryRecord, run_batch, shot_rng
 from .measurement import (
     composite_pulse_scan,
     measure,
@@ -54,20 +53,6 @@ def _emit_table(cfg: ExperimentConfig, out: Path, name: str, header: str, rows):
     return emit_csv(out / f"{name}.csv", header, rows)
 
 
-def _sweep_grid(cfg: ExperimentConfig, key: str) -> list[float]:
-    if key not in cfg.sweep:
-        raise ConfigError(f"scenario {cfg.kind} requires sweep.{key}")
-    return cfg.sweep[key]
-
-
-def _schedule(cfg: ExperimentConfig):
-    s = cfg.kt_schedule
-    return qkt_schedule(
-        s["t_linear"], s["t_gap"], s["t_kick"], s["n_steps"],
-        sample_period=cfg.loop.sample_period, window=cfg.loop.duration,
-    )
-
-
 def _run_lmg(cfg, out):
     recs = run_batch(cfg.loop, cfg.lmg, cfg.measurement, cfg.n_shots, cfg.master_seed)
     path, offsets = emit_trajectories(out / "trajectories.csv", recs)
@@ -82,10 +67,8 @@ def _run_lmg(cfg, out):
 
 
 def _run_kt(cfg, out):
-    sched = _schedule(cfg)
-    recs = run_batch(
-        cfg.loop, cfg.kt, cfg.measurement, cfg.n_shots, cfg.master_seed, sched=sched
-    )
+    recs = run_batch(cfg.loop, cfg.kt, cfg.measurement, cfg.n_shots, cfg.master_seed,
+                     sched=cfg.kt_schedule)
     path, offsets = emit_trajectories(out / "trajectories.csv", recs)
     side = emit_json(out / "trajectories.json", {
         "schema_version": 1,
@@ -101,8 +84,8 @@ def _run_kt(cfg, out):
 
 def _run_dpt(cfg, out):
     rows = []
-    for i, s in enumerate(_sweep_grid(cfg, "s")):
-        p = LmgParams(s=s, lambda_=cfg.lmg.lambda_ if cfg.lmg else 2 * math.pi * 6.25e3)
+    for i, s in enumerate(cfg.sweep["s"]):
+        p = replace(cfg.lmg or LmgParams(), s=s)
         recs = run_batch(cfg.loop, p, cfg.measurement, cfg.n_shots,
                          cfg.master_seed + 1000 * i)
         z_inf, czz_inf = order_parameters(recs)
@@ -173,13 +156,12 @@ def _strob_z(rec):
 
 
 def _run_ftc(cfg, out):
-    sched = _schedule(cfg)
-    k = cfg.kt.k if cfg.kt else 2.7
+    k = cfg.kt.k
     data = {}
-    for i, a in enumerate(_sweep_grid(cfg, "alpha")):
+    for i, a in enumerate(cfg.sweep["alpha"]):
         p = KtParams(alpha=a, k=k)
         recs = run_batch(cfg.loop, p, cfg.measurement, cfg.n_shots,
-                         cfg.master_seed + 1000 * i, sched=sched)
+                         cfg.master_seed + 1000 * i, sched=cfg.kt_schedule)
         data[a] = [_strob_z(rec) for rec in recs]
     rig = ftc_rigidity(data)
     spec_rows = []
@@ -214,7 +196,7 @@ def _run_noise_budget(cfg, out):
     if noise is not None and noise.rabi_rate > 0:
         tilt_sigma = math.atan(noise.static_detuning_sigma / noise.rabi_rate)
     rows = []
-    for n1 in _sweep_grid(cfg, "n1"):
+    for n1 in cfg.sweep["n1"]:
         model = replace(cfg.measurement, n1_eff=n1)
         vals = np.empty(cfg.n_shots)
         for i in range(cfg.n_shots):
@@ -235,12 +217,8 @@ def _run_noise_budget(cfg, out):
 
 
 def _run_composite(cfg, out):
-    if cfg.rotation_noise is None:
-        raise ConfigError("composite-scan requires a [noise] section")
     rng = shot_rng(cfg.master_seed, 0)
-    pts = composite_pulse_scan(
-        _sweep_grid(cfg, "theta"), cfg.rotation_noise, cfg.n_shots, rng
-    )
+    pts = composite_pulse_scan(cfg.sweep["theta"], cfg.rotation_noise, cfg.n_shots, rng)
     return [_emit_table(cfg, out, "composite", "theta,variance", pts)]
 
 
@@ -266,32 +244,27 @@ def _run_quantum(cfg, out):
     dt = q.get("dt", 2e-6)
     n_steps = q.get("n_steps", 150)
     p = cfg.lmg
-    rows = []
-    offsets = []
-    finals = []
+    n = n_steps + 1
+    recs = []
     for i in range(cfg.n_shots):
-        offsets.append(len(rows))
         bloch, meas = quantum_trajectory(
             j, cfg.loop.initial_state, p, sigma, dt, n_steps,
             shot_rng(cfg.master_seed, i),
         )
-        for k, m in enumerate(meas):
-            rows.append((k * dt, *bloch[k], j, m, p.k_nl * m / j, p.alpha_lin, j))
-        rows.append((n_steps * dt, *bloch[n_steps], j, math.nan, 0.0, p.alpha_lin, j))
-        finals.append(tuple(bloch[n_steps]))
-    paths = [
-        emit_csv(out / "trajectories.csv",
-                 "t,x,y,z,j_true,meas,ctl_z,ctl_x,j_est", rows),
-        emit_json(out / "trajectories.json", {
-            "schema_version": 1,
-            "model": "quantum",
-            "params": {"j": j, "sigma": sigma, "dt": dt, "s": p.s,
-                       "lambda": p.lambda_},
-            "shot_row_offsets": offsets,
-            "final_states": finals,
-        }),
-    ]
-    return paths
+        # the feedback rate k_nl*m/j acts during each step; none after the last
+        recs.append(TrajectoryRecord(
+            np.arange(n) * dt, *bloch.T, np.full(n, j), np.append(meas, math.nan),
+            np.append(p.k_nl * meas / j, 0.0), np.full(n, p.alpha_lin), np.full(n, j),
+        ))
+    path, offsets = emit_trajectories(out / "trajectories.csv", recs)
+    side = emit_json(out / "trajectories.json", {
+        "schema_version": 1,
+        "model": "quantum",
+        "params": {"j": j, "sigma": sigma, "dt": dt, "s": p.s, "lambda": p.lambda_},
+        "shot_row_offsets": offsets,
+        "final_states": [(rec.x[-1], rec.y[-1], rec.z[-1]) for rec in recs],
+    })
+    return [path, side]
 
 
 _RUNNERS = {

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinloop.cli import analyze_main, simulate_main
-from spinloop.config import ConfigError, parse_config
+from spinloop.config import SCENARIOS, ConfigError, ExperimentConfig, parse_config
+from spinloop.controller import FixedPointFormat, QktSchedule
+from spinloop.loop_sim import LoopConfig
+from spinloop.measurement import MeasurementModel
+from spinloop.models import KtParams, LmgParams
 from spinloop.runio import (
     TRAJECTORY_HEADER,
     emit_csv,
@@ -17,6 +22,7 @@ from spinloop.runio import (
     fmt_float,
     read_trajectory_csv,
 )
+from spinloop.spin_core import RotationNoise, SphericalAngles
 
 
 MINIMAL = """
@@ -41,6 +47,11 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.measurement.ratio_n2_n1 == 0.5
     assert cfg.measurement.f == 4.0
     assert cfg.lmg.s == 0.7
+    assert cfg.lmg.lambda_ == 2.0 * math.pi * 6.25e3
+    p.write_text("[run]\nkind = kt-run\n\n[kt]\n")
+    cfg = parse_config(p)
+    assert cfg.kt == KtParams(alpha=math.pi / 2.0, k=0.0)
+    assert cfg.kt_schedule == QktSchedule(40e-6, 6e-6, 2e-6, 25)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -180,9 +191,10 @@ def test_simulate_cli_rejects_unused_phase_noise(tmp_path, capsys):
     assert err["error"] == "config"
     assert "noise.phase_noise_sigma" in err["message"]
     assert not (tmp_path / "o").exists()
-    # zero is accepted, and composite-scan takes a nonzero value
+    # zero is rejected for lmg-run too, and composite-scan takes a nonzero value
     cfgp.write_text(MINIMAL + "\n[noise]\nphase_noise_sigma = 0\n")
-    assert parse_config(cfgp).rotation_noise.phase_noise_sigma == 0.0
+    with pytest.raises(ConfigError, match="noise.phase_noise_sigma.*lmg-run"):
+        parse_config(cfgp)
     cfgp.write_text("[run]\nkind = composite-scan\n\n[noise]\n"
                     "phase_noise_sigma = 0.01\n\n[sweep]\ntheta = 1.0\n")
     assert parse_config(cfgp).rotation_noise.phase_noise_sigma == 0.01
@@ -222,6 +234,142 @@ def test_simulate_cli_rejects_bad_jobs(tmp_path, capsys, monkeypatch, jobs):
     assert err["error"] == "runtime"
     assert "SPINLOOP_JOBS" in err["message"]
     assert repr(jobs) in err["message"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+LMG07 = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
+EQUATOR = SphericalAngles(1.5707963267948966, 0.0)
+COMPOSITE_NOISE = RotationNoise(static_detuning_sigma=791.68, rabi_rate=39584.07)
+BUDGET_NOISE = RotationNoise(static_detuning_sigma=3.0, rabi_rate=39584.07)
+SHIPPED = {
+    "configs/composite_scan.cfg": ExperimentConfig(
+        kind="composite-scan", loop=LoopConfig(rotation_noise=COMPOSITE_NOISE),
+        measurement=MeasurementModel(), n_shots=500, master_seed=3,
+        out_dir="out/composite", rotation_noise=COMPOSITE_NOISE,
+        sweep={"theta": [0.785, 1.571, 2.356, 3.142, 3.927, 4.712, 5.498]},
+    ),
+    "configs/kt_run.cfg": ExperimentConfig(
+        kind="kt-run",
+        loop=LoopConfig(latency=4e-6, duration=1.3e-3, decay_half_time=None,
+                        initial_state=SphericalAngles(2.0, 1.0)),
+        measurement=MeasurementModel(), kt=KtParams(1.5707963267948966, 2.5),
+        kt_schedule=QktSchedule(40e-6, 6e-6, 2e-6, 25), out_dir="out/kt",
+    ),
+    "configs/lmg_run.cfg": ExperimentConfig(
+        kind="lmg-run",
+        loop=LoopConfig(sample_period=2e-6, latency=6e-6, duration=1.5e-3,
+                        decay_half_time=2e-3, initial_state=EQUATOR, qpn=True),
+        measurement=MeasurementModel(), lmg=LMG07, out_dir="out/lmg",
+    ),
+    "configs/noise_budget.cfg": ExperimentConfig(
+        kind="noise-budget", loop=LoopConfig(rotation_noise=BUDGET_NOISE),
+        measurement=MeasurementModel(sn_coeff=0.2), n_shots=5000,
+        master_seed=42, out_dir="out/budget", rotation_noise=BUDGET_NOISE,
+        sweep={"n1": [1e4, 3.16e4, 1e5, 3.16e5, 1e6, 3.16e6, 1e7]},
+    ),
+    "configs/quantum_qmf.json": ExperimentConfig(
+        kind="quantum-qmf", loop=LoopConfig(initial_state=SphericalAngles(1e-6, 0.0)),
+        measurement=MeasurementModel(), lmg=LMG07, n_shots=10, master_seed=777,
+        out_dir="out/quantum",
+        quantum={"j": 200.0, "sigma": 20.0, "dt": 2e-6, "n_steps": 150},
+    ),
+    "configs/ssb_ensemble.cfg": ExperimentConfig(
+        kind="ssb-ensemble",
+        loop=LoopConfig(latency=6e-6, duration=1.5e-3, decay_half_time=None,
+                        initial_state=EQUATOR, qpn=True),
+        measurement=MeasurementModel(), lmg=LMG07, n_shots=300,
+        master_seed=2024, out_dir="out/ssb",
+    ),
+    "perfbench/configs/dpt_fxp.cfg": ExperimentConfig(
+        kind="dpt-sweep",
+        loop=LoopConfig(initial_state=SphericalAngles(0.0, 0.0), decay_half_time=2e-3,
+                        qpn=True, shot=True, fixed_point=FixedPointFormat()),
+        measurement=MeasurementModel(sn_coeff=0.2), lmg=LMG07, n_shots=4,
+        out_dir="out/dpt_fxp", sweep={"s": [0.5, 0.6, 0.65, 0.7, 0.8]},
+    ),
+    "perfbench/configs/kt_sweep.cfg": ExperimentConfig(
+        kind="ftc-sweep",
+        loop=LoopConfig(latency=4e-6, duration=1.3e-3, decay_half_time=None,
+                        initial_state=SphericalAngles(0.0, 0.0), qpn=True),
+        measurement=MeasurementModel(), kt=KtParams(3.141592653589793, 2.7),
+        kt_schedule=QktSchedule(40e-6, 6e-6, 2e-6, 25), n_shots=20,
+        master_seed=100, out_dir="out/ftc",
+        sweep={"alpha": [2.921681167838508, 2.9845130209103035, 3.141592653589793,
+                         3.2986722862692828, 3.3615041393410787]},
+    ),
+    "perfbench/configs/quantum_j500.json": ExperimentConfig(
+        kind="quantum-qmf", loop=LoopConfig(initial_state=SphericalAngles(1e-6, 0.0)),
+        measurement=MeasurementModel(), lmg=LMG07, n_shots=2, master_seed=777,
+        out_dir="out/quantum_j500",
+        quantum={"j": 500.0, "sigma": 31.622776601683796, "dt": 2e-6, "n_steps": 150},
+    ),
+}
+
+
+def test_every_shipped_config_is_pinned():
+    shipped = sorted(str(p.relative_to(ROOT)) for d in ("configs", "perfbench/configs")
+                     for p in (ROOT / d).iterdir())
+    assert shipped == sorted(SHIPPED)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_values(name):
+    assert parse_config(ROOT / name) == SHIPPED[name]
+
+
+# scenario -> (a config it accepts, a section and key it does not read)
+UNREAD = {
+    "lmg-run": ("[lmg]\ns = 0.7\n", "[quantum]\nj = 200\n", "quantum.j"),
+    "kt-run": ("[kt]\nk = 2.5\n", "[lyapunov]\nn_steps = 10\n", "lyapunov.n_steps"),
+    "dpt-sweep": ("[sweep]\ns = 0.7\n", "[lmg]\nk_nl = 1e4\n", "lmg.k_nl"),
+    "ssb-ensemble": ("[lmg]\ns = 0.7\n", "[noise]\nrabi_rate = 4e4\n", "noise.rabi_rate"),
+    "lyapunov": ("[kt]\nalpha = 1.5\nk = 2.5\n", "[loop]\nduration = 1e-3\n",
+                 "loop.duration"),
+    "ftc-sweep": ("[kt]\nk = 2.7\n\n[sweep]\nalpha = 3.1\n", "[lmg]\nlambda = 1e5\n",
+                  "lmg.lambda"),
+    "noise-budget": ("[sweep]\nn1 = 1e4 1e5\n", "[loop]\nlatency = 4e-6\n", "loop.latency"),
+    "composite-scan": ("[noise]\nrabi_rate = 4e4\n\n[sweep]\ntheta = 1.0\n",
+                       "[measurement]\nf = 4\n", "measurement.f"),
+    "quantum-qmf": ("[lmg]\ns = 0.7\n", "[loop]\nlatency = 4e-6\n", "loop.latency"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
+    base, extra, key = UNREAD[scenario]
+    base = f"[run]\nkind = {scenario}\n\n" + base
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(base)
+    assert parse_config(cfgp).kind == scenario
+    cfgp.write_text(base + "\n" + extra)
+    out = tmp_path / "o"
+    assert simulate_main([scenario, "--config", str(cfgp), "--out", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.count("\n") == 1
+    err = json.loads(stderr)
+    assert err["error"] == "config"
+    assert key in err["message"] and scenario in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, text, flags, message", [
+    ("lyapunov", "[kt]\nalpha = 1.5\nk = 2.5\n", ["--shots", "5"], "run.n_shots"),
+    ("lmg-run", "[lmg]\ns = 0.7\n", ["--emit", "json"], "run.emit"),
+    ("noise-budget", "[sweep]\nn1 = 1e4 1e5\n", ["--shots", "0"], "run.n_shots"),
+    ("ftc-sweep", "[sweep]\nalpha = 3.1\n", [], "[kt]"),
+    ("kt-run", "[kt]\nt_linear = 3e-6\n", [], "t_linear"),
+    ("lmg-run", "[lmg]\ns = 0.7\n\n[loop]\nword_bits = 24\n", [], "loop.word_bits"),
+])
+def test_simulate_cli_config_errors(tmp_path, capsys, scenario, text, flags, message):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(f"[run]\nkind = {scenario}\n\n" + text)
+    out = tmp_path / "o"
+    assert simulate_main([scenario, "--config", str(cfgp), "--out", str(out),
+                          *flags]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert message in err["message"]
+    assert not out.exists()
 
 
 def test_simulate_cli_kind_mismatch(tmp_path):
