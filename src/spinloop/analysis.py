@@ -125,7 +125,7 @@ def order_parameters(records, window_fraction: float = 5.0 / 6.0):
     z_means = []
     zz_means = []
     for rec in records:
-        z = np.asarray(rec.z if hasattr(rec, "z") else rec, dtype=float)
+        z = np.asarray(rec.z, dtype=float)
         start = int(round((1.0 - window_fraction) * len(z)))
         tail = z[start:]
         z_means.append(tail.mean())
@@ -138,12 +138,8 @@ def extract_tdd(record, settle_tol: float = 1e-3):
     the initial and final Z, negative when the trajectory ends in the lower
     well.  Returns None when the trajectory has not settled (variance over
     the final 10% of the window above settle_tol of the swing squared)."""
-    z = np.asarray(record.z if hasattr(record, "z") else record, dtype=float)
-    t = (
-        np.asarray(record.t, dtype=float)
-        if hasattr(record, "t")
-        else np.arange(len(z), dtype=float)
-    )
+    z = np.asarray(record.z, dtype=float)
+    t = np.asarray(record.t, dtype=float)
     z0, zf = z[0], z[-1]
     swing = zf - z0
     if swing == 0.0:

@@ -9,6 +9,8 @@ checked as the run keys they set, so --emit (run.emit) applies only to the
 scenarios that write tables.  Three keys that a sweep replaces stay
 accepted, because the benchmark configs set the first two: lmg.s in
 dpt-sweep, kt.alpha in ftc-sweep and measurement.n1_eff in noise-budget.
+ExperimentConfig also rejects a run.n_shots below the scenario's minimum
+and, in the kicked-top loops, a loop.latency longer than kt.t_gap.
 
 A key the file leaves out takes the default of the dataclass or builder it
 feeds; [lyapunov] and [quantum] defaults live in the scenario runners.
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from .controller import FixedPointFormat, QktSchedule, qkt_schedule
 from .loop_sim import LoopConfig
-from .measurement import MeasurementModel
+from .measurement import MIN_SCAN_SHOTS, MeasurementModel
 from .models import KtParams, LmgParams
 from .spin_core import RotationNoise, SphericalAngles
 
@@ -50,10 +52,22 @@ class ExperimentConfig:
     rotation_noise: RotationNoise | None = None
 
     def __post_init__(self) -> None:
-        if self.n_shots < 1:
-            raise ConfigError("run.n_shots: must be >= 1")
+        least = _MIN_SHOTS.get(self.kind, 1)
+        if self.n_shots < least:
+            raise ConfigError(f"run.n_shots: must be >= {least} for scenario {self.kind}")
         if self.emit_format not in ("csv", "json"):
             raise ConfigError("run.emit: must be csv or json")
+        # the kick angle must be ready by the end of the measurement gap
+        sched = self.kt_schedule
+        if sched is not None and self.loop.latency > sched.t_gap + 1e-15:
+            raise ConfigError(
+                f"loop.latency ({self.loop.latency:g}) exceeds kt.t_gap ({sched.t_gap:g})"
+            )
+
+
+# scenario -> fewest shots it can use, when more than one: noise-budget
+# takes a sample variance (ddof = 1) at each point
+_MIN_SHOTS = {"noise-budget": 2, "composite-scan": MIN_SCAN_SHOTS}
 
 
 # section -> {key: parser}; the parser converts the raw string

@@ -22,6 +22,8 @@ from .spin_core import (
     noisy_rotate,
 )
 
+MIN_SCAN_SHOTS = 100  # fewest shots composite_pulse_scan takes a variance over
+
 
 @dataclass(frozen=True)
 class MeasurementModel:
@@ -150,8 +152,8 @@ def composite_pulse_scan(theta_grid, noise: RotationNoise, n_shots: int, rng):
     a theta rotation about x followed by a pi/2 rotation about y.  Returns
     a list of (theta, variance of final Z).  Slow noise channels are shared
     between the two pulses of each shot."""
-    if n_shots < 100:
-        raise ValueError("n_shots must be >= 100")
+    if n_shots < MIN_SCAN_SHOTS:
+        raise ValueError(f"n_shots must be >= {MIN_SCAN_SHOTS}")
     out = []
     for theta in theta_grid:
         zs = np.empty(n_shots)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -64,20 +65,10 @@ def emit_json(path, obj) -> Path:
 
 def emit_trajectories(path, records: list[TrajectoryRecord]) -> tuple[Path, list[int]]:
     """Stack records into one CSV; returns the path and per-shot row offsets."""
-    offsets = []
-    row = 0
-
-    def rows():
-        nonlocal row
-        for rec in records:
-            offsets.append(row)
-            # plain floats format faster than numpy scalars, to the same text
-            for r in rec.column_stack().tolist():
-                row += 1
-                yield r
-
-    p = emit_csv(path, TRAJECTORY_HEADER, rows())
-    return p, offsets
+    offsets = list(accumulate((len(rec.t) for rec in records), initial=0))[:-1]
+    # plain floats format faster than numpy scalars, to the same text
+    rows = (row for rec in records for row in rec.column_stack().tolist())
+    return emit_csv(path, TRAJECTORY_HEADER, rows), offsets
 
 
 def read_trajectory_csv(path) -> list[TrajectoryRecord]:
@@ -90,12 +81,8 @@ def read_trajectory_csv(path) -> list[TrajectoryRecord]:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         return []
-    starts = [0] + [i for i in range(1, len(data)) if data[i, 0] == 0.0]
-    recs = []
-    for a, b in zip(starts, starts[1:] + [len(data)]):
-        block = data[a:b]
-        recs.append(TrajectoryRecord(*[block[:, i] for i in range(block.shape[1])]))
-    return recs
+    starts = np.flatnonzero(data[1:, 0] == 0.0) + 1
+    return [TrajectoryRecord(*block.T) for block in np.split(data, starts)]
 
 
 def file_sha256(path) -> str:

@@ -53,33 +53,27 @@ def _emit_table(cfg: ExperimentConfig, out: Path, name: str, header: str, rows):
     return emit_csv(out / f"{name}.csv", header, rows)
 
 
-def _run_lmg(cfg, out):
-    recs = run_batch(cfg.loop, cfg.lmg, cfg.measurement, cfg.n_shots, cfg.master_seed)
+def _emit_ensemble(out: Path, recs, sidecar: str, **fields):
+    """trajectories.csv plus a JSON sidecar carrying the shot row offsets
+    and the given fields."""
     path, offsets = emit_trajectories(out / "trajectories.csv", recs)
-    side = emit_json(out / "trajectories.json", {
-        "schema_version": 1,
-        "model": "lmg",
-        "params": recs[0].meta["params"],
-        "shot_row_offsets": offsets,
-        "final_states": [rec.meta["final_state"] for rec in recs],
+    side = emit_json(out / sidecar, {
+        "schema_version": 1, "shot_row_offsets": offsets, **fields,
     })
     return [path, side]
 
 
-def _run_kt(cfg, out):
-    recs = run_batch(cfg.loop, cfg.kt, cfg.measurement, cfg.n_shots, cfg.master_seed,
+def _run_loop(cfg, out):
+    """lmg-run and kt-run: one closed-loop ensemble, every trajectory kept."""
+    params = cfg.kt if cfg.kt_schedule else cfg.lmg
+    recs = run_batch(cfg.loop, params, cfg.measurement, cfg.n_shots, cfg.master_seed,
                      sched=cfg.kt_schedule)
-    path, offsets = emit_trajectories(out / "trajectories.csv", recs)
-    side = emit_json(out / "trajectories.json", {
-        "schema_version": 1,
-        "model": "kt",
-        "params": recs[0].meta["params"],
-        "shot_row_offsets": offsets,
-        "strob_gap_idx": recs[0].meta["strob_gap_idx"],
-        "strob_period_idx": recs[0].meta["strob_period_idx"],
-        "final_states": [rec.meta["final_state"] for rec in recs],
-    })
-    return [path, side]
+    meta = recs[0].meta
+    strob = {k: meta[k] for k in ("strob_gap_idx", "strob_period_idx") if k in meta}
+    return _emit_ensemble(
+        out, recs, "trajectories.json", model=meta["model"], params=meta["params"],
+        final_states=[rec.meta["final_state"] for rec in recs], **strob,
+    )
 
 
 def _run_dpt(cfg, out):
@@ -89,7 +83,8 @@ def _run_dpt(cfg, out):
         recs = run_batch(cfg.loop, p, cfg.measurement, cfg.n_shots,
                          cfg.master_seed + 1000 * i)
         z_inf, czz_inf = order_parameters(recs)
-        per_rec = [np.mean(rec.z[len(rec.z) // 6:]) for rec in recs]
+        # each shot's own z_inf, over the same tail window
+        per_rec = [order_parameters([rec])[0] for rec in recs]
         stderr = (
             float(np.std(per_rec, ddof=1) / math.sqrt(len(per_rec)))
             if len(per_rec) > 1 else 0.0
@@ -100,17 +95,14 @@ def _run_dpt(cfg, out):
 
 def _run_ssb(cfg, out):
     recs = run_batch(cfg.loop, cfg.lmg, cfg.measurement, cfg.n_shots, cfg.master_seed)
-    path, offsets = emit_trajectories(out / "trajectories.csv", recs)
     stats = symmetry_stats(recs)
-    side = emit_json(out / "symmetry_stats.json", {
-        "schema_version": 1,
-        "upper_fraction": stats["upper_fraction"],
-        "initial_final_correlation": stats["initial_final_correlation"],
-        "tdd_list": stats["tdd_list"],
-        "final_z": [float(rec.z[-1]) for rec in recs],
-        "shot_row_offsets": offsets,
-    })
-    return [path, side]
+    return _emit_ensemble(
+        out, recs, "symmetry_stats.json",
+        upper_fraction=stats["upper_fraction"],
+        initial_final_correlation=stats["initial_final_correlation"],
+        tdd_list=stats["tdd_list"],
+        final_z=[float(rec.z[-1]) for rec in recs],
+    )
 
 
 def _tilted_kt_ensemble(p, x0, tilt, n, rng, n_steps):
@@ -256,20 +248,16 @@ def _run_quantum(cfg, out):
             np.arange(n) * dt, *bloch.T, np.full(n, j), np.append(meas, math.nan),
             np.append(p.k_nl * meas / j, 0.0), np.full(n, p.alpha_lin), np.full(n, j),
         ))
-    path, offsets = emit_trajectories(out / "trajectories.csv", recs)
-    side = emit_json(out / "trajectories.json", {
-        "schema_version": 1,
-        "model": "quantum",
-        "params": {"j": j, "sigma": sigma, "dt": dt, "s": p.s, "lambda": p.lambda_},
-        "shot_row_offsets": offsets,
-        "final_states": [(rec.x[-1], rec.y[-1], rec.z[-1]) for rec in recs],
-    })
-    return [path, side]
+    return _emit_ensemble(
+        out, recs, "trajectories.json", model="quantum",
+        params={"j": j, "sigma": sigma, "dt": dt, "s": p.s, "lambda": p.lambda_},
+        final_states=[(rec.x[-1], rec.y[-1], rec.z[-1]) for rec in recs],
+    )
 
 
 _RUNNERS = {
-    "lmg-run": _run_lmg,
-    "kt-run": _run_kt,
+    "lmg-run": _run_loop,
+    "kt-run": _run_loop,
     "dpt-sweep": _run_dpt,
     "ssb-ensemble": _run_ssb,
     "lyapunov": _run_lyapunov,

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinloop.analysis import order_parameters
 from spinloop.cli import analyze_main, simulate_main
 from spinloop.config import SCENARIOS, ConfigError, ExperimentConfig, parse_config
 from spinloop.controller import FixedPointFormat, QktSchedule
-from spinloop.loop_sim import LoopConfig
+from spinloop.loop_sim import LoopConfig, run_batch
 from spinloop.measurement import MeasurementModel
 from spinloop.models import KtParams, LmgParams
 from spinloop.runio import (
@@ -89,6 +90,23 @@ def test_sweep_grid_parsed(tmp_path):
     )
     cfg = parse_config(p)
     assert len(cfg.sweep["s"]) == 9
+
+
+def test_dpt_stderr_uses_order_parameters_window(tmp_path):
+    # at 10 samples order_parameters' tail starts at round(10 / 6) = 2, one
+    # sample later than 10 // 6; each shot's mean must use the same tail
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("[run]\nkind = dpt-sweep\nn_shots = 3\n\n[loop]\nduration = 2e-5\n"
+                    "qpn = true\n\n[sweep]\ns = 0.7\n")
+    out = tmp_path / "o"
+    assert simulate_main(["dpt-sweep", "--config", str(cfgp), "--out", str(out)]) == 0
+    cfg = parse_config(cfgp)
+    recs = run_batch(cfg.loop, LmgParams(s=0.7), cfg.measurement, 3, cfg.master_seed)
+    assert len(recs[0].z) == 10
+    tails = [rec.z[2:].mean() for rec in recs]
+    row = np.loadtxt(out / "order_parameters.csv", delimiter=",", skiprows=1)
+    assert row[1] == order_parameters(recs)[0]
+    assert row[3] == np.std(tails, ddof=1) / math.sqrt(3)
 
 
 def test_missing_required_section(tmp_path):
@@ -195,7 +213,7 @@ def test_simulate_cli_rejects_unused_phase_noise(tmp_path, capsys):
     cfgp.write_text(MINIMAL + "\n[noise]\nphase_noise_sigma = 0\n")
     with pytest.raises(ConfigError, match="noise.phase_noise_sigma.*lmg-run"):
         parse_config(cfgp)
-    cfgp.write_text("[run]\nkind = composite-scan\n\n[noise]\n"
+    cfgp.write_text("[run]\nkind = composite-scan\nn_shots = 100\n\n[noise]\n"
                     "phase_noise_sigma = 0.01\n\n[sweep]\ntheta = 1.0\n")
     assert parse_config(cfgp).rotation_noise.phase_noise_sigma == 0.01
 
@@ -327,8 +345,9 @@ UNREAD = {
                  "loop.duration"),
     "ftc-sweep": ("[kt]\nk = 2.7\n\n[sweep]\nalpha = 3.1\n", "[lmg]\nlambda = 1e5\n",
                   "lmg.lambda"),
-    "noise-budget": ("[sweep]\nn1 = 1e4 1e5\n", "[loop]\nlatency = 4e-6\n", "loop.latency"),
-    "composite-scan": ("[noise]\nrabi_rate = 4e4\n\n[sweep]\ntheta = 1.0\n",
+    "noise-budget": ("n_shots = 2\n\n[sweep]\nn1 = 1e4 1e5\n", "[loop]\nlatency = 4e-6\n",
+                     "loop.latency"),
+    "composite-scan": ("n_shots = 100\n\n[noise]\nrabi_rate = 4e4\n\n[sweep]\ntheta = 1.0\n",
                        "[measurement]\nf = 4\n", "measurement.f"),
     "quantum-qmf": ("[lmg]\ns = 0.7\n", "[loop]\nlatency = 4e-6\n", "loop.latency"),
 }
@@ -359,6 +378,14 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
     ("ftc-sweep", "[sweep]\nalpha = 3.1\n", [], "[kt]"),
     ("kt-run", "[kt]\nt_linear = 3e-6\n", [], "t_linear"),
     ("lmg-run", "[lmg]\ns = 0.7\n\n[loop]\nword_bits = 24\n", [], "loop.word_bits"),
+    # a one-shot sample variance is NaN
+    ("noise-budget", "[sweep]\nn1 = 1e4 1e5\n", ["--shots", "1"], "run.n_shots"),
+    ("composite-scan", "[noise]\nrabi_rate = 4e4\n\n[sweep]\ntheta = 1.0\n",
+     ["--shots", "99"], "run.n_shots"),
+    # the kick angle would not be ready by the end of the measurement gap
+    ("kt-run", "[kt]\nk = 2.5\n\n[loop]\nlatency = 8e-6\n", [], "loop.latency"),
+    ("ftc-sweep", "[kt]\nk = 2.7\n\n[loop]\nlatency = 8e-6\n\n[sweep]\nalpha = 3.1\n", [],
+     "loop.latency"),
 ])
 def test_simulate_cli_config_errors(tmp_path, capsys, scenario, text, flags, message):
     cfgp = tmp_path / "c.cfg"

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinloop.controller import FixedPointFormat, decay_estimate, qkt_schedule
+from spinloop.controller import FixedPointFormat, decay_estimate, lmg_control, qkt_schedule
 from spinloop.loop_sim import (
     LoopConfig,
     latency_metric,
@@ -15,7 +15,13 @@ from spinloop.loop_sim import (
 )
 from spinloop.measurement import MeasurementModel
 from spinloop.models import KtParams, LmgParams, kt_step, lmg_energy
-from spinloop.spin_core import RotationNoise, SphericalAngles, SpinVector, from_angles
+from spinloop.spin_core import (
+    RotationNoise,
+    SphericalAngles,
+    SpinVector,
+    from_angles,
+    rodrigues,
+)
 
 ALPHA_LIN = 2.0 * math.pi * 6.25e3
 LMG07 = LmgParams(s=0.7, lambda_=ALPHA_LIN / 0.3)
@@ -93,6 +99,34 @@ def test_latency_enters_after_fifo_delay():
     # ctl_z records the rate applied at the start of each sample window
     assert np.all(rec.ctl_z[:5] == 0.0)
     assert np.any(rec.ctl_z[5:] != 0.0)
+
+
+def test_latency_with_sub_sample_remainder():
+    # 5 us is d = 2 samples plus r = 10 plant steps: in sample k the rate
+    # held at its start acts for r steps, then the rate computed from the
+    # measurement of sample k - d takes over for the remaining sps - r
+    cfg = LoopConfig(sample_period=2e-6, latency=5e-6, duration=2e-4,
+                     decay_half_time=None, initial_state=SphericalAngles(2.0, 0.5))
+    sps, d, r = cfg.steps_per_sample, 2, 10
+    assert divmod(cfg.latency_steps, sps) == (d, r)
+    rec = run_lmg_loop(cfg, LMG07, MODEL, np.random.default_rng(0))
+
+    def hold(v, wx, wz, t):
+        w = math.hypot(wx, wz)
+        return rodrigues(*v, wx / w, 0.0, wz / w, -w * t)
+
+    assert np.all(rec.ctl_z[:d + 1] == 0.0)
+    for k in range(len(rec.t) - 1):
+        v = (rec.x[k], rec.y[k], rec.z[k])
+        v = hold(v, rec.ctl_x[k], rec.ctl_z[k], r * cfg.plant_dt)
+        v = hold(v, rec.ctl_x[k], rec.ctl_z[k + 1], (sps - r) * cfg.plant_dt)
+        got = (rec.x[k + 1], rec.y[k + 1], rec.z[k + 1])
+        assert np.max(np.abs(np.subtract(v, got))) < 1e-12
+        if k >= d:
+            assert rec.ctl_z[k + 1] == lmg_control(rec.meas[k - d], MODEL.j_collective,
+                                                   LMG07, MODEL.chi_p)
+    # the feedback moves, so a split at the wrong step would show
+    assert np.min(np.abs(np.diff(rec.ctl_z[d + 1:]))) > 10.0
 
 
 def test_decay_tracks_half_time():
