@@ -133,19 +133,26 @@ def order_parameters(records, window_fraction: float = 5.0 / 6.0):
     return float(np.mean(z_means)), float(np.mean(zz_means))
 
 
-def extract_tdd(record, settle_tol: float = 1e-3):
+SETTLE_TOL = 1e-3
+
+
+def _settled(z: np.ndarray, settle_tol: float) -> bool:
+    """Tail test for a run that has come to rest: the variance of z over the
+    final 10% of the window is at most settle_tol times the squared swing
+    z[-1] - z[0].  A NaN in the tail fails it."""
+    tail = z[int(0.9 * len(z)):]
+    return bool(tail.var() <= settle_tol * (z[-1] - z[0]) ** 2)
+
+
+def extract_tdd(record, settle_tol: float = SETTLE_TOL):
     """Signed dynamical-decay time: first crossing of the midpoint between
     the initial and final Z, negative when the trajectory ends in the lower
-    well.  Returns None when the trajectory has not settled (variance over
-    the final 10% of the window above settle_tol of the swing squared)."""
+    well.  Returns None when there is no swing or the trajectory has not
+    settled (``_settled``)."""
     z = np.asarray(record.z, dtype=float)
     t = np.asarray(record.t, dtype=float)
     z0, zf = z[0], z[-1]
-    swing = zf - z0
-    if swing == 0.0:
-        return None
-    tail = z[int(0.9 * len(z)):]
-    if tail.var() > settle_tol * swing**2:
+    if zf == z0 or not _settled(z, settle_tol):
         return None
     mid = 0.5 * (z0 + zf)
     crossed = np.nonzero((z[:-1] - mid) * (z[1:] - mid) <= 0)[0]
@@ -160,12 +167,16 @@ def extract_tdd(record, settle_tol: float = 1e-3):
 
 def settling_time(rec, band: float = 0.05) -> float | None:
     """Last sample time at which z lies more than band from its final value,
-    0.0 when it never leaves the band, None when it is never inside it.
+    0.0 when it never leaves the band, None when the run has not settled
+    (``_settled``, the rule ``extract_tdd`` uses) or is never inside the
+    band.
 
     The band is centred on the final value, so a finite run is always inside
     it at its last sample; a NaN z counts as outside, so a run that ends in
     NaN never settles."""
     z = np.asarray(rec.z, dtype=float)
+    if not _settled(z, SETTLE_TOL):
+        return None
     outside = np.nonzero(~(np.abs(z - z[-1]) <= band))[0]
     if len(outside) == len(z):
         return None

@@ -18,9 +18,10 @@ _PADE_NUM = (1.0, 1.0 / 2.0, 1.0 / 9.0, 1.0 / 72.0, 1.0 / 1008.0, 1.0 / 30240.0)
 DEFAULT_RATE_CAP = 2 * math.pi * 56.7e3  # 90% of the 63 kHz drive limit, rad/s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FixedPointFormat:
-    """(signed, word_bits, int_bits); int_bits includes the sign bit."""
+    """(signed, word_bits, int_bits), keyword-only; int_bits includes the
+    sign bit."""
 
     signed: bool = True
     word_bits: int = 32

@@ -6,6 +6,11 @@ for one period and applied after a fixed transport delay, so between two
 rate changes omega is fixed and the plant moves by an exact rotation.
 plant_dt only sets the grid that the delay is rounded to: the delay is d
 whole samples plus r plant steps, the same offset for every sample.
+
+Every shot runs on the same clock: the LMG loop measures at every sample
+and the kicked top once per period, in the gap.  The sample times, the true
+spin length and the tracked spin length depend only on time, so
+``shared_columns`` computes them once per ensemble and each shot reads them.
 """
 
 from __future__ import annotations
@@ -141,12 +146,6 @@ def _initial_vector(cfg: LoopConfig, model: MeasurementModel, rng) -> SpinVector
     return rotate(v, SpinVector(*axis.tolist()), tilt)
 
 
-def _j_true(j0: float, t: float, half_time: float | None) -> float:
-    if half_time is None:
-        return j0
-    return j0 * 2.0 ** (-t / half_time)
-
-
 def _kt_segments(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int]:
     """Samples in the linear, gap and kick segments of one kicked-top period."""
     return (
@@ -156,25 +155,38 @@ def _kt_segments(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int]:
     )
 
 
-def j_est_column(
-    cfg: LoopConfig, j0: float, sched: QktSchedule | None = None
-) -> list[float]:
-    """Tracked spin length at each measurement the controller takes: every
-    sample of the LMG loop, or the gap sample of each kicked-top period.
+# sample times, true spin length, tracked spin length
+SharedColumns = tuple[list[float], list[float], list[float]]
 
-    The value depends only on (j0, decay half-time, sample time, arithmetic
-    format), never on the shot, so an ensemble evaluates it once."""
+
+def shared_columns(
+    cfg: LoopConfig, j0: float, sched: QktSchedule | None = None
+) -> SharedColumns:
+    """The columns every shot shares: the sample times, the true spin length
+    at each sample, and the tracked spin length at each measurement the
+    controller takes (every sample of the LMG loop, or the gap sample of
+    each kicked-top period).
+
+    They depend only on the clock, j0, the decay half-time and the
+    arithmetic format, never on the shot, so an ensemble computes them once.
+    They are lists of Python floats, so the per-sample arithmetic is the
+    same as on scalars."""
+    ts = cfg.sample_period
     if sched is None:
-        ks = range(cfg.n_samples)
+        n = cfg.n_samples
+        meas_idx = range(n)
     else:
         n_lin, n_gap, n_kick = _kt_segments(cfg, sched)
         n_per = n_lin + n_gap + n_kick
-        ks = range(n_lin, sched.n_steps * n_per, n_per)
+        n = sched.n_steps * n_per + 1  # final period boundary included
+        meas_idx = range(n_lin, n - 1, n_per)
+    t = [k * ts for k in range(n)]
     half = cfg.decay_half_time
     if half is None:
-        return [j0] * len(ks)
-    ts = cfg.sample_period
-    return [ctl.decay_estimate(j0, half, k * ts, cfg.fixed_point) for k in ks]
+        return t, [j0] * n, [j0] * len(meas_idx)
+    j_true = [j0 * 2.0 ** (-t_k / half) for t_k in t]
+    j_est = [ctl.decay_estimate(j0, half, t[k], cfg.fixed_point) for k in meas_idx]
+    return t, j_true, j_est
 
 
 def run_lmg_loop(
@@ -182,36 +194,31 @@ def run_lmg_loop(
     p: LmgParams,
     model: MeasurementModel,
     rng,
-    j_est: list[float] | None = None,
+    cols: SharedColumns | None = None,
 ) -> TrajectoryRecord:
     """Closed-loop emulation of the linear-plus-quadratic flow.
 
     The plant sees a constant linear drive about x plus the delayed,
     zero-order-held feedback rate about z.  With the delay d samples plus r
     plant steps, the rate computed at sample k takes over r plant steps into
-    sample k + d, so each sample is at most two exact rotations.  j_est is
-    the shared ``j_est_column(cfg, model.j_collective)``; it is computed
-    here when not given."""
+    sample k + d, so each sample is at most two exact rotations.  cols is
+    ``shared_columns(cfg, model.j_collective)``; it is computed here when
+    not given."""
     n = cfg.n_samples
     sps = cfg.steps_per_sample
     d, r = divmod(cfg.latency_steps, sps)
     eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
-    j0 = model.j_collective
-    if j_est is None:
-        j_est = j_est_column(cfg, j0)
+    t, j_true, j_est = cols or shared_columns(cfg, model.j_collective)
 
     detuning, amp, (x, y, z), qpn_offset = _shot_start(cfg, model, rng)
 
     wx = amp * p.alpha_lin
 
-    t_arr = np.empty(n)
     xs = np.empty(n)
     ys = np.empty(n)
     zs = np.empty(n)
-    js = np.empty(n)
     ms = np.empty(n)
     cz = np.empty(n)
-    cx = np.empty(n)
 
     # raw doubles: a list keeps one float object per sample alive for the
     # whole shot, which fragmented the heap and raised the peak RSS of a
@@ -219,23 +226,17 @@ def run_lmg_loop(
     rates = np.empty(n)
     applied = 0.0
     dt = cfg.plant_dt
-    half = cfg.decay_half_time
 
     for k in range(n):
-        t_k = k * cfg.sample_period
-        j_now = _j_true(j0, t_k, half)
         sample = measure(
-            max(-1.0, min(1.0, z)), j_now, eff_model, cfg.sample_period, rng,
-            qpn_offset=qpn_offset, t=t_k,
+            max(-1.0, min(1.0, z)), j_true[k], eff_model, cfg.sample_period, rng,
+            qpn_offset=qpn_offset, t=t[k],
         )
         rates[k] = ctl.lmg_control(sample.value, j_est[k], p, model.chi_p, cfg.rate_cap)
 
-        t_arr[k] = t_k
         xs[k], ys[k], zs[k] = x, y, z
-        js[k] = j_now
         ms[k] = sample.value
         cz[k] = applied
-        cx[k] = wx
 
         held = sps
         if k >= d:
@@ -245,11 +246,22 @@ def run_lmg_loop(
             applied = float(rates[k - d])
         x, y, z = _hold(x, y, z, wx, amp * applied + detuning, held * dt)
 
-    rec = TrajectoryRecord(t_arr, xs, ys, zs, js, ms, cz, cx, np.array(j_est))
+    rec = TrajectoryRecord(np.array(t), xs, ys, zs, np.array(j_true), ms, cz,
+                           np.full(n, wx), np.array(j_est))
     rec.meta["final_state"] = (x, y, z)
     rec.meta["model"] = "lmg"
     rec.meta["params"] = {"s": p.s, "lambda": p.lambda_}
     return rec
+
+
+def _hold_run(v: np.ndarray, k: int, m: int, x, y, z, wx, wz, dt):
+    """Record the state in rows k .. k+m-1 of v while holding one rate,
+    advancing by one exact rotation of dt per row; returns the state after
+    the run."""
+    for i in range(k, k + m):
+        v[i] = x, y, z
+        x, y, z = _hold(x, y, z, wx, wz, dt)
+    return x, y, z
 
 
 def run_kt_loop(
@@ -258,33 +270,31 @@ def run_kt_loop(
     p: KtParams,
     model: MeasurementModel,
     rng,
-    j_est: list[float] | None = None,
+    cols: SharedColumns | None = None,
 ) -> TrajectoryRecord:
-    """Closed-loop kicked-top emulation.
+    """Closed-loop kicked-top emulation on the period grid.
 
-    Each step is a linear segment (x rotation through alpha), a drive-free
-    gap in which the measurement is taken, and a kick segment (z rotation
+    Each period is a linear segment (x rotation through alpha), a drive-free
+    gap whose first sample is measured, and a kick segment (z rotation
     through the wrapped feedback angle).  The static detuning acts about z
-    in all three.  The plant is rotated exactly over each sample.
-    Stroboscopic indices are stored in meta: 'strob_gap_idx' (measurement
-    samples) and 'strob_period_idx' (period boundaries, comparable to the
-    iterated map).  j_est is the shared ``j_est_column(cfg,
-    model.j_collective, sched)``, one value per period; it is computed here
-    when not given."""
+    in all three.  Each segment holds one rate, and the plant is rotated
+    exactly over each sample.  Stroboscopic indices are stored in meta:
+    'strob_gap_idx' (measurement samples) and 'strob_period_idx' (period
+    boundaries, comparable to the iterated map).  cols is
+    ``shared_columns(cfg, model.j_collective, sched)``, with one tracked
+    spin length per period; it is computed here when not given."""
     if cfg.latency > sched.t_gap + 1e-15:
         raise ValueError("latency exceeds the measurement gap")
     n_lin, n_gap, n_kick = _kt_segments(cfg, sched)
+    if min(n_lin, n_gap, n_kick) < 1:
+        raise ValueError("each kicked-top segment must span at least one sample")
     n_per = n_lin + n_gap + n_kick
     n = sched.n_steps * n_per + 1  # final period boundary included
     if (n - 1) * cfg.sample_period > cfg.duration + 1e-15:
         raise ValueError("schedule does not fit in the configured duration")
 
     eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
-    j0 = model.j_collective
-    half = cfg.decay_half_time
-    fmt = cfg.fixed_point
-    if j_est is None:
-        j_est = j_est_column(cfg, j0, sched)
+    t, j_true, j_est = cols or shared_columns(cfg, model.j_collective, sched)
 
     detuning, amp, (x, y, z), qpn_offset = _shot_start(cfg, model, rng)
 
@@ -292,60 +302,41 @@ def run_kt_loop(
     # x axis in flow form, and the kick to +psi about z
     w_lin = -amp * p.alpha / sched.t_linear
 
-    cols = {name: np.empty(n) for name in TrajectoryRecord.COLUMNS}
-    gap_idx = []
-    period_idx = []
-
     ts = cfg.sample_period
-    k_samp = 0
-
-    def record(wz_applied, wx_applied, m_val, j_est_val):
-        t_k = k_samp * ts
-        cols["t"][k_samp] = t_k
-        cols["x"][k_samp] = x
-        cols["y"][k_samp] = y
-        cols["z"][k_samp] = z
-        cols["j_true"][k_samp] = _j_true(j0, t_k, half)
-        cols["meas"][k_samp] = m_val
-        cols["ctl_z"][k_samp] = wz_applied
-        cols["ctl_x"][k_samp] = wx_applied
-        cols["j_est"][k_samp] = j_est_val
+    v = np.empty((n, 3))
+    meas = np.full(n, math.nan)
+    ctl_z = np.zeros(n)
+    ctl_x = np.zeros(n)
+    j_col = np.full(n, math.nan)
 
     for step in range(sched.n_steps):
-        for _ in range(n_lin):
-            record(0.0, w_lin, math.nan, math.nan)
-            k_samp += 1
-            x, y, z = _hold(x, y, z, w_lin, detuning, ts)
+        lin = step * n_per
+        gap = lin + n_lin
+        kick = gap + n_gap
+        x, y, z = _hold_run(v, lin, n_lin, x, y, z, w_lin, detuning, ts)
         # measurement in the gap; the kick value is ready because the
         # transport delay is no longer than the gap
-        t_now = k_samp * ts
-        j_now = _j_true(j0, t_now, half)
         sample = measure(
-            max(-1.0, min(1.0, z)), j_now, eff_model, cfg.sample_period, rng,
-            qpn_offset=qpn_offset, t=t_now,
+            max(-1.0, min(1.0, z)), j_true[gap], eff_model, ts, rng,
+            qpn_offset=qpn_offset, t=t[gap],
         )
         m_norm = max(-1.0, min(1.0, sample.value / (model.chi_p * j_est[step])))
-        psi = ctl.kick_angle(m_norm, p.k, fmt)
-        kick_rate = amp * psi / sched.t_kick
-        gap_idx.append(k_samp)
-        for i in range(n_gap):
-            record(0.0, 0.0, sample.value if i == 0 else math.nan, j_est[step])
-            k_samp += 1
-            x, y, z = _hold(x, y, z, 0.0, detuning, ts)
-        for _ in range(n_kick):
-            record(kick_rate, 0.0, math.nan, math.nan)
-            k_samp += 1
-            x, y, z = _hold(x, y, z, 0.0, kick_rate + detuning, ts)
-        period_idx.append(k_samp)
+        kick_rate = amp * ctl.kick_angle(m_norm, p.k, cfg.fixed_point) / sched.t_kick
+        x, y, z = _hold_run(v, gap, n_gap, x, y, z, 0.0, detuning, ts)
+        x, y, z = _hold_run(v, kick, n_kick, x, y, z, 0.0, kick_rate + detuning, ts)
+        ctl_x[lin:gap] = w_lin
+        meas[gap] = sample.value
+        j_col[gap:kick] = j_est[step]
+        ctl_z[kick:kick + n_kick] = kick_rate
+    v[n - 1] = x, y, z
 
-    record(0.0, 0.0, math.nan, math.nan)
-
-    rec = TrajectoryRecord(**cols)
+    rec = TrajectoryRecord(np.array(t), v[:, 0], v[:, 1], v[:, 2], np.array(j_true),
+                           meas, ctl_z, ctl_x, j_col)
     rec.meta["final_state"] = (x, y, z)
     rec.meta["model"] = "kt"
     rec.meta["params"] = {"alpha": p.alpha, "k": p.k, "tau": sched.period}
-    rec.meta["strob_gap_idx"] = gap_idx
-    rec.meta["strob_period_idx"] = period_idx
+    rec.meta["strob_gap_idx"] = list(range(n_lin, n - 1, n_per))
+    rec.meta["strob_period_idx"] = list(range(n_per, n, n_per))
     return rec
 
 
@@ -356,14 +347,11 @@ def shot_rng(master_seed: int, i: int) -> np.random.Generator:
 
 
 def _run_one(args):
-    cfg, params, model, sched, j_est, master_seed, i = args
+    cfg, params, model, sched, cols, master_seed, i = args
     rng = shot_rng(master_seed, i)
     if isinstance(params, KtParams):
-        rec = run_kt_loop(cfg, sched, params, model, rng, j_est)
-    else:
-        rec = run_lmg_loop(cfg, params, model, rng, j_est)
-    rec.meta["seed"] = (master_seed, i)
-    return rec
+        return run_kt_loop(cfg, sched, params, model, rng, cols)
+    return run_lmg_loop(cfg, params, model, rng, cols)
 
 
 def run_batch(
@@ -375,9 +363,9 @@ def run_batch(
     sched: QktSchedule | None = None,
 ) -> list[TrajectoryRecord]:
     """Ensemble driver; shot i uses a stream derived from (master_seed, i),
-    so results do not depend on execution order.  The tracked spin-length
-    column (``j_est_column``) is the same for every shot, so it is evaluated
-    once here and handed to each shot, in process or in the pool.  Set
+    so results do not depend on execution order.  The shot-independent
+    columns (``shared_columns``) are computed once here and handed to each
+    shot, in process or in the pool.  Set
     SPINLOOP_JOBS to run shots in parallel processes."""
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
@@ -388,8 +376,8 @@ def run_batch(
         jobs = 0
     if jobs < 1:
         raise ValueError(f"SPINLOOP_JOBS must be an integer >= 1, got {raw!r}")
-    j_est = j_est_column(cfg, model.j_collective, sched)
-    work = [(cfg, params, model, sched, j_est, master_seed, i) for i in range(n_shots)]
+    cols = shared_columns(cfg, model.j_collective, sched)
+    work = [(cfg, params, model, sched, cols, master_seed, i) for i in range(n_shots)]
     jobs = min(jobs, n_shots)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

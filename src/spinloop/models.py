@@ -42,13 +42,10 @@ class LmgParams:
 
 @dataclass(frozen=True)
 class KtParams:
+    """Map parameters; the closed loop's period is QktSchedule.period."""
+
     alpha: float = math.pi / 2.0  # linear rotation angle per period, rad
     k: float = 0.0  # kick strength, rad
-    tau: float = 48e-6  # period, s
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,12 @@ def test_settling_time():
     assert settling_time(_record(t, z)) == t[2]
     assert settling_time(_record(t, z), band=0.15) == t[1]
     assert settling_time(_record(t, z), band=0.95) == 0.0
+    # a conservative orbit that happens to end near where it started never
+    # settles, though its last samples lie inside the band
+    t = np.arange(1000) * 1e-6
+    z = 0.5 + 0.4 * np.cos(2 * math.pi * 3.02 * np.arange(1000) / 1000)
+    assert np.all(np.abs(z[-5:] - z[-1]) <= 0.05)
+    assert settling_time(_record(t, z)) is None
 
 
 def test_symmetry_stats():

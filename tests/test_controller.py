@@ -33,6 +33,9 @@ def test_format_properties():
     assert FXP16.step == 2.0**-12
     with pytest.raises(ValueError):
         FixedPointFormat(word_bits=70, int_bits=4)
+    # positional fields would silently land in signed, word_bits, int_bits
+    with pytest.raises(TypeError):
+        FixedPointFormat(24, 6)
 
 
 @given(reals)

@@ -26,6 +26,8 @@ from spinloop.spin_core import (
 ALPHA_LIN = 2.0 * math.pi * 6.25e3
 LMG07 = LmgParams(s=0.7, lambda_=ALPHA_LIN / 0.3)
 MODEL = MeasurementModel()
+KT_SCHED = qkt_schedule(40e-6, 6e-6, 2e-6, 5)
+KT25 = KtParams(alpha=math.pi / 2.0, k=2.5)
 
 IDEAL = LoopConfig(
     sample_period=1e-7, latency=0.0, plant_dt=1e-7, duration=1.5e-3,
@@ -186,6 +188,39 @@ def test_kt_loop_rejects_excess_latency():
                     np.random.default_rng(0))
 
 
+def test_kt_loop_rejects_empty_segment():
+    # at a 10 us sample period the 2 us kick rounds to no sample at all
+    cfg = LoopConfig(sample_period=1e-5, latency=4e-6, duration=1.3e-3,
+                     decay_half_time=None)
+    with pytest.raises(ValueError, match="at least one sample"):
+        run_kt_loop(cfg, qkt_schedule(40e-6, 6e-6, 2e-6, 25), KtParams(math.pi / 2, 1.0),
+                    MODEL, np.random.default_rng(0))
+
+
+def test_kt_record_layout():
+    # 40/6/2 us at a 2 us sample period: 20 linear, 3 gap and 1 kick sample
+    n_lin, n_gap, n_kick = 20, 3, 1
+    n_per = n_lin + n_gap + n_kick
+    cfg = LoopConfig(latency=4e-6, duration=3e-4, decay_half_time=2e-4,
+                     initial_state=SphericalAngles(2.0, 1.0))
+    rec = run_kt_loop(cfg, KT_SCHED, KT25, MODEL, np.random.default_rng(0))
+    gap = rec.meta["strob_gap_idx"]
+    starts = np.arange(KT_SCHED.n_steps) * n_per
+    assert len(rec.t) == KT_SCHED.n_steps * n_per + 1
+    assert gap == list(starts + n_lin)
+    assert rec.meta["strob_period_idx"] == [(i + 1) * n_per for i in range(len(gap))]
+
+    def samples(first, m):
+        return np.sort(np.add.outer(first, np.arange(m)).ravel())
+
+    assert np.array_equal(np.flatnonzero(np.isfinite(rec.meas)), gap)
+    assert np.array_equal(np.flatnonzero(np.isfinite(rec.j_est)),
+                          samples(starts + n_lin, n_gap))
+    assert np.array_equal(np.flatnonzero(rec.ctl_x), samples(starts, n_lin))
+    assert np.array_equal(np.flatnonzero(rec.ctl_z),
+                          samples(starts + n_lin + n_gap, n_kick))
+
+
 def test_same_seed_reproduces_trajectory():
     cfg = LoopConfig(duration=2e-4, qpn=True, shot=True)
     model = MeasurementModel(sn_coeff=1e-2)
@@ -205,11 +240,32 @@ BATCH_CASES = (
 )
 
 
+KT_BATCH_CASES = (
+    (LoopConfig(latency=4e-6, duration=3e-4, decay_half_time=None), MODEL),
+    # fixed-point decay tracker with projection and photon shot noise
+    (
+        LoopConfig(latency=4e-6, duration=3e-4, qpn=True, shot=True,
+                   decay_half_time=1e-4,
+                   fixed_point=FixedPointFormat(word_bits=24, int_bits=6)),
+        replace(MODEL, sn_coeff=0.2),
+    ),
+)
+
+
+def _same_record(a, b):
+    return (np.array_equal(a.column_stack(), b.column_stack(), equal_nan=True)
+            and a.meta == b.meta)
+
+
 def test_batch_shot_isolated_reproducibility():
     for cfg, model in BATCH_CASES:
         recs = run_batch(cfg, LMG07, model, 4, master_seed=5)
         lone = run_lmg_loop(cfg, LMG07, model, shot_rng(5, 2))
         assert np.array_equal(recs[2].column_stack(), lone.column_stack())
+    for cfg, model in KT_BATCH_CASES:
+        recs = run_batch(cfg, KT25, model, 4, master_seed=5, sched=KT_SCHED)
+        lone = run_kt_loop(cfg, KT_SCHED, KT25, model, shot_rng(5, 2))
+        assert _same_record(recs[2], lone)
 
 
 def test_batch_pool_no_wider_than_shots(monkeypatch):
@@ -236,7 +292,11 @@ def test_batch_pool_no_wider_than_shots(monkeypatch):
         recs = run_batch(cfg, LMG07, model, 2, master_seed=5)
         lone = run_lmg_loop(cfg, LMG07, model, shot_rng(5, 1))
         assert np.array_equal(recs[1].column_stack(), lone.column_stack())
-    assert widths == [2, 2]
+    for cfg, model in KT_BATCH_CASES:
+        recs = run_batch(cfg, KT25, model, 2, master_seed=5, sched=KT_SCHED)
+        lone = run_kt_loop(cfg, KT_SCHED, KT25, model, shot_rng(5, 1))
+        assert _same_record(recs[1], lone)
+    assert widths == [2, 2, 2, 2]
 
 
 def test_batch_streams_differ():
