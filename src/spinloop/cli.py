@@ -11,7 +11,6 @@ so --emit applies only to the scenarios that write tables (dpt-sweep,
 lyapunov, ftc-sweep, noise-budget, composite-scan).
 
 Failures exit nonzero and print a machine-readable JSON error to stderr.
-Parallelism is controlled only by the SPINLOOP_JOBS environment variable.
 """
 
 from __future__ import annotations

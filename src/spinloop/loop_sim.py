@@ -11,19 +11,31 @@ Every shot runs on the same clock: the LMG loop measures at every sample
 and the kicked top once per period, in the gap.  The sample times, the true
 spin length and the tracked spin length depend only on time, so
 ``shared_columns`` computes them once per ensemble and each shot reads them.
+
+The same clock lets an LMG ensemble run as one array computation:
+``_run_lmg_columns`` steps every shot (column) of a batch together, with the
+state held as arrays of one entry per column, and equals ``run_lmg_loop``
+on each shot bit for bit.  ``run_lmg_loop`` stays the one-shot path and the
+oracle the kernel is tested against; the kicked top runs shot by shot.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import controller as ctl
 from .controller import FixedPointFormat, QktSchedule
-from .measurement import MeasurementModel, measure, pointing_uncertainty, qpn_variance
+from .measurement import (
+    MeasurementModel,
+    measure,
+    pointing_uncertainty,
+    qpn_variance,
+    shot_noise_variance,
+)
 from .models import KtParams, LmgParams, _tangent_basis
 from .spin_core import (
     RotationNoise,
@@ -110,7 +122,9 @@ def latency_metric(alpha_lin: float, latency: float) -> float:
 
 def _hold(x, y, z, wx, wz, t):
     """Exact flow of dv/dt = omega x v for time t, omega = (wx, 0, wz)."""
-    w = math.hypot(wx, wz)
+    # not math.hypot: np.hypot rounds differently, and _hold_columns must
+    # match this bit for bit
+    w = math.sqrt(wx * wx + wz * wz)
     if w == 0.0:
         return x, y, z
     return rodrigues(x, y, z, wx / w, 0.0, wz / w, -w * t)
@@ -246,12 +260,105 @@ def run_lmg_loop(
             applied = float(rates[k - d])
         x, y, z = _hold(x, y, z, wx, amp * applied + detuning, held * dt)
 
-    rec = TrajectoryRecord(np.array(t), xs, ys, zs, np.array(j_true), ms, cz,
-                           np.full(n, wx), np.array(j_est))
-    rec.meta["final_state"] = (x, y, z)
-    rec.meta["model"] = "lmg"
-    rec.meta["params"] = {"s": p.s, "lambda": p.lambda_}
-    return rec
+    return TrajectoryRecord(np.array(t), xs, ys, zs, np.array(j_true), ms, cz,
+                            np.full(n, wx), np.array(j_est), _lmg_meta(p, x, y, z))
+
+
+def _lmg_meta(p: LmgParams, x, y, z) -> dict:
+    return {"final_state": (x, y, z), "model": "lmg",
+            "params": {"s": p.s, "lambda": p.lambda_}}
+
+
+def _hold_columns(x, y, z, wx, wz, t):
+    """``_hold`` on arrays with one entry per column: the same IEEE
+    operations in the same order, ``rodrigues`` written out term for term
+    with ay = 0.  A column whose rate is zero is left unrotated."""
+    w = np.sqrt(wx * wx + wz * wz)
+    still = None if w.all() else w == 0.0
+    if still is not None:
+        w = np.where(still, 1.0, w)  # any nonzero value; reverted below
+    ax = wx / w
+    az = wz / w
+    angle = -w * t
+    c = np.cos(angle)
+    s = np.sin(angle)
+    omc = 1.0 - c
+    d = x * ax + y * 0.0 + z * az
+    x1 = x * c + (y * az - z * 0.0) * s + ax * d * omc
+    y1 = y * c + (z * ax - x * az) * s + 0.0 * d * omc
+    z1 = z * c + (x * 0.0 - y * ax) * s + az * d * omc
+    if still is None:
+        return x1, y1, z1
+    return np.where(still, x, x1), np.where(still, y, y1), np.where(still, z, z1)
+
+
+def _run_lmg_columns(
+    cfg: LoopConfig,
+    params: Sequence[LmgParams],
+    model: MeasurementModel,
+    rngs: Sequence[np.random.Generator],
+    cols: SharedColumns,
+) -> list[TrajectoryRecord]:
+    """``run_lmg_loop`` for many shots at once, equal to it bit for bit.
+
+    Column c runs params[c] on rngs[c], which it draws from in the scalar
+    loop's order: ``_shot_start``, then one normal per sample for the photon
+    shot noise.  The state is one array entry per column and each sample is
+    at most two ``_hold_columns`` rotations, at the offsets every column
+    shares.  The rows of each record are rows of one (columns, samples)
+    array per output column; t, j_true and j_est are shared, read-only."""
+    n = cfg.n_samples
+    sps = cfg.steps_per_sample
+    d, r = divmod(cfg.latency_steps, sps)
+    dt = cfg.plant_dt
+    chi = model.chi_p
+    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
+    t, j_true, j_est = cols
+    if j_est and min(j_est) <= 0.0:
+        raise ValueError("j_est must be > 0")  # as lmg_control
+
+    m = len(rngs)
+    starts = []
+    m_sn = np.empty((n, m))  # sample-major: each sample reads one row
+    for c, rng in enumerate(rngs):
+        starts.append(_shot_start(cfg, model, rng))
+        m_sn[:, c] = rng.standard_normal(n)
+    m_sn *= math.sqrt(shot_noise_variance(eff_model, cfg.sample_period))
+    detuning, amp, v, qpn_offset = (np.array(a) for a in zip(*starts))
+    x, y, z = v.T
+    k_nl = np.array([p.k_nl for p in params])
+    wx = amp * np.array([p.alpha_lin for p in params])
+
+    xs, ys, zs, ms, cz = (np.empty((m, n)) for _ in range(5))
+    rates = np.empty((n, m))
+    applied = np.zeros(m)
+    for k in range(n):
+        value = chi * j_true[k] * np.clip(z, -1.0, 1.0) + qpn_offset + m_sn[k]
+        z_est = np.clip(value / (chi * j_est[k]), -1.0, 1.0)
+        rates[k] = np.clip(k_nl * z_est, -cfg.rate_cap, cfg.rate_cap)
+
+        xs[:, k], ys[:, k], zs[:, k] = x, y, z
+        ms[:, k] = value
+        cz[:, k] = applied
+
+        held = sps
+        if k >= d:
+            if r:
+                x, y, z = _hold_columns(x, y, z, wx, amp * applied + detuning, r * dt)
+                held = sps - r
+            applied = rates[k - d]
+        x, y, z = _hold_columns(x, y, z, wx, amp * applied + detuning, held * dt)
+
+    shared = [np.array(a) for a in cols]
+    for a in shared:
+        a.flags.writeable = False
+    t_col, jt_col, je_col = shared
+    return [
+        TrajectoryRecord(t_col, xs[c], ys[c], zs[c], jt_col, ms[c], cz[c],
+                         np.full(n, wx[c]), je_col,
+                         _lmg_meta(p, float(x[c]), float(y[c]), float(z[c])))
+        for c, p in enumerate(params)
+    ]
 
 
 def _hold_run(v: np.ndarray, k: int, m: int, x, y, z, wx, wz, dt):
@@ -346,12 +453,11 @@ def shot_rng(master_seed: int, i: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _run_one(args):
-    cfg, params, model, sched, cols, master_seed, i = args
-    rng = shot_rng(master_seed, i)
-    if isinstance(params, KtParams):
-        return run_kt_loop(cfg, sched, params, model, rng, cols)
-    return run_lmg_loop(cfg, params, model, rng, cols)
+# Fewest shots for which run_batch takes the array kernel.  Below it the
+# kernel's fixed numpy cost per sample outweighs the per-shot Python loop it
+# replaces: at 750 samples the two broke even at 7-8 shots on a 2-core Xeon
+# (4 shots: 17 ms scalar, 36 ms array; 12 shots: 67 ms, 49 ms).
+ARRAY_MIN_SHOTS = 8
 
 
 def run_batch(
@@ -362,26 +468,29 @@ def run_batch(
     master_seed: int,
     sched: QktSchedule | None = None,
 ) -> list[TrajectoryRecord]:
-    """Ensemble driver; shot i uses a stream derived from (master_seed, i),
-    so results do not depend on execution order.  The shot-independent
-    columns (``shared_columns``) are computed once here and handed to each
-    shot, in process or in the pool.  Set
-    SPINLOOP_JOBS to run shots in parallel processes."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
-    raw = os.environ.get("SPINLOOP_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"SPINLOOP_JOBS must be an integer >= 1, got {raw!r}")
-    cols = shared_columns(cfg, model.j_collective, sched)
-    work = [(cfg, params, model, sched, cols, master_seed, i) for i in range(n_shots)]
-    jobs = min(jobs, n_shots)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    """Ensemble driver.  Shot j draws from shot_rng(master_seed, j), so its
+    record does not depend on the batch it runs in.
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(_run_one, work))
-    return [_run_one(w) for w in work]
+    params is one parameter set, or a list of sweep points that share the
+    n_shots shots evenly: point i then runs n_shots / len(params) shots on
+    shot_rng(master_seed + 1000 i, j), and the records come back point by
+    point.  The shot-independent columns (``shared_columns``) are computed
+    once.  An LMG batch of at least ARRAY_MIN_SHOTS shots, sweep points
+    included, is one array computation (``_run_lmg_columns``); a smaller one
+    runs ``run_lmg_loop`` per shot, and the kicked top ``run_kt_loop``."""
+    points = params if isinstance(params, (list, tuple)) else [params]
+    per, extra = divmod(n_shots, len(points))
+    if per < 1 or extra:
+        raise ValueError(
+            f"n_shots ({n_shots}) must be a positive multiple of the "
+            f"{len(points)} sweep point(s)"
+        )
+    cols = shared_columns(cfg, model.j_collective, sched)
+    work = [(p, shot_rng(master_seed + 1000 * i, j))
+            for i, p in enumerate(points) for j in range(per)]
+    if sched is not None:
+        return [run_kt_loop(cfg, sched, p, model, rng, cols) for p, rng in work]
+    if n_shots < ARRAY_MIN_SHOTS:
+        return [run_lmg_loop(cfg, p, model, rng, cols) for p, rng in work]
+    ps, rngs = zip(*work)
+    return _run_lmg_columns(cfg, ps, model, rngs, cols)

@@ -77,11 +77,15 @@ def _run_loop(cfg, out):
 
 
 def _run_dpt(cfg, out):
+    # every shot of every sweep point in one batch, so one array computation
+    base = cfg.lmg or LmgParams()
+    ss = cfg.sweep["s"]
+    n = cfg.n_shots
+    batch = run_batch(cfg.loop, [replace(base, s=s) for s in ss], cfg.measurement,
+                      n * len(ss), cfg.master_seed)
     rows = []
-    for i, s in enumerate(cfg.sweep["s"]):
-        p = replace(cfg.lmg or LmgParams(), s=s)
-        recs = run_batch(cfg.loop, p, cfg.measurement, cfg.n_shots,
-                         cfg.master_seed + 1000 * i)
+    for i, s in enumerate(ss):
+        recs = batch[i * n:(i + 1) * n]
         z_inf, czz_inf = order_parameters(recs)
         # each shot's own z_inf, over the same tail window
         per_rec = [order_parameters([rec])[0] for rec in recs]
@@ -150,6 +154,8 @@ def _strob_z(rec):
 def _run_ftc(cfg, out):
     k = cfg.kt.k
     data = {}
+    # one batch per point, on run_batch's sweep streams: the kicked top runs
+    # shot by shot, so stacking the points would only hold more records
     for i, a in enumerate(cfg.sweep["alpha"]):
         p = KtParams(alpha=a, k=k)
         recs = run_batch(cfg.loop, p, cfg.measurement, cfg.n_shots,

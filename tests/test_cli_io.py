@@ -11,7 +11,13 @@ from spinloop.analysis import order_parameters
 from spinloop.cli import analyze_main, simulate_main
 from spinloop.config import SCENARIOS, ConfigError, ExperimentConfig, parse_config
 from spinloop.controller import FixedPointFormat, QktSchedule
-from spinloop.loop_sim import LoopConfig, run_batch
+from spinloop.loop_sim import (
+    ARRAY_MIN_SHOTS,
+    LoopConfig,
+    run_batch,
+    run_lmg_loop,
+    shot_rng,
+)
 from spinloop.measurement import MeasurementModel
 from spinloop.models import KtParams, LmgParams
 from spinloop.runio import (
@@ -107,6 +113,34 @@ def test_dpt_stderr_uses_order_parameters_window(tmp_path):
     row = np.loadtxt(out / "order_parameters.csv", delimiter=",", skiprows=1)
     assert row[1] == order_parameters(recs)[0]
     assert row[3] == np.std(tails, ddof=1) / math.sqrt(3)
+
+
+def test_dpt_sweep_stacks_points(tmp_path):
+    # 3 points x 3 shots run as one array batch; shot j of point i must be
+    # the lone loop on shot_rng(seed + 1000 i, j), and each row the
+    # per-point computation
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("[run]\nkind = dpt-sweep\nn_shots = 3\nseed = 11\n\n"
+                    "[loop]\nduration = 1e-4\nqpn = true\nshot = true\n\n"
+                    "[measurement]\nsn_coeff = 0.2\n\n[sweep]\ns = 0.5 0.7 0.8\n")
+    out = tmp_path / "o"
+    assert simulate_main(["dpt-sweep", "--config", str(cfgp), "--out", str(out)]) == 0
+    cfg = parse_config(cfgp)
+    points = [LmgParams(s=s) for s in (0.5, 0.7, 0.8)]
+    assert 9 >= ARRAY_MIN_SHOTS
+    stacked = run_batch(cfg.loop, points, cfg.measurement, 9, 11)
+    rows = []
+    for i, p in enumerate(points):
+        recs = [run_lmg_loop(cfg.loop, p, cfg.measurement, shot_rng(11 + 1000 * i, j))
+                for j in range(3)]
+        for j, rec in enumerate(recs):
+            assert np.array_equal(stacked[3 * i + j].column_stack(), rec.column_stack())
+            assert stacked[3 * i + j].meta == rec.meta
+        z_inf, czz_inf = order_parameters(recs)
+        tails = [order_parameters([rec])[0] for rec in recs]
+        rows.append((p.s, z_inf, czz_inf, np.std(tails, ddof=1) / math.sqrt(3)))
+    want = emit_csv(tmp_path / "want.csv", "s,z_inf,czz_inf,stderr", rows)
+    assert (out / "order_parameters.csv").read_bytes() == want.read_bytes()
 
 
 def test_missing_required_section(tmp_path):
@@ -233,25 +267,6 @@ def test_simulate_cli_reports_arithmetic_error(tmp_path, capsys):
     err = json.loads(stderr)
     assert err["error"] == "runtime"
     assert "tangent vector" in err["message"]
-
-
-@pytest.mark.parametrize("jobs", ["two", "0"])
-def test_simulate_cli_rejects_bad_jobs(tmp_path, capsys, monkeypatch, jobs):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("SPINLOOP_JOBS", jobs)
-    cfgp = tmp_path / "c.cfg"
-    cfgp.write_text(MINIMAL + "\n[loop]\nduration = 1e-4\n")
-    assert simulate_main(["lmg-run", "--config", str(cfgp), "--shots", "2",
-                          "--out", str(tmp_path / "o")]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "runtime"
-    assert "SPINLOOP_JOBS" in err["message"]
-    assert repr(jobs) in err["message"]
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -4,13 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spinloop import loop_sim
 from spinloop.controller import FixedPointFormat, decay_estimate, lmg_control, qkt_schedule
 from spinloop.loop_sim import (
+    ARRAY_MIN_SHOTS,
     LoopConfig,
+    _run_lmg_columns,
     latency_metric,
     run_batch,
     run_kt_loop,
     run_lmg_loop,
+    shared_columns,
     shot_rng,
 )
 from spinloop.measurement import MeasurementModel
@@ -253,8 +257,10 @@ KT_BATCH_CASES = (
 
 
 def _same_record(a, b):
-    return (np.array_equal(a.column_stack(), b.column_stack(), equal_nan=True)
-            and a.meta == b.meta)
+    # bytes also tell -0.0 from 0.0, which array_equal does not
+    return (a.column_stack().tobytes() == b.column_stack().tobytes()
+            and a.meta == b.meta
+            and all(type(v) is float for v in a.meta["final_state"]))
 
 
 def test_batch_shot_isolated_reproducibility():
@@ -269,34 +275,85 @@ def test_batch_shot_isolated_reproducibility():
 
 
 def test_batch_pool_no_wider_than_shots(monkeypatch):
+    # SPINLOOP_JOBS is no longer read: no process pool starts, and every
+    # record still equals its scalar oracle
     import concurrent.futures
+    import multiprocessing
 
-    widths = []
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     monkeypatch.setenv("SPINLOOP_JOBS", "8")
     for cfg, model in BATCH_CASES:
-        recs = run_batch(cfg, LMG07, model, 2, master_seed=5)
-        lone = run_lmg_loop(cfg, LMG07, model, shot_rng(5, 1))
-        assert np.array_equal(recs[1].column_stack(), lone.column_stack())
+        for n in (2, ARRAY_MIN_SHOTS):
+            recs = run_batch(cfg, LMG07, model, n, master_seed=5)
+            for i, rec in enumerate(recs):
+                assert _same_record(rec, run_lmg_loop(cfg, LMG07, model, shot_rng(5, i)))
     for cfg, model in KT_BATCH_CASES:
         recs = run_batch(cfg, KT25, model, 2, master_seed=5, sched=KT_SCHED)
-        lone = run_kt_loop(cfg, KT_SCHED, KT25, model, shot_rng(5, 1))
-        assert _same_record(recs[1], lone)
-    assert widths == [2, 2, 2, 2]
+        for i, rec in enumerate(recs):
+            assert _same_record(rec, run_kt_loop(cfg, KT_SCHED, KT25, model, shot_rng(5, i)))
+
+
+KERNEL_NOISE = RotationNoise(static_detuning_sigma=300.0, amplitude_error_sigma=0.01)
+
+
+@pytest.mark.parametrize("latency", [0.0, 0.1e-6, 1.3e-6, 2e-6, 5e-6, 6e-6, 13e-6])
+@pytest.mark.parametrize("fixed_point", [False, True])
+@pytest.mark.parametrize("noise", [None, KERNEL_NOISE])
+def test_array_kernel_matches_scalar_loop(latency, fixed_point, noise):
+    fmt = FixedPointFormat(word_bits=24, int_bits=6) if fixed_point else None
+    cfg = LoopConfig(latency=latency, duration=2e-4, qpn=True, shot=True,
+                     decay_half_time=1e-4 if fixed_point else None, fixed_point=fmt,
+                     rotation_noise=noise)
+    model = replace(MODEL, sn_coeff=0.2)
+    cols = shared_columns(cfg, model.j_collective)
+    # s = 1 has no linear drive: with no detuning its rate is exactly zero
+    # until the first feedback arrives
+    s1 = replace(LMG07, s=1.0)
+    for n in (1, ARRAY_MIN_SHOTS - 1, ARRAY_MIN_SHOTS + 1):
+        params = [(s1, LMG07)[c % 2] for c in range(n)]
+        recs = _run_lmg_columns(cfg, params, model, [shot_rng(3, c) for c in range(n)], cols)
+        for c, (p, rec) in enumerate(zip(params, recs)):
+            assert _same_record(rec, run_lmg_loop(cfg, p, model, shot_rng(3, c)))
+    if noise is None and latency >= cfg.sample_period:
+        still, moved = recs[0], recs[1]
+        assert [still.x[1], still.y[1], still.z[1]] == [still.x[0], still.y[0], still.z[0]]
+        assert moved.z[1] != moved.z[0]
+
+
+def test_batch_takes_array_kernel_from_threshold(monkeypatch):
+    cfg, model = BATCH_CASES[1]
+    want = [run_lmg_loop(cfg, LMG07, model, shot_rng(5, i)) for i in range(ARRAY_MIN_SHOTS)]
+
+    def no_scalar(*args, **kwargs):
+        raise AssertionError("run_lmg_loop called")
+
+    monkeypatch.setattr(loop_sim, "run_lmg_loop", no_scalar)
+    recs = run_batch(cfg, LMG07, model, ARRAY_MIN_SHOTS, master_seed=5)
+    assert all(_same_record(a, b) for a, b in zip(recs, want))
+    with pytest.raises(AssertionError, match="run_lmg_loop called"):
+        run_batch(cfg, LMG07, model, ARRAY_MIN_SHOTS - 1, master_seed=5)
+
+
+def test_batch_sweep_points_stack():
+    # point i runs on the streams of master_seed + 1000 i, kicked top too
+    cfg, model = BATCH_CASES[1]
+    points = [replace(LMG07, s=s) for s in (0.5, 0.7, 0.8)]
+    recs = run_batch(cfg, points, model, 9, master_seed=5)
+    for i, p in enumerate(points):
+        for j in range(3):
+            lone = run_lmg_loop(cfg, p, model, shot_rng(5 + 1000 * i, j))
+            assert _same_record(recs[3 * i + j], lone)
+    cfg, model = KT_BATCH_CASES[1]
+    points = [KT25, replace(KT25, alpha=1.0)]
+    recs = run_batch(cfg, points, model, 4, master_seed=5, sched=KT_SCHED)
+    lone = run_kt_loop(cfg, KT_SCHED, points[1], model, shot_rng(1005, 1))
+    assert _same_record(recs[3], lone)
+    with pytest.raises(ValueError, match="multiple"):
+        run_batch(cfg, points, model, 3, master_seed=5, sched=KT_SCHED)
 
 
 def test_batch_streams_differ():
