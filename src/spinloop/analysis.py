@@ -4,12 +4,12 @@ rigidity, order parameters, decay times, and symmetry statistics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import KtParams, kt_jacobian, kt_step, _tangent_basis
-from .spin_core import SpinVector, from_angles, rotate, to_angles
+from .spin_core import SpinVector
 
 
 @dataclass(frozen=True)
@@ -28,17 +28,14 @@ class SpectralSummary:
     dominant_frequency: float
 
 
-def spectral_entropy(series, exclude_dc: bool = True) -> SpectralSummary:
-    """Normalized Shannon entropy of the power spectrum,
+def spectral_entropy(series) -> SpectralSummary:
+    """Normalized Shannon entropy of the power spectrum without its DC bin,
     S = -sum p ln p / ln n, in [0, 1]."""
     arr = np.asarray(series, dtype=float)
     if arr.size < 8:
         raise ValueError("series must have at least 8 samples")
-    spec = np.abs(np.fft.rfft(arr)) ** 2
-    freqs = np.fft.rfftfreq(arr.size)
-    if exclude_dc:
-        spec = spec[1:]
-        freqs = freqs[1:]
+    spec = (np.abs(np.fft.rfft(arr)) ** 2)[1:]
+    freqs = np.fft.rfftfreq(arr.size)[1:]
     total = spec.sum()
     if total <= 0:
         raise ValueError("series has no power in the analysis band")
@@ -48,16 +45,17 @@ def spectral_entropy(series, exclude_dc: bool = True) -> SpectralSummary:
     return SpectralSummary(freqs, p, s, float(freqs[int(np.argmax(p))]))
 
 
-def lyapunov_jacobian(
-    p: KtParams, x0: SpinVector, n_steps: int, n_discard: int = 100
-) -> LyapunovEstimate:
+LYAPUNOV_DISCARD = 100  # map steps run before lyapunov_jacobian accumulates
+
+
+def lyapunov_jacobian(p: KtParams, x0: SpinVector, n_steps: int) -> LyapunovEstimate:
     """Largest exponent from tangent-vector stretching under the map's
     Jacobian, renormalized every step (per-step units)."""
     if n_steps < 1000:
         raise ValueError("n_steps must be >= 1000")
     v = x0
     # settle onto the attractor-free invariant set before accumulating
-    for _ in range(n_discard):
+    for _ in range(LYAPUNOV_DISCARD):
         v = kt_step(v, p)
     w = np.array([1.0, 0.0])
     acc = 0.0
@@ -118,15 +116,18 @@ def lyapunov_stddev(theta_series_ensemble, n_fit: int = 5) -> LyapunovEstimate:
     return LyapunovEstimate(float(coef[0]), "stddev", n_fit, residual)
 
 
-def order_parameters(records, window_fraction: float = 5.0 / 6.0):
+ORDER_WINDOW = 5.0 / 6.0  # trailing fraction of a record order_parameters reads
+
+
+def order_parameters(records):
     """Long-run order parameters: ensemble averages of the time-averaged
     z-magnetization and of its square (both of the dimensionless Z), taken
-    over the trailing window_fraction of each record."""
+    over the trailing ORDER_WINDOW of each record."""
     z_means = []
     zz_means = []
     for rec in records:
         z = np.asarray(rec.z, dtype=float)
-        start = int(round((1.0 - window_fraction) * len(z)))
+        start = int(round((1.0 - ORDER_WINDOW) * len(z)))
         tail = z[start:]
         z_means.append(tail.mean())
         zz_means.append((tail**2).mean())
@@ -136,15 +137,15 @@ def order_parameters(records, window_fraction: float = 5.0 / 6.0):
 SETTLE_TOL = 1e-3
 
 
-def _settled(z: np.ndarray, settle_tol: float) -> bool:
+def _settled(z: np.ndarray) -> bool:
     """Tail test for a run that has come to rest: the variance of z over the
-    final 10% of the window is at most settle_tol times the squared swing
+    final 10% of the window is at most SETTLE_TOL times the squared swing
     z[-1] - z[0].  A NaN in the tail fails it."""
     tail = z[int(0.9 * len(z)):]
-    return bool(tail.var() <= settle_tol * (z[-1] - z[0]) ** 2)
+    return bool(tail.var() <= SETTLE_TOL * (z[-1] - z[0]) ** 2)
 
 
-def extract_tdd(record, settle_tol: float = SETTLE_TOL):
+def extract_tdd(record):
     """Signed dynamical-decay time: first crossing of the midpoint between
     the initial and final Z, negative when the trajectory ends in the lower
     well.  Returns None when there is no swing or the trajectory has not
@@ -152,7 +153,7 @@ def extract_tdd(record, settle_tol: float = SETTLE_TOL):
     z = np.asarray(record.z, dtype=float)
     t = np.asarray(record.t, dtype=float)
     z0, zf = z[0], z[-1]
-    if zf == z0 or not _settled(z, settle_tol):
+    if zf == z0 or not _settled(z):
         return None
     mid = 0.5 * (z0 + zf)
     crossed = np.nonzero((z[:-1] - mid) * (z[1:] - mid) <= 0)[0]
@@ -175,7 +176,7 @@ def settling_time(rec, band: float = 0.05) -> float | None:
     it at its last sample; a NaN z counts as outside, so a run that ends in
     NaN never settles."""
     z = np.asarray(rec.z, dtype=float)
-    if not _settled(z, SETTLE_TOL):
+    if not _settled(z):
         return None
     outside = np.nonzero(~(np.abs(z - z[-1]) <= band))[0]
     if len(outside) == len(z):

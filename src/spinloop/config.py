@@ -14,6 +14,8 @@ and, in the kicked-top loops, a loop.latency longer than kt.t_gap.
 
 A key the file leaves out takes the default of the dataclass or builder it
 feeds; [lyapunov] and [quantum] defaults live in the scenario runners.
+[lmg] takes the model's s and lambda; the [noise] section is built once,
+as loop.rotation_noise, where every scenario that reads it finds it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class ExperimentConfig:
     kt_schedule: QktSchedule | None = None
     lyapunov: dict = field(default_factory=dict)
     quantum: dict = field(default_factory=dict)
-    rotation_noise: RotationNoise | None = None
 
     def __post_init__(self) -> None:
         least = _MIN_SHOTS.get(self.kind, 1)
@@ -113,8 +114,6 @@ _SCHEMA = {
     "lmg": {
         "s": float,
         "lambda": float,
-        "alpha_lin": float,
-        "k_nl": float,
     },
     "kt": {
         "alpha": float,
@@ -328,10 +327,7 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
     lmg = None
     if "lmg" in c:
         g = {("lambda_" if k == "lambda" else k): v for k, v in c["lmg"].items()}
-        rates = g.keys() & {"alpha_lin", "k_nl"}
-        if rates and g.keys() & {"s", "lambda_"}:
-            raise ConfigError(f"{path}: lmg: give either (s, lambda) or (alpha_lin, k_nl)")
-        lmg = _build(path, "lmg", LmgParams.from_rates if rates else LmgParams, **g)
+        lmg = _build(path, "lmg", LmgParams, **g)
 
     kt = sched = None
     if "kt" in c:
@@ -354,6 +350,5 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
         kt_schedule=sched,
         lyapunov=c.get("lyapunov", {}),
         quantum=c.get("quantum", {}),
-        rotation_noise=noise,
         **{_RUN_FIELDS[k]: v for k, v in run.items() if k in _RUN_FIELDS},
     )

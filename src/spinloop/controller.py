@@ -219,15 +219,14 @@ def lmg_control(
     j_est: float,
     p,
     chi_p: float = 1.0,
-    rate_cap: float = DEFAULT_RATE_CAP,
 ) -> float:
     """Feedback z-rotation rate k_nl * clamp(m / (chi_p * j_est), -1, 1),
-    saturated at the drive-rate cap."""
+    saturated at the drive-rate cap DEFAULT_RATE_CAP."""
     if j_est <= 0:
         raise ValueError("j_est must be > 0")
     z_est = max(-1.0, min(1.0, m / (chi_p * j_est)))
     rate = p.k_nl * z_est
-    return max(-rate_cap, min(rate_cap, rate))
+    return max(-DEFAULT_RATE_CAP, min(DEFAULT_RATE_CAP, rate))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .measurement import (
     qpn_variance,
     shot_noise_variance,
 )
-from .models import KtParams, LmgParams, _tangent_basis
+from .models import KtParams, LmgParams, tilted
 from .spin_core import (
     RotationNoise,
     SphericalAngles,
@@ -59,7 +59,6 @@ class LoopConfig:
     shot: bool = False  # photon shot noise on each sample
     rotation_noise: RotationNoise | None = None
     fixed_point: FixedPointFormat | None = None  # controller arithmetic mode
-    rate_cap: float = ctl.DEFAULT_RATE_CAP
 
     def __post_init__(self) -> None:
         if self.plant_dt <= 0 or self.sample_period <= 0 or self.duration <= 0:
@@ -153,11 +152,7 @@ def _initial_vector(cfg: LoopConfig, model: MeasurementModel, rng) -> SpinVector
     # projection-noise pointing error: Gaussian tilt at a random azimuth
     tilt = pointing_uncertainty(model) * rng.standard_normal()
     chi = rng.uniform(0.0, 2.0 * math.pi)
-    e1, e2 = _tangent_basis(v)
-    axis = math.cos(chi) * e1 + math.sin(chi) * e2
-    from .spin_core import rotate
-
-    return rotate(v, SpinVector(*axis.tolist()), tilt)
+    return tilted(v, chi, tilt)
 
 
 def _kt_segments(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int]:
@@ -242,14 +237,14 @@ def run_lmg_loop(
     dt = cfg.plant_dt
 
     for k in range(n):
-        sample = measure(
+        value = measure(
             max(-1.0, min(1.0, z)), j_true[k], eff_model, cfg.sample_period, rng,
-            qpn_offset=qpn_offset, t=t[k],
+            qpn_offset=qpn_offset,
         )
-        rates[k] = ctl.lmg_control(sample.value, j_est[k], p, model.chi_p, cfg.rate_cap)
+        rates[k] = ctl.lmg_control(value, j_est[k], p, model.chi_p)
 
         xs[k], ys[k], zs[k] = x, y, z
-        ms[k] = sample.value
+        ms[k] = value
         cz[k] = applied
 
         held = sps
@@ -335,7 +330,7 @@ def _run_lmg_columns(
     for k in range(n):
         value = chi * j_true[k] * np.clip(z, -1.0, 1.0) + qpn_offset + m_sn[k]
         z_est = np.clip(value / (chi * j_est[k]), -1.0, 1.0)
-        rates[k] = np.clip(k_nl * z_est, -cfg.rate_cap, cfg.rate_cap)
+        rates[k] = np.clip(k_nl * z_est, -ctl.DEFAULT_RATE_CAP, ctl.DEFAULT_RATE_CAP)
 
         xs[:, k], ys[:, k], zs[:, k] = x, y, z
         ms[:, k] = value
@@ -423,16 +418,16 @@ def run_kt_loop(
         x, y, z = _hold_run(v, lin, n_lin, x, y, z, w_lin, detuning, ts)
         # measurement in the gap; the kick value is ready because the
         # transport delay is no longer than the gap
-        sample = measure(
+        value = measure(
             max(-1.0, min(1.0, z)), j_true[gap], eff_model, ts, rng,
-            qpn_offset=qpn_offset, t=t[gap],
+            qpn_offset=qpn_offset,
         )
-        m_norm = max(-1.0, min(1.0, sample.value / (model.chi_p * j_est[step])))
+        m_norm = max(-1.0, min(1.0, value / (model.chi_p * j_est[step])))
         kick_rate = amp * ctl.kick_angle(m_norm, p.k, cfg.fixed_point) / sched.t_kick
         x, y, z = _hold_run(v, gap, n_gap, x, y, z, 0.0, detuning, ts)
         x, y, z = _hold_run(v, kick, n_kick, x, y, z, 0.0, kick_rate + detuning, ts)
         ctl_x[lin:gap] = w_lin
-        meas[gap] = sample.value
+        meas[gap] = value
         j_col[gap:kick] = j_est[step]
         ctl_z[kick:kick + n_kick] = kick_rate
     v[n - 1] = x, y, z
@@ -451,6 +446,12 @@ def shot_rng(master_seed: int, i: int) -> np.random.Generator:
     """Independent stream for shot i, reproducible in isolation."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(i,))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def point_seed(master_seed: int, i: int) -> int:
+    """Master seed of sweep point i; its shot j draws from
+    shot_rng(point_seed(master_seed, i), j)."""
+    return master_seed + 1000 * i
 
 
 # Fewest shots for which run_batch takes the array kernel.  Below it the
@@ -473,11 +474,12 @@ def run_batch(
 
     params is one parameter set, or a list of sweep points that share the
     n_shots shots evenly: point i then runs n_shots / len(params) shots on
-    shot_rng(master_seed + 1000 i, j), and the records come back point by
-    point.  The shot-independent columns (``shared_columns``) are computed
-    once.  An LMG batch of at least ARRAY_MIN_SHOTS shots, sweep points
-    included, is one array computation (``_run_lmg_columns``); a smaller one
-    runs ``run_lmg_loop`` per shot, and the kicked top ``run_kt_loop``."""
+    shot_rng(point_seed(master_seed, i), j), and the records come back
+    point by point.  The shot-independent columns (``shared_columns``) are
+    computed once.  An LMG batch of at least ARRAY_MIN_SHOTS shots, sweep
+    points included, is one array computation (``_run_lmg_columns``); a
+    smaller one runs ``run_lmg_loop`` per shot, and the kicked top
+    ``run_kt_loop``."""
     points = params if isinstance(params, (list, tuple)) else [params]
     per, extra = divmod(n_shots, len(points))
     if per < 1 or extra:
@@ -486,7 +488,7 @@ def run_batch(
             f"{len(points)} sweep point(s)"
         )
     cols = shared_columns(cfg, model.j_collective, sched)
-    work = [(p, shot_rng(master_seed + 1000 * i, j))
+    work = [(p, shot_rng(point_seed(master_seed, i), j))
             for i, p in enumerate(points) for j in range(per)]
     if sched is not None:
         return [run_kt_loop(cfg, sched, p, model, rng, cols) for p, rng in work]

@@ -1,11 +1,11 @@
 """Polarimetry measurement model and noise-budget analysis.
 
-A measurement outcome is the sum of three terms: the mean signal
-chi_p * j * z, a projection-noise term frozen once per trajectory, and a
-photon shot-noise term whose variance falls as 1/T with the averaging
-window.  Classical projection noise (control errors, growing as atom
-number squared) enters through noisy rotations, not through this module's
-sampler.
+A measurement outcome is one float, the sum of three terms in this order:
+the mean signal chi_p * j * z, a projection-noise term frozen once per
+trajectory, and a photon shot-noise term whose variance falls as 1/T with
+the averaging window.  Classical projection noise (control errors, growing
+as atom number squared) enters through noisy rotations, not through this
+module's sampler.
 """
 
 from __future__ import annotations
@@ -48,15 +48,6 @@ class MeasurementModel:
         return self.n1_eff * self.f
 
 
-@dataclass(frozen=True)
-class MeasurementSample:
-    t: float
-    value: float
-    m_f: float | None = None
-    m_qpn: float | None = None
-    m_sn: float | None = None
-
-
 def qpn_variance(model: MeasurementModel) -> float:
     """Projection-noise variance chi_p^2 * (ratio * n1) * f/2 in signal^2
     units, for a coherent state oriented orthogonal to z."""
@@ -83,22 +74,18 @@ def measure(
     t_avg: float,
     rng,
     qpn_offset: float | None = None,
-    diagnostics: bool = False,
-    t: float = 0.0,
-) -> MeasurementSample:
-    """One measurement sample.  The projection-noise offset is frozen per
-    trajectory; pass the trajectory's value via qpn_offset, or leave None
-    to draw a fresh one (single-shot usage)."""
+) -> float:
+    """One measurement sample, m_f + qpn_offset + m_sn.  The projection-noise
+    offset is frozen per trajectory; pass the trajectory's value via
+    qpn_offset, or leave None to draw a fresh one (single-shot usage).  The
+    shot-noise term m_sn is drawn after it."""
     if abs(z_true) > 1.0 + 1e-12:
         raise ValueError("z_true must lie in [-1, 1]")
     m_f = model.chi_p * j_current * z_true
     if qpn_offset is None:
         qpn_offset = math.sqrt(qpn_variance(model)) * rng.standard_normal()
     m_sn = math.sqrt(shot_noise_variance(model, t_avg)) * rng.standard_normal()
-    value = m_f + qpn_offset + m_sn
-    if diagnostics:
-        return MeasurementSample(t, value, m_f=m_f, m_qpn=qpn_offset, m_sn=m_sn)
-    return MeasurementSample(t, value)
+    return m_f + qpn_offset + m_sn
 
 
 def noise_budget_fit(points) -> tuple[tuple[float, float, float], tuple[float, float, float]]:

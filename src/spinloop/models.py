@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spin_core
 from .spin_core import SphericalAngles, SpinVector, X_HAT
 
 
@@ -34,10 +35,6 @@ class LmgParams:
     @property
     def k_nl(self) -> float:
         return self.s * self.lambda_
-
-    @classmethod
-    def from_rates(cls, alpha_lin: float = 0.0, k_nl: float = 0.0) -> "LmgParams":
-        return cls(s=lmg_s_from_rates(alpha_lin, k_nl), lambda_=alpha_lin + k_nl)
 
 
 @dataclass(frozen=True)
@@ -112,14 +109,6 @@ def lmg_critical_s_for_pole() -> float:
     return 2.0 / 3.0
 
 
-def lmg_s_from_rates(alpha_lin: float, k_nl: float) -> float:
-    if alpha_lin < 0 or k_nl < 0:
-        raise ValueError("rates must be >= 0")
-    if alpha_lin == 0 and k_nl == 0:
-        raise ValueError("at least one rate must be nonzero")
-    return k_nl / (alpha_lin + k_nl)
-
-
 def kt_step(v: SpinVector, p: KtParams) -> SpinVector:
     """One period of the kicked-top map, written out component-wise to pin
     the sign convention:
@@ -150,6 +139,15 @@ def _tangent_basis(v: SpinVector) -> tuple[np.ndarray, np.ndarray]:
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
     return e1, e2
+
+
+def tilted(v: SpinVector, chi: float, angle: float) -> SpinVector:
+    """v rotated through angle about the tangent axis at azimuth chi,
+    cos(chi) e1 + sin(chi) e2 in the ``_tangent_basis`` of v."""
+    e1, e2 = _tangent_basis(v)
+    axis = math.cos(chi) * e1 + math.sin(chi) * e2
+    # spin_core.rotate is looked up at call time, so a patched one is used
+    return spin_core.rotate(v, SpinVector(*axis.tolist()), angle)
 
 
 def kt_jacobian(v: SpinVector, p: KtParams) -> np.ndarray:

@@ -19,14 +19,9 @@ from .analysis import (
     symmetry_stats,
 )
 from .config import ExperimentConfig
-from .loop_sim import TrajectoryRecord, run_batch, shot_rng
-from .measurement import (
-    composite_pulse_scan,
-    measure,
-    noise_budget_fit,
-    qpn_variance,
-)
-from .models import KtParams, LmgParams, _tangent_basis, kt_step
+from .loop_sim import TrajectoryRecord, point_seed, run_batch, shot_rng
+from .measurement import composite_pulse_scan, measure, noise_budget_fit
+from .models import KtParams, LmgParams, kt_step, tilted
 from .quantum import bloch_vector, qmf_step, sample_outcome, scs_state
 # bound here so the benchmark tracer (perfbench/tracing.py) can patch them
 from .quantum import expect, spin_operators  # noqa: F401
@@ -38,7 +33,7 @@ from .runio import (
     emit_trajectories,
     fmt_float,
 )
-from .spin_core import SphericalAngles, from_angles, rotate, to_angles
+from .spin_core import SphericalAngles, from_angles, to_angles
 
 
 def _emit_table(cfg: ExperimentConfig, out: Path, name: str, header: str, rows):
@@ -112,13 +107,10 @@ def _run_ssb(cfg, out):
 def _tilted_kt_ensemble(p, x0, tilt, n, rng, n_steps):
     """Ensemble of map iterates from Gaussian-tilted copies of x0; returns
     the elevation-angle series, one row per member."""
-    e1, e2 = _tangent_basis(x0)
     series = np.zeros((n, n_steps + 1))
     for i in range(n):
         chi = rng.uniform(0.0, 2.0 * math.pi)
-        t = tilt * rng.standard_normal()
-        ax = math.cos(chi) * e1 + math.sin(chi) * e2
-        v = rotate(x0, type(x0)(*ax), t)
+        v = tilted(x0, chi, tilt * rng.standard_normal())
         for k in range(n_steps + 1):
             series[i, k] = to_angles(v).theta
             v = kt_step(v, p)
@@ -159,7 +151,7 @@ def _run_ftc(cfg, out):
     for i, a in enumerate(cfg.sweep["alpha"]):
         p = KtParams(alpha=a, k=k)
         recs = run_batch(cfg.loop, p, cfg.measurement, cfg.n_shots,
-                         cfg.master_seed + 1000 * i, sched=cfg.kt_schedule)
+                         point_seed(cfg.master_seed, i), sched=cfg.kt_schedule)
         data[a] = [_strob_z(rec) for rec in recs]
     rig = ftc_rigidity(data)
     spec_rows = []
@@ -189,7 +181,7 @@ def _run_noise_budget(cfg, out):
     signal contribution scales with n1 and therefore adds an n1^2 term to
     the variance."""
     rng = shot_rng(cfg.master_seed, 0)
-    noise = cfg.rotation_noise
+    noise = cfg.loop.rotation_noise
     tilt_sigma = 0.0
     if noise is not None and noise.rabi_rate > 0:
         tilt_sigma = math.atan(noise.static_detuning_sigma / noise.rabi_rate)
@@ -198,9 +190,9 @@ def _run_noise_budget(cfg, out):
         model = replace(cfg.measurement, n1_eff=n1)
         vals = np.empty(cfg.n_shots)
         for i in range(cfg.n_shots):
-            samp = measure(0.0, model.j_collective, model, cfg.loop.sample_period, rng)
+            m = measure(0.0, model.j_collective, model, cfg.loop.sample_period, rng)
             cpn = model.chi_p * model.j_collective * tilt_sigma * rng.standard_normal()
-            vals[i] = samp.value + cpn
+            vals[i] = m + cpn
         rows.append((n1, float(np.var(vals, ddof=1))))
     coeffs, errs = noise_budget_fit(rows)
     paths = [
@@ -216,7 +208,8 @@ def _run_noise_budget(cfg, out):
 
 def _run_composite(cfg, out):
     rng = shot_rng(cfg.master_seed, 0)
-    pts = composite_pulse_scan(cfg.sweep["theta"], cfg.rotation_noise, cfg.n_shots, rng)
+    noise = cfg.loop.rotation_noise
+    pts = composite_pulse_scan(cfg.sweep["theta"], noise, cfg.n_shots, rng)
     return [_emit_table(cfg, out, "composite", "theta,variance", pts)]
 
 

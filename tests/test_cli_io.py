@@ -229,6 +229,13 @@ def test_simulate_cli_rejects_bad_config(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert "run.kind" in err["message"] and "lmg-walk" in err["message"]
+    # the model is given as (s, lambda) only; the rate form is not a key
+    for key in ("alpha_lin", "k_nl"):
+        cfgp.write_text(MINIMAL + f"{key} = 1e4\n")
+        assert simulate_main(["lmg-run", "--config", str(cfgp)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert f"lmg.{key}" in err["message"]
 
 
 def test_simulate_cli_rejects_unused_phase_noise(tmp_path, capsys):
@@ -249,7 +256,7 @@ def test_simulate_cli_rejects_unused_phase_noise(tmp_path, capsys):
         parse_config(cfgp)
     cfgp.write_text("[run]\nkind = composite-scan\nn_shots = 100\n\n[noise]\n"
                     "phase_noise_sigma = 0.01\n\n[sweep]\ntheta = 1.0\n")
-    assert parse_config(cfgp).rotation_noise.phase_noise_sigma == 0.01
+    assert parse_config(cfgp).loop.rotation_noise.phase_noise_sigma == 0.01
 
 
 @pytest.mark.filterwarnings("error")
@@ -278,7 +285,7 @@ SHIPPED = {
     "configs/composite_scan.cfg": ExperimentConfig(
         kind="composite-scan", loop=LoopConfig(rotation_noise=COMPOSITE_NOISE),
         measurement=MeasurementModel(), n_shots=500, master_seed=3,
-        out_dir="out/composite", rotation_noise=COMPOSITE_NOISE,
+        out_dir="out/composite",
         sweep={"theta": [0.785, 1.571, 2.356, 3.142, 3.927, 4.712, 5.498]},
     ),
     "configs/kt_run.cfg": ExperimentConfig(
@@ -297,7 +304,7 @@ SHIPPED = {
     "configs/noise_budget.cfg": ExperimentConfig(
         kind="noise-budget", loop=LoopConfig(rotation_noise=BUDGET_NOISE),
         measurement=MeasurementModel(sn_coeff=0.2), n_shots=5000,
-        master_seed=42, out_dir="out/budget", rotation_noise=BUDGET_NOISE,
+        master_seed=42, out_dir="out/budget",
         sweep={"n1": [1e4, 3.16e4, 1e5, 3.16e5, 1e6, 3.16e6, 1e7]},
     ),
     "configs/quantum_qmf.json": ExperimentConfig(
@@ -354,7 +361,7 @@ def test_shipped_config_values(name):
 UNREAD = {
     "lmg-run": ("[lmg]\ns = 0.7\n", "[quantum]\nj = 200\n", "quantum.j"),
     "kt-run": ("[kt]\nk = 2.5\n", "[lyapunov]\nn_steps = 10\n", "lyapunov.n_steps"),
-    "dpt-sweep": ("[sweep]\ns = 0.7\n", "[lmg]\nk_nl = 1e4\n", "lmg.k_nl"),
+    "dpt-sweep": ("[sweep]\ns = 0.7\n", "[kt]\nk = 2.5\n", "kt.k"),
     "ssb-ensemble": ("[lmg]\ns = 0.7\n", "[noise]\nrabi_rate = 4e4\n", "noise.rabi_rate"),
     "lyapunov": ("[kt]\nalpha = 1.5\nk = 2.5\n", "[loop]\nduration = 1e-3\n",
                  "loop.duration"),

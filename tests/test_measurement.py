@@ -43,19 +43,22 @@ def test_shot_noise_inverse_time():
 def test_measure_decomposition_and_mean():
     m = MeasurementModel(sn_coeff=1e-2)
     rng = np.random.default_rng(0)
-    s = measure(0.5, m.j_collective, m, 2e-6, rng, diagnostics=True)
-    assert s.value == pytest.approx(s.m_f + s.m_qpn + s.m_sn)
-    assert s.m_f == pytest.approx(0.5 * 4e6)
+    value = measure(0.5, m.j_collective, m, 2e-6, rng)
+    # replay the two draws: the projection-noise offset, then the shot noise
+    replay = np.random.default_rng(0)
+    m_qpn = math.sqrt(qpn_variance(m)) * replay.standard_normal()
+    m_sn = math.sqrt(shot_noise_variance(m, 2e-6)) * replay.standard_normal()
+    assert value == 0.5 * 4e6 + m_qpn + m_sn
     with pytest.raises(ValueError):
         measure(1.5, 4e6, m, 2e-6, rng)
 
 
 def test_measure_frozen_offset_reused():
-    m = MeasurementModel()
+    m = MeasurementModel()  # sn_coeff = 0: no shot noise
     rng = np.random.default_rng(1)
-    a = measure(0.0, m.j_collective, m, 2e-6, rng, qpn_offset=123.0, diagnostics=True)
-    b = measure(0.1, m.j_collective, m, 2e-6, rng, qpn_offset=123.0, diagnostics=True)
-    assert a.m_qpn == b.m_qpn == 123.0
+    j = m.j_collective
+    assert measure(0.0, j, m, 2e-6, rng, qpn_offset=123.0) == 123.0
+    assert measure(0.1, j, m, 2e-6, rng, qpn_offset=123.0) == 0.1 * j + 123.0
 
 
 def test_measure_variance_matches_budget():
@@ -63,7 +66,7 @@ def test_measure_variance_matches_budget():
     rng = np.random.default_rng(2)
     t_avg = 2e-6
     vals = np.array(
-        [measure(0.0, m.j_collective, m, t_avg, rng).value for _ in range(20000)]
+        [measure(0.0, m.j_collective, m, t_avg, rng) for _ in range(20000)]
     )
     want = qpn_variance(m) + shot_noise_variance(m, t_avg)
     assert np.var(vals, ddof=1) == pytest.approx(want, rel=0.05)

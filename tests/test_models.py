@@ -16,7 +16,6 @@ from spinloop.models import (
     lmg_energy,
     lmg_fixed_points,
     lmg_flow,
-    lmg_s_from_rates,
 )
 from spinloop.spin_core import SphericalAngles, SpinVector, X_HAT, from_angles, rotate
 
@@ -29,13 +28,8 @@ def test_params_split():
     p = LmgParams(s=0.3, lambda_=10.0)
     assert p.alpha_lin == pytest.approx(7.0)
     assert p.k_nl == pytest.approx(3.0)
-    q = LmgParams.from_rates(7.0, 3.0)
-    assert q.s == pytest.approx(0.3)
-    assert q.lambda_ == pytest.approx(10.0)
     with pytest.raises(ValueError):
         LmgParams(s=1.5, lambda_=1.0)
-    with pytest.raises(ValueError):
-        lmg_s_from_rates(0.0, 0.0)
 
 
 def test_fixed_points_below_bifurcation():

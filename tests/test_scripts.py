@@ -1,5 +1,7 @@
-"""Smoke test: each script in scripts/ runs end to end on tiny arguments."""
+"""Smoke test: each script in scripts/ runs end to end on tiny arguments, and
+every name the benchmark tracer patches exists."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +35,20 @@ def test_script_runs(script, args, out, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (dest if dest.suffix else dest / "manifest.json").is_file()
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # perfbench/tracing.py patches each (module, attribute) in TARGETS for a
+    # traced run; a name deleted from spinloop would crash Tracer.install
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as is
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = [
+        (modname, attr) for _, modname, attr, _ in tracing.TARGETS
+        if not callable(getattr(importlib.import_module(modname), attr, None))
+    ]
+    assert missing == []
