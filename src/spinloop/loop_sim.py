@@ -12,11 +12,12 @@ and the kicked top once per period, in the gap.  The sample times, the true
 spin length and the tracked spin length depend only on time, so
 ``shared_columns`` computes them once per ensemble and each shot reads them.
 
-The same clock lets an LMG ensemble run as one array computation:
-``_run_lmg_columns`` steps every shot (column) of a batch together, with the
-state held as arrays of one entry per column, and equals ``run_lmg_loop``
-on each shot bit for bit.  ``run_lmg_loop`` stays the one-shot path and the
-oracle the kernel is tested against; the kicked top runs shot by shot.
+The same clock lets an ensemble run as one array computation:
+``_run_lmg_columns`` and ``_run_kt_columns`` step every shot (column) of a
+batch together, with the state held as arrays of one entry per column, and
+equal ``run_lmg_loop`` and ``run_kt_loop`` on each shot bit for bit.  The
+two scalar loops stay the one-shot path and the oracles the kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -366,6 +367,27 @@ def _hold_run(v: np.ndarray, k: int, m: int, x, y, z, wx, wz, dt):
     return x, y, z
 
 
+def _kt_layout(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int]:
+    """``_kt_segments``, checked: the delay fits in the gap, every segment
+    spans a sample and the schedule fits in the duration."""
+    if cfg.latency > sched.t_gap + 1e-15:
+        raise ValueError("latency exceeds the measurement gap")
+    segs = _kt_segments(cfg, sched)
+    if min(segs) < 1:
+        raise ValueError("each kicked-top segment must span at least one sample")
+    if sched.n_steps * sum(segs) * cfg.sample_period > cfg.duration + 1e-15:
+        raise ValueError("schedule does not fit in the configured duration")
+    return segs
+
+
+def _kt_meta(p: KtParams, sched: QktSchedule, n_lin: int, n_per: int, x, y, z) -> dict:
+    n = sched.n_steps * n_per + 1
+    return {"final_state": (x, y, z), "model": "kt",
+            "params": {"alpha": p.alpha, "k": p.k, "tau": sched.period},
+            "strob_gap_idx": list(range(n_lin, n - 1, n_per)),
+            "strob_period_idx": list(range(n_per, n, n_per))}
+
+
 def run_kt_loop(
     cfg: LoopConfig,
     sched: QktSchedule,
@@ -385,15 +407,9 @@ def run_kt_loop(
     boundaries, comparable to the iterated map).  cols is
     ``shared_columns(cfg, model.j_collective, sched)``, with one tracked
     spin length per period; it is computed here when not given."""
-    if cfg.latency > sched.t_gap + 1e-15:
-        raise ValueError("latency exceeds the measurement gap")
-    n_lin, n_gap, n_kick = _kt_segments(cfg, sched)
-    if min(n_lin, n_gap, n_kick) < 1:
-        raise ValueError("each kicked-top segment must span at least one sample")
+    n_lin, n_gap, n_kick = _kt_layout(cfg, sched)
     n_per = n_lin + n_gap + n_kick
     n = sched.n_steps * n_per + 1  # final period boundary included
-    if (n - 1) * cfg.sample_period > cfg.duration + 1e-15:
-        raise ValueError("schedule does not fit in the configured duration")
 
     eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     t, j_true, j_est = cols or shared_columns(cfg, model.j_collective, sched)
@@ -432,14 +448,99 @@ def run_kt_loop(
         ctl_z[kick:kick + n_kick] = kick_rate
     v[n - 1] = x, y, z
 
-    rec = TrajectoryRecord(np.array(t), v[:, 0], v[:, 1], v[:, 2], np.array(j_true),
-                           meas, ctl_z, ctl_x, j_col)
-    rec.meta["final_state"] = (x, y, z)
-    rec.meta["model"] = "kt"
-    rec.meta["params"] = {"alpha": p.alpha, "k": p.k, "tau": sched.period}
-    rec.meta["strob_gap_idx"] = list(range(n_lin, n - 1, n_per))
-    rec.meta["strob_period_idx"] = list(range(n_per, n, n_per))
-    return rec
+    return TrajectoryRecord(np.array(t), v[:, 0], v[:, 1], v[:, 2], np.array(j_true),
+                            meas, ctl_z, ctl_x, j_col,
+                            _kt_meta(p, sched, n_lin, n_per, x, y, z))
+
+
+def _hold_run_columns(xs, ys, zs, k: int, m: int, x, y, z, wx, wz, dt):
+    """``_hold_run`` on columns: record the state in rows k .. k+m-1 of the
+    (samples, columns) arrays xs, ys, zs while holding one rate."""
+    for i in range(k, k + m):
+        xs[i], ys[i], zs[i] = x, y, z
+        x, y, z = _hold_columns(x, y, z, wx, wz, dt)
+    return x, y, z
+
+
+def _run_kt_columns(
+    cfg: LoopConfig,
+    sched: QktSchedule,
+    params: Sequence[KtParams],
+    model: MeasurementModel,
+    rngs: Sequence[np.random.Generator],
+    cols: SharedColumns,
+) -> list[TrajectoryRecord]:
+    """``run_kt_loop`` for many shots at once, equal to it bit for bit.
+
+    Column c runs params[c] on rngs[c], which it draws from in the scalar
+    loop's order: ``_shot_start``, then one normal per period for the
+    photon shot noise of the gap measurement.  Each sample is one
+    ``_hold_columns`` rotation.  The kick angle is ``kick_angle`` on Python
+    floats, once per column and period, so the fixed-point wrap stays exact
+    at any word size.  Each output column of a record is a column of one
+    (samples, columns) array: a sample is one contiguous row, and ctl_z's
+    rows between kicks are never written (three kt-sweep runs in one
+    process peaked 0.3 MB lower than with (columns, samples) arrays).
+    t, j_true and the per-period j_est column are shared, read-only."""
+    n_lin, n_gap, n_kick = _kt_layout(cfg, sched)
+    n_per = n_lin + n_gap + n_kick
+    n = sched.n_steps * n_per + 1
+    ts = cfg.sample_period
+    chi = model.chi_p
+    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
+    t, j_true, j_est = cols
+    # run_kt_loop divides by chi * j_est in floats; numpy would return inf
+    if any(chi * j == 0.0 for j in j_est):
+        raise ZeroDivisionError("float division by zero")
+
+    m = len(rngs)
+    starts = []
+    m_sn = np.empty((sched.n_steps, m))  # period-major: each gap reads one row
+    for c, rng in enumerate(rngs):
+        starts.append(_shot_start(cfg, model, rng))
+        m_sn[:, c] = rng.standard_normal(sched.n_steps)
+    m_sn *= math.sqrt(shot_noise_variance(eff_model, ts))
+    detuning, amp, v, qpn_offset = (np.array(a) for a in zip(*starts))
+    x, y, z = v.T
+    ks = [p.k for p in params]
+    w_lin = -amp * np.array([p.alpha for p in params]) / sched.t_linear
+
+    xs, ys, zs = (np.empty((n, m)) for _ in range(3))
+    meas = np.full((n, m), math.nan)
+    ctl_z = np.zeros((n, m))
+    ctl_x = np.zeros((n, m))
+    j_col = np.full(n, math.nan)
+
+    for step in range(sched.n_steps):
+        lin = step * n_per
+        gap = lin + n_lin
+        kick = gap + n_gap
+        x, y, z = _hold_run_columns(xs, ys, zs, lin, n_lin, x, y, z, w_lin, detuning, ts)
+        value = chi * j_true[gap] * np.clip(z, -1.0, 1.0) + qpn_offset + m_sn[step]
+        m_norm = np.clip(value / (chi * j_est[step]), -1.0, 1.0)
+        angle = [ctl.kick_angle(mc, kc, cfg.fixed_point)
+                 for mc, kc in zip(m_norm.tolist(), ks)]
+        kick_rate = amp * np.array(angle) / sched.t_kick
+        x, y, z = _hold_run_columns(xs, ys, zs, gap, n_gap, x, y, z, 0.0, detuning, ts)
+        x, y, z = _hold_run_columns(xs, ys, zs, kick, n_kick, x, y, z,
+                                    0.0, kick_rate + detuning, ts)
+        ctl_x[lin:gap] = w_lin
+        meas[gap] = value
+        j_col[gap:kick] = j_est[step]
+        ctl_z[kick:kick + n_kick] = kick_rate
+    xs[n - 1], ys[n - 1], zs[n - 1] = x, y, z
+
+    shared = [np.array(t), np.array(j_true), j_col]
+    for a in shared:
+        a.flags.writeable = False
+    t_col, jt_col, je_col = shared
+    return [
+        TrajectoryRecord(t_col, xs[:, c], ys[:, c], zs[:, c], jt_col, meas[:, c],
+                         ctl_z[:, c], ctl_x[:, c], je_col,
+                         _kt_meta(p, sched, n_lin, n_per,
+                                  float(x[c]), float(y[c]), float(z[c])))
+        for c, p in enumerate(params)
+    ]
 
 
 def shot_rng(master_seed: int, i: int) -> np.random.Generator:
@@ -459,6 +560,13 @@ def point_seed(master_seed: int, i: int) -> int:
 # replaces: at 750 samples the two broke even at 7-8 shots on a 2-core Xeon
 # (4 shots: 17 ms scalar, 36 ms array; 12 shots: 67 ms, 49 ms).
 ARRAY_MIN_SHOTS = 8
+# The same for the kicked top.  Its scalar loop does one rotation per sample
+# and one measurement per period, against the kernel's fixed numpy cost per
+# sample, so it breaks even later: at 601 samples between 16 and 20 shots
+# (best of 7, 2-core Xeon, scalar against array: 8 shots 7 ms, 13 ms;
+# 16 shots 13 ms, 15 ms; 20 shots 15 ms, 15 ms; 24 shots 22 ms, 19 ms;
+# 100 shots 84 ms, 21 ms).
+KT_ARRAY_MIN_SHOTS = 18
 
 
 def run_batch(
@@ -477,9 +585,10 @@ def run_batch(
     shot_rng(point_seed(master_seed, i), j), and the records come back
     point by point.  The shot-independent columns (``shared_columns``) are
     computed once.  An LMG batch of at least ARRAY_MIN_SHOTS shots, sweep
-    points included, is one array computation (``_run_lmg_columns``); a
-    smaller one runs ``run_lmg_loop`` per shot, and the kicked top
-    ``run_kt_loop``."""
+    points included, is one array computation (``_run_lmg_columns``), and
+    so is a kicked-top batch of at least KT_ARRAY_MIN_SHOTS
+    (``_run_kt_columns``); a smaller one runs ``run_lmg_loop`` or
+    ``run_kt_loop`` per shot."""
     points = params if isinstance(params, (list, tuple)) else [params]
     per, extra = divmod(n_shots, len(points))
     if per < 1 or extra:
@@ -491,7 +600,10 @@ def run_batch(
     work = [(p, shot_rng(point_seed(master_seed, i), j))
             for i, p in enumerate(points) for j in range(per)]
     if sched is not None:
-        return [run_kt_loop(cfg, sched, p, model, rng, cols) for p, rng in work]
+        if n_shots < KT_ARRAY_MIN_SHOTS:
+            return [run_kt_loop(cfg, sched, p, model, rng, cols) for p, rng in work]
+        ps, rngs = zip(*work)
+        return _run_kt_columns(cfg, sched, ps, model, rngs, cols)
     if n_shots < ARRAY_MIN_SHOTS:
         return [run_lmg_loop(cfg, p, model, rng, cols) for p, rng in work]
     ps, rngs = zip(*work)

@@ -132,12 +132,19 @@ def kt_step(v: SpinVector, p: KtParams) -> SpinVector:
 
 
 def _tangent_basis(v: SpinVector) -> tuple[np.ndarray, np.ndarray]:
-    n = np.array(v.as_tuple())
+    """Unit tangent e1 = seed x v / |seed x v| and e2 = v x e1.  The cross
+    products are np.cross written out term for term, the seed's zero terms
+    included, so signed zeros come out alike; the length is np.linalg.norm,
+    which no plain-float sum matched in every case."""
+    x, y, z = v.x, v.y, v.z
     # seed axis chosen away from v to keep the chart well conditioned
-    seed = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(seed, n)
+    if abs(z) < 0.9:  # seed (0, 0, 1)
+        e1 = np.array((0.0 * z - 1.0 * y, 1.0 * x - 0.0 * z, 0.0 * y - 0.0 * x))
+    else:  # seed (1, 0, 0)
+        e1 = np.array((0.0 * z - 0.0 * y, 0.0 * x - 1.0 * z, 1.0 * y - 0.0 * x))
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    a, b, c = e1.tolist()
+    e2 = np.array((y * c - z * b, z * a - x * c, x * b - y * a))
     return e1, e2
 
 

@@ -19,7 +19,7 @@ from .analysis import (
     symmetry_stats,
 )
 from .config import ExperimentConfig
-from .loop_sim import TrajectoryRecord, point_seed, run_batch, shot_rng
+from .loop_sim import TrajectoryRecord, run_batch, shot_rng
 from .measurement import composite_pulse_scan, measure, noise_budget_fit
 from .models import KtParams, LmgParams, kt_step, tilted
 from .quantum import bloch_vector, qmf_step, sample_outcome, scs_state
@@ -144,15 +144,16 @@ def _strob_z(rec):
 
 
 def _run_ftc(cfg, out):
+    # every shot of every sweep point in one batch, so one array computation
     k = cfg.kt.k
-    data = {}
-    # one batch per point, on run_batch's sweep streams: the kicked top runs
-    # shot by shot, so stacking the points would only hold more records
-    for i, a in enumerate(cfg.sweep["alpha"]):
-        p = KtParams(alpha=a, k=k)
-        recs = run_batch(cfg.loop, p, cfg.measurement, cfg.n_shots,
-                         point_seed(cfg.master_seed, i), sched=cfg.kt_schedule)
-        data[a] = [_strob_z(rec) for rec in recs]
+    alphas = cfg.sweep["alpha"]
+    n = cfg.n_shots
+    batch = run_batch(cfg.loop, [KtParams(alpha=a, k=k) for a in alphas],
+                      cfg.measurement, n * len(alphas), cfg.master_seed,
+                      sched=cfg.kt_schedule)
+    data = {a: [_strob_z(rec) for rec in batch[i * n:(i + 1) * n]]
+            for i, a in enumerate(alphas)}
+    del batch  # the records are done with; free them before the analysis
     rig = ftc_rigidity(data)
     spec_rows = []
     for a in sorted(data):

@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinloop.analysis import order_parameters
+from spinloop.analysis import ftc_rigidity, order_parameters
 from spinloop.cli import analyze_main, simulate_main
 from spinloop.config import SCENARIOS, ConfigError, ExperimentConfig, parse_config
 from spinloop.controller import FixedPointFormat, QktSchedule
 from spinloop.loop_sim import (
     ARRAY_MIN_SHOTS,
+    KT_ARRAY_MIN_SHOTS,
     LoopConfig,
+    point_seed,
     run_batch,
+    run_kt_loop,
     run_lmg_loop,
+    shared_columns,
     shot_rng,
 )
 from spinloop.measurement import MeasurementModel
@@ -141,6 +145,76 @@ def test_dpt_sweep_stacks_points(tmp_path):
         rows.append((p.s, z_inf, czz_inf, np.std(tails, ddof=1) / math.sqrt(3)))
     want = emit_csv(tmp_path / "want.csv", "s,z_inf,czz_inf,stderr", rows)
     assert (out / "order_parameters.csv").read_bytes() == want.read_bytes()
+
+
+# 3 points x 6 shots; fixed-point decay tracker, projection and photon shot
+# noise, and per-shot rotation noise
+FTC_SWEEP = (
+    "[run]\nkind = ftc-sweep\nn_shots = 6\nseed = 11\n\n"
+    "[loop]\nlatency = 4e-6\nduration = 8e-4\nqpn = true\nshot = true\n"
+    "fixed_point = true\nword_bits = 24\nint_bits = 6\ndecay_half_time = 2e-4\n\n"
+    "[measurement]\nsn_coeff = 0.2\n\n"
+    "[noise]\nstatic_detuning_sigma = 300\namplitude_error_sigma = 0.01\n\n"
+    "[kt]\nk = 2.7\nn_steps = 16\n\n[sweep]\nalpha = 2.9 3.14 3.3\n"
+)
+
+
+def test_ftc_sweep_stacks_points(tmp_path):
+    # the 18 shots run as one array batch; shot j of point i must be the
+    # lone loop on shot_rng(point_seed(seed, i), j), and both tables the
+    # per-point computation
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(FTC_SWEEP)
+    out = tmp_path / "o"
+    assert simulate_main(["ftc-sweep", "--config", str(cfgp), "--out", str(out)]) == 0
+    cfg = parse_config(cfgp)
+    points = [KtParams(alpha=a, k=2.7) for a in cfg.sweep["alpha"]]
+    assert 18 >= KT_ARRAY_MIN_SHOTS
+    stacked = run_batch(cfg.loop, points, cfg.measurement, 18, 11, sched=cfg.kt_schedule)
+    data = {}
+    for i, p in enumerate(points):
+        recs = [run_kt_loop(cfg.loop, cfg.kt_schedule, p, cfg.measurement,
+                            shot_rng(point_seed(11, i), j)) for j in range(6)]
+        for j, rec in enumerate(recs):
+            assert stacked[6 * i + j].column_stack().tobytes() == rec.column_stack().tobytes()
+            assert stacked[6 * i + j].meta == rec.meta
+        data[p.alpha] = [[float(rec.z[k]) for k in [0, *rec.meta["strob_period_idx"]]]
+                         for rec in recs]
+    rig = ftc_rigidity(data)
+    alphas = sorted(data)
+    rows = [(a, f, pw) for a in alphas for f, pw in zip(*rig["psd"][a])]
+    want = emit_csv(tmp_path / "spectra.csv", "alpha,frequency,power", rows)
+    assert (out / "spectra.csv").read_bytes() == want.read_bytes()
+    want = emit_json(tmp_path / "rigidity.json", {
+        "schema_version": 1,
+        "k": 2.7,
+        "dominant": {fmt_float(a): rig["dominant"][a] for a in alphas},
+        "period2_power": {fmt_float(a): rig["period2_power"][a] for a in alphas},
+        "rigidity_window": rig["rigidity_window"],
+        "window_edges": rig["window_edges"],
+    })
+    assert (out / "rigidity.json").read_bytes() == want.read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_ftc_sweep_reports_zero_tracked_length(tmp_path, capsys):
+    # a fast fixed-point decay rounds the tracked spin length to 0 after a
+    # few periods: the scalar loop and the array kernel fail alike, and
+    # simulate reports one runtime error with no numpy warning
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(FTC_SWEEP.replace("decay_half_time = 2e-4", "decay_half_time = 5e-6"))
+    cfg = parse_config(cfgp)
+    j_est = shared_columns(cfg.loop, cfg.measurement.j_collective, cfg.kt_schedule)[2]
+    assert j_est[0] > 0.0 and j_est[-1] == 0.0
+    for n in (KT_ARRAY_MIN_SHOTS - 1, KT_ARRAY_MIN_SHOTS):
+        with pytest.raises(ZeroDivisionError):
+            run_batch(cfg.loop, KtParams(alpha=3.0, k=2.7), cfg.measurement, n, 11,
+                      sched=cfg.kt_schedule)
+    assert simulate_main(["ftc-sweep", "--config", str(cfgp),
+                          "--out", str(tmp_path / "o")]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr)["error"] == "runtime"
 
 
 def test_missing_required_section(tmp_path):

@@ -8,7 +8,9 @@ from spinloop import loop_sim
 from spinloop.controller import FixedPointFormat, decay_estimate, lmg_control, qkt_schedule
 from spinloop.loop_sim import (
     ARRAY_MIN_SHOTS,
+    KT_ARRAY_MIN_SHOTS,
     LoopConfig,
+    _run_kt_columns,
     _run_lmg_columns,
     latency_metric,
     run_batch,
@@ -324,18 +326,58 @@ def test_array_kernel_matches_scalar_loop(latency, fixed_point, noise):
         assert moved.z[1] != moved.z[0]
 
 
+@pytest.mark.parametrize("latency", [0.0, 2e-6, 4e-6])
+@pytest.mark.parametrize("word_bits", [None, 24, 64])
+@pytest.mark.parametrize("noise", [None, KERNEL_NOISE])
+def test_kt_array_kernel_matches_scalar_loop(latency, word_bits, noise):
+    # float arithmetic, or a fixed-point decay tracker; a 64-bit word needs
+    # products wider than numpy int64
+    fmt = FixedPointFormat(word_bits=word_bits, int_bits=6) if word_bits else None
+    cfg = LoopConfig(latency=latency, duration=3e-4, qpn=True, shot=True,
+                     decay_half_time=1e-4 if fmt else None, fixed_point=fmt,
+                     rotation_noise=noise, initial_state=SphericalAngles(2.0, 1.0))
+    model = replace(MODEL, sn_coeff=0.2)
+    cols = shared_columns(cfg, model.j_collective, KT_SCHED)
+    # k = 0 makes the kick rate exactly zero
+    for n in (1, KT_ARRAY_MIN_SHOTS - 1, KT_ARRAY_MIN_SHOTS + 1):
+        params = [KtParams(alpha=(1.0, math.pi / 2.0)[c // 2 % 2], k=(0.0, 2.7)[c % 2])
+                  for c in range(n)]
+        recs = _run_kt_columns(cfg, KT_SCHED, params, model,
+                               [shot_rng(3, c) for c in range(n)], cols)
+        for c, (p, rec) in enumerate(zip(params, recs)):
+            assert _same_record(rec, run_kt_loop(cfg, KT_SCHED, p, model, shot_rng(3, c)))
+    if noise is None:
+        # the kick sample of the first period, and the period boundary after it
+        still, moved = recs[0], recs[1]
+        kick = still.meta["strob_period_idx"][0] - 1
+        assert still.ctl_z[kick] == 0.0 and moved.ctl_z[kick] != 0.0
+        assert ([still.x[kick + 1], still.y[kick + 1], still.z[kick + 1]]
+                == [still.x[kick], still.y[kick], still.z[kick]])
+        assert moved.x[kick + 1] != moved.x[kick]
+
+
 def test_batch_takes_array_kernel_from_threshold(monkeypatch):
     cfg, model = BATCH_CASES[1]
     want = [run_lmg_loop(cfg, LMG07, model, shot_rng(5, i)) for i in range(ARRAY_MIN_SHOTS)]
+    kt_cfg, kt_model = KT_BATCH_CASES[1]
+    kt_want = [run_kt_loop(kt_cfg, KT_SCHED, KT25, kt_model, shot_rng(5, i))
+               for i in range(KT_ARRAY_MIN_SHOTS)]
 
     def no_scalar(*args, **kwargs):
-        raise AssertionError("run_lmg_loop called")
+        raise AssertionError("scalar loop called")
 
     monkeypatch.setattr(loop_sim, "run_lmg_loop", no_scalar)
+    monkeypatch.setattr(loop_sim, "run_kt_loop", no_scalar)
     recs = run_batch(cfg, LMG07, model, ARRAY_MIN_SHOTS, master_seed=5)
     assert all(_same_record(a, b) for a, b in zip(recs, want))
-    with pytest.raises(AssertionError, match="run_lmg_loop called"):
+    with pytest.raises(AssertionError, match="scalar loop called"):
         run_batch(cfg, LMG07, model, ARRAY_MIN_SHOTS - 1, master_seed=5)
+    recs = run_batch(kt_cfg, KT25, kt_model, KT_ARRAY_MIN_SHOTS, master_seed=5,
+                     sched=KT_SCHED)
+    assert all(_same_record(a, b) for a, b in zip(recs, kt_want))
+    with pytest.raises(AssertionError, match="scalar loop called"):
+        run_batch(kt_cfg, KT25, kt_model, KT_ARRAY_MIN_SHOTS - 1, master_seed=5,
+                  sched=KT_SCHED)
 
 
 def test_batch_sweep_points_stack():

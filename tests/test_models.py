@@ -149,3 +149,28 @@ def test_kt_jacobian_matches_finite_differences():
             cols.append([f1 @ d, f2 @ d])
         fd = np.array(cols).T
         assert np.allclose(kt_jacobian(v, p), fd, atol=1e-5)
+
+
+def _np_cross_basis(v):
+    # the np.cross form the written-out basis must equal bit for bit
+    n = np.array(v.as_tuple())
+    seed = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(seed, n)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(n, e1)
+
+
+def test_tangent_basis_matches_np_cross():
+    from spinloop.models import _tangent_basis
+
+    rng = np.random.default_rng(5)
+    vs = rng.standard_normal((2000, 3))
+    vs /= np.linalg.norm(vs, axis=1)[:, None]
+    # both seed branches, and the axes whose products carry signed zeros
+    axes = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
+            (-0.0, 0.0, -1.0)]
+    for n in [*vs.tolist(), *axes]:
+        v = SpinVector(*n)
+        got = _tangent_basis(v)
+        want = _np_cross_basis(v)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), n
