@@ -25,7 +25,13 @@ from .config import SCENARIOS, ConfigError, parse_config
 from .runio import emit_csv, emit_json, read_trajectory_csv
 from .scenarios import run_scenario
 
-ANALYZE_KINDS = ("symmetry", "order", "tdd", "spectrum")
+# each analyze kind and the trajectory columns it reads, the only ones parsed
+ANALYZE_COLUMNS = {
+    "symmetry": ("t", "z", "meas"),
+    "order": ("t", "z"),
+    "tdd": ("t", "z"),
+    "spectrum": ("t", "z"),
+}
 
 
 def _fail(kind: str, message: str) -> int:
@@ -60,10 +66,10 @@ def simulate_main(argv=None) -> int:
     return 0
 
 
-def _load_records(paths):
+def _load_records(paths, columns):
     recs = []
     for p in paths:
-        recs.extend(read_trajectory_csv(p))
+        recs.extend(read_trajectory_csv(p, columns))
     if not recs:
         raise ValueError("no trajectories found in the input files")
     return recs
@@ -73,15 +79,13 @@ def analyze_main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="analyze", description="Post-process trajectory files."
     )
-    ap.add_argument("kind", choices=ANALYZE_KINDS)
+    ap.add_argument("kind", choices=tuple(ANALYZE_COLUMNS))
     ap.add_argument("--in", dest="inputs", nargs="+", required=True)
     ap.add_argument("--out", default=".")
     ap.add_argument("--emit", choices=("csv", "json"), default="json")
     args = ap.parse_args(argv)
     try:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        recs = _load_records(args.inputs)
+        recs = _load_records(args.inputs, ANALYZE_COLUMNS[args.kind])
         if args.kind == "symmetry":
             stats = symmetry_stats(recs)
             result = {
@@ -112,6 +116,9 @@ def analyze_main(argv=None) -> int:
             rows = [(i, s.entropy, s.dominant_frequency)
                     for i, s in enumerate(summaries)]
             header = "shot,entropy,dominant_frequency"
+        # made only now, so a failed read or analysis leaves no directory
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         if args.emit == "json":
             emit_json(out / f"{args.kind}.json", result)
         else:

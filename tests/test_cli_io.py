@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinloop.analysis import ftc_rigidity, order_parameters
+from spinloop.analysis import (
+    extract_tdd,
+    ftc_rigidity,
+    order_parameters,
+    spectral_entropy,
+    symmetry_stats,
+)
 from spinloop.cli import analyze_main, simulate_main
 from spinloop.config import SCENARIOS, ConfigError, ExperimentConfig, parse_config
 from spinloop.controller import FixedPointFormat, QktSchedule
@@ -15,6 +21,7 @@ from spinloop.loop_sim import (
     ARRAY_MIN_SHOTS,
     KT_ARRAY_MIN_SHOTS,
     LoopConfig,
+    TrajectoryRecord,
     point_seed,
     run_batch,
     run_kt_loop,
@@ -271,6 +278,123 @@ def test_trajectory_round_trip(tmp_path):
         assert np.array_equal(a.column_stack(), b.column_stack())
 
 
+def _reference_trajectories(path, records):
+    # the writer as it was before the text cache: every value of every row
+    # through one "%.17g" row format
+    with open(path, "w") as fh:
+        fh.write(TRAJECTORY_HEADER + "\n")
+        for rec in records:
+            for row in rec.column_stack().tolist():
+                fh.write(",".join(["%.17g"] * len(row)) % tuple(row) + "\n")
+    return path
+
+
+def _quantum_records(tmp_path, monkeypatch):
+    # the records the quantum-qmf runner hands to emit_trajectories
+    import spinloop.scenarios as scenarios
+
+    seen = []
+    real = scenarios.emit_trajectories
+
+    def capture(path, records):
+        seen.extend(records)
+        return real(path, records)
+
+    monkeypatch.setattr(scenarios, "emit_trajectories", capture)
+    cfgp = tmp_path / "q.json"
+    cfgp.write_text(json.dumps({
+        "run": {"kind": "quantum-qmf", "n_shots": "3", "seed": "41"},
+        "loop": {"theta0": "0.4"},
+        "lmg": {"s": "0.7", "lambda": "1.3089969389957471e5"},
+        "quantum": {"j": "10", "sigma": "3", "dt": "2e-6", "n_steps": "12"},
+    }))
+    assert simulate_main(["quantum-qmf", "--config", str(cfgp),
+                          "--out", str(tmp_path / "q")]) == 0
+    return seen
+
+
+def _edge_records():
+    # signed zeros, NaN and infinities, and an int64 column whose bytes are
+    # those of a float64 column: only the dtype tells the two texts apart
+    f = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 0.1, 2.0**60])
+    i = f.view(np.int64)
+    n = len(f)
+    t = np.arange(n, dtype=float)
+    col = lambda v: np.full(n, v)  # noqa: E731
+    return [
+        TrajectoryRecord(t, f, col(-0.0), col(math.nan), f, i, col(math.inf), i, f),
+        TrajectoryRecord(t.copy(), i, f.copy(), col(-math.inf), i, f, col(-0.0), f, i),
+        TrajectoryRecord(t, [0.5] * n, f.tolist(), col(1e-320), f, i.copy(), f, i, f),
+    ]
+
+
+TRAJECTORY_CASES = ("lmg-array", "lmg-scalar", "kt-array", "quantum", "edge")
+
+
+@pytest.mark.parametrize("case", TRAJECTORY_CASES)
+def test_emit_trajectories_matches_per_row_format(tmp_path, monkeypatch, case):
+    lmg_cfg = LoopConfig(duration=1e-4, qpn=True, shot=True,
+                         rotation_noise=RotationNoise(amplitude_error_sigma=0.01))
+    kt_cfg = LoopConfig(latency=2e-6, duration=2.2e-4, qpn=True)
+    model = MeasurementModel(sn_coeff=0.2)
+    lmg = LmgParams(s=0.7, lambda_=1e5)
+    if case == "lmg-array":
+        recs = run_batch(lmg_cfg, lmg, model, ARRAY_MIN_SHOTS, 4)
+        assert recs[0].t is recs[1].t
+    elif case == "lmg-scalar":
+        # equal shared columns, but one array object per shot
+        recs = run_batch(LoopConfig(duration=1e-4, qpn=True), lmg, model, 3, 4)
+        assert recs[0].t is not recs[1].t
+    elif case == "kt-array":
+        sched = QktSchedule(40e-6, 6e-6, 2e-6, 4)
+        recs = run_batch(kt_cfg, KtParams(alpha=2.9, k=2.7), model,
+                         KT_ARRAY_MIN_SHOTS, 4, sched=sched)
+        assert np.isnan(recs[0].meas).any()
+    elif case == "quantum":
+        recs = _quantum_records(tmp_path, monkeypatch)
+        assert len(recs) == 3
+    else:
+        recs = _edge_records()
+    path, offsets = emit_trajectories(tmp_path / "t.csv", recs)
+    want = _reference_trajectories(tmp_path / "want.csv", recs)
+    assert path.read_bytes() == want.read_bytes()
+    assert offsets == [sum(len(r.t) for r in recs[:k]) for k in range(len(recs))]
+
+
+SUBSETS = ((), ("z",), ("t", "z"), ("t", "z", "meas"), ("ctl_x", "x", "j_est"),
+           TrajectoryRecord.COLUMNS)
+
+
+@pytest.mark.parametrize("columns", SUBSETS)
+def test_read_trajectory_subset(tmp_path, columns):
+    recs = run_batch(LoopConfig(duration=5e-5, qpn=True), LmgParams(s=0.7, lambda_=1e5),
+                     MeasurementModel(), 3, 1)
+    path, _ = emit_trajectories(tmp_path / "t.csv", recs)
+    full = read_trajectory_csv(path)
+    part = read_trajectory_csv(path, columns)
+    assert len(part) == len(full) == 3
+    for a, b in zip(full, part):
+        for name in TrajectoryRecord.COLUMNS:
+            got = getattr(b, name)
+            if name == "t" or name in columns:
+                assert np.array_equal(got, getattr(a, name))
+            else:
+                assert got is None
+
+
+def test_partial_record_is_refused(tmp_path):
+    path, _ = emit_trajectories(tmp_path / "t.csv", run_batch(
+        LoopConfig(duration=5e-5), LmgParams(s=0.7, lambda_=1e5), MeasurementModel(), 2, 1))
+    with pytest.raises(ValueError, match="nope"):
+        read_trajectory_csv(path, ("z", "nope"))
+    part = read_trajectory_csv(path, ("t", "z", "meas"))
+    with pytest.raises(ValueError, match="column x"):
+        part[0].column_stack()
+    with pytest.raises(ValueError, match="column x"):
+        emit_trajectories(tmp_path / "again.csv", part)
+    assert not (tmp_path / "again.csv").exists()
+
+
 def test_simulate_cli_end_to_end(tmp_path):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(MINIMAL + "\n[loop]\nduration = 1e-4\nqpn = true\n")
@@ -515,6 +639,66 @@ def test_analyze_cli(tmp_path):
     assert analyze_main(["spectrum", "--in", str(out / "trajectories.csv"),
                          "--out", str(an), "--emit", "csv"]) == 0
     assert (an / "spectrum.csv").exists()
+
+
+def _analysis_of(kind, recs):
+    # what each kind reports, computed from fully read records
+    nan = float("nan")
+    if kind == "symmetry":
+        stats = symmetry_stats(recs)
+        result = {k: stats[k] for k in ("upper_fraction", "initial_final_correlation",
+                                        "tdd_list")}
+        return result, "shot,tdd", [(i, nan if t is None else t)
+                                    for i, t in enumerate(stats["tdd_list"])]
+    if kind == "order":
+        z_inf, czz_inf = order_parameters(recs)
+        return {"z_inf": z_inf, "czz_inf": czz_inf}, "z_inf,czz_inf", [(z_inf, czz_inf)]
+    if kind == "tdd":
+        tdd = [extract_tdd(rec) for rec in recs]
+        return {"tdd_list": tdd}, "shot,tdd", [(i, nan if t is None else t)
+                                               for i, t in enumerate(tdd)]
+    spec = [spectral_entropy(rec.z) for rec in recs]
+    return ({"entropy": [s.entropy for s in spec],
+             "dominant_frequency": [s.dominant_frequency for s in spec]},
+            "shot,entropy,dominant_frequency",
+            [(i, s.entropy, s.dominant_frequency) for i, s in enumerate(spec)])
+
+
+@pytest.mark.parametrize("kind", ["symmetry", "order", "tdd", "spectrum"])
+def test_analyze_kind_matches_full_read(tmp_path, kind):
+    # each kind parses only its columns; its outputs must be those of the
+    # analysis functions on every column
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(MINIMAL + "\n[loop]\nduration = 3e-4\nqpn = true\n")
+    out = tmp_path / "o"
+    assert simulate_main(["lmg-run", "--config", str(cfgp), "--shots", "4",
+                          "--seed", "3", "--out", str(out)]) == 0
+    csv = out / "trajectories.csv"
+    full = read_trajectory_csv(csv)
+    # two inputs: the records of both files, in order
+    assert analyze_main([kind, "--in", str(csv), str(csv), "--out", str(tmp_path / "j")]) == 0
+    result, _, _ = _analysis_of(kind, full + full)
+    want = emit_json(tmp_path / "want.json", result)
+    assert (tmp_path / "j" / f"{kind}.json").read_bytes() == want.read_bytes()
+    assert analyze_main([kind, "--in", str(csv), "--out", str(tmp_path / "c"),
+                         "--emit", "csv"]) == 0
+    _, header, rows = _analysis_of(kind, full)
+    want = emit_csv(tmp_path / "want.csv", header, rows)
+    assert (tmp_path / "c" / f"{kind}.csv").read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["missing", "header"])
+def test_analyze_failed_read_leaves_no_directory(tmp_path, capsys, bad):
+    src = tmp_path / "t.csv"
+    if bad == "header":
+        src.write_text("t,x,y\n0,1,2\n")
+    out = tmp_path / "d"
+    assert analyze_main(["symmetry", "--in", str(src), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime"
+    if bad == "header":
+        assert "unexpected header" in err["message"]
+    assert not out.exists()
 
 
 def test_analyze_cli_missing_input(tmp_path, capsys):
