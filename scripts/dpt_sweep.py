@@ -6,7 +6,6 @@ around the expected threshold at s = 2/3 and writes order_parameters.csv.
 """
 
 import argparse
-import math
 
 from spinloop.config import ExperimentConfig
 from spinloop.loop_sim import LoopConfig

@@ -82,7 +82,10 @@ def _as_bool(s: str) -> bool:
 
 
 def _as_float_list(s: str) -> list[float]:
-    return [float(tok) for tok in s.replace(",", " ").split()]
+    values = [float(tok) for tok in s.replace(",", " ").split()]
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
 
 
 def _as_optional_float(s: str) -> float | None:

@@ -18,6 +18,11 @@ batch together, with the state held as arrays of one entry per column, and
 equal ``run_lmg_loop`` and ``run_kt_loop`` on each shot bit for bit.  The
 two scalar loops stay the one-shot path and the oracles the kernels are
 tested against.
+
+What is not per-sample physics is written once: ``_column_start`` makes
+a kernel's draws in the scalar stream order, ``_column_records`` builds its
+records, ``_hold_run`` records a held rate on either path, and
+``_kt_layout`` splits a kicked-top period into samples.
 """
 
 from __future__ import annotations
@@ -105,7 +110,7 @@ class TrajectoryRecord:
 
     def __post_init__(self) -> None:
         n = len(self.t)
-        for name in ("x", "y", "z", "j_true", "meas", "ctl_z", "ctl_x", "j_est"):
+        for name in self.COLUMNS[1:]:
             col = getattr(self, name)
             if col is not None and len(col) != n:
                 raise ValueError(f"column {name} length mismatch")
@@ -167,13 +172,57 @@ def _initial_vector(cfg: LoopConfig, model: MeasurementModel, rng) -> SpinVector
     return tilted(v, chi, tilt)
 
 
-def _kt_segments(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int]:
-    """Samples in the linear, gap and kick segments of one kicked-top period."""
-    return (
-        round(sched.t_linear / cfg.sample_period),
-        round(sched.t_gap / cfg.sample_period),
-        round(sched.t_kick / cfg.sample_period),
-    )
+def _column_start(cfg: LoopConfig, model: MeasurementModel, rngs, n_meas: int):
+    """The per-shot draws of an array kernel, column c from rngs[c] in the
+    scalar loop's stream order: ``_shot_start``, then one photon shot-noise
+    normal for each of the n_meas measurements.  Returns the detuning,
+    amplitude factor, initial x, y, z and QPN offset, one entry per column,
+    and the scaled noise as an (n_meas, columns) array, so each measurement
+    reads one row."""
+    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
+    starts = []
+    noise = np.empty((n_meas, len(rngs)))
+    for c, rng in enumerate(rngs):
+        starts.append(_shot_start(cfg, model, rng))
+        noise[:, c] = rng.standard_normal(n_meas)
+    noise *= math.sqrt(shot_noise_variance(eff_model, cfg.sample_period))
+    detuning, amp, v, qpn_offset = (np.array(a) for a in zip(*starts))
+    x, y, z = v.T
+    return detuning, amp, x, y, z, qpn_offset, noise
+
+
+def _column_records(t, j_true, j_est, xs, ys, zs, meas, ctl_z, ctl_x, metas):
+    """One record per column of the (samples, columns) arrays, column c with
+    metas[c]; every record shares one read-only t, j_true and j_est.
+
+    A sample is one contiguous row of each array: 100 ``ssb_ensemble.cfg``
+    shots ran in 36 ms against 42-48 ms with (columns, samples) arrays (best
+    of 7, 2-core Xeon), and three kt-sweep runs, whose ctl_z rows between
+    kicks are never written, peaked 0.3 MB lower."""
+    shared = [np.array(a) for a in (t, j_true, j_est)]
+    for a in shared:
+        a.flags.writeable = False
+    t, j_true, j_est = shared
+    return [
+        TrajectoryRecord(t, xs[:, c], ys[:, c], zs[:, c], j_true, meas[:, c],
+                         ctl_z[:, c], ctl_x[:, c], j_est, meta)
+        for c, meta in enumerate(metas)
+    ]
+
+
+def _kt_layout(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int]:
+    """Samples in the linear, gap and kick segments of one kicked-top
+    period, checked: the delay fits in the gap, every segment spans a sample
+    and the schedule fits in the duration."""
+    if cfg.latency > sched.t_gap + 1e-15:
+        raise ValueError("latency exceeds the measurement gap")
+    segs = tuple(round(t / cfg.sample_period)
+                 for t in (sched.t_linear, sched.t_gap, sched.t_kick))
+    if min(segs) < 1:
+        raise ValueError("each kicked-top segment must span at least one sample")
+    if sched.n_steps * sum(segs) * cfg.sample_period > cfg.duration + 1e-15:
+        raise ValueError("schedule does not fit in the configured duration")
+    return segs
 
 
 # sample times, true spin length, tracked spin length
@@ -197,7 +246,7 @@ def shared_columns(
         n = cfg.n_samples
         meas_idx = range(n)
     else:
-        n_lin, n_gap, n_kick = _kt_segments(cfg, sched)
+        n_lin, n_gap, n_kick = _kt_layout(cfg, sched)
         n_per = n_lin + n_gap + n_kick
         n = sched.n_steps * n_per + 1  # final period boundary included
         meas_idx = range(n_lin, n - 1, n_per)
@@ -308,34 +357,21 @@ def _run_lmg_columns(
 ) -> list[TrajectoryRecord]:
     """``run_lmg_loop`` for many shots at once, equal to it bit for bit.
 
-    Column c runs params[c] on rngs[c], which it draws from in the scalar
-    loop's order: ``_shot_start``, then one normal per sample for the photon
-    shot noise.  The state is one array entry per column and each sample is
-    at most two ``_hold_columns`` rotations, at the offsets every column
-    shares.  Each output column of a record is a column of one
-    (samples, columns) array, so a sample is one contiguous row (100
-    ``ssb_ensemble.cfg`` shots ran in 36 ms against 42-48 ms with
-    (columns, samples) arrays, best of 7 on a 2-core Xeon); t, j_true and
-    j_est are shared, read-only."""
+    Column c runs params[c] on rngs[c], with one shot-noise normal per
+    sample (``_column_start``).  The state is one array entry per column and
+    each sample is at most two ``_hold_columns`` rotations, at the offsets
+    every column shares."""
     n = cfg.n_samples
     sps = cfg.steps_per_sample
     d, r = divmod(cfg.latency_steps, sps)
     dt = cfg.plant_dt
     chi = model.chi_p
-    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     t, j_true, j_est = cols
     if j_est and min(j_est) <= 0.0:
         raise ValueError("j_est must be > 0")  # as lmg_control
 
     m = len(rngs)
-    starts = []
-    m_sn = np.empty((n, m))  # sample-major: each sample reads one row
-    for c, rng in enumerate(rngs):
-        starts.append(_shot_start(cfg, model, rng))
-        m_sn[:, c] = rng.standard_normal(n)
-    m_sn *= math.sqrt(shot_noise_variance(eff_model, cfg.sample_period))
-    detuning, amp, v, qpn_offset = (np.array(a) for a in zip(*starts))
-    x, y, z = v.T
+    detuning, amp, x, y, z, qpn_offset, m_sn = _column_start(cfg, model, rngs, n)
     k_nl = np.array([p.k_nl for p in params])
     wx = amp * np.array([p.alpha_lin for p in params])
 
@@ -359,39 +395,22 @@ def _run_lmg_columns(
             applied = rates[k - d]
         x, y, z = _hold_columns(x, y, z, wx, amp * applied + detuning, held * dt)
 
-    shared = [np.array(a) for a in cols]
-    for a in shared:
-        a.flags.writeable = False
-    t_col, jt_col, je_col = shared
-    return [
-        TrajectoryRecord(t_col, xs[:, c], ys[:, c], zs[:, c], jt_col, ms[:, c],
-                         cz[:, c], np.full(n, wx[c]), je_col,
-                         _lmg_meta(p, float(x[c]), float(y[c]), float(z[c])))
-        for c, p in enumerate(params)
-    ]
+    # the drive is constant in a shot: each column's ctl_x repeats wx[c]
+    return _column_records(t, j_true, j_est, xs, ys, zs, ms, cz,
+                           np.broadcast_to(wx, (n, m)),
+                           [_lmg_meta(p, float(x[c]), float(y[c]), float(z[c]))
+                            for c, p in enumerate(params)])
 
 
-def _hold_run(v: np.ndarray, k: int, m: int, x, y, z, wx, wz, dt):
-    """Record the state in rows k .. k+m-1 of v while holding one rate,
-    advancing by one exact rotation of dt per row; returns the state after
-    the run."""
+def _hold_run(hold, xs, ys, zs, k: int, m: int, x, y, z, wx, wz, dt):
+    """Record the state in rows k .. k+m-1 of xs, ys, zs while holding one
+    rate, advancing by one exact rotation ``hold`` of dt per row; returns
+    the state after the run.  hold is ``_hold`` for one shot, or
+    ``_hold_columns`` for the rows of (samples, columns) arrays."""
     for i in range(k, k + m):
-        v[i] = x, y, z
-        x, y, z = _hold(x, y, z, wx, wz, dt)
+        xs[i], ys[i], zs[i] = x, y, z
+        x, y, z = hold(x, y, z, wx, wz, dt)
     return x, y, z
-
-
-def _kt_layout(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int]:
-    """``_kt_segments``, checked: the delay fits in the gap, every segment
-    spans a sample and the schedule fits in the duration."""
-    if cfg.latency > sched.t_gap + 1e-15:
-        raise ValueError("latency exceeds the measurement gap")
-    segs = _kt_segments(cfg, sched)
-    if min(segs) < 1:
-        raise ValueError("each kicked-top segment must span at least one sample")
-    if sched.n_steps * sum(segs) * cfg.sample_period > cfg.duration + 1e-15:
-        raise ValueError("schedule does not fit in the configured duration")
-    return segs
 
 
 def _kt_meta(p: KtParams, sched: QktSchedule, n_lin: int, n_per: int, x, y, z) -> dict:
@@ -435,7 +454,7 @@ def run_kt_loop(
     w_lin = -amp * p.alpha / sched.t_linear
 
     ts = cfg.sample_period
-    v = np.empty((n, 3))
+    xs, ys, zs = (np.empty(n) for _ in range(3))
     meas = np.full(n, math.nan)
     ctl_z = np.zeros(n)
     ctl_x = np.zeros(n)
@@ -445,7 +464,7 @@ def run_kt_loop(
         lin = step * n_per
         gap = lin + n_lin
         kick = gap + n_gap
-        x, y, z = _hold_run(v, lin, n_lin, x, y, z, w_lin, detuning, ts)
+        x, y, z = _hold_run(_hold, xs, ys, zs, lin, n_lin, x, y, z, w_lin, detuning, ts)
         # measurement in the gap; the kick value is ready because the
         # transport delay is no longer than the gap
         value = measure(
@@ -454,26 +473,18 @@ def run_kt_loop(
         )
         m_norm = max(-1.0, min(1.0, value / (model.chi_p * j_est[step])))
         kick_rate = amp * ctl.kick_angle(m_norm, p.k, cfg.fixed_point) / sched.t_kick
-        x, y, z = _hold_run(v, gap, n_gap, x, y, z, 0.0, detuning, ts)
-        x, y, z = _hold_run(v, kick, n_kick, x, y, z, 0.0, kick_rate + detuning, ts)
+        x, y, z = _hold_run(_hold, xs, ys, zs, gap, n_gap, x, y, z, 0.0, detuning, ts)
+        x, y, z = _hold_run(_hold, xs, ys, zs, kick, n_kick, x, y, z,
+                            0.0, kick_rate + detuning, ts)
         ctl_x[lin:gap] = w_lin
         meas[gap] = value
         j_col[gap:kick] = j_est[step]
         ctl_z[kick:kick + n_kick] = kick_rate
-    v[n - 1] = x, y, z
+    xs[n - 1], ys[n - 1], zs[n - 1] = x, y, z
 
-    return TrajectoryRecord(np.array(t), v[:, 0], v[:, 1], v[:, 2], np.array(j_true),
+    return TrajectoryRecord(np.array(t), xs, ys, zs, np.array(j_true),
                             meas, ctl_z, ctl_x, j_col,
                             _kt_meta(p, sched, n_lin, n_per, x, y, z))
-
-
-def _hold_run_columns(xs, ys, zs, k: int, m: int, x, y, z, wx, wz, dt):
-    """``_hold_run`` on columns: record the state in rows k .. k+m-1 of the
-    (samples, columns) arrays xs, ys, zs while holding one rate."""
-    for i in range(k, k + m):
-        xs[i], ys[i], zs[i] = x, y, z
-        x, y, z = _hold_columns(x, y, z, wx, wz, dt)
-    return x, y, z
 
 
 def _run_kt_columns(
@@ -486,36 +497,24 @@ def _run_kt_columns(
 ) -> list[TrajectoryRecord]:
     """``run_kt_loop`` for many shots at once, equal to it bit for bit.
 
-    Column c runs params[c] on rngs[c], which it draws from in the scalar
-    loop's order: ``_shot_start``, then one normal per period for the
-    photon shot noise of the gap measurement.  Each sample is one
+    Column c runs params[c] on rngs[c], with one shot-noise normal per
+    period for the gap measurement (``_column_start``).  Each sample is one
     ``_hold_columns`` rotation.  The kick angle is ``kick_angle`` on Python
     floats, once per column and period, so the fixed-point wrap stays exact
-    at any word size.  Each output column of a record is a column of one
-    (samples, columns) array: a sample is one contiguous row, and ctl_z's
-    rows between kicks are never written (three kt-sweep runs in one
-    process peaked 0.3 MB lower than with (columns, samples) arrays).
-    t, j_true and the per-period j_est column are shared, read-only."""
+    at any word size."""
     n_lin, n_gap, n_kick = _kt_layout(cfg, sched)
     n_per = n_lin + n_gap + n_kick
     n = sched.n_steps * n_per + 1
     ts = cfg.sample_period
     chi = model.chi_p
-    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     t, j_true, j_est = cols
     # run_kt_loop divides by chi * j_est in floats; numpy would return inf
     if any(chi * j == 0.0 for j in j_est):
         raise ZeroDivisionError("float division by zero")
 
     m = len(rngs)
-    starts = []
-    m_sn = np.empty((sched.n_steps, m))  # period-major: each gap reads one row
-    for c, rng in enumerate(rngs):
-        starts.append(_shot_start(cfg, model, rng))
-        m_sn[:, c] = rng.standard_normal(sched.n_steps)
-    m_sn *= math.sqrt(shot_noise_variance(eff_model, ts))
-    detuning, amp, v, qpn_offset = (np.array(a) for a in zip(*starts))
-    x, y, z = v.T
+    detuning, amp, x, y, z, qpn_offset, m_sn = _column_start(cfg, model, rngs,
+                                                             sched.n_steps)
     ks = [p.k for p in params]
     w_lin = -amp * np.array([p.alpha for p in params]) / sched.t_linear
 
@@ -529,32 +528,27 @@ def _run_kt_columns(
         lin = step * n_per
         gap = lin + n_lin
         kick = gap + n_gap
-        x, y, z = _hold_run_columns(xs, ys, zs, lin, n_lin, x, y, z, w_lin, detuning, ts)
+        x, y, z = _hold_run(_hold_columns, xs, ys, zs, lin, n_lin, x, y, z,
+                            w_lin, detuning, ts)
         value = chi * j_true[gap] * np.clip(z, -1.0, 1.0) + qpn_offset + m_sn[step]
         m_norm = np.clip(value / (chi * j_est[step]), -1.0, 1.0)
         angle = [ctl.kick_angle(mc, kc, cfg.fixed_point)
                  for mc, kc in zip(m_norm.tolist(), ks)]
         kick_rate = amp * np.array(angle) / sched.t_kick
-        x, y, z = _hold_run_columns(xs, ys, zs, gap, n_gap, x, y, z, 0.0, detuning, ts)
-        x, y, z = _hold_run_columns(xs, ys, zs, kick, n_kick, x, y, z,
-                                    0.0, kick_rate + detuning, ts)
+        x, y, z = _hold_run(_hold_columns, xs, ys, zs, gap, n_gap, x, y, z,
+                            0.0, detuning, ts)
+        x, y, z = _hold_run(_hold_columns, xs, ys, zs, kick, n_kick, x, y, z,
+                            0.0, kick_rate + detuning, ts)
         ctl_x[lin:gap] = w_lin
         meas[gap] = value
         j_col[gap:kick] = j_est[step]
         ctl_z[kick:kick + n_kick] = kick_rate
     xs[n - 1], ys[n - 1], zs[n - 1] = x, y, z
 
-    shared = [np.array(t), np.array(j_true), j_col]
-    for a in shared:
-        a.flags.writeable = False
-    t_col, jt_col, je_col = shared
-    return [
-        TrajectoryRecord(t_col, xs[:, c], ys[:, c], zs[:, c], jt_col, meas[:, c],
-                         ctl_z[:, c], ctl_x[:, c], je_col,
-                         _kt_meta(p, sched, n_lin, n_per,
-                                  float(x[c]), float(y[c]), float(z[c])))
-        for c, p in enumerate(params)
-    ]
+    return _column_records(t, j_true, j_col, xs, ys, zs, meas, ctl_z, ctl_x,
+                           [_kt_meta(p, sched, n_lin, n_per,
+                                     float(x[c]), float(y[c]), float(z[c]))
+                            for c, p in enumerate(params)])
 
 
 def shot_rng(master_seed: int, i: int) -> np.random.Generator:

@@ -606,6 +606,12 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
     ("kt-run", "[kt]\nk = 2.5\n\n[loop]\nlatency = 8e-6\n", [], "loop.latency"),
     ("ftc-sweep", "[kt]\nk = 2.7\n\n[loop]\nlatency = 8e-6\n\n[sweep]\nalpha = 3.1\n", [],
      "loop.latency"),
+    # a sweep with no points
+    ("dpt-sweep", "[lmg]\nlambda = 1.3e5\n\n[sweep]\ns =\n", [], "sweep.s"),
+    ("ftc-sweep", "[kt]\nk = 2.7\n\n[sweep]\nalpha =\n", [], "sweep.alpha"),
+    ("lyapunov", "[kt]\nalpha = 1.5\nk = 2.5\n\n[sweep]\nk =\n", [], "sweep.k"),
+    ("composite-scan", "[noise]\nrabi_rate = 4e4\n\n[sweep]\ntheta =\n",
+     ["--shots", "100"], "sweep.theta"),
 ])
 def test_simulate_cli_config_errors(tmp_path, capsys, scenario, text, flags, message):
     cfgp = tmp_path / "c.cfg"

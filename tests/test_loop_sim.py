@@ -189,18 +189,26 @@ def test_kt_loop_detuning_acts_over_whole_period():
 def test_kt_loop_rejects_excess_latency():
     sched = qkt_schedule(40e-6, 6e-6, 2e-6, 25)
     cfg = LoopConfig(latency=8e-6, duration=1.3e-3, decay_half_time=None)
+    p = KtParams(math.pi / 2, 1.0)
     with pytest.raises(ValueError):
-        run_kt_loop(cfg, sched, KtParams(math.pi / 2, 1.0), MODEL,
-                    np.random.default_rng(0))
+        run_kt_loop(cfg, sched, p, MODEL, np.random.default_rng(0))
+    # the batch paths, through the layout shared_columns checks
+    for n in (1, KT_ARRAY_MIN_SHOTS):
+        with pytest.raises(ValueError, match="measurement gap"):
+            run_batch(cfg, p, MODEL, n, master_seed=0, sched=sched)
 
 
 def test_kt_loop_rejects_empty_segment():
     # at a 10 us sample period the 2 us kick rounds to no sample at all
     cfg = LoopConfig(sample_period=1e-5, latency=4e-6, duration=1.3e-3,
                      decay_half_time=None)
+    sched = qkt_schedule(40e-6, 6e-6, 2e-6, 25)
+    p = KtParams(math.pi / 2, 1.0)
     with pytest.raises(ValueError, match="at least one sample"):
-        run_kt_loop(cfg, qkt_schedule(40e-6, 6e-6, 2e-6, 25), KtParams(math.pi / 2, 1.0),
-                    MODEL, np.random.default_rng(0))
+        run_kt_loop(cfg, sched, p, MODEL, np.random.default_rng(0))
+    for n in (1, KT_ARRAY_MIN_SHOTS):
+        with pytest.raises(ValueError, match="at least one sample"):
+            run_batch(cfg, p, MODEL, n, master_seed=0, sched=sched)
 
 
 def test_kt_record_layout():
@@ -378,6 +386,19 @@ def test_batch_takes_array_kernel_from_threshold(monkeypatch):
     with pytest.raises(AssertionError, match="scalar loop called"):
         run_batch(kt_cfg, KT25, kt_model, KT_ARRAY_MIN_SHOTS - 1, master_seed=5,
                   sched=KT_SCHED)
+
+
+def test_kernel_records_share_read_only_columns():
+    # an array batch holds one t, j_true and j_est for all its records
+    cfg, model = BATCH_CASES[1]
+    kt_cfg, kt_model = KT_BATCH_CASES[1]
+    for recs in (run_batch(cfg, LMG07, model, ARRAY_MIN_SHOTS, master_seed=5),
+                 run_batch(kt_cfg, KT25, kt_model, KT_ARRAY_MIN_SHOTS, master_seed=5,
+                           sched=KT_SCHED)):
+        for name in ("t", "j_true", "j_est"):
+            col = getattr(recs[0], name)
+            assert not col.flags.writeable
+            assert all(getattr(rec, name) is col for rec in recs)
 
 
 def test_batch_sweep_points_stack():
