@@ -4,11 +4,11 @@ simulate <scenario> --config <path> [--seed N] [--shots N] [--out DIR] [--emit c
 analyze  <kind> --in <files...> [--out DIR] [--emit csv|json]
 
 A config key is accepted only if the scenario reads it (config.SCENARIOS);
-lmg.s in dpt-sweep, kt.alpha in ftc-sweep and measurement.n1_eff in
-noise-budget are also accepted, though a sweep replaces them.  The simulate
-flags are checked as the run keys they set, before any output is written,
-so --emit applies only to the scenarios that write tables (dpt-sweep,
-lyapunov, ftc-sweep, noise-budget, composite-scan).
+lmg.s in dpt-sweep and kt.alpha in ftc-sweep are also accepted, though a
+sweep replaces them.  The simulate flags are checked as the run keys they
+set, before any output is written, so --emit applies only to the scenarios
+that write tables (dpt-sweep, lyapunov, ftc-sweep, noise-budget,
+composite-scan).
 
 Failures exit nonzero and print a machine-readable JSON error to stderr.
 """

@@ -6,11 +6,11 @@ scenario named by run.kind reads it: ``SCENARIOS`` lists the keys each
 scenario reads and the sections or keys it requires, and any other key is
 a ConfigError naming section.key and the scenario.  The simulate flags are
 checked as the run keys they set, so --emit (run.emit) applies only to the
-scenarios that write tables.  Three keys that a sweep replaces stay
-accepted, because the benchmark configs set the first two: lmg.s in
-dpt-sweep, kt.alpha in ftc-sweep and measurement.n1_eff in noise-budget.
-ExperimentConfig also rejects a run.n_shots below the scenario's minimum
-and, in the kicked-top loops, a loop.latency longer than kt.t_gap.
+scenarios that write tables.  Two keys that a sweep replaces stay
+accepted, because the benchmark configs set them: lmg.s in dpt-sweep and
+kt.alpha in ftc-sweep.  ExperimentConfig also rejects a run.n_shots below
+the scenario's minimum and, in the kicked-top loops, a loop.latency longer
+than kt.t_gap.
 
 A key the file leaves out takes the default of the dataclass or builder it
 feeds; [lyapunov] and [quantum] defaults live in the scenario runners.
@@ -197,9 +197,10 @@ SCENARIOS = {
         _CLOSED_LOOP + _all("kt") + ("run.emit", "sweep.alpha"),
         ("kt", "sweep.alpha"),
     ),
-    # each sweep.n1 point replaces measurement.n1_eff
+    # each sweep.n1 point replaces measurement.n1_eff, so it is not read
     "noise-budget": (
-        ("run.n_shots", "run.emit", "loop.sample_period", *_all("measurement"),
+        ("run.n_shots", "run.emit", "loop.sample_period", "measurement.ratio_n2_n1",
+         "measurement.f", "measurement.chi_p", "measurement.sn_coeff",
          "noise.static_detuning_sigma", "noise.rabi_rate", "sweep.n1"),
         ("sweep.n1",),
     ),
@@ -218,6 +219,17 @@ _RUN_FIELDS = {"n_shots": "n_shots", "seed": "master_seed", "out": "out_dir",
                "emit": "emit_format"}
 
 
+def _ini_text(value) -> str:
+    """The INI text a JSON value stands for: an array is its items separated
+    by spaces, and null is none.  A nested array keeps its brackets, which
+    no parser accepts."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return " ".join(json.dumps(v) for v in value)
+    return "none" if value is None else json.dumps(value)
+
+
 def _read_sections(path: Path) -> dict:
     text = path.read_text()
     if path.suffix == ".json" or text.lstrip().startswith("{"):
@@ -231,7 +243,7 @@ def _read_sections(path: Path) -> dict:
         for sec, body in data.items():
             if not isinstance(body, dict):
                 raise ConfigError(f"{path}: section {sec!r} must be an object")
-            out[sec] = {k: (v if isinstance(v, str) else json.dumps(v)) for k, v in body.items()}
+            out[sec] = {k: _ini_text(v) for k, v in body.items()}
         return out
     cp = configparser.ConfigParser(interpolation=None)
     try:

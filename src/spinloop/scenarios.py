@@ -268,15 +268,16 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ExperimentConfig, config_path=None) -> RunManifest:
-    """Execute the configured scenario; writes outputs and manifest.json
-    into cfg.out_dir and returns the manifest."""
+def run_scenario(cfg: ExperimentConfig, config_path) -> RunManifest:
+    """Execute the scenario parsed from the file at config_path; writes
+    outputs and manifest.json into cfg.out_dir and returns the manifest,
+    which records the SHA-256 of that file."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     paths = _RUNNERS[cfg.kind](cfg, out)
     manifest = RunManifest(
-        config_sha256=config_sha256(config_path) if config_path else "",
+        config_sha256=config_sha256(config_path),
         tool_version=__version__,
         seed=cfg.master_seed,
     )

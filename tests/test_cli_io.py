@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 from pathlib import Path
@@ -15,7 +16,7 @@ from spinloop.analysis import (
     symmetry_stats,
 )
 from spinloop.cli import analyze_main, simulate_main
-from spinloop.config import SCENARIOS, ConfigError, ExperimentConfig, parse_config
+from spinloop.config import _SCHEMA, SCENARIOS, ConfigError, ExperimentConfig, parse_config
 from spinloop.controller import FixedPointFormat, QktSchedule
 from spinloop.loop_sim import (
     ARRAY_MIN_SHOTS,
@@ -98,6 +99,14 @@ def test_json_config_equivalent(tmp_path):
     p.write_text(json.dumps({"run": {"kind": "lmg-run"}, "lmg": {"s": "0.7"}}))
     cfg = parse_config(p)
     assert cfg.kind == "lmg-run" and cfg.lmg.s == 0.7
+    # an array is a list of numbers; a nested one is not
+    sweep = {"run": {"kind": "dpt-sweep"}, "sweep": {"s": [0.5, 0.7]}}
+    p.write_text(json.dumps(sweep))
+    assert parse_config(p).sweep == {"s": [0.5, 0.7]}
+    sweep["sweep"]["s"] = [[0.5, 0.7]]
+    p.write_text(json.dumps(sweep))
+    with pytest.raises(ConfigError, match="sweep.s"):
+        parse_config(p)
 
 
 def test_sweep_grid_parsed(tmp_path):
@@ -486,6 +495,24 @@ SHIPPED = {
         out_dir="out/composite",
         sweep={"theta": [0.785, 1.571, 2.356, 3.142, 3.927, 4.712, 5.498]},
     ),
+    "configs/dpt_sweep.cfg": ExperimentConfig(
+        kind="dpt-sweep",
+        loop=LoopConfig(sample_period=1e-7, latency=0.0, plant_dt=1e-7, duration=1.5e-3,
+                        decay_half_time=None, initial_state=SphericalAngles(0.0, 0.0)),
+        measurement=MeasurementModel(), out_dir="out/dpt",
+        sweep={"s": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.63, 0.635, 0.64, 0.645, 0.65,
+                     0.655, 0.66, 0.665, 0.67, 0.675, 0.68, 0.685, 0.69, 0.695, 0.7, 0.8]},
+    ),
+    "configs/ftc_sweep.cfg": ExperimentConfig(
+        kind="ftc-sweep",
+        loop=LoopConfig(latency=4e-6, duration=1.3e-3, decay_half_time=None,
+                        initial_state=SphericalAngles(0.0, 0.0), qpn=True),
+        measurement=MeasurementModel(), kt=KtParams(k=2.7),
+        kt_schedule=QktSchedule(40e-6, 6e-6, 2e-6, 25), n_shots=50,
+        master_seed=100, out_dir="out/ftc",
+        sweep={"alpha": [f * math.pi for f in
+                         (0.90, 0.93, 0.95, 0.97, 1.0, 1.03, 1.05, 1.07, 1.10)]},
+    ),
     "configs/kt_run.cfg": ExperimentConfig(
         kind="kt-run",
         loop=LoopConfig(latency=4e-6, duration=1.3e-3, decay_half_time=None,
@@ -555,6 +582,19 @@ def test_shipped_config_values(name):
     assert parse_config(ROOT / name) == SHIPPED[name]
 
 
+@pytest.mark.parametrize("name", [n for n in sorted(SHIPPED) if n.endswith(".cfg")])
+def test_shipped_config_as_native_json(tmp_path, name):
+    # each value as the JSON type it converts to: numbers, arrays of
+    # numbers, booleans and null (decay_half_time = none)
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(ROOT / name)
+    native = {sec: {key: _SCHEMA[sec][key](val) for key, val in cp.items(sec)}
+              for sec in cp.sections()}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(native))
+    assert parse_config(p) == SHIPPED[name]
+
+
 # scenario -> (a config it accepts, a section and key it does not read)
 UNREAD = {
     "lmg-run": ("[lmg]\ns = 0.7\n", "[quantum]\nj = 200\n", "quantum.j"),
@@ -612,6 +652,9 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
     ("lyapunov", "[kt]\nalpha = 1.5\nk = 2.5\n\n[sweep]\nk =\n", [], "sweep.k"),
     ("composite-scan", "[noise]\nrabi_rate = 4e4\n\n[sweep]\ntheta =\n",
      ["--shots", "100"], "sweep.theta"),
+    # each sweep.n1 point replaces it
+    ("noise-budget", "[measurement]\nn1_eff = 1e5\n\n[sweep]\nn1 = 1e4 1e5\n",
+     ["--shots", "2"], "measurement.n1_eff"),
 ])
 def test_simulate_cli_config_errors(tmp_path, capsys, scenario, text, flags, message):
     cfgp = tmp_path / "c.cfg"

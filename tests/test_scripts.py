@@ -1,7 +1,9 @@
-"""Smoke test: each script in scripts/ runs end to end on tiny arguments, and
-every name the benchmark tracer patches exists."""
+"""Smoke test: each script in scripts/ runs end to end on tiny arguments,
+each config in configs/ runs through simulate with few shots and records its
+own hash, and every name the benchmark tracer patches exists."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -9,13 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from spinloop.cli import simulate_main
+from spinloop.config import parse_config
+from spinloop.runio import file_sha256
+
 ROOT = Path(__file__).resolve().parents[1]
 
-# (script, arguments, --out name: a .csv file, or a directory for a manifest)
+# (script, arguments, --out file name)
 SCRIPTS = (
-    ("dpt_sweep", ["--fine", "0.07"], "dpt"),
-    ("ssb_ensemble", ["--shots", "3"], "ssb"),
-    ("ftc_sweep", ["--shots", "2", "--fractions", "0.95", "1.0"], "ftc"),
     ("kt_chaos_map", ["--grid", "2", "--steps", "1000"], "lyapunov_map.csv"),
     ("latency_scan", ["--latencies", "6e-6"], "latency_scan.csv"),
     ("quantum_consistency", ["--traj", "2", "--steps", "10"], "consistency.csv"),
@@ -34,7 +37,24 @@ def test_script_runs(script, args, out, tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (dest if dest.suffix else dest / "manifest.json").is_file()
+    assert dest.is_file()
+
+
+# scenario -> --shots for its smoke run, where the scenario allows fewer
+# than its config sets
+SMOKE_SHOTS = {"ssb-ensemble": 8, "noise-budget": 2, "composite-scan": 100,
+               "quantum-qmf": 1, "ftc-sweep": 2}
+
+
+@pytest.mark.parametrize("config", sorted((ROOT / "configs").iterdir()),
+                         ids=lambda p: p.name)
+def test_shipped_config_runs(config, tmp_path):
+    kind = parse_config(config).kind
+    shots = ["--shots", str(SMOKE_SHOTS[kind])] if kind in SMOKE_SHOTS else []
+    out = tmp_path / "out"
+    assert simulate_main([kind, "--config", str(config), "--out", str(out), *shots]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == file_sha256(config)
 
 
 def test_tracer_targets_resolve(monkeypatch):
