@@ -13,7 +13,7 @@ from spinloop.loop_sim import LoopConfig, run_batch, shot_rng
 from spinloop.measurement import MeasurementModel
 from spinloop.models import LmgParams
 from spinloop.runio import emit_csv
-from spinloop.scenarios import quantum_trajectory
+from spinloop.scenarios import quantum_ensemble
 from spinloop.spin_core import SphericalAngles
 
 
@@ -31,11 +31,8 @@ def main():
     p = LmgParams(s=args.s, lambda_=alpha_lin / (1.0 - args.s))
     dt = 2e-6
 
-    zq = np.array([
-        quantum_trajectory(args.j, SphericalAngles(1e-6, 0.0), p, args.sigma, dt,
-                           args.steps, shot_rng(777, i))[0][:, 2]
-        for i in range(args.traj)
-    ])
+    zq = quantum_ensemble(args.j, SphericalAngles(1e-6, 0.0), p, args.sigma, dt, args.steps,
+                          [shot_rng(777, i) for i in range(args.traj)])[0][:, :, 2]
 
     model = MeasurementModel(n1_eff=args.j, ratio_n2_n1=1.0, f=1.0,
                              sn_coeff=args.sigma**2 * dt)

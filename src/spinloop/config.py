@@ -10,7 +10,10 @@ scenarios that write tables.  Two keys that a sweep replaces stay
 accepted, because the benchmark configs set them: lmg.s in dpt-sweep and
 kt.alpha in ftc-sweep.  ExperimentConfig also rejects a run.n_shots below
 the scenario's minimum and, in the kicked-top loops, a loop.latency longer
-than kt.t_gap.
+than kt.t_gap, and a [quantum] value the engine cannot run: a j for which
+2j is not a positive integer or that exceeds quantum.J_MAX, a sigma or dt
+that is not finite and positive, a sigma whose square underflows to 0, or
+an n_steps below 1.
 
 A key the file leaves out takes the default of the dataclass or builder it
 feeds; [lyapunov] and [quantum] defaults live in the scenario runners.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +33,7 @@ from .controller import FixedPointFormat, QktSchedule, qkt_schedule
 from .loop_sim import LoopConfig
 from .measurement import MIN_SCAN_SHOTS, MeasurementModel
 from .models import KtParams, LmgParams
+from .quantum import check_j
 from .spin_core import RotationNoise, SphericalAngles
 
 
@@ -64,6 +69,24 @@ class ExperimentConfig:
             raise ConfigError(
                 f"loop.latency ({self.loop.latency:g}) exceeds kt.t_gap ({sched.t_gap:g})"
             )
+        _check_quantum(self.quantum)
+
+
+def _check_quantum(q: dict) -> None:
+    """The [quantum] values given must be ones the engine can run."""
+    if "j" in q:
+        try:
+            check_j(q["j"])
+        except ValueError as e:
+            raise ConfigError(f"quantum.j: {e}") from None
+    for key in ("sigma", "dt"):
+        if key in q and not (math.isfinite(q[key]) and q[key] > 0):
+            raise ConfigError(f"quantum.{key}: must be finite and > 0")
+    # the Kraus operator's normalisation (2 pi sigma^2)^(-1/4) needs sigma^2 > 0
+    if q.get("sigma", 1.0) ** 2 == 0.0:
+        raise ConfigError("quantum.sigma: its square underflows to 0")
+    if q.get("n_steps", 1) < 1:
+        raise ConfigError("quantum.n_steps: must be >= 1")
 
 
 # scenario -> fewest shots it can use, when more than one: noise-budget

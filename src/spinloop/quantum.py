@@ -2,13 +2,22 @@
 single collective spin j: Gaussian Kraus measurement, outcome sampling, and
 the measurement-conditioned unitary.
 
-State vectors live in the Jz basis.  Jz is diagonal and Jx, Jy are
-tridiagonal, so the engine keeps only the ladder coefficients and one cached
-real eigenbasis of Jx (Jx = W diag(lam) W^T).  The conditioned unitary is a
+State vectors live in the Jz basis, one state of shape (dim,) or a batch of
+shape (shots, dim) whose rows advance in lock-step.  Jz is diagonal and
+Jx, Jy are tridiagonal, so the engine keeps only the ladder coefficients and
+the cached real eigenbases of Jx's two parity blocks: Jx commutes with the
+reflection m -> -m, so it splits into an even and an odd tridiagonal block
+of about dim/2 each (block = W diag(lam) W^T).  The conditioned unitary is a
 ZXZ Euler product: two diagonal Jz phases around e^{i b Jx}, which costs two
-real products with W.  Coherent states use the same basis, because Jy is Jx
-conjugated by a diagonal Jz phase.  The Bloch read-out is O(dim).  W is a
-dense (2j+1)^2 real matrix, so j is capped at 500."""
+real products with each block's W.  Coherent states use the same rotation,
+because Jy is Jx conjugated by a diagonal Jz phase.  The Bloch read-out is
+O(dim).
+
+Rows of a batch never mix: every step is made of elementwise operations,
+sums along a row and one small GEMM per row, so a trajectory's bytes do not
+depend on the batch it runs in.  (A single GEMM over all rows would be
+faster, but BLAS rounds its rows differently as the row count changes.)
+The two W hold about (2j+1)^2 / 2 reals, 4 MB at the cap j = 500."""
 
 from __future__ import annotations
 
@@ -25,25 +34,56 @@ J_MAX = 500
 
 @dataclass
 class QuantumSpinState:
-    """Amplitudes in the Jz eigenbasis, ordered m = j .. -j."""
+    """Amplitudes in the Jz eigenbasis, ordered m = j .. -j: one state of
+    shape (dim,), or a batch of shape (shots, dim) with one state per row.
+    Every function of this module treats the rows of a batch independently,
+    so a row's bytes do not depend on the batch it is in."""
 
     j: float
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        check_j(self.j)
         dim = int(round(2 * self.j)) + 1
-        if abs(2 * self.j - round(2 * self.j)) > 1e-9 or self.j < 0.5:
-            raise ValueError("2j must be a positive integer")
-        if self.amplitudes.shape != (dim,):
+        if self.amplitudes.ndim not in (1, 2) or self.amplitudes.shape[-1] != dim:
             raise ValueError("amplitude vector has the wrong dimension")
 
     def normalized(self) -> "QuantumSpinState":
-        n = np.linalg.norm(self.amplitudes)
-        return QuantumSpinState(self.j, self.amplitudes / n)
+        return _stepped(self, _unit_rows(self.amplitudes))
 
     @property
     def m_values(self) -> np.ndarray:
-        return self.j - np.arange(int(round(2 * self.j)) + 1)
+        return _m_values(self.j)
+
+
+def _stepped(state: QuantumSpinState, amps: np.ndarray) -> QuantumSpinState:
+    """state with new amplitudes of the same shape.  A step keeps j and the
+    dimension, so the checks made when state was built still hold and are
+    not run again."""
+    new = object.__new__(QuantumSpinState)
+    new.j = state.j
+    new.amplitudes = amps
+    return new
+
+
+def _norm2(psi: np.ndarray) -> np.ndarray:
+    """<psi|psi> of each state of psi (..., dim).  A sum along the last
+    axis reduces each row on its own, where a BLAS dot or norm called on a
+    whole batch would not."""
+    return np.sum(psi.real**2 + psi.imag**2, axis=-1)
+
+
+def _unit_rows(psi: np.ndarray) -> np.ndarray:
+    """Each state of psi divided by its norm."""
+    return psi / np.sqrt(_norm2(psi))[..., None]
+
+
+def check_j(j: float) -> None:
+    """Raise ValueError unless 2j is a positive integer and j <= J_MAX."""
+    if not (math.isfinite(j) and j >= 0.5 and abs(2 * j - round(2 * j)) <= 1e-9):
+        raise ValueError("2j must be a positive integer")
+    if j > J_MAX:
+        raise ValueError(f"j = {j} too large for dense storage (cap {J_MAX})")
 
 
 @dataclass(frozen=True)
@@ -58,14 +98,18 @@ class SpinOperators:
 def _ladder(j: float) -> np.ndarray:
     """<m+1| J+ |m> = sqrt(j(j+1) - m(m+1)) for m = j-1 .. -j, the
     superdiagonal of J+ in the basis m = j .. -j."""
-    if j > J_MAX:
-        raise ValueError(f"j = {j} too large for dense storage (cap {J_MAX})")
-    if abs(2 * j - round(2 * j)) > 1e-9 or j < 0.5:
-        raise ValueError("2j must be a positive integer")
+    check_j(j)
     m = j - np.arange(1, int(round(2 * j)) + 1)
     cp = np.sqrt(j * (j + 1) - m * (m + 1))
     cp.setflags(write=False)
     return cp
+
+
+@lru_cache(maxsize=8)
+def _m_values(j: float) -> np.ndarray:
+    m = j - np.arange(int(round(2 * j)) + 1)
+    m.setflags(write=False)
+    return m
 
 
 def spin_operators(j: float) -> SpinOperators:
@@ -82,91 +126,147 @@ def spin_operators(j: float) -> SpinOperators:
 
 
 @lru_cache(maxsize=8)
-def _jx_eigensystem(j: float) -> tuple[np.ndarray, np.ndarray]:
-    """Jx = W diag(lam) W^T; Jx is real symmetric tridiagonal, so W is real."""
-    half = 0.5 * _ladder(j)
-    lam, w = np.linalg.eigh(np.diag(half, k=1) + np.diag(half, k=-1))
-    lam.setflags(write=False)
-    w.setflags(write=False)
-    return lam, w
+def _jx_parity_blocks(j: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigensystems (lam, W) of the two parity blocks of Jx, even then odd.
+
+    The ladder reads the same from both ends, so Jx commutes with the
+    reflection m -> -m.  In the basis (|m> + |-m>)/sqrt2 (plus |0> for
+    integer j) and (|m> - |-m>)/sqrt2, m > 0, it splits into two real
+    symmetric tridiagonal blocks of about dim/2 each: block = W diag(lam) W^T."""
+    h = 0.5 * _ladder(j)
+    n = (len(h) + 1) // 2  # the number of (m, -m) pairs
+    inner = h[: n - 1]
+    if len(h) % 2:  # half-integer j: the middle pair couples to itself
+        even = np.diag(inner, 1) + np.diag(inner, -1)
+        odd = even.copy()
+        even[-1, -1] = h[n - 1]
+        odd[-1, -1] = -h[n - 1]
+    else:  # integer j: m = 0 joins the even block
+        edge = np.append(inner, math.sqrt(2.0) * h[n - 1])
+        even = np.diag(edge, 1) + np.diag(edge, -1)
+        odd = np.diag(inner, 1) + np.diag(inner, -1)
+    blocks = tuple(np.linalg.eigh(t) for t in (even, odd))
+    for arr in (a for block in blocks for a in block):
+        arr.setflags(write=False)
+    return blocks
 
 
 def _real_matvec(mat: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """mat @ psi for a real matrix and a complex vector, as one real product
-    with the stacked (re, im) rows; never forms a complex copy of mat."""
-    r = np.stack((psi.real, psi.imag)) @ mat.T
-    return r[0] + 1j * r[1]
+    """mat @ psi for a real matrix and complex states psi (..., n), as one
+    real product per state with its stacked (re, im) rows; never forms a
+    complex copy of mat.  The stacked product makes one GEMM per state, so
+    a row's result does not depend on the batch."""
+    r = np.stack((psi.real, psi.imag), axis=-2) @ mat.T
+    return r[..., 0, :] + 1j * r[..., 1, :]
 
 
-def scs_state(j: float, angles: SphericalAngles) -> QuantumSpinState:
+def _exp_i_jx(j: float, psi: np.ndarray, b) -> np.ndarray:
+    """e^{i b Jx} psi for states psi (..., dim), one parity block at a time;
+    b is a scalar or holds one angle per state."""
+    dim = psi.shape[-1]
+    n = dim // 2
+    r = math.sqrt(0.5)
+    top, bottom = psi[..., :n], psi[..., : -n - 1 : -1]  # m > 0 and its -m
+    even = (top + bottom) * r
+    if dim % 2:
+        even = np.concatenate((even, psi[..., n : n + 1]), axis=-1)
+    parts = [
+        _real_matvec(w, np.exp(1j * np.multiply.outer(b, lam)) * _real_matvec(w.T, v))
+        for (lam, w), v in zip(_jx_parity_blocks(j), (even, (top - bottom) * r))
+    ]
+    even, odd = parts
+    out = np.empty_like(psi)
+    out[..., :n] = (even[..., :n] + odd) * r
+    out[..., : -n - 1 : -1] = (even[..., :n] - odd) * r
+    if dim % 2:
+        out[..., n] = even[..., n]
+    return out
+
+
+def scs_state(j: float, angles: SphericalAngles, shots: int | None = None) -> QuantumSpinState:
     """Spin coherent state exp(-i phi Jz) exp(-i theta Jy) |j, j>: the
-    stretched m = +j state rotated to point along (theta, phi)."""
+    stretched m = +j state rotated to point along (theta, phi).  With
+    shots, a batch of that many copies."""
     dim = int(round(2 * j)) + 1
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0
     state = QuantumSpinState(j, amps)
-    if angles.theta == 0.0 and angles.phi == 0.0:
+    if angles.theta != 0.0 or angles.phi != 0.0:
+        # Jy = R Jx R* with the diagonal R = exp(-i (pi/2)(Jz - j)), and
+        # R* |j, j> = |j, j>, so exp(-i theta Jy)|j, j> = R e^{-i theta Jx} |j, j>
+        m = state.m_values
+        phase = np.exp(-1j * (angles.phi * m + 0.5 * math.pi * (m - j)))
+        state = QuantumSpinState(j, phase * _exp_i_jx(j, amps, -angles.theta)).normalized()
+    if shots is None:
         return state
-    # Jy = R Jx R* with the diagonal R = exp(-i (pi/2)(Jz - j)), and
-    # R* |j, j> = |j, j>, so exp(-i theta Jy)|j, j> = R W e^{-i theta lam} W^T |j, j>
-    lam, w = _jx_eigensystem(j)
-    m = state.m_values
-    core = _real_matvec(w, np.exp(-1j * angles.theta * lam) * w[0])
-    phase = np.exp(-1j * (angles.phi * m + 0.5 * math.pi * (m - j)))
-    return QuantumSpinState(j, phase * core).normalized()
+    return QuantumSpinState(j, np.tile(state.amplitudes, (shots, 1)))
 
 
 def expect(state: QuantumSpinState, op: np.ndarray) -> float:
-    """<psi| op |psi> for a dense Hermitian operator."""
+    """<psi| op |psi> for one state and a dense Hermitian operator."""
     if op.shape != (len(state.amplitudes),) * 2:
         raise ValueError("operator dimension mismatch")
     val = np.vdot(state.amplitudes, op @ state.amplitudes)
     return float(val.real)
 
 
-def bloch_vector(state: QuantumSpinState) -> tuple[float, float, float]:
-    """(<Jx>, <Jy>, <Jz>) / j in O(dim): Jz is diagonal, and
+def bloch_vector(state: QuantumSpinState) -> np.ndarray:
+    """(<Jx>, <Jy>, <Jz>) / j in O(dim), shape (..., 3): Jz is diagonal, and
     <J+> = <Jx> + i <Jy> has only the ladder superdiagonal."""
     psi = state.amplitudes
-    jp = np.sum(_ladder(state.j) * psi[:-1].conj() * psi[1:])
-    jz = np.dot(state.m_values, psi.real**2 + psi.imag**2)
-    return float(jp.real) / state.j, float(jp.imag) / state.j, float(jz) / state.j
+    jp = np.sum(_ladder(state.j) * psi[..., :-1].conj() * psi[..., 1:], axis=-1)
+    jz = np.sum(state.m_values * (psi.real**2 + psi.imag**2), axis=-1)
+    return np.stack((jp.real, jp.imag, jz), axis=-1) / state.j
 
 
-def kraus_apply(
-    state: QuantumSpinState, m: float, sigma: float
-) -> tuple[QuantumSpinState, float]:
+def kraus_apply(state: QuantumSpinState, m, sigma: float):
     """Apply the Gaussian Kraus operator
-    K_m = (2 pi sigma^2)^(-1/4) exp(-(Jz - m)^2 / 4 sigma^2).
-    Returns the renormalized state and the outcome probability density."""
+    K_m = (2 pi sigma^2)^(-1/4) exp(-(Jz - m)^2 / 4 sigma^2),
+    with one outcome m per state.  Returns the renormalized state and the
+    outcome probability densities."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     mv = state.m_values
     env = (2 * math.pi * sigma**2) ** (-0.25) * np.exp(
-        -((mv - m) ** 2) / (4 * sigma**2)
+        -((mv - np.asarray(m)[..., None]) ** 2) / (4 * sigma**2)
     )
     amps = env * state.amplitudes
-    p = float(np.vdot(amps, amps).real)
-    if p <= 0:
+    p = _norm2(amps)
+    if np.any(p <= 0):
         raise FloatingPointError("outcome probability underflow")
-    return QuantumSpinState(state.j, amps / math.sqrt(p)), p
+    return _stepped(state, amps / np.sqrt(p)[..., None]), p
 
 
-def sample_outcome(state: QuantumSpinState, sigma: float, rng) -> float:
-    """Draw m from the exact mixture sum_m0 |<m0|psi>|^2 N(m0, sigma^2)."""
+def sample_outcome(state: QuantumSpinState, sigma: float, rng):
+    """Draw m from the exact mixture sum_m0 |<m0|psi>|^2 N(m0, sigma^2), one
+    draw per state.  rng is a generator for one state, and a sequence of
+    generators, one per row, for a batch.
+
+    m0 is drawn as rng.choice(m_values, p=probs) draws it: the cumulative
+    probabilities divided by their last entry, searched for one uniform
+    draw from the right.  The Gaussian draw follows from the same stream."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    m0 = float(rng.choice(state.m_values, p=probs))
-    return m0 + sigma * rng.standard_normal()
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    cdf = np.cumsum(probs, axis=-1)
+    if np.isnan(cdf[..., -1]).any():
+        raise ValueError("probabilities contain NaN")
+    cdf /= cdf[..., -1:]
+    m = state.m_values
+    if cdf.ndim == 1:
+        m0 = float(m[cdf.searchsorted(rng.random(), side="right")])
+        return m0 + sigma * rng.standard_normal()
+    out = np.empty(len(cdf))
+    for i, (row, r) in enumerate(zip(cdf, rng, strict=True)):
+        m0 = float(m[row.searchsorted(r.random(), side="right")])
+        out[i] = m0 + sigma * r.standard_normal()
+    return out
 
 
-def qmf_step(
-    state: QuantumSpinState, m: float, p, dt: float, sigma: float
-) -> QuantumSpinState:
+def qmf_step(state: QuantumSpinState, m, p, dt: float, sigma: float) -> QuantumSpinState:
     """Measurement backaction for outcome m, then the conditioned unitary
-    exp[i (alpha_lin Jx + k_nl (m/j) Jz) dt].
+    exp[i (alpha_lin Jx + k_nl (m/j) Jz) dt]; one outcome per state.
 
     The z rate k_nl * m/j is chosen so the conditioned rotation reproduces
     the Heisenberg dynamics of the quadratic Hamiltonian (whose commutator
@@ -176,27 +276,37 @@ def qmf_step(
     if dt == 0.0:
         return post
     a = p.alpha_lin
-    b = p.k_nl * (m / state.j)
+    b = p.k_nl * (np.asarray(m) / state.j)
     return _axis_rotation(post, a * dt, b * dt)
 
 
-def _axis_rotation(state: QuantumSpinState, ax: float, az: float) -> QuantumSpinState:
-    """Apply exp[i (ax Jx + az Jz)] = e^{i a Jz} e^{i b Jx} e^{i a Jz}.
+def _zxz(ax: float, az: float) -> tuple[float, float]:
+    """Euler angles (a, b) of exp[i (ax Jx + az Jz)] = e^{i a Jz} e^{i b Jx}
+    e^{i a Jz}, solved in SU(2) with math's scalar functions, one state at
+    a time; numpy's atan2 and hypot can differ from them in the last bit."""
+    w = math.hypot(ax, az)
+    if w == 0.0:
+        return 0.0, 0.0
+    c, s = math.cos(w / 2), math.sin(w / 2)
+    sz = s * az / w
+    return math.atan2(sz, c), 2 * math.atan2(s * ax / w, math.hypot(c, sz))
+
+
+def _axis_rotation(state: QuantumSpinState, ax: float, az) -> QuantumSpinState:
+    """Apply exp[i (ax Jx + az Jz)] = e^{i a Jz} e^{i b Jx} e^{i a Jz}, with
+    one az per state.  A state whose rotation angle is zero is left as it is.
 
     The ZXZ Euler angles a, b are solved in SU(2), so the factorisation is
     exact in every spin-j representation, half-integer j included."""
-    w = math.hypot(ax, az)
-    if w == 0.0:
+    az = np.asarray(az, dtype=float)
+    still = (ax == 0.0) & (az == 0.0)
+    if still.all():
         return state
-    c, s = math.cos(w / 2), math.sin(w / 2)
-    sz = s * az / w
-    a = math.atan2(sz, c)
-    b = 2 * math.atan2(s * ax / w, math.hypot(c, sz))
-    lam, vecs = _jx_eigensystem(state.j)
-    za = np.exp(1j * a * state.m_values)
-    psi = np.exp(1j * b * lam) * _real_matvec(vecs.T, za * state.amplitudes)
-    psi = za * _real_matvec(vecs, psi)
-    return QuantumSpinState(state.j, psi / np.linalg.norm(psi))
+    angles = np.array([_zxz(ax, z) for z in az.flat]).reshape(*az.shape, 2)
+    za = np.exp(1j * np.multiply.outer(angles[..., 0], state.m_values))
+    psi = _unit_rows(za * _exp_i_jx(state.j, za * state.amplitudes, angles[..., 1]))
+    psi[still] = state.amplitudes[still]
+    return _stepped(state, psi)
 
 
 def mmss_variance(f: float) -> tuple[float, float]:

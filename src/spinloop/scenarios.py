@@ -214,19 +214,28 @@ def _run_composite(cfg, out):
     return [_emit_table(cfg, out, "composite", "theta,variance", pts)]
 
 
-def quantum_trajectory(j, angles, params, sigma, dt, n_steps, rng):
-    """One exact measurement-and-feedback trajectory from the coherent state
-    along `angles`.  Returns the Bloch vectors <J>/j before each step and
-    after the last, shape (n_steps + 1, 3), and the n_steps outcomes."""
-    state = scs_state(j, angles)
-    bloch = np.empty((n_steps + 1, 3))
-    meas = np.empty(n_steps)
+def quantum_ensemble(j, angles, params, sigma, dt, n_steps, rngs):
+    """Exact measurement-and-feedback trajectories from the coherent state
+    along `angles`, one per generator in rngs, advanced in lock-step.
+    Returns the Bloch vectors <J>/j before each step and after the last,
+    shape (shots, n_steps + 1, 3), and the outcomes, shape (shots, n_steps).
+    Trajectory i depends only on rngs[i]."""
+    state = scs_state(j, angles, len(rngs))
+    bloch = np.empty((len(rngs), n_steps + 1, 3))
+    meas = np.empty((len(rngs), n_steps))
     for k in range(n_steps):
-        bloch[k] = bloch_vector(state)
-        meas[k] = sample_outcome(state, sigma, rng)
-        state = qmf_step(state, meas[k], params, dt, sigma)
-    bloch[n_steps] = bloch_vector(state)
+        bloch[:, k] = bloch_vector(state)
+        meas[:, k] = sample_outcome(state, sigma, rngs)
+        state = qmf_step(state, meas[:, k], params, dt, sigma)
+    bloch[:, n_steps] = bloch_vector(state)
     return bloch, meas
+
+
+def quantum_trajectory(j, angles, params, sigma, dt, n_steps, rng):
+    """One trajectory: the ensemble of one, driven by rng.  Returns the
+    Bloch vectors, shape (n_steps + 1, 3), and the n_steps outcomes."""
+    bloch, meas = quantum_ensemble(j, angles, params, sigma, dt, n_steps, [rng])
+    return bloch[0], meas[0]
 
 
 def _run_quantum(cfg, out):
@@ -237,12 +246,11 @@ def _run_quantum(cfg, out):
     n_steps = q.get("n_steps", 150)
     p = cfg.lmg
     n = n_steps + 1
+    rngs = [shot_rng(cfg.master_seed, i) for i in range(cfg.n_shots)]
     recs = []
-    for i in range(cfg.n_shots):
-        bloch, meas = quantum_trajectory(
-            j, cfg.loop.initial_state, p, sigma, dt, n_steps,
-            shot_rng(cfg.master_seed, i),
-        )
+    for bloch, meas in zip(*quantum_ensemble(
+        j, cfg.loop.initial_state, p, sigma, dt, n_steps, rngs,
+    )):
         # the feedback rate k_nl*m/j acts during each step; none after the last
         recs.append(TrajectoryRecord(
             np.arange(n) * dt, *bloch.T, np.full(n, j), np.append(meas, math.nan),

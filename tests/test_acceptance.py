@@ -53,7 +53,7 @@ from spinloop.quantum import (
     scs_state,
     spin_operators,
 )
-from spinloop.scenarios import quantum_trajectory
+from spinloop.scenarios import quantum_ensemble
 from spinloop.spin_core import (
     RotationNoise,
     SphericalAngles,
@@ -391,11 +391,8 @@ def test_11_quantum_module():
     n_steps = 150
     n_traj = 50
     checkpoints = (25, 50, 75, 100, 125)
-    zq = np.array([
-        quantum_trajectory(jq, SphericalAngles(1e-6, 0.0), LMG07, sigma_q, dt,
-                           n_steps, shot_rng(777, i))[0][:, 2]
-        for i in range(n_traj)
-    ])
+    zq = quantum_ensemble(jq, SphericalAngles(1e-6, 0.0), LMG07, sigma_q, dt, n_steps,
+                          [shot_rng(777, i) for i in range(n_traj)])[0][:, :, 2]
     model = MeasurementModel(n1_eff=jq, ratio_n2_n1=1.0, f=1.0, chi_p=1.0,
                              sn_coeff=sigma_q**2 * dt)
     cfg = LoopConfig(

@@ -1,6 +1,7 @@
 import configparser
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import spinloop
 from spinloop.analysis import (
     extract_tdd,
     ftc_rigidity,
@@ -577,6 +579,12 @@ def test_every_shipped_config_is_pinned():
     assert shipped == sorted(SHIPPED)
 
 
+def test_tool_version_matches_pyproject():
+    # every manifest records spinloop.__version__ as its tool_version
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', text, re.M) == [spinloop.__version__]
+
+
 @pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_shipped_config_values(name):
     assert parse_config(ROOT / name) == SHIPPED[name]
@@ -655,6 +663,13 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
     # each sweep.n1 point replaces it
     ("noise-budget", "[measurement]\nn1_eff = 1e5\n\n[sweep]\nn1 = 1e4 1e5\n",
      ["--shots", "2"], "measurement.n1_eff"),
+    # [quantum] values the engine cannot run
+    *[("quantum-qmf", f"[lmg]\ns = 0.7\n\n[quantum]\n{key} = {value}\n", [], f"quantum.{key}")
+      for key, value in (("j", 0.7), ("j", 0), ("j", "nan"), ("j", "inf"), ("j", 501),
+                         ("sigma", 0), ("sigma", -20), ("sigma", "nan"), ("sigma", "inf"),
+                         ("sigma", 1e-300),
+                         ("dt", 0), ("dt", -2e-6), ("dt", "nan"), ("dt", "inf"),
+                         ("n_steps", 0), ("n_steps", -1))],
 ])
 def test_simulate_cli_config_errors(tmp_path, capsys, scenario, text, flags, message):
     cfgp = tmp_path / "c.cfg"

@@ -11,6 +11,8 @@ from spinloop.models import LmgParams
 from spinloop.quantum import (
     QuantumSpinState,
     _axis_rotation,
+    _exp_i_jx,
+    _jx_parity_blocks,
     bloch_vector,
     expect,
     kraus_apply,
@@ -21,7 +23,7 @@ from spinloop.quantum import (
     spin_operators,
 )
 from spinloop.runio import read_trajectory_csv
-from spinloop.scenarios import quantum_trajectory
+from spinloop.scenarios import quantum_ensemble, quantum_trajectory
 from spinloop.spin_core import SphericalAngles
 
 
@@ -74,7 +76,7 @@ def test_scs_state_matches_dense_rotation(j):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
-@pytest.mark.parametrize("j", [0.5, 7.5, 50.0])
+@pytest.mark.parametrize("j", [0.5, 7.5, 50.0, 1.0, 199.5])
 def test_euler_step_matches_expm(j):
     # exp[i(ax Jx + az Jz)] = e^{i a Jz} e^{i b Jx} e^{i a Jz}, exactly
     ops = spin_operators(j)
@@ -197,5 +199,65 @@ def test_quantum_j_above_cap_is_a_json_error(tmp_path, capsys):
     assert simulate_main(["quantum-qmf", "--config", str(_quantum_config(tmp_path, 600)),
                           "--out", str(tmp_path / "o")]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "runtime"
+    assert err["error"] == "config"
     assert "cap 500" in err["message"]
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 7.5, 199.5, 200.0, 500.0])
+def test_parity_blocks_match_dense_jx(j):
+    # the two blocks hold the whole spectrum m = -j .. j, and e^{i b Jx}
+    # through them equals the rotation in the dense eigenbasis
+    dim = int(2 * j) + 1
+    (lam_e, w_e), (lam_o, w_o) = _jx_parity_blocks(j)
+    assert w_e.shape == (dim - dim // 2,) * 2 and w_o.shape == (dim // 2,) * 2
+    assert np.max(np.abs(np.sort(np.append(lam_e, lam_o)) - np.arange(-j, j + 1))) < 1e-9
+    lam, w = np.linalg.eigh(spin_operators(j).jx.real)
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+    b = np.array([0.3, -2.1])
+    want = np.stack([w @ (np.exp(1j * bi * lam) * (w.T @ row)) for bi, row in zip(b, psi)])
+    assert np.max(np.abs(_exp_i_jx(j, psi, b) - want)) < 1e-10 * math.sqrt(dim)
+
+
+@pytest.mark.parametrize("j", [0.5, 10.0, 199.5, 500.0])
+def test_sample_outcome_is_rng_choice(j):
+    # the m0 draw inlines rng.choice(m_values, p=probs); a numpy release
+    # that changes choice shows up here
+    dim = int(2 * j) + 1
+    m = j - np.arange(dim)
+    sigma = 3.0
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            state = scs_state(j, SphericalAngles(rng.uniform(0, math.pi), rng.uniform(-3, 3)))
+        else:
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            state = QuantumSpinState(j, psi).normalized()
+        probs = np.abs(state.amplitudes) ** 2
+        probs = probs / probs.sum()
+        twin = np.random.default_rng(100 + seed)
+        want = float(twin.choice(m, p=probs)) + sigma * twin.standard_normal()
+        assert sample_outcome(state, sigma, np.random.default_rng(100 + seed)) == want
+
+
+def test_sample_outcome_rejects_nan_probabilities():
+    good = scs_state(10.0, SphericalAngles(1.0, 0.0)).amplitudes
+    bad = np.full(21, math.nan, dtype=complex)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="NaN"):
+        sample_outcome(QuantumSpinState(10.0, bad), 3.0, rng)
+    with pytest.raises(ValueError, match="NaN"):
+        sample_outcome(QuantumSpinState(10.0, np.stack((good, bad))), 3.0, [rng, rng])
+
+
+@pytest.mark.parametrize("j", [10.0, 199.5])
+def test_ensemble_rows_match_lone_trajectories(j):
+    # shot i gives the same bytes alone as in any ensemble, at any row
+    p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
+    args = (j, SphericalAngles(0.4, 0.3), p, 3.0, 2e-6, 12)
+    lone = [quantum_trajectory(*args, shot_rng(5, i)) for i in range(12)]
+    for shots in ([0], [0, 1, 2], [2, 1, 0], list(range(12))):
+        bloch, meas = quantum_ensemble(*args, [shot_rng(5, i) for i in shots])
+        for row, i in enumerate(shots):
+            assert np.array_equal(bloch[row], lone[i][0])
+            assert np.array_equal(meas[row], lone[i][1])
