@@ -82,9 +82,12 @@ def _check_quantum(q: dict) -> None:
     for key in ("sigma", "dt"):
         if key in q and not (math.isfinite(q[key]) and q[key] > 0):
             raise ConfigError(f"quantum.{key}: must be finite and > 0")
-    # the Kraus operator's normalisation (2 pi sigma^2)^(-1/4) needs sigma^2 > 0
-    if q.get("sigma", 1.0) ** 2 == 0.0:
-        raise ConfigError("quantum.sigma: its square underflows to 0")
+    # the Kraus operator's normalisation (2 pi sigma^2)^(-1/4) needs a finite
+    # sigma^2 > 0; a product, unlike **, overflows to inf instead of raising
+    sigma = q.get("sigma", 1.0)
+    s2 = sigma * sigma
+    if s2 == 0.0 or not math.isfinite(s2):
+        raise ConfigError("quantum.sigma: its square underflows to 0 or overflows")
     if q.get("n_steps", 1) < 1:
         raise ConfigError("quantum.n_steps: must be >= 1")
 

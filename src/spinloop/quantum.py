@@ -183,23 +183,20 @@ def _exp_i_jx(j: float, psi: np.ndarray, b) -> np.ndarray:
     return out
 
 
-def scs_state(j: float, angles: SphericalAngles, shots: int | None = None) -> QuantumSpinState:
+def scs_state(j: float, angles: SphericalAngles) -> QuantumSpinState:
     """Spin coherent state exp(-i phi Jz) exp(-i theta Jy) |j, j>: the
-    stretched m = +j state rotated to point along (theta, phi).  With
-    shots, a batch of that many copies."""
+    stretched m = +j state rotated to point along (theta, phi)."""
     dim = int(round(2 * j)) + 1
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0
     state = QuantumSpinState(j, amps)
-    if angles.theta != 0.0 or angles.phi != 0.0:
-        # Jy = R Jx R* with the diagonal R = exp(-i (pi/2)(Jz - j)), and
-        # R* |j, j> = |j, j>, so exp(-i theta Jy)|j, j> = R e^{-i theta Jx} |j, j>
-        m = state.m_values
-        phase = np.exp(-1j * (angles.phi * m + 0.5 * math.pi * (m - j)))
-        state = QuantumSpinState(j, phase * _exp_i_jx(j, amps, -angles.theta)).normalized()
-    if shots is None:
+    if angles.theta == 0.0 and angles.phi == 0.0:
         return state
-    return QuantumSpinState(j, np.tile(state.amplitudes, (shots, 1)))
+    # Jy = R Jx R* with the diagonal R = exp(-i (pi/2)(Jz - j)), and
+    # R* |j, j> = |j, j>, so exp(-i theta Jy)|j, j> = R e^{-i theta Jx} |j, j>
+    m = state.m_values
+    phase = np.exp(-1j * (angles.phi * m + 0.5 * math.pi * (m - j)))
+    return QuantumSpinState(j, phase * _exp_i_jx(j, amps, -angles.theta)).normalized()
 
 
 def expect(state: QuantumSpinState, op: np.ndarray) -> float:
@@ -247,21 +244,19 @@ def sample_outcome(state: QuantumSpinState, sigma: float, rng):
     draw from the right.  The Gaussian draw follows from the same stream."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    probs = np.abs(state.amplitudes) ** 2
+    lone = state.amplitudes.ndim == 1  # one state is a batch of one
+    probs = np.abs(np.atleast_2d(state.amplitudes)) ** 2
     probs = probs / probs.sum(axis=-1, keepdims=True)
     cdf = np.cumsum(probs, axis=-1)
-    if np.isnan(cdf[..., -1]).any():
+    if np.isnan(cdf[:, -1]).any():
         raise ValueError("probabilities contain NaN")
-    cdf /= cdf[..., -1:]
+    cdf /= cdf[:, -1:]
     m = state.m_values
-    if cdf.ndim == 1:
-        m0 = float(m[cdf.searchsorted(rng.random(), side="right")])
-        return m0 + sigma * rng.standard_normal()
     out = np.empty(len(cdf))
-    for i, (row, r) in enumerate(zip(cdf, rng, strict=True)):
+    for i, (row, r) in enumerate(zip(cdf, [rng] if lone else rng, strict=True)):
         m0 = float(m[row.searchsorted(r.random(), side="right")])
         out[i] = m0 + sigma * r.standard_normal()
-    return out
+    return float(out[0]) if lone else out
 
 
 def qmf_step(state: QuantumSpinState, m, p, dt: float, sigma: float) -> QuantumSpinState:
@@ -273,8 +268,6 @@ def qmf_step(state: QuantumSpinState, m, p, dt: float, sigma: float) -> QuantumS
     carries a factor 2 that cancels the 1/2 in the Hamiltonian); this is
     the same convention as the classical control law."""
     post, _ = kraus_apply(state, m, sigma)
-    if dt == 0.0:
-        return post
     a = p.alpha_lin
     b = p.k_nl * (np.asarray(m) / state.j)
     return _axis_rotation(post, a * dt, b * dt)

@@ -22,7 +22,7 @@ from .config import ExperimentConfig
 from .loop_sim import TrajectoryRecord, run_batch, shot_rng
 from .measurement import composite_pulse_scan, measure, noise_budget_fit
 from .models import KtParams, LmgParams, kt_step, tilted
-from .quantum import bloch_vector, qmf_step, sample_outcome, scs_state
+from .quantum import QuantumSpinState, bloch_vector, qmf_step, sample_outcome, scs_state
 # bound here so the benchmark tracer (perfbench/tracing.py) can patch them
 from .quantum import expect, spin_operators  # noqa: F401
 from .runio import (
@@ -214,20 +214,30 @@ def _run_composite(cfg, out):
     return [_emit_table(cfg, out, "composite", "theta,variance", pts)]
 
 
+# trajectories advanced together: state memory stays O(block * dim)
+# whatever the shot count, while one step still serves many shots
+QUANTUM_BLOCK = 64
+
+
 def quantum_ensemble(j, angles, params, sigma, dt, n_steps, rngs):
     """Exact measurement-and-feedback trajectories from the coherent state
-    along `angles`, one per generator in rngs, advanced in lock-step.
-    Returns the Bloch vectors <J>/j before each step and after the last,
-    shape (shots, n_steps + 1, 3), and the outcomes, shape (shots, n_steps).
-    Trajectory i depends only on rngs[i]."""
-    state = scs_state(j, angles, len(rngs))
+    along `angles`, one per generator in the sequence rngs, advanced in
+    lock-step, QUANTUM_BLOCK at a time.  Returns the Bloch vectors <J>/j
+    before each step and after the last, shape (shots, n_steps + 1, 3), and
+    the outcomes, shape (shots, n_steps).  Trajectory i depends only on
+    rngs[i]."""
+    psi0 = scs_state(j, angles).amplitudes
     bloch = np.empty((len(rngs), n_steps + 1, 3))
     meas = np.empty((len(rngs), n_steps))
-    for k in range(n_steps):
-        bloch[:, k] = bloch_vector(state)
-        meas[:, k] = sample_outcome(state, sigma, rngs)
-        state = qmf_step(state, meas[:, k], params, dt, sigma)
-    bloch[:, n_steps] = bloch_vector(state)
+    for lo in range(0, len(rngs), QUANTUM_BLOCK):
+        block = rngs[lo : lo + QUANTUM_BLOCK]
+        rows = slice(lo, lo + len(block))
+        state = QuantumSpinState(j, np.tile(psi0, (len(block), 1)))
+        for k in range(n_steps):
+            bloch[rows, k] = bloch_vector(state)
+            meas[rows, k] = sample_outcome(state, sigma, block)
+            state = qmf_step(state, meas[rows, k], params, dt, sigma)
+        bloch[rows, n_steps] = bloch_vector(state)
     return bloch, meas
 
 

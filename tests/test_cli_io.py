@@ -669,7 +669,7 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
                          ("sigma", 0), ("sigma", -20), ("sigma", "nan"), ("sigma", "inf"),
                          ("sigma", 1e-300),
                          ("dt", 0), ("dt", -2e-6), ("dt", "nan"), ("dt", "inf"),
-                         ("n_steps", 0), ("n_steps", -1))],
+                         ("n_steps", 0), ("n_steps", -1), ("sigma", 1e200))],
 ])
 def test_simulate_cli_config_errors(tmp_path, capsys, scenario, text, flags, message):
     cfgp = tmp_path / "c.cfg"

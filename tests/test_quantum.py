@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from spinloop import scenarios
 from spinloop.cli import simulate_main
 from spinloop.loop_sim import shot_rng
 from spinloop.models import LmgParams
@@ -222,10 +223,12 @@ def test_parity_blocks_match_dense_jx(j):
 @pytest.mark.parametrize("j", [0.5, 10.0, 199.5, 500.0])
 def test_sample_outcome_is_rng_choice(j):
     # the m0 draw inlines rng.choice(m_values, p=probs); a numpy release
-    # that changes choice shows up here
+    # that changes choice shows up here.  The 24 states form one batch, as
+    # the runner's do, each with its own generator.
     dim = int(2 * j) + 1
     m = j - np.arange(dim)
     sigma = 3.0
+    states = []
     for seed in range(24):
         rng = np.random.default_rng(seed)
         if seed % 2:
@@ -233,11 +236,15 @@ def test_sample_outcome_is_rng_choice(j):
         else:
             psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             state = QuantumSpinState(j, psi).normalized()
-        probs = np.abs(state.amplitudes) ** 2
+        states.append(state.amplitudes)
+    got = sample_outcome(QuantumSpinState(j, np.stack(states)), sigma,
+                         [np.random.default_rng(100 + seed) for seed in range(24)])
+    for seed, psi in enumerate(states):
+        probs = np.abs(psi) ** 2
         probs = probs / probs.sum()
         twin = np.random.default_rng(100 + seed)
         want = float(twin.choice(m, p=probs)) + sigma * twin.standard_normal()
-        assert sample_outcome(state, sigma, np.random.default_rng(100 + seed)) == want
+        assert got[seed] == want
 
 
 def test_sample_outcome_rejects_nan_probabilities():
@@ -261,3 +268,15 @@ def test_ensemble_rows_match_lone_trajectories(j):
         for row, i in enumerate(shots):
             assert np.array_equal(bloch[row], lone[i][0])
             assert np.array_equal(meas[row], lone[i][1])
+
+
+def test_ensemble_blocks_match_one_block(monkeypatch):
+    # the runner advances QUANTUM_BLOCK trajectories at a time; the block
+    # size does not change a byte
+    p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
+    args = (10.0, SphericalAngles(0.4, 0.3), p, 3.0, 2e-6, 12)
+    whole = quantum_ensemble(*args, [shot_rng(5, i) for i in range(12)])
+    monkeypatch.setattr(scenarios, "QUANTUM_BLOCK", 5)
+    blocked = quantum_ensemble(*args, [shot_rng(5, i) for i in range(12)])
+    for a, b in zip(whole, blocked):
+        assert np.array_equal(a, b)
