@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Kicked-top chaos survey: largest Lyapunov exponent on a grid of initial
-conditions for a given kick strength.  Writes lyapunov_map.csv suitable for
-a phase-space heat map."""
+conditions for a given kick strength, every grid point in one batch.
+Writes lyapunov_map.csv suitable for a phase-space heat map."""
 
 import argparse
 import math
 
-from spinloop.analysis import lyapunov_jacobian
-from spinloop.models import KtParams
+import numpy as np
+
+from spinloop.analysis import lyapunov_exponents
 from spinloop.runio import emit_csv
 from spinloop.spin_core import SphericalAngles, from_angles
 
@@ -21,16 +22,12 @@ def main():
     ap.add_argument("--steps", type=int, default=2000)
     args = ap.parse_args()
 
-    p = KtParams(alpha=args.alpha, k=args.k)
-    rows = []
-    for i in range(args.grid):
-        theta = math.pi * (i + 0.5) / args.grid
-        for jj in range(args.grid):
-            phi = -math.pi + 2.0 * math.pi * (jj + 0.5) / args.grid
-            x0 = from_angles(SphericalAngles(theta, phi))
-            lam = lyapunov_jacobian(p, x0, args.steps).lambda_max
-            rows.append((theta, phi, lam))
-    emit_csv(args.out, "theta,phi,lambda_max", rows)
+    idx = np.arange(args.grid) + 0.5
+    theta = np.repeat(math.pi * idx / args.grid, args.grid)
+    phi = np.tile(-math.pi + 2.0 * math.pi * idx / args.grid, args.grid)
+    x0 = [from_angles(SphericalAngles(*a)).as_tuple() for a in zip(theta, phi)]
+    lam = lyapunov_exponents(args.alpha, args.k, x0, args.steps)
+    emit_csv(args.out, "theta,phi,lambda_max", zip(theta, phi, lam))
     print(f"wrote {args.out} ({args.grid * args.grid} points)")
 
 

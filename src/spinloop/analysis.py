@@ -1,4 +1,4 @@
-"""Post-processing: Lyapunov exponents, spectral entropy, subharmonic
+"""Post-processing: batched Lyapunov exponents, spectral entropy, subharmonic
 rigidity, order parameters, decay times, and symmetry statistics."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import KtParams, kt_jacobian, kt_step, _tangent_basis
+from .models import KtParams, kt_map, kt_step, _tangent_basis
 from .spin_core import SpinVector
 
 
@@ -45,34 +45,46 @@ def spectral_entropy(series) -> SpectralSummary:
     return SpectralSummary(freqs, p, s, float(freqs[int(np.argmax(p))]))
 
 
-LYAPUNOV_DISCARD = 100  # map steps run before lyapunov_jacobian accumulates
+LYAPUNOV_DISCARD = 100  # map steps run before lyapunov_exponents accumulates
+LYAPUNOV_MIN_STEPS = 1000  # fewest accumulated steps lyapunov_exponents takes
+LYAPUNOV_MIN_MEMBERS = 50  # smallest ensemble lyapunov_stddev takes
+LYAPUNOV_MIN_FIT = 3  # fewest steps lyapunov_stddev fits
+
+
+def lyapunov_exponents(alpha, k, x0, n_steps: int) -> np.ndarray:
+    """Largest exponent of every row from tangent-vector stretching under
+    ``kt_map``, renormalized every step (per-step units).  The rows are the
+    start points x0, shape (n, 3) or one (3,), broadcast against the kicks
+    k, shape (n,) or a float; a row's exponent depends on that row alone,
+    bit for bit, in any batch."""
+    if n_steps < LYAPUNOV_MIN_STEPS:
+        raise ValueError(f"n_steps must be >= {LYAPUNOV_MIN_STEPS}")
+    x, y, z, k = np.broadcast_arrays(*np.asarray(x0, dtype=float).T, k)
+    acc = np.zeros(x.shape)
+    # an overflow raises here instead of printing a numpy warning
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            # settle onto the attractor-free invariant set before accumulating
+            for _ in range(LYAPUNOV_DISCARD):
+                ((x, y, z),) = kt_map(x, y, z, alpha, k)
+            # each tangent starts along e1 of its point's chart
+            t = np.array([_tangent_basis(SpinVector(*v))[0] for v in zip(x, y, z)]).T
+            for _ in range(n_steps):
+                (x, y, z), t = kt_map(x, y, z, alpha, k, t)
+                nrm = np.sqrt(t[0] * t[0] + t[1] * t[1] + t[2] * t[2])
+                acc += np.log(nrm)
+                t = (t[0] / nrm, t[1] / nrm, t[2] / nrm)
+    except FloatingPointError:
+        acc[:] = math.nan
+    if not np.all(np.isfinite(acc)):
+        raise FloatingPointError("tangent vector left numerical tolerance")
+    return acc / n_steps
 
 
 def lyapunov_jacobian(p: KtParams, x0: SpinVector, n_steps: int) -> LyapunovEstimate:
-    """Largest exponent from tangent-vector stretching under the map's
-    Jacobian, renormalized every step (per-step units)."""
-    if n_steps < 1000:
-        raise ValueError("n_steps must be >= 1000")
-    v = x0
-    # settle onto the attractor-free invariant set before accumulating
-    for _ in range(LYAPUNOV_DISCARD):
-        v = kt_step(v, p)
-    w = np.array([1.0, 0.0])
-    acc = 0.0
-    for _ in range(n_steps):
-        # an overflow raises here instead of printing a numpy warning
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                w = kt_jacobian(v, p) @ w
-                nrm = float(np.linalg.norm(w))
-        except FloatingPointError:
-            nrm = math.nan
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise FloatingPointError("tangent vector left numerical tolerance")
-        acc += math.log(nrm)
-        w /= nrm
-        v = kt_step(v, p)
-    return LyapunovEstimate(acc / n_steps, "jacobian", n_steps)
+    """``lyapunov_exponents`` of one start point: a batch of one."""
+    lam = lyapunov_exponents(p.alpha, [p.k], x0.as_tuple(), n_steps)[0]
+    return LyapunovEstimate(float(lam), "jacobian", n_steps)
 
 
 def lyapunov_benettin(
@@ -103,10 +115,10 @@ def lyapunov_stddev(theta_series_ensemble, n_fit: int = 5) -> LyapunovEstimate:
     ln sigma_theta(n) = ln A + lambda n over the first n_fit steps.
     A lower bound on the true largest exponent."""
     arr = np.asarray(theta_series_ensemble, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 50:
-        raise ValueError("need an ensemble of at least 50 members")
-    if n_fit < 3 or n_fit > arr.shape[1]:
-        raise ValueError("n_fit must be >= 3 and fit inside the series")
+    if arr.ndim != 2 or arr.shape[0] < LYAPUNOV_MIN_MEMBERS:
+        raise ValueError(f"need an ensemble of at least {LYAPUNOV_MIN_MEMBERS} members")
+    if n_fit < LYAPUNOV_MIN_FIT or n_fit > arr.shape[1]:
+        raise ValueError(f"n_fit must be >= {LYAPUNOV_MIN_FIT} and fit inside the series")
     sig = arr[:, :n_fit].std(axis=0, ddof=1)
     if np.any(sig <= 0):
         raise ValueError("zero spread at some step; cannot take the log")
@@ -229,25 +241,18 @@ def ftc_rigidity(stroboscopic_z_by_alpha: dict) -> dict:
     maximum (DC excluded), and its width (reported as the FWHM-style extent
     of the dominant region)."""
     alphas = sorted(stroboscopic_z_by_alpha)
-    psd = {}
-    dominant = {}
-    p2_power = {}
-    for a in alphas:
-        freqs, spec = _ensemble_psd(stroboscopic_z_by_alpha[a])
-        psd[a] = (freqs, spec)
-        body = spec[1:]  # drop DC
-        dominant[a] = bool(np.argmax(body) == len(body) - 1)
-        p2_power[a] = float(spec[-1])
+    psd = {a: _ensemble_psd(stroboscopic_z_by_alpha[a]) for a in alphas}
+    # the period-2 bin is the last one; DC, the first, is left out
+    dominant = {a: bool(np.argmax(s[1:]) == len(s) - 2) for a, (_, s) in psd.items()}
+    p2_power = {a: float(s[-1]) for a, (_, s) in psd.items()}
     # contiguous run of dominance containing the alpha closest to pi
     window = 0.0
     lo = hi = None
     center = min(alphas, key=lambda a: abs(a - math.pi))
-    if dominant.get(center, False):
-        idx = alphas.index(center)
-        i0 = idx
+    if dominant[center]:
+        i0 = i1 = alphas.index(center)
         while i0 > 0 and dominant[alphas[i0 - 1]]:
             i0 -= 1
-        i1 = idx
         while i1 < len(alphas) - 1 and dominant[alphas[i1 + 1]]:
             i1 += 1
         lo, hi = alphas[i0], alphas[i1]

@@ -5,7 +5,8 @@ analyze  <kind> --in <files...> [--out DIR] [--emit csv|json]
 
 A config key is accepted only if the scenario reads it (config.SCENARIOS);
 lmg.s in dpt-sweep and kt.alpha in ftc-sweep are also accepted, though a
-sweep replaces them.  The simulate flags are checked as the run keys they
+sweep replaces them, and a lyapunov config gives exactly one of kt.k and
+sweep.k.  The simulate flags are checked as the run keys they
 set, before any output is written, so --emit applies only to the scenarios
 that write tables (dpt-sweep, lyapunov, ftc-sweep, noise-budget,
 composite-scan).

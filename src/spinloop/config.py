@@ -6,14 +6,17 @@ scenario named by run.kind reads it: ``SCENARIOS`` lists the keys each
 scenario reads and the sections or keys it requires, and any other key is
 a ConfigError naming section.key and the scenario.  The simulate flags are
 checked as the run keys they set, so --emit (run.emit) applies only to the
-scenarios that write tables.  Two keys that a sweep replaces stay
-accepted, because the benchmark configs set them: lmg.s in dpt-sweep and
-kt.alpha in ftc-sweep.  ExperimentConfig also rejects a run.n_shots below
-the scenario's minimum and, in the kicked-top loops, a loop.latency longer
-than kt.t_gap, and a [quantum] value the engine cannot run: a j for which
-2j is not a positive integer or that exceeds quantum.J_MAX, a sigma or dt
-that is not finite and positive, a sigma whose square underflows to 0, or
-an n_steps below 1.
+scenarios that write tables.  In lyapunov, sweep.k replaces kt.k, and a
+config gives exactly one of the two.  Two more keys that a sweep replaces
+stay accepted, because the benchmark configs set them: lmg.s in dpt-sweep
+and kt.alpha in ftc-sweep.  ExperimentConfig also rejects a run.n_shots
+below the scenario's minimum and, in the kicked-top loops, a loop.latency
+longer than kt.t_gap, and a [quantum] value the engine cannot run: a j for
+which 2j is not a positive integer or that exceeds quantum.J_MAX, a sigma
+or dt that is not finite and positive, a sigma whose square underflows to
+0, or an n_steps below 1.  In lyapunov it rejects a kt.alpha, kick strength
+or [lyapunov] value that is not finite, a tilt that is not > 0, and an
+n_steps, n_members or n_fit below the estimators' minimum.
 
 A key the file leaves out takes the default of the dataclass or builder it
 feeds; [lyapunov] and [quantum] defaults live in the scenario runners.
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .analysis import LYAPUNOV_MIN_FIT, LYAPUNOV_MIN_MEMBERS, LYAPUNOV_MIN_STEPS
 from .controller import FixedPointFormat, QktSchedule, qkt_schedule
 from .loop_sim import LoopConfig
 from .measurement import MIN_SCAN_SHOTS, MeasurementModel
@@ -70,6 +74,8 @@ class ExperimentConfig:
                 f"loop.latency ({self.loop.latency:g}) exceeds kt.t_gap ({sched.t_gap:g})"
             )
         _check_quantum(self.quantum)
+        if self.kind == "lyapunov":
+            _check_lyapunov(self)
 
 
 def _check_quantum(q: dict) -> None:
@@ -90,6 +96,24 @@ def _check_quantum(q: dict) -> None:
         raise ConfigError("quantum.sigma: its square underflows to 0 or overflows")
     if q.get("n_steps", 1) < 1:
         raise ConfigError("quantum.n_steps: must be >= 1")
+
+
+def _check_lyapunov(cfg: ExperimentConfig) -> None:
+    """kt.alpha, every kick strength and the [lyapunov] values given must be
+    ones the two estimators can run."""
+    ly = cfg.lyapunov
+    given = {"kt.alpha": [cfg.kt.alpha], "kt.k": [cfg.kt.k],
+             "sweep.k": cfg.sweep.get("k", []),
+             **{f"lyapunov.{key}": [v] for key, v in ly.items()}}
+    for name, values in given.items():
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{name}: must be finite")
+    if ly.get("tilt", 1.0) <= 0:
+        raise ConfigError("lyapunov.tilt: must be > 0")
+    for key, least in (("n_steps", LYAPUNOV_MIN_STEPS), ("n_members", LYAPUNOV_MIN_MEMBERS),
+                       ("n_fit", LYAPUNOV_MIN_FIT)):
+        if ly.get(key, least) < least:
+            raise ConfigError(f"lyapunov.{key}: must be >= {least}")
 
 
 # scenario -> fewest shots it can use, when more than one: noise-budget
@@ -214,9 +238,10 @@ SCENARIOS = {
         ("sweep.s",),
     ),
     "ssb-ensemble": (_CLOSED_LOOP + _all("lmg"), ("lmg",)),
+    # sweep.k replaces kt.k, so a config gives exactly one of the two
     "lyapunov": (
         ("run.emit", "kt.alpha", "kt.k", *_all("lyapunov"), "sweep.k"),
-        ("kt.alpha", "kt.k"),
+        ("kt.alpha",),
     ),
     # each sweep.alpha point replaces kt.alpha
     "ftc-sweep": (
@@ -346,6 +371,8 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
             f"expected one of {', '.join(SCENARIOS)}"
         )
     _check_reads(c, kind, path)
+    if kind == "lyapunov" and ("k" in c.get("kt", {})) == ("k" in c.get("sweep", {})):
+        raise ConfigError(f"{path}: scenario lyapunov needs exactly one of kt.k and sweep.k")
 
     noise = _build(path, "noise", RotationNoise, **c["noise"]) if "noise" in c else None
     raw = c.get("loop", {})

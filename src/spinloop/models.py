@@ -1,6 +1,6 @@
 """The two target models: the continuous linear-plus-quadratic spin flow
 (dimensionless control parameter s, overall rate Lambda) and the kicked-top
-Poincare map (linear angle alpha, kick strength k)."""
+Poincare map (linear angle alpha, kick strength k) with its tangent map."""
 
 from __future__ import annotations
 
@@ -109,26 +109,41 @@ def lmg_critical_s_for_pole() -> float:
     return 2.0 / 3.0
 
 
-def kt_step(v: SpinVector, p: KtParams) -> SpinVector:
-    """One period of the kicked-top map, written out component-wise to pin
-    the sign convention:
+def kt_map(x, y, z, alpha, k, *tangents):
+    """One period of the kicked-top map on points (x, y, z), floats or
+    arrays that broadcast with alpha and k, written out component-wise to
+    pin the sign convention:
 
       W  = cos(a) Z - sin(a) Y
       X' = -sin(kW) [cos(a) Y + sin(a) Z] + cos(kW) X
       Y' =  cos(kW) [cos(a) Y + sin(a) Z] + sin(kW) X
-      Z' = -sin(a) Y + cos(a) Z
-    """
-    ca = math.cos(p.alpha)
-    sa = math.sin(p.alpha)
-    w = ca * v.z - sa * v.y
-    u = ca * v.y + sa * v.z
-    ckw = math.cos(p.k * w)
-    skw = math.sin(p.k * w)
-    return SpinVector(
-        -skw * u + ckw * v.x,
-        ckw * u + skw * v.x,
-        w,
-    )
+      Z' = W
+
+    Returns [(X', Y', Z'), then the image of each tangent vector (tx, ty,
+    tz) under the map's derivative, by d/dW R_z(kW) u = k z_hat x R_z(kW) u].
+    The map keeps |v|, so a vector tangent at v stays tangent at its image."""
+    ca = np.cos(alpha)
+    sa = np.sin(alpha)
+    w = ca * z - sa * y
+    u = ca * y + sa * z
+    kw = k * w
+    ckw = np.cos(kw)
+    skw = np.sin(kw)
+    xn = ckw * x - skw * u
+    yn = skw * x + ckw * u
+    out = [(xn, yn, w)]
+    for tx, ty, tz in tangents:
+        dw = ca * tz - sa * ty
+        du = ca * ty + sa * tz
+        kdw = k * dw
+        out.append((ckw * tx - skw * du - kdw * yn, skw * tx + ckw * du + kdw * xn, dw))
+    return out
+
+
+def kt_step(v: SpinVector, p: KtParams) -> SpinVector:
+    """One period of the kicked-top map from one point (``kt_map``)."""
+    ((x, y, z),) = kt_map(v.x, v.y, v.z, p.alpha, p.k)
+    return SpinVector(float(x), float(y), float(z))
 
 
 def _tangent_basis(v: SpinVector) -> tuple[np.ndarray, np.ndarray]:
@@ -158,20 +173,9 @@ def tilted(v: SpinVector, chi: float, angle: float) -> SpinVector:
 
 
 def kt_jacobian(v: SpinVector, p: KtParams) -> np.ndarray:
-    """Tangent map of kt_step in local orthonormal charts (2x2, det = 1)."""
-    ca = math.cos(p.alpha)
-    sa = math.sin(p.alpha)
-    r_alpha = np.array([[1.0, 0.0, 0.0], [0.0, ca, sa], [0.0, -sa, ca]])
-    u = r_alpha @ np.array(v.as_tuple())
-    psi = p.k * u[2]
-    c, s = math.cos(psi), math.sin(psi)
-    r_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    dr_z = np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
-    # d/dv [R_z(k u_z) u] with u = R_alpha v and u_z = r3 . v
-    d3 = r_z @ r_alpha + p.k * np.outer(dr_z @ u, r_alpha[2])
+    """Tangent map of kt_step in the ``_tangent_basis`` charts of v and of
+    its image (2x2, det = 1): kt_map's images of e1 and e2, projected."""
     e1, e2 = _tangent_basis(v)
-    vp = kt_step(v, p)
-    f1, f2 = _tangent_basis(vp)
-    ein = np.column_stack([e1, e2])
-    eout = np.column_stack([f1, f2])
-    return eout.T @ d3 @ ein
+    (x, y, z), d1, d2 = kt_map(v.x, v.y, v.z, p.alpha, p.k, e1, e2)
+    f1, f2 = _tangent_basis(SpinVector(float(x), float(y), float(z)))
+    return np.array([f1, f2]) @ np.array([d1, d2]).T

@@ -13,7 +13,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     ftc_rigidity,
-    lyapunov_jacobian,
+    lyapunov_exponents,
     lyapunov_stddev,
     order_parameters,
     symmetry_stats,
@@ -21,7 +21,7 @@ from .analysis import (
 from .config import ExperimentConfig
 from .loop_sim import TrajectoryRecord, run_batch, shot_rng
 from .measurement import composite_pulse_scan, measure, noise_budget_fit
-from .models import KtParams, LmgParams, kt_step, tilted
+from .models import KtParams, LmgParams, kt_map, tilted
 from .quantum import QuantumSpinState, bloch_vector, qmf_step, sample_outcome, scs_state
 # bound here so the benchmark tracer (perfbench/tracing.py) can patch them
 from .quantum import expect, spin_operators  # noqa: F401
@@ -33,7 +33,7 @@ from .runio import (
     emit_trajectories,
     fmt_float,
 )
-from .spin_core import SphericalAngles, from_angles, to_angles
+from .spin_core import SphericalAngles, from_angles
 
 
 def _emit_table(cfg: ExperimentConfig, out: Path, name: str, header: str, rows):
@@ -104,38 +104,37 @@ def _run_ssb(cfg, out):
     )
 
 
-def _tilted_kt_ensemble(p, x0, tilt, n, rng, n_steps):
-    """Ensemble of map iterates from Gaussian-tilted copies of x0; returns
-    the elevation-angle series, one row per member."""
-    series = np.zeros((n, n_steps + 1))
-    for i in range(n):
-        chi = rng.uniform(0.0, 2.0 * math.pi)
-        v = tilted(x0, chi, tilt * rng.standard_normal())
-        for k in range(n_steps + 1):
-            series[i, k] = to_angles(v).theta
-            v = kt_step(v, p)
-    return series
+def _tilted_kt_ensemble(alpha, ks, x0, tilt, n, rng, n_steps):
+    """Elevation angles of the first n_steps map iterates of n Gaussian-tilted
+    copies of x0, one set of copies under every kick strength in ks; shape
+    (len(ks), n, n_steps)."""
+    x, y, z = np.array([
+        tilted(x0, rng.uniform(0.0, 2.0 * math.pi), tilt * rng.standard_normal()).as_tuple()
+        for _ in range(n)
+    ]).T
+    k = np.asarray(ks, dtype=float)[:, None]
+    series = np.empty((len(ks), n, n_steps))
+    for i in range(n_steps):
+        series[:, :, i] = z
+        ((x, y, z),) = kt_map(x, y, z, alpha, k)
+    return np.arccos(np.clip(series, -1.0, 1.0))  # to_angles(v).theta
 
 
 def _run_lyapunov(cfg, out):
     ly = cfg.lyapunov
     x0 = from_angles(SphericalAngles(ly.get("theta0", 2.0), ly.get("phi0", 1.0)))
-    n_steps = ly.get("n_steps", 2000)
     ks = cfg.sweep.get("k", [cfg.kt.k])
-    rows = []
-    for k in ks:
-        p = KtParams(cfg.kt.alpha, k)
-        jac = lyapunov_jacobian(p, x0, n_steps).lambda_max
-        sd = math.nan
-        if "n_members" in ly:
-            rng = shot_rng(cfg.master_seed, 0)
-            n_fit = ly.get("n_fit", 5)
-            series = _tilted_kt_ensemble(
-                p, x0, ly.get("tilt", 2.5e-4), ly["n_members"], rng, n_fit
-            )
-            sd = lyapunov_stddev(series, n_fit).lambda_max
-        rows.append((k, jac, sd))
-    return [_emit_table(cfg, out, "lyapunov", "k,lambda_jacobian,lambda_stddev", rows)]
+    jac = lyapunov_exponents(cfg.kt.alpha, ks, x0.as_tuple(), ly.get("n_steps", 2000))
+    sd = [math.nan] * len(ks)
+    if "n_members" in ly:
+        n_fit = ly.get("n_fit", 5)
+        series = _tilted_kt_ensemble(
+            cfg.kt.alpha, ks, x0, ly.get("tilt", 2.5e-4), ly["n_members"],
+            shot_rng(cfg.master_seed, 0), n_fit,
+        )
+        sd = [lyapunov_stddev(s, n_fit).lambda_max for s in series]
+    return [_emit_table(cfg, out, "lyapunov", "k,lambda_jacobian,lambda_stddev",
+                        zip(ks, jac, sd))]
 
 
 def _strob_z(rec):
@@ -155,12 +154,8 @@ def _run_ftc(cfg, out):
             for i, a in enumerate(alphas)}
     del batch  # the records are done with; free them before the analysis
     rig = ftc_rigidity(data)
-    spec_rows = []
-    for a in sorted(data):
-        freqs, spec = rig["psd"][a]
-        for f, pw in zip(freqs, spec):
-            spec_rows.append((a, f, pw))
-    paths = [
+    spec_rows = [(a, f, pw) for a in sorted(data) for f, pw in zip(*rig["psd"][a])]
+    return [
         _emit_table(cfg, out, "spectra", "alpha,frequency,power", spec_rows),
         emit_json(out / "rigidity.json", {
             "schema_version": 1,
@@ -171,7 +166,6 @@ def _run_ftc(cfg, out):
             "window_edges": rig["window_edges"],
         }),
     ]
-    return paths
 
 
 def _run_noise_budget(cfg, out):
@@ -196,7 +190,7 @@ def _run_noise_budget(cfg, out):
             vals[i] = m + cpn
         rows.append((n1, float(np.var(vals, ddof=1))))
     coeffs, errs = noise_budget_fit(rows)
-    paths = [
+    return [
         _emit_table(cfg, out, "budget", "n1,variance", rows),
         emit_json(out / "budget_fit.json", {
             "schema_version": 1,
@@ -204,7 +198,6 @@ def _run_noise_budget(cfg, out):
             "stderr": list(errs),
         }),
     ]
-    return paths
 
 
 def _run_composite(cfg, out):

@@ -7,6 +7,7 @@ from spinloop.analysis import (
     extract_tdd,
     ftc_rigidity,
     lyapunov_benettin,
+    lyapunov_exponents,
     lyapunov_jacobian,
     lyapunov_stddev,
     order_parameters,
@@ -15,8 +16,9 @@ from spinloop.analysis import (
     symmetry_stats,
 )
 from spinloop.loop_sim import TrajectoryRecord
-from spinloop.models import KtParams, kt_step
-from spinloop.spin_core import SphericalAngles, from_angles, to_angles
+from spinloop.models import KtParams, _tangent_basis, kt_map, kt_step, tilted
+from spinloop.scenarios import _tilted_kt_ensemble
+from spinloop.spin_core import SphericalAngles, SpinVector, from_angles, to_angles
 
 
 def _record(t, z):
@@ -65,6 +67,64 @@ def test_lyapunov_input_validation():
     p = KtParams(alpha=math.pi / 2.0, k=1.0)
     with pytest.raises(ValueError):
         lyapunov_jacobian(p, from_angles(SphericalAngles(1.0, 0.5)), 100)
+
+
+def test_lyapunov_rows_are_batch_independent():
+    # a point's exponent alone equals its row bit for bit, in batches of 1,
+    # 3 and 576 points, in any order, with mixed k
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((576, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    ks = rng.uniform(0.0, 6.0, 576)
+    whole = lyapunov_exponents(math.pi / 2.0, ks, pts, 1000)
+    order = rng.permutation(576)
+    shuffled = lyapunov_exponents(math.pi / 2.0, ks[order], pts[order], 1000)
+    assert shuffled.tobytes() == whole[order].tobytes()
+    trio = order[:3]
+    assert (lyapunov_exponents(math.pi / 2.0, ks[trio], pts[trio], 1000).tobytes()
+            == whole[trio].tobytes())
+    for i in trio[::-1]:
+        one = lyapunov_jacobian(KtParams(math.pi / 2.0, ks[i]), SpinVector(*pts[i]), 1000)
+        assert one.lambda_max == whole[i]
+
+
+def test_lyapunov_exponents_match_extended_precision():
+    # the same tangent recursion in long double along the same float64 orbit;
+    # this near-pole orbit stretches the tangent about e^8-fold and contracts
+    # it again, which amplifies per-step rounding up to 5e-12 in the exponent
+    p = KtParams(math.pi / 2.0, 2.5)
+    v = from_angles(SphericalAngles(math.pi / 16.0, 7.0 * math.pi / 8.0))
+    got = lyapunov_exponents(p.alpha, [p.k], v.as_tuple(), 2000)[0]
+    for _ in range(100):
+        v = kt_step(v, p)
+    ld = np.longdouble
+    t = tuple(map(ld, _tangent_basis(v)[0]))
+    acc = ld(0.0)
+    for _ in range(2000):
+        _, t = kt_map(*map(ld, (*v.as_tuple(), p.alpha, p.k)), t)
+        nrm = np.sqrt(t[0] * t[0] + t[1] * t[1] + t[2] * t[2])
+        acc += np.log(nrm)
+        t = tuple(c / nrm for c in t)
+        v = kt_step(v, p)
+    assert abs(got - float(acc / 2000)) < 1e-12
+
+
+def test_tilted_ensemble_matches_one_member_loop():
+    # every member under every k, as arrays, against tilted, kt_step and
+    # to_angles one member and one k at a time, from the same draws
+    x0 = from_angles(SphericalAngles(2.0, 1.0))
+    ks = [0.5, 2.5, 3.0]
+    got = _tilted_kt_ensemble(math.pi / 2.0, ks, x0, 2.5e-4, 60, np.random.default_rng(4), 6)
+    rng = np.random.default_rng(4)
+    starts = [tilted(x0, rng.uniform(0.0, 2.0 * math.pi), 2.5e-4 * rng.standard_normal())
+              for _ in range(60)]
+    for series, k in zip(got, ks):
+        for row, v in zip(series, starts):
+            want = []
+            for _ in range(6):
+                want.append(to_angles(v).theta)
+                v = kt_step(v, KtParams(math.pi / 2.0, k))
+            assert np.allclose(row, want, rtol=0.0, atol=1e-15)
 
 
 def test_lyapunov_stddev_regular_region():

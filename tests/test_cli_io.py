@@ -528,6 +528,12 @@ SHIPPED = {
                         decay_half_time=2e-3, initial_state=EQUATOR, qpn=True),
         measurement=MeasurementModel(), lmg=LMG07, out_dir="out/lmg",
     ),
+    "configs/lyapunov.cfg": ExperimentConfig(
+        kind="lyapunov", loop=LoopConfig(), measurement=MeasurementModel(),
+        kt=KtParams(1.5707963267948966), out_dir="out/lyapunov", sweep={"k": [0.5, 2.5, 3.0]},
+        lyapunov={"theta0": 2.0, "phi0": 1.0, "n_steps": 2000, "n_members": 60, "n_fit": 5,
+                  "tilt": 2.5e-4},
+    ),
     "configs/noise_budget.cfg": ExperimentConfig(
         kind="noise-budget", loop=LoopConfig(rotation_noise=BUDGET_NOISE),
         measurement=MeasurementModel(sn_coeff=0.2), n_shots=5000,
@@ -670,6 +676,20 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
                          ("sigma", 1e-300),
                          ("dt", 0), ("dt", -2e-6), ("dt", "nan"), ("dt", "inf"),
                          ("n_steps", 0), ("n_steps", -1), ("sigma", 1e200))],
+    # [lyapunov] values and kick strengths the estimators cannot run
+    *[("lyapunov", f"[kt]\nalpha = 1.5\nk = 2.5\n\n[lyapunov]\n{key} = {value}\n", [],
+       f"lyapunov.{key}")
+      for key, value in (("n_steps", 10), ("n_members", 10), ("n_fit", 2), ("tilt", 0),
+                         ("tilt", -1e-4), ("tilt", "nan"), ("tilt", "inf"),
+                         ("theta0", "nan"), ("phi0", "inf"))],
+    ("lyapunov", "[kt]\nalpha = nan\nk = 2.5\n", [], "kt.alpha"),
+    ("lyapunov", "[kt]\nalpha = 1.5\nk = inf\n", [], "kt.k"),
+    ("lyapunov", "[kt]\nalpha = 1.5\n\n[sweep]\nk = 0.5 inf\n", [], "sweep.k"),
+    ("lyapunov", "[kt]\nalpha = 1.5\n\n[sweep]\nk = nan\n", [], "sweep.k"),
+    # sweep.k replaces kt.k, so exactly one of the two is given
+    ("lyapunov", "[kt]\nalpha = 1.5\nk = inf\n\n[sweep]\nk = 0.5 2.5\n", [],
+     "exactly one of kt.k and sweep.k"),
+    ("lyapunov", "[kt]\nalpha = 1.5\n", [], "exactly one of kt.k and sweep.k"),
 ])
 def test_simulate_cli_config_errors(tmp_path, capsys, scenario, text, flags, message):
     cfgp = tmp_path / "c.cfg"
