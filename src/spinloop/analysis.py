@@ -53,10 +53,10 @@ LYAPUNOV_MIN_FIT = 3  # fewest steps lyapunov_stddev fits
 
 def lyapunov_exponents(alpha, k, x0, n_steps: int) -> np.ndarray:
     """Largest exponent of every row from tangent-vector stretching under
-    ``kt_map``, renormalized every step (per-step units).  The rows are the
-    start points x0, shape (n, 3) or one (3,), broadcast against the kicks
-    k, shape (n,) or a float; a row's exponent depends on that row alone,
-    bit for bit, in any batch."""
+    ``kt_map``, renormalized every step (per-step units).  Start points x0,
+    shape (n, 3) or (3,), and kicks k, shape (n,) or a float, broadcast to
+    n rows, one of them giving n; a row's exponent depends on that row
+    alone, bit for bit, in any batch."""
     if n_steps < LYAPUNOV_MIN_STEPS:
         raise ValueError(f"n_steps must be >= {LYAPUNOV_MIN_STEPS}")
     x, y, z, k = np.broadcast_arrays(*np.asarray(x0, dtype=float).T, k)
