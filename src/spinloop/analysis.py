@@ -87,11 +87,11 @@ def lyapunov_jacobian(p: KtParams, x0: SpinVector, n_steps: int) -> LyapunovEsti
     return LyapunovEstimate(float(lam), "jacobian", n_steps)
 
 
-def lyapunov_benettin(
-    p: KtParams, x0: SpinVector, n_steps: int, d0: float = 1e-8
-) -> LyapunovEstimate:
+def lyapunov_benettin(p: KtParams, x0: SpinVector, n_steps: int) -> LyapunovEstimate:
     """Independent two-trajectory renormalization estimate, used as a
-    cross-check oracle for lyapunov_jacobian."""
+    cross-check oracle for lyapunov_jacobian; the companion trajectory is
+    renormalized to a separation of 1e-8 every step."""
+    d0 = 1e-8
     va = x0
     e1, _ = _tangent_basis(x0)
     vb_arr = np.array(x0.as_tuple()) + d0 * e1

@@ -3,13 +3,8 @@
 simulate <scenario> --config <path> [--seed N] [--shots N] [--out DIR] [--emit csv|json]
 analyze  <kind> --in <files...> [--out DIR] [--emit csv|json]
 
-A config key is accepted only if the scenario reads it (config.SCENARIOS);
-lmg.s in dpt-sweep and kt.alpha in ftc-sweep are also accepted, though a
-sweep replaces them, and a lyapunov config gives exactly one of kt.k and
-sweep.k.  The simulate flags are checked as the run keys they
-set, before any output is written, so --emit applies only to the scenarios
-that write tables (dpt-sweep, lyapunov, ftc-sweep, noise-budget,
-composite-scan).
+The config rules, which the simulate flags follow as the run keys they
+set, are stated once, in the docstring of spinloop.config.
 
 Failures exit nonzero and print a machine-readable JSON error to stderr.
 """

@@ -1,22 +1,31 @@
-"""Declarative scenario configuration.
+"""Declarative scenario configuration, and the one statement of its rules.
 
 A config file is either sectioned key/value text (INI style) or a JSON
-object with the same section/key structure.  A key is accepted only if the
-scenario named by run.kind reads it: ``SCENARIOS`` lists the keys each
-scenario reads and the sections or keys it requires, and any other key is
-a ConfigError naming section.key and the scenario.  The simulate flags are
-checked as the run keys they set, so --emit (run.emit) applies only to the
-scenarios that write tables.  In lyapunov, sweep.k replaces kt.k, and a
-config gives exactly one of the two.  Two more keys that a sweep replaces
-stay accepted, because the benchmark configs set them: lmg.s in dpt-sweep
-and kt.alpha in ftc-sweep.  ExperimentConfig also rejects a run.n_shots
-below the scenario's minimum and, in the kicked-top loops, a loop.latency
-longer than kt.t_gap, and a [quantum] value the engine cannot run: a j for
-which 2j is not a positive integer or that exceeds quantum.J_MAX, a sigma
-or dt that is not finite and positive, a sigma whose square underflows to
-0, or an n_steps below 1.  In lyapunov it rejects a kt.alpha, kick strength
-or [lyapunov] value that is not finite, a tilt that is not > 0, and an
-n_steps, n_members or n_fit below the estimators' minimum.
+object with the same section/key structure; in JSON a sweep may be an
+array of numbers and none may be null.  Each rule below is a ConfigError,
+raised before any output directory is created:
+
+- A key is accepted only if the scenario named by run.kind reads it.
+  ``SCENARIOS`` lists the keys each scenario reads and the sections or keys
+  it requires; any other key is an error naming section.key.
+- The simulate flags --seed, --shots, --out and --emit are checked as the
+  run keys they set, so --emit (run.emit) applies only to the scenarios
+  that write tables: dpt-sweep, lyapunov, ftc-sweep, noise-budget and
+  composite-scan.
+- In lyapunov, sweep.k replaces kt.k, and a config gives exactly one of
+  the two.  Two more keys that a sweep replaces stay accepted, because the
+  benchmark configs set them: lmg.s in dpt-sweep and kt.alpha in ftc-sweep.
+- run.seed must be >= 0, and run.n_shots at least the scenario's minimum:
+  2 in noise-budget and 100 in composite-scan.
+- In kt-run and ftc-sweep, kt.n_steps must be >= 1 and each of kt.t_linear,
+  kt.t_gap and kt.t_kick a positive multiple of loop.sample_period;
+  loop.latency may not exceed kt.t_gap, and the schedule must fit in
+  loop.duration (checked by ``loop_sim._kt_layout``).
+- In quantum-qmf, 2 * quantum.j must be a positive integer with
+  j <= quantum.J_MAX (500), quantum.sigma and quantum.dt finite and > 0
+  with sigma**2 not 0, and quantum.n_steps >= 1.
+- In lyapunov, kt.alpha, every kick strength, lyapunov.theta0 and
+  lyapunov.phi0 must be finite.
 
 A key the file leaves out takes the default of the dataclass or builder it
 feeds; [lyapunov] and [quantum] defaults live in the scenario runners.
@@ -32,9 +41,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import LYAPUNOV_MIN_FIT, LYAPUNOV_MIN_MEMBERS, LYAPUNOV_MIN_STEPS
 from .controller import FixedPointFormat, QktSchedule, qkt_schedule
-from .loop_sim import LoopConfig
+from .loop_sim import LoopConfig, _kt_layout
 from .measurement import MIN_SCAN_SHOTS, MeasurementModel
 from .models import KtParams, LmgParams
 from .quantum import check_j
@@ -67,12 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"run.n_shots: must be >= {least} for scenario {self.kind}")
         if self.emit_format not in ("csv", "json"):
             raise ConfigError("run.emit: must be csv or json")
-        # the kick angle must be ready by the end of the measurement gap
-        sched = self.kt_schedule
-        if sched is not None and self.loop.latency > sched.t_gap + 1e-15:
-            raise ConfigError(
-                f"loop.latency ({self.loop.latency:g}) exceeds kt.t_gap ({sched.t_gap:g})"
-            )
+        if self.master_seed < 0:
+            raise ConfigError("run.seed: must be >= 0")
         _check_quantum(self.quantum)
         if self.kind == "lyapunov":
             _check_lyapunov(self)
@@ -99,21 +103,14 @@ def _check_quantum(q: dict) -> None:
 
 
 def _check_lyapunov(cfg: ExperimentConfig) -> None:
-    """kt.alpha, every kick strength and the [lyapunov] values given must be
-    ones the two estimators can run."""
-    ly = cfg.lyapunov
+    """kt.alpha, every kick strength and the start angles given must be
+    finite for the two estimators to run."""
     given = {"kt.alpha": [cfg.kt.alpha], "kt.k": [cfg.kt.k],
              "sweep.k": cfg.sweep.get("k", []),
-             **{f"lyapunov.{key}": [v] for key, v in ly.items()}}
+             **{f"lyapunov.{key}": [v] for key, v in cfg.lyapunov.items()}}
     for name, values in given.items():
         if not all(map(math.isfinite, values)):
             raise ConfigError(f"{name}: must be finite")
-    if ly.get("tilt", 1.0) <= 0:
-        raise ConfigError("lyapunov.tilt: must be > 0")
-    for key, least in (("n_steps", LYAPUNOV_MIN_STEPS), ("n_members", LYAPUNOV_MIN_MEMBERS),
-                       ("n_fit", LYAPUNOV_MIN_FIT)):
-        if ly.get(key, least) < least:
-            raise ConfigError(f"lyapunov.{key}: must be >= {least}")
 
 
 # scenario -> fewest shots it can use, when more than one: noise-budget
@@ -180,7 +177,6 @@ _SCHEMA = {
         "n1_eff": float,
         "ratio_n2_n1": float,
         "f": float,
-        "chi_p": float,
         "sn_coeff": float,
     },
     "noise": {
@@ -200,10 +196,6 @@ _SCHEMA = {
     "lyapunov": {
         "theta0": float,
         "phi0": float,
-        "n_steps": int,
-        "n_members": int,
-        "tilt": float,
-        "n_fit": int,
     },
     "quantum": {
         "j": float,
@@ -251,7 +243,7 @@ SCENARIOS = {
     # each sweep.n1 point replaces measurement.n1_eff, so it is not read
     "noise-budget": (
         ("run.n_shots", "run.emit", "loop.sample_period", "measurement.ratio_n2_n1",
-         "measurement.f", "measurement.chi_p", "measurement.sn_coeff",
+         "measurement.f", "measurement.sn_coeff",
          "noise.static_detuning_sigma", "noise.rabi_rate", "sweep.n1"),
         ("sweep.n1",),
     ),
@@ -405,8 +397,9 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
             sched = _build(
                 path, "kt", qkt_schedule,
                 **_given(g, "t_linear", "t_gap", "t_kick", "n_steps"),
-                sample_period=loop.sample_period, window=loop.duration,
+                sample_period=loop.sample_period,
             )
+            _build(path, "kt", _kt_layout, cfg=loop, sched=sched)
 
     return ExperimentConfig(
         kind=kind,

@@ -214,17 +214,12 @@ def ctl_gain(c: CoilCalibration) -> float:
     return 2.0 * c.n_loops * c.gamma * c.geom_factor * c.amp_gain / c.resistance
 
 
-def lmg_control(
-    m: float,
-    j_est: float,
-    p,
-    chi_p: float = 1.0,
-) -> float:
-    """Feedback z-rotation rate k_nl * clamp(m / (chi_p * j_est), -1, 1),
-    saturated at the drive-rate cap DEFAULT_RATE_CAP."""
+def lmg_control(m: float, j_est: float, p) -> float:
+    """Feedback z-rotation rate k_nl * clamp(m / j_est, -1, 1), saturated at
+    the drive-rate cap DEFAULT_RATE_CAP."""
     if j_est <= 0:
         raise ValueError("j_est must be > 0")
-    z_est = max(-1.0, min(1.0, m / (chi_p * j_est)))
+    z_est = max(-1.0, min(1.0, m / j_est))
     rate = p.k_nl * z_est
     return max(-DEFAULT_RATE_CAP, min(DEFAULT_RATE_CAP, rate))
 
@@ -251,7 +246,6 @@ def qkt_schedule(
     t_kick: float = 2e-6,
     n_steps: int = 25,
     sample_period: float = 2e-6,
-    window: float | None = None,
 ) -> QktSchedule:
     for name, t in (("t_linear", t_linear), ("t_gap", t_gap), ("t_kick", t_kick)):
         if t <= 0:
@@ -259,11 +253,6 @@ def qkt_schedule(
         ratio = t / sample_period
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(f"{name} must be a multiple of the sample period")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    sched = QktSchedule(t_linear, t_gap, t_kick, n_steps)
-    if window is not None and sched.total > window + 1e-15:
-        raise ValueError(
-            f"schedule needs {sched.total:g} s but the run window is {window:g} s"
-        )
-    return sched
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    return QktSchedule(t_linear, t_gap, t_kick, n_steps)

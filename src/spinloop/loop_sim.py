@@ -212,16 +212,20 @@ def _column_records(t, j_true, j_est, xs, ys, zs, meas, ctl_z, ctl_x, metas):
 
 def _kt_layout(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int]:
     """Samples in the linear, gap and kick segments of one kicked-top
-    period, checked: the delay fits in the gap, every segment spans a sample
-    and the schedule fits in the duration."""
+    period, checked: the delay fits in the gap, so the kick angle is ready
+    by its end, every segment spans a sample and the schedule fits in the
+    duration.  parse_config runs it on the kicked-top configs."""
     if cfg.latency > sched.t_gap + 1e-15:
-        raise ValueError("latency exceeds the measurement gap")
+        raise ValueError(f"loop.latency ({cfg.latency:g}) exceeds the measurement gap "
+                         f"kt.t_gap ({sched.t_gap:g})")
     segs = tuple(round(t / cfg.sample_period)
                  for t in (sched.t_linear, sched.t_gap, sched.t_kick))
     if min(segs) < 1:
         raise ValueError("each kicked-top segment must span at least one sample")
-    if sched.n_steps * sum(segs) * cfg.sample_period > cfg.duration + 1e-15:
-        raise ValueError("schedule does not fit in the configured duration")
+    need = sched.n_steps * sum(segs) * cfg.sample_period
+    if need > cfg.duration + 1e-15:
+        raise ValueError(f"the schedule ({need:g} s) does not fit in loop.duration "
+                         f"({cfg.duration:g} s)")
     return segs
 
 
@@ -302,7 +306,7 @@ def run_lmg_loop(
             max(-1.0, min(1.0, z)), j_true[k], eff_model, cfg.sample_period, rng,
             qpn_offset=qpn_offset,
         )
-        rates[k] = ctl.lmg_control(value, j_est[k], p, model.chi_p)
+        rates[k] = ctl.lmg_control(value, j_est[k], p)
 
         xs[k], ys[k], zs[k] = x, y, z
         ms[k] = value
@@ -365,7 +369,6 @@ def _run_lmg_columns(
     sps = cfg.steps_per_sample
     d, r = divmod(cfg.latency_steps, sps)
     dt = cfg.plant_dt
-    chi = model.chi_p
     t, j_true, j_est = cols
     if j_est and min(j_est) <= 0.0:
         raise ValueError("j_est must be > 0")  # as lmg_control
@@ -379,8 +382,8 @@ def _run_lmg_columns(
     rates = np.empty((n, m))
     applied = np.zeros(m)
     for k in range(n):
-        value = chi * j_true[k] * np.clip(z, -1.0, 1.0) + qpn_offset + m_sn[k]
-        z_est = np.clip(value / (chi * j_est[k]), -1.0, 1.0)
+        value = j_true[k] * np.clip(z, -1.0, 1.0) + qpn_offset + m_sn[k]
+        z_est = np.clip(value / j_est[k], -1.0, 1.0)
         rates[k] = np.clip(k_nl * z_est, -ctl.DEFAULT_RATE_CAP, ctl.DEFAULT_RATE_CAP)
 
         xs[k], ys[k], zs[k] = x, y, z
@@ -471,7 +474,7 @@ def run_kt_loop(
             max(-1.0, min(1.0, z)), j_true[gap], eff_model, ts, rng,
             qpn_offset=qpn_offset,
         )
-        m_norm = max(-1.0, min(1.0, value / (model.chi_p * j_est[step])))
+        m_norm = max(-1.0, min(1.0, value / j_est[step]))
         kick_rate = amp * ctl.kick_angle(m_norm, p.k, cfg.fixed_point) / sched.t_kick
         x, y, z = _hold_run(_hold, xs, ys, zs, gap, n_gap, x, y, z, 0.0, detuning, ts)
         x, y, z = _hold_run(_hold, xs, ys, zs, kick, n_kick, x, y, z,
@@ -506,10 +509,9 @@ def _run_kt_columns(
     n_per = n_lin + n_gap + n_kick
     n = sched.n_steps * n_per + 1
     ts = cfg.sample_period
-    chi = model.chi_p
     t, j_true, j_est = cols
-    # run_kt_loop divides by chi * j_est in floats; numpy would return inf
-    if any(chi * j == 0.0 for j in j_est):
+    # run_kt_loop divides by j_est in floats; numpy would return inf
+    if 0.0 in j_est:
         raise ZeroDivisionError("float division by zero")
 
     m = len(rngs)
@@ -530,8 +532,8 @@ def _run_kt_columns(
         kick = gap + n_gap
         x, y, z = _hold_run(_hold_columns, xs, ys, zs, lin, n_lin, x, y, z,
                             w_lin, detuning, ts)
-        value = chi * j_true[gap] * np.clip(z, -1.0, 1.0) + qpn_offset + m_sn[step]
-        m_norm = np.clip(value / (chi * j_est[step]), -1.0, 1.0)
+        value = j_true[gap] * np.clip(z, -1.0, 1.0) + qpn_offset + m_sn[step]
+        m_norm = np.clip(value / j_est[step], -1.0, 1.0)
         angle = [ctl.kick_angle(mc, kc, cfg.fixed_point)
                  for mc, kc in zip(m_norm.tolist(), ks)]
         kick_rate = amp * np.array(angle) / sched.t_kick

@@ -1,7 +1,7 @@
 """Polarimetry measurement model and noise-budget analysis.
 
 A measurement outcome is one float, the sum of three terms in this order:
-the mean signal chi_p * j * z, a projection-noise term frozen once per
+the mean signal j * z, a projection-noise term frozen once per
 trajectory, and a photon shot-noise term whose variance falls as 1/T with
 the averaging window.  Classical projection noise (control errors, growing
 as atom number squared) enters through noisy rotations, not through this
@@ -30,7 +30,6 @@ class MeasurementModel:
     n1_eff: float = 1e6  # signal-weighted effective atom number
     ratio_n2_n1: float = 0.5  # variance-weighted over signal-weighted
     f: float = 4.0  # single-atom spin
-    chi_p: float = 1.0  # lumped gain, signal units per unit of <F_z>
     sn_coeff: float = 0.0  # shot-noise variance coefficient, signal^2 * s
 
     def __post_init__(self) -> None:
@@ -49,9 +48,9 @@ class MeasurementModel:
 
 
 def qpn_variance(model: MeasurementModel) -> float:
-    """Projection-noise variance chi_p^2 * (ratio * n1) * f/2 in signal^2
-    units, for a coherent state oriented orthogonal to z."""
-    return model.chi_p**2 * (model.ratio_n2_n1 * model.n1_eff) * model.f / 2.0
+    """Projection-noise variance (ratio * n1) * f/2 in signal^2 units, for a
+    coherent state oriented orthogonal to z."""
+    return (model.ratio_n2_n1 * model.n1_eff) * model.f / 2.0
 
 
 def shot_noise_variance(model: MeasurementModel, t_avg: float) -> float:
@@ -81,7 +80,7 @@ def measure(
     shot-noise term m_sn is drawn after it."""
     if abs(z_true) > 1.0 + 1e-12:
         raise ValueError("z_true must lie in [-1, 1]")
-    m_f = model.chi_p * j_current * z_true
+    m_f = j_current * z_true
     if qpn_offset is None:
         qpn_offset = math.sqrt(qpn_variance(model)) * rng.standard_normal()
     m_sn = math.sqrt(shot_noise_variance(model, t_avg)) * rng.standard_normal()

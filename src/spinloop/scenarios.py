@@ -120,19 +120,22 @@ def _tilted_kt_ensemble(alpha, ks, x0, tilt, n, rng, n_steps):
     return np.arccos(np.clip(series, -1.0, 1.0))  # to_angles(v).theta
 
 
+# the two estimators' settings: map steps of the tangent-stretching exponent,
+# and the tilted ensemble's size, Gaussian tilt (rad) and fitted steps
+LYAPUNOV_STEPS = 2000
+LYAPUNOV_MEMBERS = 60
+LYAPUNOV_TILT = 2.5e-4
+LYAPUNOV_FIT = 5
+
+
 def _run_lyapunov(cfg, out):
     ly = cfg.lyapunov
     x0 = from_angles(SphericalAngles(ly.get("theta0", 2.0), ly.get("phi0", 1.0)))
     ks = cfg.sweep.get("k", [cfg.kt.k])
-    jac = lyapunov_exponents(cfg.kt.alpha, ks, x0.as_tuple(), ly.get("n_steps", 2000))
-    sd = [math.nan] * len(ks)
-    if "n_members" in ly:
-        n_fit = ly.get("n_fit", 5)
-        series = _tilted_kt_ensemble(
-            cfg.kt.alpha, ks, x0, ly.get("tilt", 2.5e-4), ly["n_members"],
-            shot_rng(cfg.master_seed, 0), n_fit,
-        )
-        sd = [lyapunov_stddev(s, n_fit).lambda_max for s in series]
+    jac = lyapunov_exponents(cfg.kt.alpha, ks, x0.as_tuple(), LYAPUNOV_STEPS)
+    series = _tilted_kt_ensemble(cfg.kt.alpha, ks, x0, LYAPUNOV_TILT, LYAPUNOV_MEMBERS,
+                                 shot_rng(cfg.master_seed, 0), LYAPUNOV_FIT)
+    sd = [lyapunov_stddev(s, LYAPUNOV_FIT).lambda_max for s in series]
     return [_emit_table(cfg, out, "lyapunov", "k,lambda_jacobian,lambda_stddev",
                         zip(ks, jac, sd))]
 
@@ -186,7 +189,7 @@ def _run_noise_budget(cfg, out):
         vals = np.empty(cfg.n_shots)
         for i in range(cfg.n_shots):
             m = measure(0.0, model.j_collective, model, cfg.loop.sample_period, rng)
-            cpn = model.chi_p * model.j_collective * tilt_sigma * rng.standard_normal()
+            cpn = model.j_collective * tilt_sigma * rng.standard_normal()
             vals[i] = m + cpn
         rows.append((n1, float(np.var(vals, ddof=1))))
     coeffs, errs = noise_budget_fit(rows)

@@ -393,7 +393,7 @@ def test_11_quantum_module():
     checkpoints = (25, 50, 75, 100, 125)
     zq = quantum_ensemble(jq, SphericalAngles(1e-6, 0.0), LMG07, sigma_q, dt, n_steps,
                           [shot_rng(777, i) for i in range(n_traj)])[0][:, :, 2]
-    model = MeasurementModel(n1_eff=jq, ratio_n2_n1=1.0, f=1.0, chi_p=1.0,
+    model = MeasurementModel(n1_eff=jq, ratio_n2_n1=1.0, f=1.0,
                              sn_coeff=sigma_q**2 * dt)
     cfg = LoopConfig(
         sample_period=dt, latency=0.0, plant_dt=dt,

@@ -18,7 +18,14 @@ from spinloop.analysis import (
     symmetry_stats,
 )
 from spinloop.cli import analyze_main, simulate_main
-from spinloop.config import _SCHEMA, SCENARIOS, ConfigError, ExperimentConfig, parse_config
+from spinloop.config import (
+    _EVERY,
+    _SCHEMA,
+    SCENARIOS,
+    ConfigError,
+    ExperimentConfig,
+    parse_config,
+)
 from spinloop.controller import FixedPointFormat, QktSchedule
 from spinloop.loop_sim import (
     ARRAY_MIN_SHOTS,
@@ -531,8 +538,7 @@ SHIPPED = {
     "configs/lyapunov.cfg": ExperimentConfig(
         kind="lyapunov", loop=LoopConfig(), measurement=MeasurementModel(),
         kt=KtParams(1.5707963267948966), out_dir="out/lyapunov", sweep={"k": [0.5, 2.5, 3.0]},
-        lyapunov={"theta0": 2.0, "phi0": 1.0, "n_steps": 2000, "n_members": 60, "n_fit": 5,
-                  "tilt": 2.5e-4},
+        lyapunov={"theta0": 2.0, "phi0": 1.0},
     ),
     "configs/noise_budget.cfg": ExperimentConfig(
         kind="noise-budget", loop=LoopConfig(rotation_noise=BUDGET_NOISE),
@@ -609,10 +615,22 @@ def test_shipped_config_as_native_json(tmp_path, name):
     assert parse_config(p) == SHIPPED[name]
 
 
+def test_scenarios_read_exactly_the_schema():
+    # every key a scenario reads or requires is in the schema, and every
+    # schema key is read by some scenario, so none is accepted and ignored
+    schema = {f"{sec}.{key}" for sec, body in _SCHEMA.items() for key in body}
+    read = set(_EVERY)
+    for reads, requires in SCENARIOS.values():
+        read.update(reads)
+        for req in requires:
+            assert req in schema or req in _SCHEMA, req
+    assert read == schema
+
+
 # scenario -> (a config it accepts, a section and key it does not read)
 UNREAD = {
     "lmg-run": ("[lmg]\ns = 0.7\n", "[quantum]\nj = 200\n", "quantum.j"),
-    "kt-run": ("[kt]\nk = 2.5\n", "[lyapunov]\nn_steps = 10\n", "lyapunov.n_steps"),
+    "kt-run": ("[kt]\nk = 2.5\n", "[lyapunov]\ntheta0 = 2.0\n", "lyapunov.theta0"),
     "dpt-sweep": ("[sweep]\ns = 0.7\n", "[kt]\nk = 2.5\n", "kt.k"),
     "ssb-ensemble": ("[lmg]\ns = 0.7\n", "[noise]\nrabi_rate = 4e4\n", "noise.rabi_rate"),
     "lyapunov": ("[kt]\nalpha = 1.5\nk = 2.5\n", "[loop]\nduration = 1e-3\n",
@@ -676,12 +694,15 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
                          ("sigma", 1e-300),
                          ("dt", 0), ("dt", -2e-6), ("dt", "nan"), ("dt", "inf"),
                          ("n_steps", 0), ("n_steps", -1), ("sigma", 1e200))],
-    # [lyapunov] values and kick strengths the estimators cannot run
+    # start angles and kick strengths the estimators cannot run
     *[("lyapunov", f"[kt]\nalpha = 1.5\nk = 2.5\n\n[lyapunov]\n{key} = {value}\n", [],
        f"lyapunov.{key}")
-      for key, value in (("n_steps", 10), ("n_members", 10), ("n_fit", 2), ("tilt", 0),
-                         ("tilt", -1e-4), ("tilt", "nan"), ("tilt", "inf"),
-                         ("theta0", "nan"), ("phi0", "inf"))],
+      for key, value in (("theta0", "nan"), ("phi0", "inf"))],
+    # the estimators' settings are constants, so these keys are unknown
+    *[("lyapunov", f"[kt]\nalpha = 1.5\nk = 2.5\n\n[lyapunov]\n{key} = {value}\n", [],
+       f"unknown key lyapunov.{key}")
+      for key, value in (("n_steps", 2000), ("n_members", 60), ("n_fit", 5),
+                         ("tilt", 2.5e-4))],
     ("lyapunov", "[kt]\nalpha = nan\nk = 2.5\n", [], "kt.alpha"),
     ("lyapunov", "[kt]\nalpha = 1.5\nk = inf\n", [], "kt.k"),
     ("lyapunov", "[kt]\nalpha = 1.5\n\n[sweep]\nk = 0.5 inf\n", [], "sweep.k"),
@@ -690,6 +711,12 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
     ("lyapunov", "[kt]\nalpha = 1.5\nk = inf\n\n[sweep]\nk = 0.5 2.5\n", [],
      "exactly one of kt.k and sweep.k"),
     ("lyapunov", "[kt]\nalpha = 1.5\n", [], "exactly one of kt.k and sweep.k"),
+    # 40 periods of 48 us outlast the 1.5 ms run
+    ("kt-run", "[kt]\nk = 2.5\nn_steps = 40\n\n[loop]\nduration = 1.5e-3\n", [],
+     "loop.duration"),
+    ("kt-run", "[kt]\nk = 2.5\nn_steps = 0\n", [], "n_steps must be >= 1"),
+    ("lmg-run", "seed = -1\n\n[lmg]\ns = 0.7\n", [], "run.seed"),
+    ("lmg-run", "[lmg]\ns = 0.7\n", ["--seed", "-1"], "run.seed"),
 ])
 def test_simulate_cli_config_errors(tmp_path, capsys, scenario, text, flags, message):
     cfgp = tmp_path / "c.cfg"

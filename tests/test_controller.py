@@ -266,4 +266,4 @@ def test_qkt_schedule_validation():
     with pytest.raises(ValueError):
         qkt_schedule(41e-7, 6e-6, 2e-6, 25)  # not a sample multiple
     with pytest.raises(ValueError):
-        qkt_schedule(40e-6, 6e-6, 2e-6, 40, window=1.5e-3)  # does not fit
+        qkt_schedule(40e-6, 6e-6, 2e-6, 0)  # no period

@@ -131,8 +131,7 @@ def test_latency_with_sub_sample_remainder():
         got = (rec.x[k + 1], rec.y[k + 1], rec.z[k + 1])
         assert np.max(np.abs(np.subtract(v, got))) < 1e-12
         if k >= d:
-            assert rec.ctl_z[k + 1] == lmg_control(rec.meas[k - d], MODEL.j_collective,
-                                                   LMG07, MODEL.chi_p)
+            assert rec.ctl_z[k + 1] == lmg_control(rec.meas[k - d], MODEL.j_collective, LMG07)
     # the feedback moves, so a split at the wrong step would show
     assert np.min(np.abs(np.diff(rec.ctl_z[d + 1:]))) > 10.0
 
