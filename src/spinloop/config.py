@@ -5,6 +5,8 @@ object with the same section/key structure; in JSON a sweep may be an
 array of numbers and none may be null.  Each rule below is a ConfigError,
 raised before any output directory is created:
 
+- Every number is finite, and each sweep point is checked as the field it
+  replaces: sweep.s as lmg.s and sweep.n1 as measurement.n1_eff.
 - A key is accepted only if the scenario named by run.kind reads it.
   ``SCENARIOS`` lists the keys each scenario reads and the sections or keys
   it requires; any other key is an error naming section.key.
@@ -22,13 +24,11 @@ raised before any output directory is created:
   loop.latency may not exceed kt.t_gap, and the schedule must fit in
   loop.duration (checked by ``loop_sim._kt_layout``).
 - In quantum-qmf, 2 * quantum.j must be a positive integer with
-  j <= quantum.J_MAX (500), quantum.sigma and quantum.dt finite and > 0
-  with sigma**2 not 0, and quantum.n_steps >= 1.
-- In lyapunov, kt.alpha, every kick strength, lyapunov.theta0 and
-  lyapunov.phi0 must be finite.
+  j <= quantum.J_MAX (500), quantum.sigma and quantum.dt > 0 with sigma**2
+  neither 0 nor inf, and quantum.n_steps >= 1.
 
 A key the file leaves out takes the default of the dataclass or builder it
-feeds; [lyapunov] and [quantum] defaults live in the scenario runners.
+feeds; [quantum] defaults live in the scenario runner.
 [lmg] takes the model's s and lambda; the [noise] section is built once,
 as loop.rotation_noise, where every scenario that reads it finds it.
 """
@@ -38,7 +38,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .controller import FixedPointFormat, QktSchedule, qkt_schedule
@@ -66,7 +66,6 @@ class ExperimentConfig:
     emit_format: str = "csv"
     sweep: dict = field(default_factory=dict)
     kt_schedule: QktSchedule | None = None
-    lyapunov: dict = field(default_factory=dict)
     quantum: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -78,8 +77,6 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ConfigError("run.seed: must be >= 0")
         _check_quantum(self.quantum)
-        if self.kind == "lyapunov":
-            _check_lyapunov(self)
 
 
 def _check_quantum(q: dict) -> None:
@@ -90,8 +87,8 @@ def _check_quantum(q: dict) -> None:
         except ValueError as e:
             raise ConfigError(f"quantum.j: {e}") from None
     for key in ("sigma", "dt"):
-        if key in q and not (math.isfinite(q[key]) and q[key] > 0):
-            raise ConfigError(f"quantum.{key}: must be finite and > 0")
+        if q.get(key, 1.0) <= 0:
+            raise ConfigError(f"quantum.{key}: must be > 0")
     # the Kraus operator's normalisation (2 pi sigma^2)^(-1/4) needs a finite
     # sigma^2 > 0; a product, unlike **, overflows to inf instead of raising
     sigma = q.get("sigma", 1.0)
@@ -100,17 +97,6 @@ def _check_quantum(q: dict) -> None:
         raise ConfigError("quantum.sigma: its square underflows to 0 or overflows")
     if q.get("n_steps", 1) < 1:
         raise ConfigError("quantum.n_steps: must be >= 1")
-
-
-def _check_lyapunov(cfg: ExperimentConfig) -> None:
-    """kt.alpha, every kick strength and the start angles given must be
-    finite for the two estimators to run."""
-    given = {"kt.alpha": [cfg.kt.alpha], "kt.k": [cfg.kt.k],
-             "sweep.k": cfg.sweep.get("k", []),
-             **{f"lyapunov.{key}": [v] for key, v in cfg.lyapunov.items()}}
-    for name, values in given.items():
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"{name}: must be finite")
 
 
 # scenario -> fewest shots it can use, when more than one: noise-budget
@@ -128,15 +114,22 @@ def _as_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _finite(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, not {s.strip()}")
+    return value
+
+
 def _as_float_list(s: str) -> list[float]:
-    values = [float(tok) for tok in s.replace(",", " ").split()]
+    values = [_finite(tok) for tok in s.replace(",", " ").split()]
     if not values:
         raise ValueError("needs at least one value")
     return values
 
 
 def _as_optional_float(s: str) -> float | None:
-    return None if s.strip().lower() in ("none", "off") else float(s)
+    return None if s.strip().lower() == "none" else _finite(s)
 
 
 _SCHEMA = {
@@ -148,13 +141,13 @@ _SCHEMA = {
         "emit": str,
     },
     "loop": {
-        "sample_period": float,
-        "latency": float,
-        "plant_dt": float,
-        "duration": float,
+        "sample_period": _finite,
+        "latency": _finite,
+        "plant_dt": _finite,
+        "duration": _finite,
         "decay_half_time": _as_optional_float,
-        "theta0": float,
-        "phi0": float,
+        "theta0": _finite,
+        "phi0": _finite,
         "qpn": _as_bool,
         "shot": _as_bool,
         "fixed_point": _as_bool,
@@ -162,29 +155,29 @@ _SCHEMA = {
         "int_bits": int,
     },
     "lmg": {
-        "s": float,
-        "lambda": float,
+        "s": _finite,
+        "lambda": _finite,
     },
     "kt": {
-        "alpha": float,
-        "k": float,
+        "alpha": _finite,
+        "k": _finite,
         "n_steps": int,
-        "t_linear": float,
-        "t_gap": float,
-        "t_kick": float,
+        "t_linear": _finite,
+        "t_gap": _finite,
+        "t_kick": _finite,
     },
     "measurement": {
-        "n1_eff": float,
-        "ratio_n2_n1": float,
-        "f": float,
-        "sn_coeff": float,
+        "n1_eff": _finite,
+        "ratio_n2_n1": _finite,
+        "f": _finite,
+        "sn_coeff": _finite,
     },
     "noise": {
-        "fixed_detuning": float,
-        "static_detuning_sigma": float,
-        "amplitude_error_sigma": float,
-        "phase_noise_sigma": float,
-        "rabi_rate": float,
+        "fixed_detuning": _finite,
+        "static_detuning_sigma": _finite,
+        "amplitude_error_sigma": _finite,
+        "phase_noise_sigma": _finite,
+        "rabi_rate": _finite,
     },
     "sweep": {
         "s": _as_float_list,
@@ -193,14 +186,10 @@ _SCHEMA = {
         "theta": _as_float_list,
         "k": _as_float_list,
     },
-    "lyapunov": {
-        "theta0": float,
-        "phi0": float,
-    },
     "quantum": {
-        "j": float,
-        "sigma": float,
-        "dt": float,
+        "j": _finite,
+        "sigma": _finite,
+        "dt": _finite,
         "n_steps": int,
     },
 }
@@ -232,7 +221,7 @@ SCENARIOS = {
     "ssb-ensemble": (_CLOSED_LOOP + _all("lmg"), ("lmg",)),
     # sweep.k replaces kt.k, so a config gives exactly one of the two
     "lyapunov": (
-        ("run.emit", "kt.alpha", "kt.k", *_all("lyapunov"), "sweep.k"),
+        ("run.emit", "kt.alpha", "kt.k", "loop.theta0", "loop.phi0", "sweep.k"),
         ("kt.alpha",),
     ),
     # each sweep.alpha point replaces kt.alpha
@@ -336,9 +325,9 @@ def _given(body: dict, *keys: str) -> dict:
     return {k: body[k] for k in keys if k in body}
 
 
-def _build(path: Path, section: str, make, **kwargs):
+def _build(path: Path, section: str, make, *args, **kwargs):
     try:
-        return make(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as e:
         raise ConfigError(f"{path}: {section}: {e}") from None
 
@@ -389,6 +378,13 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
         g = {("lambda_" if k == "lambda" else k): v for k, v in c["lmg"].items()}
         lmg = _build(path, "lmg", LmgParams, **g)
 
+    # a sweep point replaces one field, so the dataclass owning it checks it
+    sweep = c.get("sweep", {})
+    for s in sweep.get("s", []):
+        _build(path, "sweep.s", replace, lmg or LmgParams(), s=s)
+    for n1 in sweep.get("n1", []):
+        _build(path, "sweep.n1", replace, meas, n1_eff=n1)
+
     kt = sched = None
     if "kt" in c:
         g = c["kt"]
@@ -407,9 +403,8 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
         measurement=meas,
         lmg=lmg,
         kt=kt,
-        sweep=c.get("sweep", {}),
+        sweep=sweep,
         kt_schedule=sched,
-        lyapunov=c.get("lyapunov", {}),
         quantum=c.get("quantum", {}),
         **{_RUN_FIELDS[k]: v for k, v in run.items() if k in _RUN_FIELDS},
     )

@@ -77,6 +77,8 @@ class LoopConfig:
         r = self.sample_period / self.plant_dt
         if abs(r - round(r)) > 1e-6:
             raise ValueError("sample_period must be an integer number of plant steps")
+        if self.n_samples < 1:
+            raise ValueError("duration must hold at least one sample_period")
         if self.latency < 0:
             raise ValueError("latency must be >= 0")
         if self.decay_half_time is not None and self.decay_half_time <= 0:

@@ -41,6 +41,8 @@ class MeasurementModel:
             raise ValueError("f must be >= 1/2")
         if self.sn_coeff < 0:
             raise ValueError("sn_coeff must be >= 0")
+        if not math.isfinite(self.j_collective):
+            raise ValueError("n1_eff * f must be finite")
 
     @property
     def j_collective(self) -> float:
@@ -95,6 +97,8 @@ def noise_budget_fit(points) -> tuple[tuple[float, float, float], tuple[float, f
     several decades of atom number.  Returns (coeffs, standard_errors).
     """
     pts = np.asarray(list(points), dtype=float)
+    if not np.isfinite(pts).all():
+        raise FloatingPointError("the points must be finite")
     if pts.shape[0] < 3 or len(np.unique(pts[:, 0])) < 3:
         raise ValueError("need at least 3 distinct n1 values")
     n1 = pts[:, 0]

@@ -171,7 +171,3 @@ class RunManifest:
             "outputs": self.outputs,
             "wall_clock_s": self.wall_clock_s,
         })
-
-
-def config_sha256(path) -> str:
-    return file_sha256(path)

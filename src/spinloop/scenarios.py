@@ -27,13 +27,13 @@ from .quantum import QuantumSpinState, bloch_vector, qmf_step, sample_outcome, s
 from .quantum import expect, spin_operators  # noqa: F401
 from .runio import (
     RunManifest,
-    config_sha256,
     emit_csv,
     emit_json,
     emit_trajectories,
+    file_sha256,
     fmt_float,
 )
-from .spin_core import SphericalAngles, from_angles
+from .spin_core import from_angles
 
 
 def _emit_table(cfg: ExperimentConfig, out: Path, name: str, header: str, rows):
@@ -129,8 +129,7 @@ LYAPUNOV_FIT = 5
 
 
 def _run_lyapunov(cfg, out):
-    ly = cfg.lyapunov
-    x0 = from_angles(SphericalAngles(ly.get("theta0", 2.0), ly.get("phi0", 1.0)))
+    x0 = from_angles(cfg.loop.initial_state)
     ks = cfg.sweep.get("k", [cfg.kt.k])
     jac = lyapunov_exponents(cfg.kt.alpha, ks, x0.as_tuple(), LYAPUNOV_STEPS)
     series = _tilted_kt_ensemble(cfg.kt.alpha, ks, x0, LYAPUNOV_TILT, LYAPUNOV_MEMBERS,
@@ -171,6 +170,8 @@ def _run_ftc(cfg, out):
     ]
 
 
+# an overflow is a FloatingPointError, so a runtime error, not a warning
+@np.errstate(over="raise", invalid="raise")
 def _run_noise_budget(cfg, out):
     """Monte Carlo of the measurement variance versus atom number.
 
@@ -291,7 +292,7 @@ def run_scenario(cfg: ExperimentConfig, config_path) -> RunManifest:
     t0 = time.perf_counter()
     paths = _RUNNERS[cfg.kind](cfg, out)
     manifest = RunManifest(
-        config_sha256=config_sha256(config_path),
+        config_sha256=file_sha256(config_path),
         tool_version=__version__,
         seed=cfg.master_seed,
     )

@@ -476,20 +476,27 @@ def test_simulate_cli_rejects_unused_phase_noise(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_simulate_cli_reports_arithmetic_error(tmp_path, capsys):
+@pytest.mark.parametrize("scenario, text, message", [
     # an enormous kick strength drives the Lyapunov tangent vector out of
-    # tolerance, which raises FloatingPointError inside the scenario; no
-    # numpy warning may be emitted on the way
+    # tolerance
+    ("lyapunov", "[kt]\nalpha = 1.5707963267948966\nk = 1.7e308\n", "tangent vector"),
+    # a finite single-atom spin so large that the sample variance overflows
+    ("noise-budget", "n_shots = 3\n\n[measurement]\nf = 1e300\nsn_coeff = 0.2\n\n"
+     "[noise]\nstatic_detuning_sigma = 3.0\nrabi_rate = 39584.07\n\n"
+     "[sweep]\nn1 = 1e4 3.16e4 1e5 3.16e5 1e6 3.16e6 1e7\n", "overflow"),
+])
+def test_simulate_cli_reports_arithmetic_error(tmp_path, capsys, scenario, text, message):
+    # the fault raises FloatingPointError inside the scenario; no numpy
+    # warning may be emitted on the way
     cfgp = tmp_path / "c.cfg"
-    cfgp.write_text("[run]\nkind = lyapunov\n\n[kt]\nalpha = 1.5707963267948966\n"
-                    "k = 1.7e308\n")
-    assert simulate_main(["lyapunov", "--config", str(cfgp),
+    cfgp.write_text(f"[run]\nkind = {scenario}\n" + text)
+    assert simulate_main([scenario, "--config", str(cfgp),
                           "--out", str(tmp_path / "o")]) == 1
     stderr = capsys.readouterr().err
     assert stderr.count("\n") == 1
     err = json.loads(stderr)
     assert err["error"] == "runtime"
-    assert "tangent vector" in err["message"]
+    assert message in err["message"]
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -536,9 +543,9 @@ SHIPPED = {
         measurement=MeasurementModel(), lmg=LMG07, out_dir="out/lmg",
     ),
     "configs/lyapunov.cfg": ExperimentConfig(
-        kind="lyapunov", loop=LoopConfig(), measurement=MeasurementModel(),
-        kt=KtParams(1.5707963267948966), out_dir="out/lyapunov", sweep={"k": [0.5, 2.5, 3.0]},
-        lyapunov={"theta0": 2.0, "phi0": 1.0},
+        kind="lyapunov", loop=LoopConfig(initial_state=SphericalAngles(2.0, 1.0)),
+        measurement=MeasurementModel(), kt=KtParams(1.5707963267948966),
+        out_dir="out/lyapunov", sweep={"k": [0.5, 2.5, 3.0]},
     ),
     "configs/noise_budget.cfg": ExperimentConfig(
         kind="noise-budget", loop=LoopConfig(rotation_noise=BUDGET_NOISE),
@@ -630,7 +637,7 @@ def test_scenarios_read_exactly_the_schema():
 # scenario -> (a config it accepts, a section and key it does not read)
 UNREAD = {
     "lmg-run": ("[lmg]\ns = 0.7\n", "[quantum]\nj = 200\n", "quantum.j"),
-    "kt-run": ("[kt]\nk = 2.5\n", "[lyapunov]\ntheta0 = 2.0\n", "lyapunov.theta0"),
+    "kt-run": ("[kt]\nk = 2.5\n", "[sweep]\nk = 2.5\n", "sweep.k"),
     "dpt-sweep": ("[sweep]\ns = 0.7\n", "[kt]\nk = 2.5\n", "kt.k"),
     "ssb-ensemble": ("[lmg]\ns = 0.7\n", "[noise]\nrabi_rate = 4e4\n", "noise.rabi_rate"),
     "lyapunov": ("[kt]\nalpha = 1.5\nk = 2.5\n", "[loop]\nduration = 1e-3\n",
@@ -695,20 +702,19 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
                          ("dt", 0), ("dt", -2e-6), ("dt", "nan"), ("dt", "inf"),
                          ("n_steps", 0), ("n_steps", -1), ("sigma", 1e200))],
     # start angles and kick strengths the estimators cannot run
-    *[("lyapunov", f"[kt]\nalpha = 1.5\nk = 2.5\n\n[lyapunov]\n{key} = {value}\n", [],
-       f"lyapunov.{key}")
+    *[("lyapunov", f"[kt]\nalpha = 1.5\nk = 2.5\n\n[loop]\n{key} = {value}\n", [],
+       f"loop.{key}")
       for key, value in (("theta0", "nan"), ("phi0", "inf"))],
-    # the estimators' settings are constants, so these keys are unknown
-    *[("lyapunov", f"[kt]\nalpha = 1.5\nk = 2.5\n\n[lyapunov]\n{key} = {value}\n", [],
-       f"unknown key lyapunov.{key}")
-      for key, value in (("n_steps", 2000), ("n_members", 60), ("n_fit", 5),
-                         ("tilt", 2.5e-4))],
+    # the start point is loop.theta0 and loop.phi0, and the estimators'
+    # settings are constants, so there is no [lyapunov] section
+    ("lyapunov", "[kt]\nalpha = 1.5\nk = 2.5\n\n[lyapunov]\ntheta0 = 2.0\n", [],
+     "unknown section [lyapunov]"),
     ("lyapunov", "[kt]\nalpha = nan\nk = 2.5\n", [], "kt.alpha"),
     ("lyapunov", "[kt]\nalpha = 1.5\nk = inf\n", [], "kt.k"),
     ("lyapunov", "[kt]\nalpha = 1.5\n\n[sweep]\nk = 0.5 inf\n", [], "sweep.k"),
     ("lyapunov", "[kt]\nalpha = 1.5\n\n[sweep]\nk = nan\n", [], "sweep.k"),
     # sweep.k replaces kt.k, so exactly one of the two is given
-    ("lyapunov", "[kt]\nalpha = 1.5\nk = inf\n\n[sweep]\nk = 0.5 2.5\n", [],
+    ("lyapunov", "[kt]\nalpha = 1.5\nk = 2.5\n\n[sweep]\nk = 0.5 2.5\n", [],
      "exactly one of kt.k and sweep.k"),
     ("lyapunov", "[kt]\nalpha = 1.5\n", [], "exactly one of kt.k and sweep.k"),
     # 40 periods of 48 us outlast the 1.5 ms run
@@ -717,6 +723,41 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
     ("kt-run", "[kt]\nk = 2.5\nn_steps = 0\n", [], "n_steps must be >= 1"),
     ("lmg-run", "seed = -1\n\n[lmg]\ns = 0.7\n", [], "run.seed"),
     ("lmg-run", "[lmg]\ns = 0.7\n", ["--seed", "-1"], "run.seed"),
+    # every number is finite, in every section and sweep
+    *[("lmg-run", f"[lmg]\ns = 0.7\nlambda = {value}\n", [], "lmg.lambda")
+      for value in ("nan", "inf")],
+    *[("lmg-run", f"[lmg]\ns = 0.7\n\n[{sec}]\n{key} = {value}\n", [], f"{sec}.{key}")
+      for sec, key, value in (
+          ("loop", "duration", "nan"),
+          ("loop", "sample_period", "inf"), ("loop", "latency", "-inf"),
+          ("loop", "theta0", "nan"), ("loop", "decay_half_time", "inf"),
+          ("measurement", "f", "nan"), ("measurement", "n1_eff", "inf"),
+          ("noise", "fixed_detuning", "nan"))],
+    ("quantum-qmf", "[lmg]\ns = 0.7\n\n[loop]\nphi0 = inf\n", [], "loop.phi0"),
+    ("kt-run", "[kt]\nk = 2.5\nalpha = nan\n", [], "kt.alpha"),
+    ("kt-run", "[kt]\nk = 2.5\nt_gap = inf\n", [], "kt.t_gap"),
+    ("dpt-sweep", "[sweep]\ns = 0.5 nan\n", [], "sweep.s"),
+    ("ftc-sweep", "[kt]\nk = 2.7\n\n[sweep]\nalpha = 3.1 inf\n", [], "sweep.alpha"),
+    ("noise-budget", "[sweep]\nn1 = 1e4 nan 1e6\n", ["--shots", "2"], "sweep.n1"),
+    ("noise-budget", "[measurement]\nsn_coeff = inf\n\n[sweep]\nn1 = 1e4 1e5 1e6\n",
+     ["--shots", "2"], "measurement.sn_coeff"),
+    ("composite-scan", "[noise]\nrabi_rate = 4e4\n\n[sweep]\ntheta = 1.0 nan\n",
+     ["--shots", "100"], "sweep.theta"),
+    ("composite-scan", "[noise]\nrabi_rate = inf\n\n[sweep]\ntheta = 1.0\n",
+     ["--shots", "100"], "noise.rabi_rate"),
+    ("composite-scan", "[noise]\nrabi_rate = 4e4\nstatic_detuning_sigma = nan\n\n"
+     "[sweep]\ntheta = 1.0\n", ["--shots", "100"], "noise.static_detuning_sigma"),
+    # a sweep point is checked by the dataclass whose field it replaces
+    ("dpt-sweep", "[sweep]\ns = 0.5 1.5\n", [], "sweep.s: s must lie in [0, 1]"),
+    ("noise-budget", "[sweep]\nn1 = 1e4 -5 1e6\n", ["--shots", "2"],
+     "sweep.n1: n1_eff must be > 0"),
+    # a run of no samples
+    *[(scenario, f"{text}\n[loop]\nduration = 1e-300\n", [], "at least one sample")
+      for scenario, text in (("lmg-run", "[lmg]\ns = 0.7\n"), ("dpt-sweep", "[sweep]\ns = 0.5\n"),
+                             ("ssb-ensemble", "[lmg]\ns = 0.7\n"))],
+    # the collective spin n1_eff * f overflows
+    ("lmg-run", "[lmg]\ns = 0.7\n\n[measurement]\nn1_eff = 1e300\nf = 1e300\n", [],
+     "n1_eff * f must be finite"),
 ])
 def test_simulate_cli_config_errors(tmp_path, capsys, scenario, text, flags, message):
     cfgp = tmp_path / "c.cfg"
