@@ -110,7 +110,7 @@ def lyapunov_benettin(p: KtParams, x0: SpinVector, n_steps: int) -> LyapunovEsti
     return LyapunovEstimate(acc / n_steps, "benettin", n_steps)
 
 
-def lyapunov_stddev(theta_series_ensemble, n_fit: int = 5) -> LyapunovEstimate:
+def lyapunov_stddev(theta_series_ensemble, n_fit: int) -> LyapunovEstimate:
     """Log-linear fit of the ensemble elevation-angle spread:
     ln sigma_theta(n) = ln A + lambda n over the first n_fit steps.
     A lower bound on the true largest exponent."""
@@ -215,13 +215,16 @@ def symmetry_stats(records) -> dict:
     }
 
 
+FTC_MIN_POINTS = 16  # fewest stroboscopic points _ensemble_psd takes
+
+
 def _ensemble_psd(series_list):
     """Ensemble-averaged power spectrum; series truncated to even length so
     the period-2 line lands exactly on the Nyquist bin."""
     n = min(len(s) for s in series_list)
     n -= n % 2
-    if n < 16:
-        raise ValueError("need at least 16 stroboscopic steps")
+    if n < FTC_MIN_POINTS:
+        raise ValueError(f"need at least {FTC_MIN_POINTS} stroboscopic steps")
     acc = None
     for s in series_list:
         arr = np.asarray(s, dtype=float)[:n]

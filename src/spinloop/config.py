@@ -23,6 +23,11 @@ raised before any output directory is created:
   kt.t_gap and kt.t_kick a positive multiple of loop.sample_period;
   loop.latency may not exceed kt.t_gap, and the schedule must fit in
   loop.duration (checked by ``loop_sim._kt_layout``).
+- In ftc-sweep, kt.n_steps must be >= 15: each series holds the start and
+  one point per period, and the spectrum takes at least
+  ``analysis.FTC_MIN_POINTS`` (16) points.
+- In noise-budget, sweep.n1 needs at least ``measurement.MIN_FIT_POINTS``
+  (3) distinct points, one per fitted term.
 - In quantum-qmf, 2 * quantum.j must be a positive integer with
   j <= quantum.J_MAX (500), quantum.sigma and quantum.dt > 0 with sigma**2
   neither 0 nor inf, and quantum.n_steps >= 1.
@@ -41,9 +46,10 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .analysis import FTC_MIN_POINTS
 from .controller import FixedPointFormat, QktSchedule, qkt_schedule
 from .loop_sim import LoopConfig, _kt_layout
-from .measurement import MIN_SCAN_SHOTS, MeasurementModel
+from .measurement import MIN_FIT_POINTS, MIN_SCAN_SHOTS, MeasurementModel
 from .models import KtParams, LmgParams
 from .quantum import check_j
 from .spin_core import RotationNoise, SphericalAngles
@@ -384,6 +390,8 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
         _build(path, "sweep.s", replace, lmg or LmgParams(), s=s)
     for n1 in sweep.get("n1", []):
         _build(path, "sweep.n1", replace, meas, n1_eff=n1)
+    if "n1" in sweep and len(set(sweep["n1"])) < MIN_FIT_POINTS:
+        raise ConfigError(f"{path}: sweep.n1: needs at least {MIN_FIT_POINTS} distinct points")
 
     kt = sched = None
     if "kt" in c:
@@ -395,6 +403,11 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
                 **_given(g, "t_linear", "t_gap", "t_kick", "n_steps"),
                 sample_period=loop.sample_period,
             )
+            # a stroboscopic series holds the start and one point per period
+            if kind == "ftc-sweep" and sched.n_steps + 1 < FTC_MIN_POINTS:
+                raise ConfigError(
+                    f"{path}: kt.n_steps: must be >= {FTC_MIN_POINTS - 1} for scenario ftc-sweep"
+                )
             _build(path, "kt", _kt_layout, cfg=loop, sched=sched)
 
     return ExperimentConfig(

@@ -20,10 +20,9 @@ DEFAULT_RATE_CAP = 2 * math.pi * 56.7e3  # 90% of the 63 kHz drive limit, rad/s
 
 @dataclass(frozen=True, kw_only=True)
 class FixedPointFormat:
-    """(signed, word_bits, int_bits), keyword-only; int_bits includes the
-    sign bit."""
+    """A signed two's-complement word (word_bits, int_bits), keyword-only;
+    int_bits includes the sign bit."""
 
-    signed: bool = True
     word_bits: int = 32
     int_bits: int = 4
 
@@ -41,11 +40,11 @@ class FixedPointFormat:
 
     @property
     def raw_max(self) -> int:
-        return (1 << (self.word_bits - 1)) - 1 if self.signed else (1 << self.word_bits) - 1
+        return (1 << (self.word_bits - 1)) - 1
 
     @property
     def raw_min(self) -> int:
-        return -(1 << (self.word_bits - 1)) if self.signed else 0
+        return -(1 << (self.word_bits - 1))
 
 
 DEFAULT_FXP = FixedPointFormat()
@@ -162,8 +161,6 @@ def _pade_exp_fxp(x: FixedPointValue) -> FixedPointValue:
 def bmod2(x: FixedPointValue) -> FixedPointValue:
     """sign(x) * mod(|x|, 2), done by masking the fraction bits plus the
     lowest integer bit of |x| and reapplying the sign."""
-    if not x.fmt.signed:
-        raise ValueError("bmod2 requires a signed format")
     mask = (1 << (x.fmt.frac_bits + 1)) - 1
     mag = abs(x.raw) & mask
     return FixedPointValue(-mag if x.raw < 0 else mag, x.fmt)
@@ -234,10 +231,6 @@ class QktSchedule:
     @property
     def period(self) -> float:
         return self.t_linear + self.t_gap + self.t_kick
-
-    @property
-    def total(self) -> float:
-        return self.n_steps * self.period
 
 
 def qkt_schedule(

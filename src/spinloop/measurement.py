@@ -23,6 +23,7 @@ from .spin_core import (
 )
 
 MIN_SCAN_SHOTS = 100  # fewest shots composite_pulse_scan takes a variance over
+MIN_FIT_POINTS = 3  # fewest distinct n1 values noise_budget_fit fits three terms to
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ def noise_budget_fit(points) -> tuple[tuple[float, float, float], tuple[float, f
     pts = np.asarray(list(points), dtype=float)
     if not np.isfinite(pts).all():
         raise FloatingPointError("the points must be finite")
-    if pts.shape[0] < 3 or len(np.unique(pts[:, 0])) < 3:
-        raise ValueError("need at least 3 distinct n1 values")
+    if pts.shape[0] < MIN_FIT_POINTS or len(np.unique(pts[:, 0])) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} distinct n1 values")
     n1 = pts[:, 0]
     y = pts[:, 1]
     a = np.column_stack([np.ones_like(n1), n1, n1**2])

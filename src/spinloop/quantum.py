@@ -49,21 +49,11 @@ class QuantumSpinState:
             raise ValueError("amplitude vector has the wrong dimension")
 
     def normalized(self) -> "QuantumSpinState":
-        return _stepped(self, _unit_rows(self.amplitudes))
+        return QuantumSpinState(self.j, _unit_rows(self.amplitudes))
 
     @property
     def m_values(self) -> np.ndarray:
         return _m_values(self.j)
-
-
-def _stepped(state: QuantumSpinState, amps: np.ndarray) -> QuantumSpinState:
-    """state with new amplitudes of the same shape.  A step keeps j and the
-    dimension, so the checks made when state was built still hold and are
-    not run again."""
-    new = object.__new__(QuantumSpinState)
-    new.j = state.j
-    new.amplitudes = amps
-    return new
 
 
 def _norm2(psi: np.ndarray) -> np.ndarray:
@@ -231,7 +221,7 @@ def kraus_apply(state: QuantumSpinState, m, sigma: float):
     p = _norm2(amps)
     if np.any(p <= 0):
         raise FloatingPointError("outcome probability underflow")
-    return _stepped(state, amps / np.sqrt(p)[..., None]), p
+    return QuantumSpinState(state.j, amps / np.sqrt(p)[..., None]), p
 
 
 def sample_outcome(state: QuantumSpinState, sigma: float, rng):
@@ -299,7 +289,7 @@ def _axis_rotation(state: QuantumSpinState, ax: float, az) -> QuantumSpinState:
     za = np.exp(1j * np.multiply.outer(angles[..., 0], state.m_values))
     psi = _unit_rows(za * _exp_i_jx(state.j, za * state.amplitudes, angles[..., 1]))
     psi[still] = state.amplitudes[still]
-    return _stepped(state, psi)
+    return QuantumSpinState(state.j, psi)
 
 
 def mmss_variance(f: float) -> tuple[float, float]:

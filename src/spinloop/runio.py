@@ -57,6 +57,8 @@ def emit_csv(path, header: str, rows) -> Path:
 
 
 def emit_json(path, obj) -> Path:
+    """Write obj as standard JSON.  A NaN or infinity raises ValueError
+    before the file is opened, so no partial file is left."""
     path = Path(path)
 
     def default(o):
@@ -66,10 +68,10 @@ def emit_json(path, obj) -> Path:
             return o.item()
         raise TypeError(f"not serializable: {type(o)}")
 
+    text = json.dumps(obj, indent=1, sort_keys=True, default=default, allow_nan=False)
     try:
         with open(path, "w") as fh:
-            json.dump(obj, fh, indent=1, sort_keys=True, default=default)
-            fh.write("\n")
+            fh.write(text + "\n")
     except OSError as e:
         raise OSError(f"cannot write {path}: {e}") from e
     return path
@@ -157,14 +159,13 @@ class RunManifest:
     seed: int
     outputs: dict = field(default_factory=dict)  # name -> sha256
     wall_clock_s: float = 0.0
-    schema_version: int = SCHEMA_VERSION
 
     def add(self, path) -> None:
         self.outputs[Path(path).name] = file_sha256(path)
 
     def write(self, path) -> Path:
         return emit_json(path, {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "tool_version": self.tool_version,
             "config_sha256": self.config_sha256,
             "seed": self.seed,

@@ -26,6 +26,7 @@ from .quantum import QuantumSpinState, bloch_vector, qmf_step, sample_outcome, s
 # bound here so the benchmark tracer (perfbench/tracing.py) can patch them
 from .quantum import expect, spin_operators  # noqa: F401
 from .runio import (
+    SCHEMA_VERSION,
     RunManifest,
     emit_csv,
     emit_json,
@@ -41,7 +42,7 @@ def _emit_table(cfg: ExperimentConfig, out: Path, name: str, header: str, rows):
     if cfg.emit_format == "json":
         cols = header.split(",")
         return emit_json(out / f"{name}.json", {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "columns": cols,
             "rows": [list(map(float, r)) for r in rows],
         })
@@ -53,7 +54,7 @@ def _emit_ensemble(out: Path, recs, sidecar: str, **fields):
     and the given fields."""
     path, offsets = emit_trajectories(out / "trajectories.csv", recs)
     side = emit_json(out / sidecar, {
-        "schema_version": 1, "shot_row_offsets": offsets, **fields,
+        "schema_version": SCHEMA_VERSION, "shot_row_offsets": offsets, **fields,
     })
     return [path, side]
 
@@ -160,7 +161,7 @@ def _run_ftc(cfg, out):
     return [
         _emit_table(cfg, out, "spectra", "alpha,frequency,power", spec_rows),
         emit_json(out / "rigidity.json", {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "k": k,
             "dominant": {fmt_float(a): rig["dominant"][a] for a in sorted(data)},
             "period2_power": {fmt_float(a): rig["period2_power"][a] for a in sorted(data)},
@@ -197,7 +198,7 @@ def _run_noise_budget(cfg, out):
     return [
         _emit_table(cfg, out, "budget", "n1,variance", rows),
         emit_json(out / "budget_fit.json", {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "c_sn": coeffs[0], "c_qpn": coeffs[1], "c_cpn": coeffs[2],
             "stderr": list(errs),
         }),
@@ -236,13 +237,6 @@ def quantum_ensemble(j, angles, params, sigma, dt, n_steps, rngs):
             state = qmf_step(state, meas[rows, k], params, dt, sigma)
         bloch[rows, n_steps] = bloch_vector(state)
     return bloch, meas
-
-
-def quantum_trajectory(j, angles, params, sigma, dt, n_steps, rng):
-    """One trajectory: the ensemble of one, driven by rng.  Returns the
-    Bloch vectors, shape (n_steps + 1, 3), and the n_steps outcomes."""
-    bloch, meas = quantum_ensemble(j, angles, params, sigma, dt, n_steps, [rng])
-    return bloch[0], meas[0]
 
 
 def _run_quantum(cfg, out):

@@ -644,8 +644,8 @@ UNREAD = {
                  "loop.duration"),
     "ftc-sweep": ("[kt]\nk = 2.7\n\n[sweep]\nalpha = 3.1\n", "[lmg]\nlambda = 1e5\n",
                   "lmg.lambda"),
-    "noise-budget": ("n_shots = 2\n\n[sweep]\nn1 = 1e4 1e5\n", "[loop]\nlatency = 4e-6\n",
-                     "loop.latency"),
+    "noise-budget": ("n_shots = 2\n\n[sweep]\nn1 = 1e4 1e5 1e6\n",
+                     "[loop]\nlatency = 4e-6\n", "loop.latency"),
     "composite-scan": ("n_shots = 100\n\n[noise]\nrabi_rate = 4e4\n\n[sweep]\ntheta = 1.0\n",
                        "[measurement]\nf = 4\n", "measurement.f"),
     "quantum-qmf": ("[lmg]\ns = 0.7\n", "[loop]\nlatency = 4e-6\n", "loop.latency"),
@@ -673,12 +673,12 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
 @pytest.mark.parametrize("scenario, text, flags, message", [
     ("lyapunov", "[kt]\nalpha = 1.5\nk = 2.5\n", ["--shots", "5"], "run.n_shots"),
     ("lmg-run", "[lmg]\ns = 0.7\n", ["--emit", "json"], "run.emit"),
-    ("noise-budget", "[sweep]\nn1 = 1e4 1e5\n", ["--shots", "0"], "run.n_shots"),
+    ("noise-budget", "[sweep]\nn1 = 1e4 1e5 1e6\n", ["--shots", "0"], "run.n_shots"),
     ("ftc-sweep", "[sweep]\nalpha = 3.1\n", [], "[kt]"),
     ("kt-run", "[kt]\nt_linear = 3e-6\n", [], "t_linear"),
     ("lmg-run", "[lmg]\ns = 0.7\n\n[loop]\nword_bits = 24\n", [], "loop.word_bits"),
     # a one-shot sample variance is NaN
-    ("noise-budget", "[sweep]\nn1 = 1e4 1e5\n", ["--shots", "1"], "run.n_shots"),
+    ("noise-budget", "[sweep]\nn1 = 1e4 1e5 1e6\n", ["--shots", "1"], "run.n_shots"),
     ("composite-scan", "[noise]\nrabi_rate = 4e4\n\n[sweep]\ntheta = 1.0\n",
      ["--shots", "99"], "run.n_shots"),
     # the kick angle would not be ready by the end of the measurement gap
@@ -758,7 +758,15 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
     # the collective spin n1_eff * f overflows
     ("lmg-run", "[lmg]\ns = 0.7\n\n[measurement]\nn1_eff = 1e300\nf = 1e300\n", [],
      "n1_eff * f must be finite"),
+    # 14 periods give 15 stroboscopic points, one short of the spectrum's 16
+    ("ftc-sweep", "[kt]\nk = 2.7\nn_steps = 14\n\n[sweep]\nalpha = 3.1\n", [],
+     "kt.n_steps: must be >= 15"),
+    # the noise-budget fit has three terms, so it needs three distinct points
+    *[("noise-budget", f"[sweep]\nn1 = {n1}\n", ["--shots", "2"], "sweep.n1")
+      for n1 in ("1e4 1e5", "1e4 1e5 1e4")],
 ])
+
+
 def test_simulate_cli_config_errors(tmp_path, capsys, scenario, text, flags, message):
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(f"[run]\nkind = {scenario}\n\n" + text)
@@ -769,6 +777,19 @@ def test_simulate_cli_config_errors(tmp_path, capsys, scenario, text, flags, mes
     assert err["error"] == "config"
     assert message in err["message"]
     assert not out.exists()
+
+
+def test_parse_floors_admit_the_fewest(tmp_path):
+    # the least an ftc-sweep and a noise-budget can run with still runs
+    for scenario, text in (
+        ("ftc-sweep", FTC_SWEEP.replace("n_steps = 16", "n_steps = 15")),
+        ("noise-budget", "[run]\nkind = noise-budget\nn_shots = 2\n\n"
+                         "[sweep]\nn1 = 1e4 1e5 1e4 1e6\n"),
+    ):
+        cfgp = tmp_path / f"{scenario}.cfg"
+        cfgp.write_text(text)
+        assert simulate_main([scenario, "--config", str(cfgp),
+                              "--out", str(tmp_path / scenario)]) == 0
 
 
 def test_simulate_cli_kind_mismatch(tmp_path):
@@ -851,6 +872,29 @@ def test_analyze_failed_read_leaves_no_directory(tmp_path, capsys, bad):
     if bad == "header":
         assert "unexpected header" in err["message"]
     assert not out.exists()
+
+
+def test_analyze_symmetry_refuses_non_standard_json(tmp_path, capsys):
+    # a kicked-top trajectory has no measurement at t = 0, so meas[0] is NaN,
+    # and with final states in both wells the correlation is NaN: JSON has
+    # no spelling for it, so the run fails and writes no symmetry.json
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("[run]\nkind = kt-run\nn_shots = 4\nseed = 1\n\n"
+                    "[loop]\nduration = 1.3e-3\nqpn = true\ntheta0 = 2.0\nphi0 = 1.0\n\n"
+                    "[kt]\nk = 2.5\n")
+    out = tmp_path / "o"
+    assert simulate_main(["kt-run", "--config", str(cfgp), "--out", str(out)]) == 0
+    recs = read_trajectory_csv(out / "trajectories.csv")
+    assert np.isnan([rec.meas[0] for rec in recs]).all()
+    assert len({np.sign(rec.z[-1]) for rec in recs}) == 2
+    assert math.isnan(symmetry_stats(recs)["initial_final_correlation"])
+    an = tmp_path / "an"
+    assert analyze_main(["symmetry", "--in", str(out / "trajectories.csv"),
+                         "--out", str(an)]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr)["error"] == "runtime"
+    assert not (an / "symmetry.json").exists()
 
 
 def test_analyze_cli_missing_input(tmp_path, capsys):

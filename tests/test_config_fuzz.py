@@ -8,8 +8,8 @@ use.  It runs ``simulate_main`` in process on a small base config (at most
 3 shots and 50 samples; composite-scan's floor is 100 shots) and checks one
 of two outcomes:
 
-- exit 0, no warning, and no NaN or infinity in x, y, z or in a summary
-  file, beyond the cells whose schema holds NaN (lyapunov's lambda_stddev);
+- exit 0, no warning, no NaN or infinity in x, y, z or in a summary
+  file, and every JSON file standard JSON (no NaN or Infinity literal);
 - exit 1 with exactly one JSON line on stderr: a ``config`` error with no
   output directory, or a ``runtime`` error.  Only an extreme finite value
   may cause a runtime error.  NaN and +-inf must be config errors, and 0 and
@@ -41,7 +41,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 LMG = {"s": "0.7", "lambda": "1.3089969389957471e5"}
 KT_LOOP = {"latency": "2e-6", "duration": "1e-4", "decay_half_time": "none"}
-# 16 periods of 3 samples, the fewest stroboscopic steps ftc_rigidity takes
+# 16 periods of 3 samples; ftc-sweep takes no fewer than 15 (16 stroboscopic
+# points with the start, analysis.FTC_MIN_POINTS)
 KT = {"n_steps": "16", "t_linear": "2e-6", "t_gap": "2e-6", "t_kick": "2e-6"}
 NOISE = {"static_detuning_sigma": "3.0", "rabi_rate": "39584.07"}
 
@@ -139,16 +140,18 @@ def _numbers(obj):
         yield obj
 
 
-# output file -> columns not checked: a trajectory is checked in x, y and z,
-# and lambda_stddev's schema holds NaN
-UNCHECKED = {"trajectories.csv": {"t", "j_true", "meas", "ctl_z", "ctl_x", "j_est"},
-             "lyapunov.csv": {"lambda_stddev"}}
+# output file -> columns not checked: a trajectory is checked in x, y and z
+UNCHECKED = {"trajectories.csv": {"t", "j_true", "meas", "ctl_z", "ctl_x", "j_est"}}
+
+
+def _refuse(constant: str):
+    """parse_constant for strict JSON: NaN, Infinity and -Infinity are not
+    standard JSON."""
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 def _check_outputs(out: Path) -> None:
     for p in sorted(out.iterdir()):
-        if p.name == "manifest.json":
-            continue
         if p.suffix == ".csv":
             with open(p) as fh:
                 header = fh.readline().strip().split(",")
@@ -157,7 +160,8 @@ def _check_outputs(out: Path) -> None:
                 if col not in UNCHECKED.get(p.name, ()):
                     assert np.isfinite(data[:, i]).all(), f"{p.name}: {col}"
         else:
-            assert all(map(math.isfinite, _numbers(json.loads(p.read_text())))), p.name
+            doc = json.loads(p.read_text(), parse_constant=_refuse)
+            assert all(map(math.isfinite, _numbers(doc))), p.name
 
 
 def _check(kind: str, values: dict) -> None:

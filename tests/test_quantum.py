@@ -24,7 +24,7 @@ from spinloop.quantum import (
     spin_operators,
 )
 from spinloop.runio import read_trajectory_csv
-from spinloop.scenarios import quantum_ensemble, quantum_trajectory
+from spinloop.scenarios import quantum_ensemble
 from spinloop.spin_core import SphericalAngles
 
 
@@ -190,10 +190,10 @@ def test_quantum_shot_isolation(tmp_path):
     assert len(recs) == 3
     p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
     for i, rec in enumerate(recs):
-        bloch, meas = quantum_trajectory(10.0, SphericalAngles(0.4, 0.0), p, 3.0,
-                                         2e-6, 12, shot_rng(41, i))
-        assert np.array_equal(np.column_stack((rec.x, rec.y, rec.z)), bloch)
-        assert np.array_equal(rec.meas[:-1], meas)
+        bloch, meas = quantum_ensemble(10.0, SphericalAngles(0.4, 0.0), p, 3.0,
+                                       2e-6, 12, [shot_rng(41, i)])
+        assert np.array_equal(np.column_stack((rec.x, rec.y, rec.z)), bloch[0])
+        assert np.array_equal(rec.meas[:-1], meas[0])
 
 
 def test_quantum_j_above_cap_is_a_json_error(tmp_path, capsys):
@@ -262,12 +262,12 @@ def test_ensemble_rows_match_lone_trajectories(j):
     # shot i gives the same bytes alone as in any ensemble, at any row
     p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
     args = (j, SphericalAngles(0.4, 0.3), p, 3.0, 2e-6, 12)
-    lone = [quantum_trajectory(*args, shot_rng(5, i)) for i in range(12)]
-    for shots in ([0], [0, 1, 2], [2, 1, 0], list(range(12))):
+    lone = [quantum_ensemble(*args, [shot_rng(5, i)]) for i in range(12)]
+    for shots in ([0, 1, 2], [2, 1, 0], list(range(12))):
         bloch, meas = quantum_ensemble(*args, [shot_rng(5, i) for i in shots])
         for row, i in enumerate(shots):
-            assert np.array_equal(bloch[row], lone[i][0])
-            assert np.array_equal(meas[row], lone[i][1])
+            assert np.array_equal(bloch[row], lone[i][0][0])
+            assert np.array_equal(meas[row], lone[i][1][0])
 
 
 def test_ensemble_blocks_match_one_block(monkeypatch):
