@@ -15,14 +15,10 @@ from .spin_core import SpinVector
 @dataclass(frozen=True)
 class LyapunovEstimate:
     lambda_max: float
-    method: str  # "jacobian" or "stddev"
-    n_points: int
-    residual: float = 0.0
 
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    frequencies: np.ndarray
     power: np.ndarray  # normalized, sums to 1
     entropy: float
     dominant_frequency: float
@@ -42,7 +38,7 @@ def spectral_entropy(series) -> SpectralSummary:
     p = spec / total
     nz = p[p > 0]
     s = float(-(nz * np.log(nz)).sum() / math.log(len(p)))
-    return SpectralSummary(freqs, p, s, float(freqs[int(np.argmax(p))]))
+    return SpectralSummary(p, s, float(freqs[int(np.argmax(p))]))
 
 
 LYAPUNOV_DISCARD = 100  # map steps run before lyapunov_exponents accumulates
@@ -84,7 +80,7 @@ def lyapunov_exponents(alpha, k, x0, n_steps: int) -> np.ndarray:
 def lyapunov_jacobian(p: KtParams, x0: SpinVector, n_steps: int) -> LyapunovEstimate:
     """``lyapunov_exponents`` of one start point: a batch of one."""
     lam = lyapunov_exponents(p.alpha, [p.k], x0.as_tuple(), n_steps)[0]
-    return LyapunovEstimate(float(lam), "jacobian", n_steps)
+    return LyapunovEstimate(float(lam))
 
 
 def lyapunov_benettin(p: KtParams, x0: SpinVector, n_steps: int) -> LyapunovEstimate:
@@ -107,7 +103,7 @@ def lyapunov_benettin(p: KtParams, x0: SpinVector, n_steps: int) -> LyapunovEsti
         new_b = np.array(va.as_tuple()) + diff * (d0 / d)
         new_b /= np.linalg.norm(new_b)
         vb = SpinVector(*new_b)
-    return LyapunovEstimate(acc / n_steps, "benettin", n_steps)
+    return LyapunovEstimate(acc / n_steps)
 
 
 def lyapunov_stddev(theta_series_ensemble, n_fit: int) -> LyapunovEstimate:
@@ -123,9 +119,7 @@ def lyapunov_stddev(theta_series_ensemble, n_fit: int) -> LyapunovEstimate:
     if np.any(sig <= 0):
         raise ValueError("zero spread at some step; cannot take the log")
     n = np.arange(n_fit)
-    coef, res = np.polyfit(n, np.log(sig), 1, full=True)[:2]
-    residual = float(res[0]) if len(res) else 0.0
-    return LyapunovEstimate(float(coef[0]), "stddev", n_fit, residual)
+    return LyapunovEstimate(float(np.polyfit(n, np.log(sig), 1)[0]))
 
 
 ORDER_WINDOW = 5.0 / 6.0  # trailing fraction of a record order_parameters reads
@@ -147,6 +141,7 @@ def order_parameters(records):
 
 
 SETTLE_TOL = 1e-3
+SETTLE_BAND = 0.05  # distance from the final z that settling_time counts as settled
 
 
 def _settled(z: np.ndarray) -> bool:
@@ -178,11 +173,11 @@ def extract_tdd(record):
     return -t_dd if zf < 0 else t_dd
 
 
-def settling_time(rec, band: float = 0.05) -> float | None:
-    """Last sample time at which z lies more than band from its final value,
-    0.0 when it never leaves the band, None when the run has not settled
-    (``_settled``, the rule ``extract_tdd`` uses) or is never inside the
-    band.
+def settling_time(rec) -> float | None:
+    """Last sample time at which z lies more than SETTLE_BAND from its final
+    value, 0.0 when it never leaves the band, None when the run has not
+    settled (``_settled``, the rule ``extract_tdd`` uses) or is never inside
+    the band.
 
     The band is centred on the final value, so a finite run is always inside
     it at its last sample; a NaN z counts as outside, so a run that ends in
@@ -190,17 +185,27 @@ def settling_time(rec, band: float = 0.05) -> float | None:
     z = np.asarray(rec.z, dtype=float)
     if not _settled(z):
         return None
-    outside = np.nonzero(~(np.abs(z - z[-1]) <= band))[0]
+    outside = np.nonzero(~(np.abs(z - z[-1]) <= SETTLE_BAND))[0]
     if len(outside) == len(z):
         return None
     return float(rec.t[outside[-1]]) if len(outside) else 0.0
 
 
+def _first_measurement(rec, i: int) -> float:
+    """The first finite entry of rec.meas: meas[0] for an LMG or quantum
+    record, the first gap sample for a kicked-top one."""
+    k = int(np.argmax(np.isfinite(rec.meas)))  # 0 when no entry is finite
+    if not math.isfinite(rec.meas[k]):
+        raise ValueError(f"record {i} has no finite measurement")
+    return rec.meas[k]
+
+
 def symmetry_stats(records) -> dict:
-    """Ensemble symmetry-breaking statistics."""
+    """Ensemble symmetry-breaking statistics; the correlation is between
+    each record's first finite measurement and its final well."""
     if len(records) < 2:
         raise ValueError("need at least 2 records")
-    m0 = np.array([rec.meas[0] for rec in records])
+    m0 = np.array([_first_measurement(rec, i) for i, rec in enumerate(records)])
     zf = np.array([rec.z[-1] for rec in records])
     wells = np.sign(zf)
     if np.all(wells == wells[0]) or np.all(m0 == m0[0]):

@@ -112,9 +112,7 @@ def analyze_main(argv=None) -> int:
             rows = [(i, s.entropy, s.dominant_frequency)
                     for i, s in enumerate(summaries)]
             header = "shot,entropy,dominant_frequency"
-        # made only now, so a failed read or analysis leaves no directory
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         if args.emit == "json":
             emit_json(out / f"{args.kind}.json", result)
         else:

@@ -1,6 +1,6 @@
 """Digital feedforward controller emulation: fixed-point arithmetic, the
-rational exponential used by the decay tracker, kick-angle wrapping, control
-laws and gain calibration, and the kicked-top pulse schedule.
+rational exponential used by the decay tracker, kick-angle wrapping, the
+LMG control law, and the kicked-top pulse schedule.
 
 Fixed-point arithmetic is done on raw integer words: the ``_fxp_*`` helpers
 map ints to ints under one format's fraction bits and raw range.
@@ -190,25 +190,6 @@ def decay_estimate(
     if fmt is None:
         return j0 * pade_exp(x)
     return j0 * pade_exp(fxp_quantize(x, fmt)).value
-
-
-@dataclass(frozen=True)
-class CoilCalibration:
-    n_loops: int = 1
-    gamma: float = 3.5e3  # Hz/uT
-    geom_factor: float = 4.5  # uT/A
-    amp_gain: float = 1.0
-    resistance: float = 5.75  # ohm
-
-    def __post_init__(self) -> None:
-        for name in ("n_loops", "gamma", "geom_factor", "amp_gain", "resistance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-
-
-def ctl_gain(c: CoilCalibration) -> float:
-    """Voltage-to-rotation-rate gain 2 N gamma G g / R, in Hz/V."""
-    return 2.0 * c.n_loops * c.gamma * c.geom_factor * c.amp_gain / c.resistance
 
 
 def lmg_control(m: float, j_est: float, p) -> float:

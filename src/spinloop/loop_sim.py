@@ -246,7 +246,9 @@ def shared_columns(
     They depend only on the clock, j0, the decay half-time and the
     arithmetic format, never on the shot, so an ensemble computes them once.
     They are lists of Python floats, so the per-sample arithmetic is the
-    same as on scalars."""
+    same as on scalars.  A tracked length that reaches 0, as a fast
+    fixed-point decay does, raises ValueError here, so the scalar loops and
+    the array kernels refuse it alike."""
     ts = cfg.sample_period
     if sched is None:
         n = cfg.n_samples
@@ -262,6 +264,10 @@ def shared_columns(
         return t, [j0] * n, [j0] * len(meas_idx)
     j_true = [j0 * 2.0 ** (-t_k / half) for t_k in t]
     j_est = [ctl.decay_estimate(j0, half, t[k], cfg.fixed_point) for k in meas_idx]
+    if min(j_est) <= 0.0:
+        i = next(i for i, j in enumerate(j_est) if j <= 0.0)
+        raise ValueError(f"loop.decay_half_time ({half:g} s) decays the tracked spin "
+                         f"length to {j_est[i]!r} by t = {t[meas_idx[i]]:g} s")
     return t, j_true, j_est
 
 
@@ -372,8 +378,6 @@ def _run_lmg_columns(
     d, r = divmod(cfg.latency_steps, sps)
     dt = cfg.plant_dt
     t, j_true, j_est = cols
-    if j_est and min(j_est) <= 0.0:
-        raise ValueError("j_est must be > 0")  # as lmg_control
 
     m = len(rngs)
     detuning, amp, x, y, z, qpn_offset, m_sn = _column_start(cfg, model, rngs, n)
@@ -512,9 +516,6 @@ def _run_kt_columns(
     n = sched.n_steps * n_per + 1
     ts = cfg.sample_period
     t, j_true, j_est = cols
-    # run_kt_loop divides by j_est in floats; numpy would return inf
-    if 0.0 in j_est:
-        raise ZeroDivisionError("float division by zero")
 
     m = len(rngs)
     detuning, amp, x, y, z, qpn_offset, m_sn = _column_start(cfg, model, rngs,

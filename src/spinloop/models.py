@@ -103,12 +103,6 @@ def lmg_fixed_points(s: float) -> list[FixedPoint]:
     return pts
 
 
-def lmg_critical_s_for_pole() -> float:
-    """s at which the pole state energy equals the unstable-point energy:
-    -s/2 = -(1-s), i.e. s = 2/3."""
-    return 2.0 / 3.0
-
-
 def kt_map(x, y, z, alpha, k, *tangents):
     """One period of the kicked-top map on points (x, y, z), floats or
     arrays that broadcast with alpha and k, written out component-wise to

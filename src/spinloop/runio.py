@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -31,14 +30,16 @@ TRAJECTORY_HEADER = ",".join(TrajectoryRecord.COLUMNS)
 
 
 def fmt_float(v: float) -> str:
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
     return f"{float(v):.17g}"
 
 
 def _write_lines(path, header: str, lines) -> Path:
+    """Write the header line and then lines to path, creating its directory
+    first: the writers own the output directory, so a run that fails before
+    its first write leaves none."""
     path = Path(path)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as fh:
             fh.write(header + "\n")
             fh.writelines(lines)
@@ -58,8 +59,7 @@ def emit_csv(path, header: str, rows) -> Path:
 
 def emit_json(path, obj) -> Path:
     """Write obj as standard JSON.  A NaN or infinity raises ValueError
-    before the file is opened, so no partial file is left."""
-    path = Path(path)
+    before the file or its directory is made, so nothing partial is left."""
 
     def default(o):
         if isinstance(o, np.ndarray):
@@ -69,12 +69,7 @@ def emit_json(path, obj) -> Path:
         raise TypeError(f"not serializable: {type(o)}")
 
     text = json.dumps(obj, indent=1, sort_keys=True, default=default, allow_nan=False)
-    try:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    except OSError as e:
-        raise OSError(f"cannot write {path}: {e}") from e
-    return path
+    return _write_lines(path, text, ())
 
 
 def _repeated_text(col: np.ndarray, seen: dict) -> list[str] | None:

@@ -280,9 +280,9 @@ _RUNNERS = {
 def run_scenario(cfg: ExperimentConfig, config_path) -> RunManifest:
     """Execute the scenario parsed from the file at config_path; writes
     outputs and manifest.json into cfg.out_dir and returns the manifest,
-    which records the SHA-256 of that file."""
+    which records the SHA-256 of that file.  The writers create cfg.out_dir
+    at the first write, so a run that fails before it leaves no directory."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     paths = _RUNNERS[cfg.kind](cfg, out)
     manifest = RunManifest(

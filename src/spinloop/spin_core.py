@@ -139,31 +139,22 @@ def rotate(v: SpinVector, axis: SpinVector, angle: float) -> SpinVector:
     return SpinVector(*rodrigues(v.x, v.y, v.z, axis.x, axis.y, axis.z, angle))
 
 
-def larmor_precess(v: SpinVector, omega_l: float, t: float) -> SpinVector:
-    """Free precession about the +z bias field for time t."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return rotate(v, Z_HAT, omega_l * t)
-
-
 def noisy_rotate(
     v: SpinVector,
     axis_phase: float,
     angle: float,
     noise: RotationNoise,
     rng,
-    shot: ShotNoiseDraw | None = None,
+    shot: ShotNoiseDraw,
 ) -> SpinVector:
     """Driven rotation about an equatorial axis at azimuth axis_phase.
 
     Detuning lifts the torque axis out of the equatorial plane by
     atan(delta / rabi_rate) and rescales the rotation angle by the
-    generalized Rabi factor sqrt(1 + (delta/rabi)^2).  Pass a pre-drawn
-    ShotNoiseDraw to share the slow channels across pulses of one shot;
-    otherwise one is drawn here (one call treated as one shot).
+    generalized Rabi factor sqrt(1 + (delta/rabi)^2).  shot carries the
+    slow channels (``draw_shot_noise``), shared by the pulses of one shot;
+    rng draws only the per-pulse phase jitter.
     """
-    if shot is None:
-        shot = draw_shot_noise(noise, rng)
     phi = axis_phase
     if noise.phase_noise_sigma > 0:
         phi += noise.phase_noise_sigma * rng.standard_normal()

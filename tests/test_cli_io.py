@@ -2,6 +2,7 @@ import configparser
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from spinloop.config import (
     ExperimentConfig,
     parse_config,
 )
-from spinloop.controller import FixedPointFormat, QktSchedule
+from spinloop.controller import FixedPointFormat, QktSchedule, decay_estimate
 from spinloop.loop_sim import (
     ARRAY_MIN_SHOTS,
     KT_ARRAY_MIN_SHOTS,
@@ -36,7 +37,6 @@ from spinloop.loop_sim import (
     run_batch,
     run_kt_loop,
     run_lmg_loop,
-    shared_columns,
     shot_rng,
 )
 from spinloop.measurement import MeasurementModel
@@ -221,25 +221,49 @@ def test_ftc_sweep_stacks_points(tmp_path):
     assert (out / "rigidity.json").read_bytes() == want.read_bytes()
 
 
-@pytest.mark.filterwarnings("error")
-def test_ftc_sweep_reports_zero_tracked_length(tmp_path, capsys):
+def _refuses_zero_tracked_length(tmp_path, capsys, text, params, meas_idx, min_shots):
     # a fast fixed-point decay rounds the tracked spin length to 0 after a
-    # few periods: the scalar loop and the array kernel fail alike, and
-    # simulate reports one runtime error with no numpy warning
+    # few measurements: shared_columns refuses it, naming the time, so the
+    # scalar loop and the array kernel fail alike, and simulate reports one
+    # runtime error with no numpy warning and no output directory
     cfgp = tmp_path / "c.cfg"
-    cfgp.write_text(FTC_SWEEP.replace("decay_half_time = 2e-4", "decay_half_time = 5e-6"))
+    cfgp.write_text(text)
     cfg = parse_config(cfgp)
-    j_est = shared_columns(cfg.loop, cfg.measurement.j_collective, cfg.kt_schedule)[2]
-    assert j_est[0] > 0.0 and j_est[-1] == 0.0
-    for n in (KT_ARRAY_MIN_SHOTS - 1, KT_ARRAY_MIN_SHOTS):
-        with pytest.raises(ZeroDivisionError):
-            run_batch(cfg.loop, KtParams(alpha=3.0, k=2.7), cfg.measurement, n, 11,
-                      sched=cfg.kt_schedule)
-    assert simulate_main(["ftc-sweep", "--config", str(cfgp),
-                          "--out", str(tmp_path / "o")]) == 1
+    ts = cfg.loop.sample_period
+    t0 = next(k * ts for k in meas_idx if decay_estimate(
+        cfg.measurement.j_collective, 5e-6, k * ts, cfg.loop.fixed_point) == 0.0)
+    assert t0 > 0.0
+    message = ("loop.decay_half_time (5e-06 s) decays the tracked spin length "
+               f"to 0.0 by t = {t0:g} s")
+    for n in (min_shots - 1, min_shots):
+        with pytest.raises(ValueError) as err:
+            run_batch(cfg.loop, params, cfg.measurement, n, 11, sched=cfg.kt_schedule)
+        assert str(err.value) == message
+    out = tmp_path / "o"
+    assert simulate_main([cfg.kind, "--config", str(cfgp), "--out", str(out)]) == 1
     stderr = capsys.readouterr().err
     assert stderr.count("\n") == 1
-    assert json.loads(stderr)["error"] == "runtime"
+    assert json.loads(stderr) == {"error": "runtime", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_ftc_sweep_reports_zero_tracked_length(tmp_path, capsys):
+    text = FTC_SWEEP.replace("decay_half_time = 2e-4", "decay_half_time = 5e-6")
+    # the gap sample of each 24-sample period: 20 linear, 3 gap, 1 kick
+    _refuses_zero_tracked_length(tmp_path, capsys, text, KtParams(alpha=3.0, k=2.7),
+                                 range(20, 16 * 24, 24), KT_ARRAY_MIN_SHOTS)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dpt_sweep_reports_zero_tracked_length(tmp_path, capsys):
+    text = ("[run]\nkind = dpt-sweep\nn_shots = 4\nseed = 11\n\n"
+            "[loop]\nduration = 4e-4\nfixed_point = true\nword_bits = 24\nint_bits = 6\n"
+            "decay_half_time = 5e-6\n\n[lmg]\nlambda = 1.3089969389957471e5\n\n"
+            "[sweep]\ns = 0.6 0.7\n")
+    # the LMG loop measures at every one of its 200 samples
+    _refuses_zero_tracked_length(tmp_path, capsys, text, LmgParams(s=0.7, lambda_=1.3e5),
+                                 range(200), ARRAY_MIN_SHOTS)
 
 
 def test_missing_required_section(tmp_path):
@@ -490,13 +514,14 @@ def test_simulate_cli_reports_arithmetic_error(tmp_path, capsys, scenario, text,
     # warning may be emitted on the way
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(f"[run]\nkind = {scenario}\n" + text)
-    assert simulate_main([scenario, "--config", str(cfgp),
-                          "--out", str(tmp_path / "o")]) == 1
+    out = tmp_path / "o"
+    assert simulate_main([scenario, "--config", str(cfgp), "--out", str(out)]) == 1
     stderr = capsys.readouterr().err
     assert stderr.count("\n") == 1
     err = json.loads(stderr)
     assert err["error"] == "runtime"
     assert message in err["message"]
+    assert not out.exists()  # the run failed before its first write
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -874,10 +899,10 @@ def test_analyze_failed_read_leaves_no_directory(tmp_path, capsys, bad):
     assert not out.exists()
 
 
-def test_analyze_symmetry_refuses_non_standard_json(tmp_path, capsys):
-    # a kicked-top trajectory has no measurement at t = 0, so meas[0] is NaN,
-    # and with final states in both wells the correlation is NaN: JSON has
-    # no spelling for it, so the run fails and writes no symmetry.json
+def test_analyze_symmetry_on_kicked_top_records(tmp_path):
+    # a kicked-top trajectory has no measurement at t = 0, so meas[0] is NaN;
+    # the correlation takes each record's first finite measurement, the
+    # first gap sample, with final states in both wells
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text("[run]\nkind = kt-run\nn_shots = 4\nseed = 1\n\n"
                     "[loop]\nduration = 1.3e-3\nqpn = true\ntheta0 = 2.0\nphi0 = 1.0\n\n"
@@ -885,22 +910,49 @@ def test_analyze_symmetry_refuses_non_standard_json(tmp_path, capsys):
     out = tmp_path / "o"
     assert simulate_main(["kt-run", "--config", str(cfgp), "--out", str(out)]) == 0
     recs = read_trajectory_csv(out / "trajectories.csv")
-    assert np.isnan([rec.meas[0] for rec in recs]).all()
-    assert len({np.sign(rec.z[-1]) for rec in recs}) == 2
-    assert math.isnan(symmetry_stats(recs)["initial_final_correlation"])
+    assert np.isnan([rec.meas[:20] for rec in recs]).all()
+    wells = np.sign([rec.z[-1] for rec in recs])
+    assert len(set(wells)) == 2
     an = tmp_path / "an"
     assert analyze_main(["symmetry", "--in", str(out / "trajectories.csv"),
-                         "--out", str(an)]) == 1
+                         "--out", str(an)]) == 0
+    got = json.loads((an / "symmetry.json").read_text())
+    want = float(np.corrcoef([rec.meas[20] for rec in recs], wells)[0, 1])
+    assert math.isfinite(want)
+    assert got["initial_final_correlation"] == want
+    # a record with no finite measurement has nothing to correlate
+    recs[1] = replace(recs[1], meas=np.full(len(recs[1].t), math.nan))
+    with pytest.raises(ValueError, match="record 1 has no finite measurement"):
+        symmetry_stats(recs)
+
+
+def test_analyze_failed_emit_leaves_no_directory(tmp_path, capsys):
+    # a NaN z makes z_inf NaN, which standard JSON cannot spell: the emit
+    # fails before it makes the output directory
+    t = np.arange(8.0)
+    z = np.array([0.1, 0.2, math.nan, 0.3, 0.3, 0.3, 0.3, 0.3])
+    src = emit_trajectories(tmp_path / "t.csv", [TrajectoryRecord(t, *[z] * 8)])[0]
+    out = tmp_path / "d"
+    assert analyze_main(["order", "--in", str(src), "--out", str(out)]) == 1
     stderr = capsys.readouterr().err
     assert stderr.count("\n") == 1
     assert json.loads(stderr)["error"] == "runtime"
-    assert not (an / "symmetry.json").exists()
+    assert not out.exists()
 
 
 def test_analyze_cli_missing_input(tmp_path, capsys):
     assert analyze_main(["symmetry", "--in", str(tmp_path / "nope.csv")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "runtime"
+
+
+def test_emit_json_refuses_non_standard_json(tmp_path):
+    # JSON has no spelling for NaN: the writer refuses it before it makes
+    # the file or its directory
+    path = tmp_path / "d" / "x.json"
+    with pytest.raises(ValueError):
+        emit_json(path, {"a": [1.0, np.float64(math.nan)]})
+    assert not path.parent.exists()
 
 
 def test_emit_json_sorted_and_stable(tmp_path):

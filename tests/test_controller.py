@@ -5,13 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinloop.controller import (
-    CoilCalibration,
     DEFAULT_FXP,
     DEFAULT_RATE_CAP,
     FixedPointFormat,
     FixedPointValue,
     bmod2,
-    ctl_gain,
     decay_estimate,
     fxp_quantize,
     kick_angle,
@@ -239,11 +237,6 @@ def test_decay_estimate_fixed_point_matches_oracle(fmt):
             _o_quantize(-t * math.log(2.0) / half, fmt)).value)
         got = _outcome(decay_estimate, j0, half, t, fmt)
         assert got == want, (t, got, want)
-
-
-def test_ctl_gain_default_calibration():
-    # 2 * 1 * 3.5e3 * 4.5 * 1 / 5.75
-    assert ctl_gain(CoilCalibration()) == pytest.approx(5478.26, rel=1e-4)
 
 
 def test_lmg_control_clamp_and_cap():

@@ -283,7 +283,7 @@ def test_batch_shot_isolated_reproducibility():
         assert _same_record(recs[2], lone)
 
 
-def test_batch_pool_no_wider_than_shots(monkeypatch):
+def test_batch_starts_no_process_pool(monkeypatch):
     # SPINLOOP_JOBS is no longer read: no process pool starts, and every
     # record still equals its scalar oracle
     import concurrent.futures

@@ -11,7 +11,6 @@ from spinloop.models import (
     PoleSingularity,
     kt_jacobian,
     kt_step,
-    lmg_critical_s_for_pole,
     lmg_derivatives,
     lmg_energy,
     lmg_fixed_points,
@@ -47,13 +46,6 @@ def test_fixed_points_broken_pair():
     assert zs[0] == pytest.approx(-z_star, abs=1e-12)
     assert zs[-1] == pytest.approx(z_star, abs=1e-12)
     assert pts[0].location == X_HAT and pts[0].stability == "unstable"
-
-
-def test_critical_s():
-    # pole energy -s/2 equals unstable-point energy -(1-s) at s = 2/3
-    s = lmg_critical_s_for_pole()
-    assert s == pytest.approx(2.0 / 3.0)
-    assert -s / 2.0 == pytest.approx(-(1.0 - s))
 
 
 @given(unit_vectors, st.floats(0.0, 1.0), st.floats(0.1, 100.0))

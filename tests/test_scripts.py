@@ -27,7 +27,8 @@ SCRIPTS = (
 
 @pytest.mark.parametrize("script,args,out", SCRIPTS, ids=[s[0] for s in SCRIPTS])
 def test_script_runs(script, args, out, tmp_path):
-    dest = tmp_path / out
+    # a directory that does not exist yet, as out/ in a fresh checkout
+    dest = tmp_path / "out" / out
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p

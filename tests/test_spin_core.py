@@ -15,7 +15,6 @@ from spinloop.spin_core import (
     Z_HAT,
     draw_shot_noise,
     from_angles,
-    larmor_precess,
     noisy_rotate,
     rotate,
     to_angles,
@@ -76,18 +75,11 @@ def test_to_angles_at_pole():
     assert a.theta == 0.0 and a.phi == 0.0
 
 
-def test_larmor_precess():
-    v = larmor_precess(X_HAT, 2.0 * math.pi * 1e3, 0.25e-3)
-    assert vclose(v, SpinVector(0.0, -1.0, 0.0), 1e-9)
-    with pytest.raises(ValueError):
-        larmor_precess(X_HAT, 1.0, -1.0)
-
-
 def test_noisy_rotate_noise_free_matches_exact():
     rng = np.random.default_rng(0)
     for phi in (0.0, 1.0, math.pi / 2.0):
         axis = SpinVector(math.cos(phi), math.sin(phi), 0.0)
-        got = noisy_rotate(Z_HAT, phi, 0.7, NO_NOISE, rng)
+        got = noisy_rotate(Z_HAT, phi, 0.7, NO_NOISE, rng, draw_shot_noise(NO_NOISE, rng))
         assert vclose(got, rotate(Z_HAT, axis, 0.7), 1e-12)
 
 
@@ -96,7 +88,7 @@ def test_noisy_rotate_detuning_tilts_axis():
     # the angle is scaled by sqrt(2)
     noise = RotationNoise(fixed_detuning=2 * math.pi * 6.3e3)
     rng = np.random.default_rng(0)
-    got = noisy_rotate(X_HAT, 0.0, 1.0, noise, rng)
+    got = noisy_rotate(X_HAT, 0.0, 1.0, noise, rng, draw_shot_noise(noise, rng))
     b = math.pi / 4.0
     axis = SpinVector(math.cos(b), 0.0, math.sin(b))
     assert vclose(got, rotate(X_HAT, axis, math.sqrt(2.0)), 1e-12)
