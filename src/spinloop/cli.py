@@ -71,6 +71,11 @@ def _load_records(paths, columns):
     return recs
 
 
+def _tdd_rows(tdd_list):
+    """One (shot, tdd) row per record; an unsettled record's tdd is NaN."""
+    return [(i, t if t is not None else float("nan")) for i, t in enumerate(tdd_list)]
+
+
 def analyze_main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="analyze", description="Post-process trajectory files."
@@ -83,14 +88,8 @@ def analyze_main(argv=None) -> int:
     try:
         recs = _load_records(args.inputs, ANALYZE_COLUMNS[args.kind])
         if args.kind == "symmetry":
-            stats = symmetry_stats(recs)
-            result = {
-                "upper_fraction": stats["upper_fraction"],
-                "initial_final_correlation": stats["initial_final_correlation"],
-                "tdd_list": stats["tdd_list"],
-            }
-            rows = [(i, t if t is not None else float("nan"))
-                    for i, t in enumerate(stats["tdd_list"])]
+            result = symmetry_stats(recs)
+            rows = _tdd_rows(result["tdd_list"])
             header = "shot,tdd"
         elif args.kind == "order":
             z_inf, czz_inf = order_parameters(recs)
@@ -100,8 +99,7 @@ def analyze_main(argv=None) -> int:
         elif args.kind == "tdd":
             tdd = [extract_tdd(rec) for rec in recs]
             result = {"tdd_list": tdd}
-            rows = [(i, t if t is not None else float("nan"))
-                    for i, t in enumerate(tdd)]
+            rows = _tdd_rows(tdd)
             header = "shot,tdd"
         else:  # spectrum
             summaries = [spectral_entropy(rec.z) for rec in recs]

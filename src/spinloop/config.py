@@ -10,13 +10,28 @@ raised before any output directory is created:
 - A key is accepted only if the scenario named by run.kind reads it.
   ``SCENARIOS`` lists the keys each scenario reads and the sections or keys
   it requires; any other key is an error naming section.key.
+- A key read only under a condition on another key is accepted only where
+  the condition holds; ``_GATES`` lists them, and the error names both keys.
+  In the five closed loops (lmg-run, kt-run, dpt-sweep, ssb-ensemble and
+  ftc-sweep), loop.word_bits and loop.int_bits need loop.fixed_point = true,
+  measurement.sn_coeff needs loop.shot = true, loop.shot = true needs
+  measurement.sn_coeff > 0, and measurement.ratio_n2_n1 needs loop.qpn =
+  true.  On the LMG plant (lmg-run, dpt-sweep and ssb-ensemble) only the
+  decay tracker computes in fixed point, so loop.fixed_point needs a
+  loop.decay_half_time other than none.
+- Every key a scenario reads changes its outputs, but for six that stay
+  accepted because the benchmark configs set them: lmg.s in dpt-sweep and
+  kt.alpha in ftc-sweep, which each sweep point replaces, and loop.latency
+  and loop.duration in kt-run and ftc-sweep, which only bound the kicked-top
+  schedule (below).
+- The kicked-top loops hold each rate for whole samples, so they read no
+  loop.plant_dt; their plant grid is loop.sample_period.
 - The simulate flags --seed, --shots, --out and --emit are checked as the
   run keys they set, so --emit (run.emit) applies only to the scenarios
   that write tables: dpt-sweep, lyapunov, ftc-sweep, noise-budget and
   composite-scan.
 - In lyapunov, sweep.k replaces kt.k, and a config gives exactly one of
-  the two.  Two more keys that a sweep replaces stay accepted, because the
-  benchmark configs set them: lmg.s in dpt-sweep and kt.alpha in ftc-sweep.
+  the two.
 - run.seed must be >= 0, and run.n_shots at least the scenario's minimum:
   2 in noise-budget and 100 in composite-scan.
 - In kt-run and ftc-sweep, kt.n_steps must be >= 1 and each of kt.t_linear,
@@ -28,12 +43,16 @@ raised before any output directory is created:
   ``analysis.FTC_MIN_POINTS`` (16) points.
 - In noise-budget, sweep.n1 needs at least ``measurement.MIN_FIT_POINTS``
   (3) distinct points, one per fitted term.
+- With loop.fixed_point = true no controller input saturates the word
+  (loop.word_bits, loop.int_bits): in kt-run and ftc-sweep |kt.k|/pi, the
+  largest kick-angle argument, fits in it, and in every closed loop so does
+  the decay exponent -t ln2 / loop.decay_half_time at the last measurement.
 - In quantum-qmf, 2 * quantum.j must be a positive integer with
   j <= quantum.J_MAX (500), quantum.sigma and quantum.dt > 0 with sigma**2
   neither 0 nor inf, and quantum.n_steps >= 1.
 
 A key the file leaves out takes the default of the dataclass or builder it
-feeds; [quantum] defaults live in the scenario runner.
+feeds, and a [quantum] key its value in ``QUANTUM_DEFAULTS``.
 [lmg] takes the model's s and lambda; the [noise] section is built once,
 as loop.rotation_noise, where every scenario that reads it finds it.
 """
@@ -47,8 +66,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .analysis import FTC_MIN_POINTS
-from .controller import FixedPointFormat, QktSchedule, qkt_schedule
-from .loop_sim import LoopConfig, _kt_layout
+from .controller import FixedPointFormat, QktSchedule, fxp_fits, qkt_schedule
+from .loop_sim import LoopConfig, _kt_layout, measured_samples
 from .measurement import MIN_FIT_POINTS, MIN_SCAN_SHOTS, MeasurementModel
 from .models import KtParams, LmgParams
 from .quantum import check_j
@@ -57,6 +76,10 @@ from .spin_core import RotationNoise, SphericalAngles
 
 class ConfigError(ValueError):
     """Raised with the offending section/key path in the message."""
+
+
+# the [quantum] values a file leaves out
+QUANTUM_DEFAULTS = {"j": 200.0, "sigma": 20.0, "dt": 2e-6, "n_steps": 150}
 
 
 @dataclass
@@ -72,7 +95,7 @@ class ExperimentConfig:
     emit_format: str = "csv"
     sweep: dict = field(default_factory=dict)
     kt_schedule: QktSchedule | None = None
-    quantum: dict = field(default_factory=dict)
+    quantum: dict = field(default_factory=lambda: dict(QUANTUM_DEFAULTS))
 
     def __post_init__(self) -> None:
         least = _MIN_SHOTS.get(self.kind, 1)
@@ -86,22 +109,20 @@ class ExperimentConfig:
 
 
 def _check_quantum(q: dict) -> None:
-    """The [quantum] values given must be ones the engine can run."""
-    if "j" in q:
-        try:
-            check_j(q["j"])
-        except ValueError as e:
-            raise ConfigError(f"quantum.j: {e}") from None
+    """The [quantum] values that will run must be ones the engine can run."""
+    try:
+        check_j(q["j"])
+    except ValueError as e:
+        raise ConfigError(f"quantum.j: {e}") from None
     for key in ("sigma", "dt"):
-        if q.get(key, 1.0) <= 0:
+        if q[key] <= 0:
             raise ConfigError(f"quantum.{key}: must be > 0")
     # the Kraus operator's normalisation (2 pi sigma^2)^(-1/4) needs a finite
     # sigma^2 > 0; a product, unlike **, overflows to inf instead of raising
-    sigma = q.get("sigma", 1.0)
-    s2 = sigma * sigma
+    s2 = q["sigma"] * q["sigma"]
     if s2 == 0.0 or not math.isfinite(s2):
         raise ConfigError("quantum.sigma: its square underflows to 0 or overflows")
-    if q.get("n_steps", 1) < 1:
+    if q["n_steps"] < 1:
         raise ConfigError("quantum.n_steps: must be >= 1")
 
 
@@ -207,18 +228,23 @@ def _all(section: str) -> tuple[str, ...]:
 
 # read by every scenario
 _EVERY = ("run.kind", "run.seed", "run.out")
-# the closed loop (run_batch); loop.word_bits and loop.int_bits are read
-# only when loop.fixed_point is true
+# the closed loop (run_batch); _GATES lists the keys it reads only under a
+# condition
 _CLOSED_LOOP = (
     "run.n_shots", *_all("loop"), *_all("measurement"),
     "noise.fixed_detuning", "noise.static_detuning_sigma",
     "noise.amplitude_error_sigma",
 )
+# the kicked-top loop holds each rate for whole samples: no plant_dt
+_KT_CLOSED_LOOP = tuple(k for k in _CLOSED_LOOP if k != "loop.plant_dt") + _all("kt")
 
-# scenario -> (keys it reads besides _EVERY, sections or keys it requires)
+# scenario -> (keys it reads besides _EVERY, sections or keys it requires).
+# Six keys read change no output; each stays only because a benchmark config
+# sets it.
 SCENARIOS = {
     "lmg-run": (_CLOSED_LOOP + _all("lmg"), ("lmg",)),
-    "kt-run": (_CLOSED_LOOP + _all("kt"), ("kt",)),
+    # loop.latency and loop.duration only bound the schedule (_kt_layout)
+    "kt-run": (_KT_CLOSED_LOOP, ("kt",)),
     # each sweep.s point replaces lmg.s
     "dpt-sweep": (
         _CLOSED_LOOP + ("run.emit", "lmg.lambda", "lmg.s", "sweep.s"),
@@ -230,11 +256,9 @@ SCENARIOS = {
         ("run.emit", "kt.alpha", "kt.k", "loop.theta0", "loop.phi0", "sweep.k"),
         ("kt.alpha",),
     ),
-    # each sweep.alpha point replaces kt.alpha
-    "ftc-sweep": (
-        _CLOSED_LOOP + _all("kt") + ("run.emit", "sweep.alpha"),
-        ("kt", "sweep.alpha"),
-    ),
+    # each sweep.alpha point replaces kt.alpha; loop.latency and
+    # loop.duration only bound the schedule (_kt_layout)
+    "ftc-sweep": (_KT_CLOSED_LOOP + ("run.emit", "sweep.alpha"), ("kt", "sweep.alpha")),
     # each sweep.n1 point replaces measurement.n1_eff, so it is not read
     "noise-budget": (
         ("run.n_shots", "run.emit", "loop.sample_period", "measurement.ratio_n2_n1",
@@ -251,6 +275,32 @@ SCENARIOS = {
         ("lmg",),
     ),
 }
+
+_LMG_LOOPS = ("lmg-run", "dpt-sweep", "ssb-ensemble")
+_KT_LOOPS = ("kt-run", "ftc-sweep")
+_LOOPS = _LMG_LOOPS + _KT_LOOPS
+
+
+def _fixed_point(loop: dict, meas: dict) -> bool:
+    return loop.get("fixed_point", False)
+
+
+# Gated reads: (scenarios, key, the one value gated or None for any, and the
+# condition under which the run reads it, as text and as a test of the
+# [loop] and [measurement] values given)
+_GATES = (
+    (_LOOPS, "loop.word_bits", None, "loop.fixed_point = true", _fixed_point),
+    (_LOOPS, "loop.int_bits", None, "loop.fixed_point = true", _fixed_point),
+    (_LOOPS, "measurement.sn_coeff", None, "loop.shot = true",
+     lambda loop, meas: loop.get("shot", False)),
+    (_LOOPS, "loop.shot", True, "measurement.sn_coeff > 0",
+     lambda loop, meas: meas.get("sn_coeff", MeasurementModel.sn_coeff) > 0),
+    (_LOOPS, "measurement.ratio_n2_n1", None, "loop.qpn = true",
+     lambda loop, meas: loop.get("qpn", False)),
+    # the LMG loop computes only the tracked spin length in fixed point
+    (_LMG_LOOPS, "loop.fixed_point", None, "loop.decay_half_time is not none",
+     lambda loop, meas: loop.get("decay_half_time", LoopConfig.decay_half_time) is not None),
+)
 
 # run key -> ExperimentConfig field
 _RUN_FIELDS = {"n_shots": "n_shots", "seed": "master_seed", "out": "out_dir",
@@ -314,12 +364,14 @@ def _check_reads(c: dict, kind: str, path: Path) -> None:
             name = f"{sec}.{key}"
             if name not in reads and name not in _EVERY:
                 raise ConfigError(f"{path}: {name} is not read by scenario {kind}")
-    loop = c.get("loop", {})
-    for key in ("word_bits", "int_bits"):
-        if key in loop and not loop.get("fixed_point", False):
-            raise ConfigError(
-                f"{path}: loop.{key} is read only when loop.fixed_point = true"
-            )
+    loop, meas = c.get("loop", {}), c.get("measurement", {})
+    for kinds, name, value, condition, holds in _GATES:
+        sec, _, key = name.partition(".")
+        body = c.get(sec, {})
+        if (kind in kinds and key in body and (value is None or body[key] == value)
+                and not holds(loop, meas)):
+            setting = name if value is None else f"{name} = {str(value).lower()}"
+            raise ConfigError(f"{path}: {setting} is read only when {condition}")
     for req in requires:
         sec, _, key = req.partition(".")
         if sec not in c or (key and key not in c[sec]):
@@ -336,6 +388,29 @@ def _build(path: Path, section: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as e:
         raise ConfigError(f"{path}: {section}: {e}") from None
+
+
+def _check_word(path: Path, loop: LoopConfig, kt: KtParams | None,
+                sched: QktSchedule | None) -> None:
+    """No controller input saturates the fixed-point word, quantised as the
+    controller does it: neither the kick-angle argument k*m/pi at |m| = 1
+    (in a kicked-top loop, with sched), nor the decay exponent at the last
+    measurement."""
+    fmt = loop.fixed_point
+    word = (f"the fixed-point word (loop.word_bits = {fmt.word_bits}, "
+            f"loop.int_bits = {fmt.int_bits})")
+    if sched is not None and not fxp_fits(abs(kt.k) / math.pi, fmt):
+        raise ConfigError(f"{path}: kt.k: |k|/pi ({abs(kt.k) / math.pi:g}) saturates {word}, "
+                          f"whose largest value is {fmt.raw_max * fmt.step:g}")
+    half = loop.decay_half_time
+    if half is not None:
+        t = measured_samples(loop, sched)[1][-1] * loop.sample_period
+        x = -t * math.log(2.0) / half  # as controller.decay_estimate
+        if not fxp_fits(x, fmt):
+            raise ConfigError(
+                f"{path}: loop.decay_half_time: the decay exponent -t ln2 / decay_half_time "
+                f"reaches {x:g} at the last measurement (t = {t:g} s) and saturates {word}, "
+                f"whose least value is {fmt.raw_min * fmt.step:g}")
 
 
 def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
@@ -366,11 +441,13 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
     fmt = None
     if raw.get("fixed_point", False):
         fmt = _build(path, "loop", FixedPointFormat, **_given(raw, "word_bits", "int_bits"))
+    timing = _given(raw, "sample_period", "latency", "plant_dt", "duration",
+                    "decay_half_time", "qpn", "shot")
+    if kind in _KT_LOOPS:  # each rate is held for whole samples
+        timing["plant_dt"] = raw.get("sample_period", LoopConfig.sample_period)
     start = LoopConfig.initial_state
     loop = _build(
-        path, "loop", LoopConfig,
-        **_given(raw, "sample_period", "latency", "plant_dt", "duration",
-                 "decay_half_time", "qpn", "shot"),
+        path, "loop", LoopConfig, **timing,
         initial_state=SphericalAngles(
             raw.get("theta0", start.theta), raw.get("phi0", start.phi)
         ),
@@ -397,7 +474,7 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
     if "kt" in c:
         g = c["kt"]
         kt = _build(path, "kt", KtParams, **_given(g, "alpha", "k"))
-        if kind in ("kt-run", "ftc-sweep"):  # the kicked-top loops
+        if kind in _KT_LOOPS:
             sched = _build(
                 path, "kt", qkt_schedule,
                 **_given(g, "t_linear", "t_gap", "t_kick", "n_steps"),
@@ -409,6 +486,8 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
                     f"{path}: kt.n_steps: must be >= {FTC_MIN_POINTS - 1} for scenario ftc-sweep"
                 )
             _build(path, "kt", _kt_layout, cfg=loop, sched=sched)
+    if fmt is not None:
+        _check_word(path, loop, kt, sched)
 
     return ExperimentConfig(
         kind=kind,
@@ -418,6 +497,6 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
         kt=kt,
         sweep=sweep,
         kt_schedule=sched,
-        quantum=c.get("quantum", {}),
+        quantum={**QUANTUM_DEFAULTS, **c.get("quantum", {})},
         **{_RUN_FIELDS[k]: v for k, v in run.items() if k in _RUN_FIELDS},
     )

@@ -91,8 +91,18 @@ def _fxp_div(a: int, b: int, f: int, lo: int, hi: int) -> int:
     return _sat(sign * q, lo, hi)
 
 
+def _round_raw(x: float, f: int) -> int:
+    return math.floor(x * (1 << f) + 0.5)
+
+
 def _quantize_raw(x: float, f: int, lo: int, hi: int) -> int:
-    return _sat(math.floor(x * (1 << f) + 0.5), lo, hi)
+    return _sat(_round_raw(x, f), lo, hi)
+
+
+def fxp_fits(x: float, fmt: FixedPointFormat) -> bool:
+    """Whether x rounds to a raw word inside fmt's range, so that
+    fxp_quantize does not saturate it."""
+    return fmt.raw_min <= _round_raw(x, fmt.frac_bits) <= fmt.raw_max
 
 
 def fxp_quantize(x: float, fmt: FixedPointFormat = DEFAULT_FXP) -> FixedPointValue:

@@ -21,8 +21,9 @@ tested against.
 
 What is not per-sample physics is written once: ``_column_start`` makes
 a kernel's draws in the scalar stream order, ``_column_records`` builds its
-records, ``_hold_run`` records a held rate on either path, and
-``_kt_layout`` splits a kicked-top period into samples.
+records, ``_hold_run`` records a held rate on either path,
+``_kt_layout`` splits a kicked-top period into samples, and
+``measured_samples`` names the samples the controller measures.
 """
 
 from __future__ import annotations
@@ -231,6 +232,18 @@ def _kt_layout(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int]:
     return segs
 
 
+def measured_samples(cfg: LoopConfig, sched: QktSchedule | None = None) -> tuple[int, range]:
+    """The samples of one shot and the indices of those the controller
+    measures: every sample of the LMG loop, or the gap sample of each
+    kicked-top period."""
+    if sched is None:
+        return cfg.n_samples, range(cfg.n_samples)
+    n_lin, n_gap, n_kick = _kt_layout(cfg, sched)
+    n_per = n_lin + n_gap + n_kick
+    n = sched.n_steps * n_per + 1  # final period boundary included
+    return n, range(n_lin, n - 1, n_per)
+
+
 # sample times, true spin length, tracked spin length
 SharedColumns = tuple[list[float], list[float], list[float]]
 
@@ -250,14 +263,7 @@ def shared_columns(
     fixed-point decay does, raises ValueError here, so the scalar loops and
     the array kernels refuse it alike."""
     ts = cfg.sample_period
-    if sched is None:
-        n = cfg.n_samples
-        meas_idx = range(n)
-    else:
-        n_lin, n_gap, n_kick = _kt_layout(cfg, sched)
-        n_per = n_lin + n_gap + n_kick
-        n = sched.n_steps * n_per + 1  # final period boundary included
-        meas_idx = range(n_lin, n - 1, n_per)
+    n, meas_idx = measured_samples(cfg, sched)
     t = [k * ts for k in range(n)]
     half = cfg.decay_half_time
     if half is None:
@@ -570,15 +576,18 @@ def point_seed(master_seed: int, i: int) -> int:
 
 # Fewest shots for which run_batch takes the array kernel.  Below it the
 # kernel's fixed numpy cost per sample outweighs the per-shot Python loop it
-# replaces: at 750 samples the two broke even at 7-8 shots on a 2-core Xeon
-# (4 shots: 17 ms scalar, 36 ms array; 12 shots: 67 ms, 49 ms).
+# replaces.  At 750 samples the two break even at about 10-11 shots on a
+# 2-core Xeon (best of 5, array against scalar: 1 shot 30-36 ms, 4 ms;
+# 8 shots 31-38 ms, 22-27 ms; 10 shots 30-35 ms, 29-34 ms; 12 shots
+# 33-35 ms, 33-39 ms), so this threshold sits a little low; it moves only
+# with a benchmark that measures both paths.
 ARRAY_MIN_SHOTS = 8
 # The same for the kicked top.  Its scalar loop does one rotation per sample
 # and one measurement per period, against the kernel's fixed numpy cost per
-# sample, so it breaks even later: at 601 samples between 16 and 20 shots
-# (best of 7, 2-core Xeon, scalar against array: 8 shots 7 ms, 13 ms;
-# 16 shots 13 ms, 15 ms; 20 shots 15 ms, 15 ms; 24 shots 22 ms, 19 ms;
-# 100 shots 84 ms, 21 ms).
+# sample, so it breaks even later: at 601 samples at about 24 shots (best
+# of 5, array against scalar: 1 shot 15-24 ms, 1 ms; 16 shots 20-26 ms,
+# 12 ms; 24 shots 20-21 ms, 20 ms; 32 shots 21-23 ms, 27-30 ms), so this
+# threshold sits low too.
 KT_ARRAY_MIN_SHOTS = 18
 
 

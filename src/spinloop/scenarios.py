@@ -95,14 +95,8 @@ def _run_dpt(cfg, out):
 
 def _run_ssb(cfg, out):
     recs = run_batch(cfg.loop, cfg.lmg, cfg.measurement, cfg.n_shots, cfg.master_seed)
-    stats = symmetry_stats(recs)
-    return _emit_ensemble(
-        out, recs, "symmetry_stats.json",
-        upper_fraction=stats["upper_fraction"],
-        initial_final_correlation=stats["initial_final_correlation"],
-        tdd_list=stats["tdd_list"],
-        final_z=[float(rec.z[-1]) for rec in recs],
-    )
+    return _emit_ensemble(out, recs, "symmetry_stats.json", **symmetry_stats(recs),
+                          final_z=[float(rec.z[-1]) for rec in recs])
 
 
 def _tilted_kt_ensemble(alpha, ks, x0, tilt, n, rng, n_steps):
@@ -241,10 +235,7 @@ def quantum_ensemble(j, angles, params, sigma, dt, n_steps, rngs):
 
 def _run_quantum(cfg, out):
     q = cfg.quantum
-    j = q.get("j", 200.0)
-    sigma = q.get("sigma", 20.0)
-    dt = q.get("dt", 2e-6)
-    n_steps = q.get("n_steps", 150)
+    j, sigma, dt, n_steps = q["j"], q["sigma"], q["dt"], q["n_steps"]
     p = cfg.lmg
     n = n_steps + 1
     rngs = [shot_rng(cfg.master_seed, i) for i in range(cfg.n_shots)]

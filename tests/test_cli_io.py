@@ -225,7 +225,9 @@ def _refuses_zero_tracked_length(tmp_path, capsys, text, params, meas_idx, min_s
     # a fast fixed-point decay rounds the tracked spin length to 0 after a
     # few measurements: shared_columns refuses it, naming the time, so the
     # scalar loop and the array kernel fail alike, and simulate reports one
-    # runtime error with no numpy warning and no output directory
+    # runtime error with no numpy warning and no output directory.  The
+    # (32, 8) word holds the decay exponent of the whole run, so the config
+    # is not refused as saturating it.
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(text)
     cfg = parse_config(cfgp)
@@ -249,7 +251,8 @@ def _refuses_zero_tracked_length(tmp_path, capsys, text, params, meas_idx, min_s
 
 @pytest.mark.filterwarnings("error")
 def test_ftc_sweep_reports_zero_tracked_length(tmp_path, capsys):
-    text = FTC_SWEEP.replace("decay_half_time = 2e-4", "decay_half_time = 5e-6")
+    text = (FTC_SWEEP.replace("decay_half_time = 2e-4", "decay_half_time = 5e-6")
+            .replace("word_bits = 24\nint_bits = 6", "word_bits = 32\nint_bits = 8"))
     # the gap sample of each 24-sample period: 20 linear, 3 gap, 1 kick
     _refuses_zero_tracked_length(tmp_path, capsys, text, KtParams(alpha=3.0, k=2.7),
                                  range(20, 16 * 24, 24), KT_ARRAY_MIN_SHOTS)
@@ -258,7 +261,7 @@ def test_ftc_sweep_reports_zero_tracked_length(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 def test_dpt_sweep_reports_zero_tracked_length(tmp_path, capsys):
     text = ("[run]\nkind = dpt-sweep\nn_shots = 4\nseed = 11\n\n"
-            "[loop]\nduration = 4e-4\nfixed_point = true\nword_bits = 24\nint_bits = 6\n"
+            "[loop]\nduration = 4e-4\nfixed_point = true\nword_bits = 32\nint_bits = 8\n"
             "decay_half_time = 5e-6\n\n[lmg]\nlambda = 1.3089969389957471e5\n\n"
             "[sweep]\ns = 0.6 0.7\n")
     # the LMG loop measures at every one of its 200 samples
@@ -529,6 +532,7 @@ LMG07 = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
 EQUATOR = SphericalAngles(1.5707963267948966, 0.0)
 COMPOSITE_NOISE = RotationNoise(static_detuning_sigma=791.68, rabi_rate=39584.07)
 BUDGET_NOISE = RotationNoise(static_detuning_sigma=3.0, rabi_rate=39584.07)
+# the kicked-top loops take loop.sample_period as their plant grid
 SHIPPED = {
     "configs/composite_scan.cfg": ExperimentConfig(
         kind="composite-scan", loop=LoopConfig(rotation_noise=COMPOSITE_NOISE),
@@ -546,7 +550,7 @@ SHIPPED = {
     ),
     "configs/ftc_sweep.cfg": ExperimentConfig(
         kind="ftc-sweep",
-        loop=LoopConfig(latency=4e-6, duration=1.3e-3, decay_half_time=None,
+        loop=LoopConfig(latency=4e-6, plant_dt=2e-6, duration=1.3e-3, decay_half_time=None,
                         initial_state=SphericalAngles(0.0, 0.0), qpn=True),
         measurement=MeasurementModel(), kt=KtParams(k=2.7),
         kt_schedule=QktSchedule(40e-6, 6e-6, 2e-6, 25), n_shots=50,
@@ -556,7 +560,7 @@ SHIPPED = {
     ),
     "configs/kt_run.cfg": ExperimentConfig(
         kind="kt-run",
-        loop=LoopConfig(latency=4e-6, duration=1.3e-3, decay_half_time=None,
+        loop=LoopConfig(latency=4e-6, plant_dt=2e-6, duration=1.3e-3, decay_half_time=None,
                         initial_state=SphericalAngles(2.0, 1.0)),
         measurement=MeasurementModel(), kt=KtParams(1.5707963267948966, 2.5),
         kt_schedule=QktSchedule(40e-6, 6e-6, 2e-6, 25), out_dir="out/kt",
@@ -600,7 +604,7 @@ SHIPPED = {
     ),
     "perfbench/configs/kt_sweep.cfg": ExperimentConfig(
         kind="ftc-sweep",
-        loop=LoopConfig(latency=4e-6, duration=1.3e-3, decay_half_time=None,
+        loop=LoopConfig(latency=4e-6, plant_dt=2e-6, duration=1.3e-3, decay_half_time=None,
                         initial_state=SphericalAngles(0.0, 0.0), qpn=True),
         measurement=MeasurementModel(), kt=KtParams(3.141592653589793, 2.7),
         kt_schedule=QktSchedule(40e-6, 6e-6, 2e-6, 25), n_shots=20,

@@ -15,6 +15,13 @@ of two outcomes:
   may cause a runtime error.  NaN and +-inf must be config errors, and 0 and
   -1 either run (in the key's domain) or are config errors (outside it).
 
+A key read only under a condition (``config._GATES``) is drawn on a base
+that meets it: the lmg-run and kt-run bases take photon shot noise
+(loop.shot with measurement.sn_coeff) and the fixed-point controller,
+lmg-run with its default decay, and the lmg-run, ssb-ensemble and ftc-sweep
+bases take projection noise (loop.qpn).  So kt.k and loop.decay_half_time
+are drawn with loop.fixed_point = true too.
+
 The keys that set a run's size never grow it: loop.duration, the kt.t_*
 segments, kt.n_steps, quantum.n_steps and run.n_shots draw only the edge
 set and 1e-300, and loop.sample_period the edge set and 1e300, since
@@ -45,12 +52,17 @@ KT_LOOP = {"latency": "2e-6", "duration": "1e-4", "decay_half_time": "none"}
 # points with the start, analysis.FTC_MIN_POINTS)
 KT = {"n_steps": "16", "t_linear": "2e-6", "t_gap": "2e-6", "t_kick": "2e-6"}
 NOISE = {"static_detuning_sigma": "3.0", "rabi_rate": "39584.07"}
+# the switches behind the gated keys: shot noise and the fixed-point word
+SWITCHES = {"shot": "true", "fixed_point": "true"}
+SHOT_NOISE = {"sn_coeff": "0.2"}
 
 # scenario -> a small config it runs (50 samples of the 2 us default clock)
 BASE = {
-    "lmg-run": {"run": {"n_shots": "2"}, "loop": {"duration": "1e-4", "qpn": "true"},
-                "lmg": LMG},
-    "kt-run": {"run": {"n_shots": "2"}, "loop": KT_LOOP,
+    "lmg-run": {"run": {"n_shots": "2"},
+                "loop": {"duration": "1e-4", "qpn": "true", **SWITCHES},
+                "measurement": SHOT_NOISE, "lmg": LMG},
+    "kt-run": {"run": {"n_shots": "2"}, "loop": {**KT_LOOP, **SWITCHES},
+               "measurement": SHOT_NOISE,
                "kt": {"alpha": "1.5707963267948966", "k": "2.5", **KT}},
     "dpt-sweep": {"loop": {"duration": "1e-4", "theta0": "0.0"},
                   "lmg": {"lambda": LMG["lambda"]}, "sweep": {"s": "0.5 0.7"}},
