@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import KtParams, kt_map, kt_step, _tangent_basis
+from .models import KtParams, kt_map, _tangent_basis
 from .spin_core import SpinVector
 
 
@@ -81,29 +81,6 @@ def lyapunov_jacobian(p: KtParams, x0: SpinVector, n_steps: int) -> LyapunovEsti
     """``lyapunov_exponents`` of one start point: a batch of one."""
     lam = lyapunov_exponents(p.alpha, [p.k], x0.as_tuple(), n_steps)[0]
     return LyapunovEstimate(float(lam))
-
-
-def lyapunov_benettin(p: KtParams, x0: SpinVector, n_steps: int) -> LyapunovEstimate:
-    """Independent two-trajectory renormalization estimate, used as a
-    cross-check oracle for lyapunov_jacobian; the companion trajectory is
-    renormalized to a separation of 1e-8 every step."""
-    d0 = 1e-8
-    va = x0
-    e1, _ = _tangent_basis(x0)
-    vb_arr = np.array(x0.as_tuple()) + d0 * e1
-    vb_arr /= np.linalg.norm(vb_arr)
-    vb = SpinVector(*vb_arr)
-    acc = 0.0
-    for _ in range(n_steps):
-        va = kt_step(va, p)
-        vb = kt_step(vb, p)
-        diff = np.array(vb.as_tuple()) - np.array(va.as_tuple())
-        d = float(np.linalg.norm(diff))
-        acc += math.log(d / d0)
-        new_b = np.array(va.as_tuple()) + diff * (d0 / d)
-        new_b /= np.linalg.norm(new_b)
-        vb = SpinVector(*new_b)
-    return LyapunovEstimate(acc / n_steps)
 
 
 def lyapunov_stddev(theta_series_ensemble, n_fit: int) -> LyapunovEstimate:

@@ -66,8 +66,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .analysis import FTC_MIN_POINTS
-from .controller import FixedPointFormat, QktSchedule, fxp_fits, qkt_schedule
-from .loop_sim import LoopConfig, _kt_layout, measured_samples
+from .controller import FixedPointFormat, QktSchedule, qkt_schedule
+from .loop_sim import LoopConfig, _kt_layout, check_word
 from .measurement import MIN_FIT_POINTS, MIN_SCAN_SHOTS, MeasurementModel
 from .models import KtParams, LmgParams
 from .quantum import check_j
@@ -390,29 +390,6 @@ def _build(path: Path, section: str, make, *args, **kwargs):
         raise ConfigError(f"{path}: {section}: {e}") from None
 
 
-def _check_word(path: Path, loop: LoopConfig, kt: KtParams | None,
-                sched: QktSchedule | None) -> None:
-    """No controller input saturates the fixed-point word, quantised as the
-    controller does it: neither the kick-angle argument k*m/pi at |m| = 1
-    (in a kicked-top loop, with sched), nor the decay exponent at the last
-    measurement."""
-    fmt = loop.fixed_point
-    word = (f"the fixed-point word (loop.word_bits = {fmt.word_bits}, "
-            f"loop.int_bits = {fmt.int_bits})")
-    if sched is not None and not fxp_fits(abs(kt.k) / math.pi, fmt):
-        raise ConfigError(f"{path}: kt.k: |k|/pi ({abs(kt.k) / math.pi:g}) saturates {word}, "
-                          f"whose largest value is {fmt.raw_max * fmt.step:g}")
-    half = loop.decay_half_time
-    if half is not None:
-        t = measured_samples(loop, sched)[1][-1] * loop.sample_period
-        x = -t * math.log(2.0) / half  # as controller.decay_estimate
-        if not fxp_fits(x, fmt):
-            raise ConfigError(
-                f"{path}: loop.decay_half_time: the decay exponent -t ln2 / decay_half_time "
-                f"reaches {x:g} at the last measurement (t = {t:g} s) and saturates {word}, "
-                f"whose least value is {fmt.raw_min * fmt.step:g}")
-
-
 def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
     """Parse and fully validate a scenario configuration file.
 
@@ -486,8 +463,10 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
                     f"{path}: kt.n_steps: must be >= {FTC_MIN_POINTS - 1} for scenario ftc-sweep"
                 )
             _build(path, "kt", _kt_layout, cfg=loop, sched=sched)
-    if fmt is not None:
-        _check_word(path, loop, kt, sched)
+    try:  # no fixed-point controller input saturates the word
+        check_word(loop, sched, [kt.k] if sched is not None else ())
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
     return ExperimentConfig(
         kind=kind,

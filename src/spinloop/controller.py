@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # [5,5] rational approximation of exp(x); denominator has alternating signs
 _PADE_NUM = (1.0, 1.0 / 2.0, 1.0 / 9.0, 1.0 / 72.0, 1.0 / 1008.0, 1.0 / 30240.0)
 
@@ -176,15 +178,18 @@ def bmod2(x: FixedPointValue) -> FixedPointValue:
     return FixedPointValue(-mag if x.raw < 0 else mag, x.fmt)
 
 
-def kick_angle(m_norm: float, k: float, fmt: FixedPointFormat | None = None) -> float:
+def kick_angle(m_norm, k, fmt: FixedPointFormat | None = None):
     """Wrapped kick angle pi * bmod2(k * m_norm / pi), equivalent (mod 2pi,
-    sign-matched) to the raw angle k * m_norm.  Result in (-2pi, 2pi)."""
-    m_norm = max(-1.0, min(1.0, m_norm))
-    x = k * m_norm / math.pi
+    sign-matched) to the raw angle k * m_norm.  Result in (-2pi, 2pi).
+    Elementwise on arrays m_norm and k, each element equal to the call on
+    it alone: fmod is exact, and the fixed-point wrap runs per element on
+    Python ints, so it stays exact at any word size."""
+    x = k * np.minimum(np.maximum(m_norm, -1.0), 1.0) / math.pi  # np.clip, faster
     if fmt is None:
-        wrapped = math.copysign(math.fmod(abs(x), 2.0), x)
+        wrapped = np.fmod(x, 2.0)  # sign(x) * mod(|x|, 2), exactly
     else:
-        wrapped = bmod2(fxp_quantize(x, fmt)).value
+        wrapped = np.reshape([bmod2(fxp_quantize(v, fmt)).value
+                              for v in np.ravel(x).tolist()], np.shape(x))
     return math.pi * wrapped
 
 

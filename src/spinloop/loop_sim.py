@@ -19,11 +19,15 @@ equal ``run_lmg_loop`` and ``run_kt_loop`` on each shot bit for bit.  The
 two scalar loops stay the one-shot path and the oracles the kernels are
 tested against.
 
+Both kernels rotate by ``_rotate`` with the coefficients of ``_rotation``,
+which the kicked-top kernel computes once per segment rate, not per sample.
+
 What is not per-sample physics is written once: ``_column_start`` makes
 a kernel's draws in the scalar stream order, ``_column_records`` builds its
-records, ``_hold_run`` records a held rate on either path,
-``_kt_layout`` splits a kicked-top period into samples, and
-``measured_samples`` names the samples the controller measures.
+records, ``_hold_run`` and ``_rotate_run`` record a held rate,
+``_kt_layout`` splits a kicked-top period into samples,
+``measured_samples`` names the samples the controller measures, and
+``check_word`` refuses a fixed-point controller input that would saturate.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ def latency_metric(alpha_lin: float, latency: float) -> float:
 
 def _hold(x, y, z, wx, wz, t):
     """Exact flow of dv/dt = omega x v for time t, omega = (wx, 0, wz)."""
-    # not math.hypot: np.hypot rounds differently, and _hold_columns must
+    # not math.hypot: np.hypot rounds differently, and _rotation must
     # match this bit for bit
     w = math.sqrt(wx * wx + wz * wz)
     if w == 0.0:
@@ -179,9 +183,9 @@ def _column_start(cfg: LoopConfig, model: MeasurementModel, rngs, n_meas: int):
     """The per-shot draws of an array kernel, column c from rngs[c] in the
     scalar loop's stream order: ``_shot_start``, then one photon shot-noise
     normal for each of the n_meas measurements.  Returns the detuning,
-    amplitude factor, initial x, y, z and QPN offset, one entry per column,
-    and the scaled noise as an (n_meas, columns) array, so each measurement
-    reads one row."""
+    amplitude factor and QPN offset, one entry per column, the initial state
+    as the rows (z, x, y, z, x) of ``_rotate``, and the scaled noise as an
+    (n_meas, columns) array, so each measurement reads one row."""
     eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     starts = []
     noise = np.empty((n_meas, len(rngs)))
@@ -190,8 +194,7 @@ def _column_start(cfg: LoopConfig, model: MeasurementModel, rngs, n_meas: int):
         noise[:, c] = rng.standard_normal(n_meas)
     noise *= math.sqrt(shot_noise_variance(eff_model, cfg.sample_period))
     detuning, amp, v, qpn_offset = (np.array(a) for a in zip(*starts))
-    x, y, z = v.T
-    return detuning, amp, x, y, z, qpn_offset, noise
+    return detuning, amp, v.T[[2, 0, 1, 2, 0]], qpn_offset, noise
 
 
 def _column_records(t, j_true, j_est, xs, ys, zs, meas, ctl_z, ctl_x, metas):
@@ -268,6 +271,7 @@ def shared_columns(
     half = cfg.decay_half_time
     if half is None:
         return t, [j0] * n, [j0] * len(meas_idx)
+    check_word(cfg, sched)
     j_true = [j0 * 2.0 ** (-t_k / half) for t_k in t]
     j_est = [ctl.decay_estimate(j0, half, t[k], cfg.fixed_point) for k in meas_idx]
     if min(j_est) <= 0.0:
@@ -275,6 +279,31 @@ def shared_columns(
         raise ValueError(f"loop.decay_half_time ({half:g} s) decays the tracked spin "
                          f"length to {j_est[i]!r} by t = {t[meas_idx[i]]:g} s")
     return t, j_true, j_est
+
+
+def check_word(cfg: LoopConfig, sched: QktSchedule | None = None, ks=()) -> None:
+    """Raise ValueError when a controller input, quantised as the controller
+    does it, saturates the fixed-point word cfg.fixed_point: the kick-angle
+    argument |k|/pi of each k in ks, or the decay exponent at the last
+    measurement of the clock (cfg, sched).  ``config`` reports the text."""
+    fmt = cfg.fixed_point
+    if fmt is None:
+        return
+    word = (f"the fixed-point word (loop.word_bits = {fmt.word_bits}, "
+            f"loop.int_bits = {fmt.int_bits})")
+    for k in ks:
+        if not ctl.fxp_fits(abs(k) / math.pi, fmt):
+            raise ValueError(f"kt.k: |k|/pi ({abs(k) / math.pi:g}) saturates {word}, "
+                             f"whose largest value is {fmt.raw_max * fmt.step:g}")
+    half = cfg.decay_half_time
+    if half is not None:
+        t = measured_samples(cfg, sched)[1][-1] * cfg.sample_period
+        x = -t * math.log(2.0) / half  # as controller.decay_estimate
+        if not ctl.fxp_fits(x, fmt):
+            raise ValueError(
+                f"loop.decay_half_time: the decay exponent -t ln2 / decay_half_time "
+                f"reaches {x:g} at the last measurement (t = {t:g} s) and saturates {word}, "
+                f"whose least value is {fmt.raw_min * fmt.step:g}")
 
 
 def run_lmg_loop(
@@ -343,27 +372,51 @@ def _lmg_meta(p: LmgParams, x, y, z) -> dict:
             "params": {"s": p.s, "lambda": p.lambda_}}
 
 
-def _hold_columns(x, y, z, wx, wz, t):
-    """``_hold`` on arrays with one entry per column: the same IEEE
-    operations in the same order, ``rodrigues`` written out term for term
-    with ay = 0.  A column whose rate is zero is left unrotated."""
+def _rotation(wx, wz, t):
+    """``_hold``'s coefficients for one rate omega = (wx, 0, wz) per column,
+    held for time t: the unit axis as the rows (az, ax, 0, az, ax), cos, sin
+    and 1 - cos of the angle, and the mask of the still (zero-rate) columns,
+    or None if there is none.  None when every column is still."""
     w = np.sqrt(wx * wx + wz * wz)
-    still = None if w.all() else w == 0.0
-    if still is not None:
-        w = np.where(still, 1.0, w)  # any nonzero value; reverted below
-    ax = wx / w
-    az = wz / w
-    angle = -w * t
+    still = None
+    if not w.all():
+        still = w == 0.0
+        if still.all():
+            return None
+        w = np.where(still, 1.0, w)  # any nonzero value; _rotate reverts it
+    axis = np.zeros((5, len(w)))
+    np.divide(wz, w, out=axis[0::3])
+    np.divide(wx, w, out=axis[1::3])
+    angle = w * -t  # -w * t exactly: rounding is symmetric in sign
     c = np.cos(angle)
-    s = np.sin(angle)
-    omc = 1.0 - c
-    d = x * ax + y * 0.0 + z * az
-    x1 = x * c + (y * az - z * 0.0) * s + ax * d * omc
-    y1 = y * c + (z * ax - x * az) * s + 0.0 * d * omc
-    z1 = z * c + (x * 0.0 - y * ax) * s + az * d * omc
-    if still is None:
-        return x1, y1, z1
-    return np.where(still, x, x1), np.where(still, y, y1), np.where(still, z, z1)
+    return axis, c, np.sin(angle), 1.0 - c, still
+
+
+def _rotate(state, rot):
+    """Rotate the columns of state, the rows (z, x, y, z, x), by ``_rotation``
+    rot with ``rodrigues``'s IEEE operations in its order, so each column
+    equals ``_hold`` bit for bit; the repeated rows make both cyclic shifts
+    of the cross product views.  Still columns, or all if rot is None, stay."""
+    if rot is None:
+        return state
+    axis, c, s, omc, still = rot
+    out = np.empty_like(state)
+    v = out[1:4]
+    cross = state[2:5] * axis[0:3]
+    cross -= state[0:3] * axis[2:5]
+    cross *= s
+    dot = state[1:4] * axis[1:4]
+    d = dot[0] + dot[1]
+    d += dot[2]
+    np.multiply(state[1:4], c, out=v)
+    v += cross
+    dot = axis[1:4] * d
+    dot *= omc
+    v += dot
+    out[0::4] = v[2::-2]  # rows 0 and 4 repeat z and x
+    if still is not None:
+        np.copyto(out, state, where=still)
+    return out
 
 
 def _run_lmg_columns(
@@ -376,9 +429,9 @@ def _run_lmg_columns(
     """``run_lmg_loop`` for many shots at once, equal to it bit for bit.
 
     Column c runs params[c] on rngs[c], with one shot-noise normal per
-    sample (``_column_start``).  The state is one array entry per column and
-    each sample is at most two ``_hold_columns`` rotations, at the offsets
-    every column shares."""
+    sample (``_column_start``).  Each sample is at most two ``_rotate``
+    rotations, at the offsets every column shares; the rate changes every
+    sample, so each has its own ``_rotation``."""
     n = cfg.n_samples
     sps = cfg.steps_per_sample
     d, r = divmod(cfg.latency_steps, sps)
@@ -386,46 +439,54 @@ def _run_lmg_columns(
     t, j_true, j_est = cols
 
     m = len(rngs)
-    detuning, amp, x, y, z, qpn_offset, m_sn = _column_start(cfg, model, rngs, n)
+    detuning, amp, state, qpn_offset, m_sn = _column_start(cfg, model, rngs, n)
     k_nl = np.array([p.k_nl for p in params])
     wx = amp * np.array([p.alpha_lin for p in params])
 
-    xs, ys, zs, ms, cz = (np.empty((n, m)) for _ in range(5))
-    rates = np.empty((n, m))
+    rec = np.empty((3, n, m))
+    ms, cz, rates = (np.empty((n, m)) for _ in range(3))
     applied = np.zeros(m)
     for k in range(n):
-        value = j_true[k] * np.clip(z, -1.0, 1.0) + qpn_offset + m_sn[k]
+        value = j_true[k] * np.clip(state[3], -1.0, 1.0) + qpn_offset + m_sn[k]
         z_est = np.clip(value / j_est[k], -1.0, 1.0)
         rates[k] = np.clip(k_nl * z_est, -ctl.DEFAULT_RATE_CAP, ctl.DEFAULT_RATE_CAP)
 
-        xs[k], ys[k], zs[k] = x, y, z
+        rec[:, k] = state[1:4]
         ms[k] = value
         cz[k] = applied
 
         held = sps
         if k >= d:
             if r:
-                x, y, z = _hold_columns(x, y, z, wx, amp * applied + detuning, r * dt)
+                state = _rotate(state, _rotation(wx, amp * applied + detuning, r * dt))
                 held = sps - r
             applied = rates[k - d]
-        x, y, z = _hold_columns(x, y, z, wx, amp * applied + detuning, held * dt)
+        state = _rotate(state, _rotation(wx, amp * applied + detuning, held * dt))
 
     # the drive is constant in a shot: each column's ctl_x repeats wx[c]
-    return _column_records(t, j_true, j_est, xs, ys, zs, ms, cz,
+    return _column_records(t, j_true, j_est, *rec, ms, cz,
                            np.broadcast_to(wx, (n, m)),
-                           [_lmg_meta(p, float(x[c]), float(y[c]), float(z[c]))
+                           [_lmg_meta(p, *state[1:4, c].tolist())
                             for c, p in enumerate(params)])
 
 
-def _hold_run(hold, xs, ys, zs, k: int, m: int, x, y, z, wx, wz, dt):
-    """Record the state in rows k .. k+m-1 of xs, ys, zs while holding one
-    rate, advancing by one exact rotation ``hold`` of dt per row; returns
-    the state after the run.  hold is ``_hold`` for one shot, or
-    ``_hold_columns`` for the rows of (samples, columns) arrays."""
+def _hold_run(xs, ys, zs, k: int, m: int, x, y, z, wx, wz, dt):
+    """Record the state in samples k .. k+m-1 of xs, ys, zs while holding
+    one rate, advancing by one exact rotation ``_hold`` of dt per sample;
+    returns the state after the run."""
     for i in range(k, k + m):
         xs[i], ys[i], zs[i] = x, y, z
-        x, y, z = hold(x, y, z, wx, wz, dt)
+        x, y, z = _hold(x, y, z, wx, wz, dt)
     return x, y, z
+
+
+def _rotate_run(rec, k: int, m: int, state, rot):
+    """``_hold_run`` for the columns of state (``_rotate``), recorded in
+    samples k .. k+m-1 of the (3, samples, columns) array rec."""
+    for i in range(k, k + m):
+        rec[:, i] = state[1:4]
+        state = _rotate(state, rot)
+    return state
 
 
 def _kt_meta(p: KtParams, sched: QktSchedule, n_lin: int, n_per: int, x, y, z) -> dict:
@@ -460,6 +521,7 @@ def run_kt_loop(
     n = sched.n_steps * n_per + 1  # final period boundary included
 
     eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
+    check_word(cfg, sched, [p.k])
     t, j_true, j_est = cols or shared_columns(cfg, model.j_collective, sched)
 
     detuning, amp, (x, y, z), qpn_offset = _shot_start(cfg, model, rng)
@@ -479,17 +541,17 @@ def run_kt_loop(
         lin = step * n_per
         gap = lin + n_lin
         kick = gap + n_gap
-        x, y, z = _hold_run(_hold, xs, ys, zs, lin, n_lin, x, y, z, w_lin, detuning, ts)
+        x, y, z = _hold_run(xs, ys, zs, lin, n_lin, x, y, z, w_lin, detuning, ts)
         # measurement in the gap; the kick value is ready because the
         # transport delay is no longer than the gap
         value = measure(
             max(-1.0, min(1.0, z)), j_true[gap], eff_model, ts, rng,
             qpn_offset=qpn_offset,
         )
-        m_norm = max(-1.0, min(1.0, value / j_est[step]))
-        kick_rate = amp * ctl.kick_angle(m_norm, p.k, cfg.fixed_point) / sched.t_kick
-        x, y, z = _hold_run(_hold, xs, ys, zs, gap, n_gap, x, y, z, 0.0, detuning, ts)
-        x, y, z = _hold_run(_hold, xs, ys, zs, kick, n_kick, x, y, z,
+        angle = float(ctl.kick_angle(value / j_est[step], p.k, cfg.fixed_point))
+        kick_rate = amp * angle / sched.t_kick
+        x, y, z = _hold_run(xs, ys, zs, gap, n_gap, x, y, z, 0.0, detuning, ts)
+        x, y, z = _hold_run(xs, ys, zs, kick, n_kick, x, y, z,
                             0.0, kick_rate + detuning, ts)
         ctl_x[lin:gap] = w_lin
         meas[gap] = value
@@ -514,22 +576,25 @@ def _run_kt_columns(
 
     Column c runs params[c] on rngs[c], with one shot-noise normal per
     period for the gap measurement (``_column_start``).  Each sample is one
-    ``_hold_columns`` rotation.  The kick angle is ``kick_angle`` on Python
-    floats, once per column and period, so the fixed-point wrap stays exact
-    at any word size."""
+    ``_rotate``, with the constant linear and gap rates' coefficients made
+    once per batch and the kick's once per period; an all-still segment,
+    such as the gap without detuning, is not rotated.  One elementwise
+    ``kick_angle`` call per period gives every column's kick angle."""
     n_lin, n_gap, n_kick = _kt_layout(cfg, sched)
     n_per = n_lin + n_gap + n_kick
     n = sched.n_steps * n_per + 1
     ts = cfg.sample_period
     t, j_true, j_est = cols
+    check_word(cfg, sched, {p.k for p in params})
 
     m = len(rngs)
-    detuning, amp, x, y, z, qpn_offset, m_sn = _column_start(cfg, model, rngs,
-                                                             sched.n_steps)
-    ks = [p.k for p in params]
+    detuning, amp, state, qpn_offset, m_sn = _column_start(cfg, model, rngs, sched.n_steps)
+    ks = np.array([p.k for p in params])
     w_lin = -amp * np.array([p.alpha for p in params]) / sched.t_linear
+    lin_rot = _rotation(w_lin, detuning, ts)
+    gap_rot = _rotation(0.0, detuning, ts)
 
-    xs, ys, zs = (np.empty((n, m)) for _ in range(3))
+    rec = np.empty((3, n, m))
     meas = np.full((n, m), math.nan)
     ctl_z = np.zeros((n, m))
     ctl_x = np.zeros((n, m))
@@ -539,26 +604,21 @@ def _run_kt_columns(
         lin = step * n_per
         gap = lin + n_lin
         kick = gap + n_gap
-        x, y, z = _hold_run(_hold_columns, xs, ys, zs, lin, n_lin, x, y, z,
-                            w_lin, detuning, ts)
-        value = j_true[gap] * np.clip(z, -1.0, 1.0) + qpn_offset + m_sn[step]
-        m_norm = np.clip(value / j_est[step], -1.0, 1.0)
-        angle = [ctl.kick_angle(mc, kc, cfg.fixed_point)
-                 for mc, kc in zip(m_norm.tolist(), ks)]
-        kick_rate = amp * np.array(angle) / sched.t_kick
-        x, y, z = _hold_run(_hold_columns, xs, ys, zs, gap, n_gap, x, y, z,
-                            0.0, detuning, ts)
-        x, y, z = _hold_run(_hold_columns, xs, ys, zs, kick, n_kick, x, y, z,
-                            0.0, kick_rate + detuning, ts)
+        state = _rotate_run(rec, lin, n_lin, state, lin_rot)
+        value = j_true[gap] * np.clip(state[3], -1.0, 1.0) + qpn_offset + m_sn[step]
+        angle = ctl.kick_angle(value / j_est[step], ks, cfg.fixed_point)
+        kick_rate = amp * angle / sched.t_kick
+        state = _rotate_run(rec, gap, n_gap, state, gap_rot)
+        state = _rotate_run(rec, kick, n_kick, state,
+                            _rotation(0.0, kick_rate + detuning, ts))
         ctl_x[lin:gap] = w_lin
         meas[gap] = value
         j_col[gap:kick] = j_est[step]
         ctl_z[kick:kick + n_kick] = kick_rate
-    xs[n - 1], ys[n - 1], zs[n - 1] = x, y, z
+    rec[:, n - 1] = state[1:4]
 
-    return _column_records(t, j_true, j_col, xs, ys, zs, meas, ctl_z, ctl_x,
-                           [_kt_meta(p, sched, n_lin, n_per,
-                                     float(x[c]), float(y[c]), float(z[c]))
+    return _column_records(t, j_true, j_col, *rec, meas, ctl_z, ctl_x,
+                           [_kt_meta(p, sched, n_lin, n_per, *state[1:4, c].tolist())
                             for c, p in enumerate(params)])
 
 
@@ -576,19 +636,19 @@ def point_seed(master_seed: int, i: int) -> int:
 
 # Fewest shots for which run_batch takes the array kernel.  Below it the
 # kernel's fixed numpy cost per sample outweighs the per-shot Python loop it
-# replaces.  At 750 samples the two break even at about 10-11 shots on a
-# 2-core Xeon (best of 5, array against scalar: 1 shot 30-36 ms, 4 ms;
-# 8 shots 31-38 ms, 22-27 ms; 10 shots 30-35 ms, 29-34 ms; 12 shots
-# 33-35 ms, 33-39 ms), so this threshold sits a little low; it moves only
+# replaces.  At 750 samples the two break even at about 10 shots on a 2-core
+# Xeon (best of 7, array against scalar: 1 shot 25-38 ms, 2.4-4.3 ms;
+# 8 shots 39-41 ms, 32-34 ms; 10 shots 36-42 ms, 38-41 ms; 16 shots
+# 40-44 ms, 70-71 ms), so this threshold sits a little low; it moves only
 # with a benchmark that measures both paths.
 ARRAY_MIN_SHOTS = 8
 # The same for the kicked top.  Its scalar loop does one rotation per sample
-# and one measurement per period, against the kernel's fixed numpy cost per
-# sample, so it breaks even later: at 601 samples at about 24 shots (best
-# of 5, array against scalar: 1 shot 15-24 ms, 1 ms; 16 shots 20-26 ms,
-# 12 ms; 24 shots 20-21 ms, 20 ms; 32 shots 21-23 ms, 27-30 ms), so this
-# threshold sits low too.
-KT_ARRAY_MIN_SHOTS = 18
+# and one measurement per period; the kernel's rotation coefficients are
+# computed once per segment rate, which leaves about a dozen numpy operations
+# per sample.  At 601 samples the two break even at about 8-10 shots (best
+# of 7, array against scalar: 1 shot 7-12 ms, 0.8-1.3 ms; 8 shots 7-8 ms,
+# 6.5-7.4 ms; 10 shots 7-11 ms, 9-12 ms; 16 shots 7-12 ms, 13-19 ms).
+KT_ARRAY_MIN_SHOTS = 10
 
 
 def run_batch(

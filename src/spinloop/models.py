@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spin_core
-from .spin_core import SphericalAngles, SpinVector, X_HAT
+from .spin_core import SpinVector, X_HAT
 
 
 @dataclass(frozen=True)
@@ -49,27 +49,6 @@ class KtParams:
 class FixedPoint:
     location: SpinVector
     stability: str  # "stable" or "unstable"
-
-
-class PoleSingularity(ValueError):
-    """Angle derivatives are undefined at the poles; integrate in Cartesian
-    coordinates there instead."""
-
-
-def lmg_derivatives(state: SphericalAngles, p: LmgParams) -> tuple[float, float]:
-    """Angle-coordinate equations of motion of the unit-spin flow.
-
-    dtheta/dt = -(1-s) L sin(phi)
-    dphi/dt   =  L cos(theta) (s - (1-s) cos(phi)/sin(theta))
-    """
-    st = math.sin(state.theta)
-    if st < 1e-9:
-        raise PoleSingularity("polar coordinates are singular at the poles")
-    ct = math.cos(state.theta)
-    L = p.lambda_
-    dtheta = -(1.0 - p.s) * L * math.sin(state.phi)
-    dphi = L * ct * (p.s - (1.0 - p.s) * math.cos(state.phi) / st)
-    return dtheta, dphi
 
 
 def lmg_flow(v: tuple[float, float, float], p: LmgParams) -> tuple[float, float, float]:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -110,6 +111,35 @@ def test_kick_angle_fixed_point_close():
     for m in (-0.9, -0.2, 0.4, 0.99):
         a = kick_angle(m, 2.7, DEFAULT_FXP)
         assert abs(a - kick_angle(m, 2.7)) < 1e-6
+
+
+def _exact_quotients(k):
+    """The m in [-1, 1] within 8 ulps of t * pi / k for which k * m / pi is
+    exactly t, for t = +-2 and +-4: the wrap's boundary values."""
+    targets = (-4.0, -2.0, 2.0, 4.0)
+    if k == 0.0:
+        return []
+    m0 = np.array(targets) * math.pi / k
+    near = m0[:, None] + np.arange(-8, 9) * np.spacing(m0)[:, None]
+    return [m for m in near.ravel().tolist()
+            if abs(m) <= 1.0 and k * m / math.pi in targets]
+
+
+@pytest.mark.parametrize("fmt", [None, DEFAULT_FXP])
+@pytest.mark.parametrize("k", [-20.0, -2.7, 0.0, 2.7, 25.0])
+def test_kick_angle_elementwise_equals_scalar(k, fmt):
+    # the array kernel takes every column's kick angle in one call: each
+    # element, signed zeros included, must be the scalar call's bits
+    rng = np.random.default_rng(7)
+    edges = _exact_quotients(k)
+    # at k = 25 the quotient steps over 2 and 4; at |k| < 2 pi it cannot reach 2
+    assert len(edges) >= (4 if k == -20.0 else 0)
+    ms = np.array([1.0, -1.0, 0.0, -0.0, *edges, *rng.uniform(-1.2, 1.2, 40)])
+    want = np.array([kick_angle(m, k, fmt) for m in ms.tolist()])
+    for ks in (k, np.full(len(ms), k)):
+        got = kick_angle(ms, ks, fmt)
+        assert got.shape == ms.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_decay_estimate_halving():

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from spinloop import loop_sim
-from spinloop.controller import FixedPointFormat, decay_estimate, lmg_control, qkt_schedule
+from spinloop.controller import (
+    DEFAULT_FXP,
+    FixedPointFormat,
+    decay_estimate,
+    lmg_control,
+    qkt_schedule,
+)
 from spinloop.loop_sim import (
     ARRAY_MIN_SHOTS,
     KT_ARRAY_MIN_SHOTS,
@@ -345,9 +351,10 @@ def test_kt_array_kernel_matches_scalar_loop(latency, word_bits, noise):
                      rotation_noise=noise, initial_state=SphericalAngles(2.0, 1.0))
     model = replace(MODEL, sn_coeff=0.2)
     cols = shared_columns(cfg, model.j_collective, KT_SCHED)
-    # k = 0 makes the kick rate exactly zero
+    # k = 0 makes the kick rate exactly zero; k = +-20 wraps several times
     for n in (1, KT_ARRAY_MIN_SHOTS - 1, KT_ARRAY_MIN_SHOTS + 1):
-        params = [KtParams(alpha=(1.0, math.pi / 2.0)[c // 2 % 2], k=(0.0, 2.7)[c % 2])
+        params = [KtParams(alpha=(1.0, math.pi / 2.0)[c // 4 % 2],
+                           k=(0.0, 2.7, 20.0, -20.0)[c % 4])
                   for c in range(n)]
         recs = _run_kt_columns(cfg, KT_SCHED, params, model,
                                [shot_rng(3, c) for c in range(n)], cols)
@@ -361,6 +368,27 @@ def test_kt_array_kernel_matches_scalar_loop(latency, word_bits, noise):
         assert ([still.x[kick + 1], still.y[kick + 1], still.z[kick + 1]]
                 == [still.x[kick], still.y[kick], still.z[kick]])
         assert moved.x[kick + 1] != moved.x[kick]
+
+
+def test_library_refuses_fixed_point_saturation():
+    # parse_config's bounds hold on the library path: a kick whose |k|/pi
+    # rounds past the (32, 4) word's largest value, 8, on both sides of
+    # KT_ARRAY_MIN_SHOTS, and a decay exponent past its least value, -8
+    cfg = LoopConfig(latency=2e-6, duration=3e-4, decay_half_time=None,
+                     fixed_point=DEFAULT_FXP)
+    for n in (1, KT_ARRAY_MIN_SHOTS):
+        for params in (KtParams(k=30), [KtParams(k=2.7), KtParams(k=-30)]):
+            with pytest.raises(ValueError, match=r"^kt\.k: \|k\|/pi \(9\.5493\) saturates "
+                               r"the fixed-point word \(loop\.word_bits = 32, "):
+                run_batch(cfg, params, MODEL, 2 * n, 1, sched=KT_SCHED)
+        assert len(run_batch(cfg, KtParams(k=25), MODEL, n, 1, sched=KT_SCHED)) == n
+    # the LMG loop's last measurement is at 149 samples, 2.98e-4 s
+    cfg = replace(cfg, decay_half_time=2.5e-5)
+    for n in (1, ARRAY_MIN_SHOTS):
+        with pytest.raises(ValueError, match=r"^loop\.decay_half_time: the decay exponent "
+                           r"-t ln2 / decay_half_time reaches -8\.26\d* at the last"):
+            run_batch(cfg, LMG07, MODEL, n, 1)
+        run_batch(replace(cfg, decay_half_time=2.6e-5), LMG07, MODEL, n, 1)
 
 
 def test_batch_takes_array_kernel_from_threshold(monkeypatch):

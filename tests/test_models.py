@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from spinloop.models import (
     KtParams,
     LmgParams,
-    PoleSingularity,
     kt_jacobian,
     kt_step,
-    lmg_derivatives,
     lmg_energy,
     lmg_fixed_points,
     lmg_flow,
@@ -55,6 +53,27 @@ def test_flow_conserves_energy_instantaneously(v, s, lam):
     dv = lmg_flow(v.as_tuple(), p)
     grad = (-(1.0 - s), 0.0, -s * v.z)
     assert abs(sum(g * d for g, d in zip(grad, dv))) < 1e-9 * lam
+
+
+class PoleSingularity(ValueError):
+    """Angle derivatives are undefined at the poles."""
+
+
+def lmg_derivatives(state: SphericalAngles, p: LmgParams) -> tuple[float, float]:
+    """Angle-coordinate equations of motion of the unit-spin flow, the
+    independent form that lmg_flow is checked against.
+
+    dtheta/dt = -(1-s) L sin(phi)
+    dphi/dt   =  L cos(theta) (s - (1-s) cos(phi)/sin(theta))
+    """
+    st_ = math.sin(state.theta)
+    if st_ < 1e-9:
+        raise PoleSingularity("polar coordinates are singular at the poles")
+    ct = math.cos(state.theta)
+    L = p.lambda_
+    dtheta = -(1.0 - p.s) * L * math.sin(state.phi)
+    dphi = L * ct * (p.s - (1.0 - p.s) * math.cos(state.phi) / st_)
+    return dtheta, dphi
 
 
 @given(
