@@ -34,10 +34,10 @@ raised before any output directory is created:
   the two.
 - run.seed must be >= 0, and run.n_shots at least the scenario's minimum:
   2 in noise-budget and 100 in composite-scan.
-- In kt-run and ftc-sweep, kt.n_steps must be >= 1 and each of kt.t_linear,
-  kt.t_gap and kt.t_kick a positive multiple of loop.sample_period;
-  loop.latency may not exceed kt.t_gap, and the schedule must fit in
-  loop.duration (checked by ``loop_sim._kt_layout``).
+- In kt-run and ftc-sweep, kt.n_steps must be >= 1 (``controller.QktSchedule``)
+  and each of kt.t_linear, kt.t_gap and kt.t_kick a positive whole number of
+  loop.sample_period; loop.latency may not exceed kt.t_gap, and the schedule
+  must fit in loop.duration (checked by ``loop_sim._kt_layout``).
 - In ftc-sweep, kt.n_steps must be >= 15: each series holds the start and
   one point per period, and the spectrum takes at least
   ``analysis.FTC_MIN_POINTS`` (16) points.
@@ -66,7 +66,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .analysis import FTC_MIN_POINTS
-from .controller import FixedPointFormat, QktSchedule, qkt_schedule
+from .controller import FixedPointFormat, QktSchedule
 from .loop_sim import LoopConfig, _kt_layout, check_word
 from .measurement import MIN_FIT_POINTS, MIN_SCAN_SHOTS, MeasurementModel
 from .models import KtParams, LmgParams
@@ -449,21 +449,18 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
 
     kt = sched = None
     if "kt" in c:
-        g = c["kt"]
-        kt = _build(path, "kt", KtParams, **_given(g, "alpha", "k"))
+        kt = _build(path, "kt", KtParams, **_given(c["kt"], "alpha", "k"))
         if kind in _KT_LOOPS:
-            sched = _build(
-                path, "kt", qkt_schedule,
-                **_given(g, "t_linear", "t_gap", "t_kick", "n_steps"),
-                sample_period=loop.sample_period,
-            )
+            sched = _build(path, "kt", QktSchedule,
+                           **_given(c["kt"], "t_linear", "t_gap", "t_kick", "n_steps"))
             # a stroboscopic series holds the start and one point per period
             if kind == "ftc-sweep" and sched.n_steps + 1 < FTC_MIN_POINTS:
                 raise ConfigError(
                     f"{path}: kt.n_steps: must be >= {FTC_MIN_POINTS - 1} for scenario ftc-sweep"
                 )
-            _build(path, "kt", _kt_layout, cfg=loop, sched=sched)
-    try:  # no fixed-point controller input saturates the word
+    try:  # the schedule fits the clock; no fixed-point controller input saturates
+        if sched is not None:
+            _kt_layout(loop, sched)
         check_word(loop, sched, [kt.k] if sched is not None else ())
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None

@@ -1,6 +1,6 @@
 """Digital feedforward controller emulation: fixed-point arithmetic, the
 rational exponential used by the decay tracker, kick-angle wrapping, the
-LMG control law, and the kicked-top pulse schedule.
+LMG control law, and the kicked-top schedule, laid out by ``loop_sim._kt_layout``.
 
 Fixed-point arithmetic is done on raw integer words: the ``_fxp_*`` helpers
 map ints to ints under one format's fraction bits and raw range.
@@ -29,8 +29,8 @@ class FixedPointFormat:
     int_bits: int = 4
 
     def __post_init__(self) -> None:
-        if not (1 <= self.int_bits <= self.word_bits <= 64):
-            raise ValueError("need 1 <= int_bits <= word_bits <= 64")
+        if not (1 <= self.int_bits < self.word_bits <= 64):
+            raise ValueError("need 1 <= int_bits < word_bits <= 64, at least one fraction bit")
 
     @property
     def frac_bits(self) -> int:
@@ -193,6 +193,11 @@ def kick_angle(m_norm, k, fmt: FixedPointFormat | None = None):
     return math.pi * wrapped
 
 
+def decay_exponent(t: float, half_time: float) -> float:
+    """x = -t ln2 / half_time in the tracked spin length j0 * e^x."""
+    return -t * math.log(2.0) / half_time
+
+
 def decay_estimate(
     j0: float, half_time: float, t: float, fmt: FixedPointFormat | None = None
 ) -> float:
@@ -201,7 +206,7 @@ def decay_estimate(
         raise ValueError("half_time must be > 0")
     if t < 0:
         raise ValueError("t must be >= 0")
-    x = -t * math.log(2.0) / half_time
+    x = decay_exponent(t, half_time)
     if fmt is None:
         return j0 * pade_exp(x)
     return j0 * pade_exp(fxp_quantize(x, fmt)).value
@@ -219,29 +224,23 @@ def lmg_control(m: float, j_est: float, p) -> float:
 
 @dataclass(frozen=True)
 class QktSchedule:
-    t_linear: float
-    t_gap: float
-    t_kick: float
-    n_steps: int
+    """n_steps kicked-top periods of linear, gap and kick segments (s)."""
+
+    t_linear: float = 40e-6
+    t_gap: float = 6e-6
+    t_kick: float = 2e-6
+    n_steps: int = 25
+
+    def __post_init__(self) -> None:
+        for name in ("t_linear", "t_gap", "t_kick"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
 
     @property
     def period(self) -> float:
         return self.t_linear + self.t_gap + self.t_kick
 
 
-def qkt_schedule(
-    t_linear: float = 40e-6,
-    t_gap: float = 6e-6,
-    t_kick: float = 2e-6,
-    n_steps: int = 25,
-    sample_period: float = 2e-6,
-) -> QktSchedule:
-    for name, t in (("t_linear", t_linear), ("t_gap", t_gap), ("t_kick", t_kick)):
-        if t <= 0:
-            raise ValueError(f"{name} must be > 0")
-        ratio = t / sample_period
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(f"{name} must be a multiple of the sample period")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    return QktSchedule(t_linear, t_gap, t_kick, n_steps)
+qkt_schedule = QktSchedule

@@ -25,7 +25,7 @@ which the kicked-top kernel computes once per segment rate, not per sample.
 What is not per-sample physics is written once: ``_column_start`` makes
 a kernel's draws in the scalar stream order, ``_column_records`` builds its
 records, ``_hold_run`` and ``_rotate_run`` record a held rate,
-``_kt_layout`` splits a kicked-top period into samples,
+``_kt_layout`` puts a kicked-top schedule on the sample clock,
 ``measured_samples`` names the samples the controller measures, and
 ``check_word`` refuses a fixed-point controller input that would saturate.
 """
@@ -216,23 +216,30 @@ def _column_records(t, j_true, j_est, xs, ys, zs, meas, ctl_z, ctl_x, metas):
     ]
 
 
-def _kt_layout(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int]:
+def _kt_layout(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int, int]:
     """Samples in the linear, gap and kick segments of one kicked-top
-    period, checked: the delay fits in the gap, so the kick angle is ready
-    by its end, every segment spans a sample and the schedule fits in the
-    duration.  parse_config runs it on the kicked-top configs."""
+    period, and in the run (n_steps periods and the final boundary), checked:
+    each segment is a positive whole number of samples, the delay fits in the
+    gap, so the kick angle is ready by its end, and the schedule fits in the
+    duration.  No other code divides a schedule time by the sample period."""
+    ts = cfg.sample_period
+    segs = []
+    for name in ("t_linear", "t_gap", "t_kick"):
+        t = getattr(sched, name)
+        seg = round(t / ts)
+        if seg < 1 or abs(t / ts - seg) > 1e-9:
+            raise ValueError(f"kt.{name} ({t:g} s) is not a positive whole number of "
+                             f"samples of loop.sample_period ({ts:g} s)")
+        segs.append(seg)
     if cfg.latency > sched.t_gap + 1e-15:
         raise ValueError(f"loop.latency ({cfg.latency:g}) exceeds the measurement gap "
                          f"kt.t_gap ({sched.t_gap:g})")
-    segs = tuple(round(t / cfg.sample_period)
-                 for t in (sched.t_linear, sched.t_gap, sched.t_kick))
-    if min(segs) < 1:
-        raise ValueError("each kicked-top segment must span at least one sample")
-    need = sched.n_steps * sum(segs) * cfg.sample_period
+    n = sched.n_steps * sum(segs) + 1
+    need = (n - 1) * ts
     if need > cfg.duration + 1e-15:
         raise ValueError(f"the schedule ({need:g} s) does not fit in loop.duration "
                          f"({cfg.duration:g} s)")
-    return segs
+    return *segs, n
 
 
 def measured_samples(cfg: LoopConfig, sched: QktSchedule | None = None) -> tuple[int, range]:
@@ -241,10 +248,8 @@ def measured_samples(cfg: LoopConfig, sched: QktSchedule | None = None) -> tuple
     kicked-top period."""
     if sched is None:
         return cfg.n_samples, range(cfg.n_samples)
-    n_lin, n_gap, n_kick = _kt_layout(cfg, sched)
-    n_per = n_lin + n_gap + n_kick
-    n = sched.n_steps * n_per + 1  # final period boundary included
-    return n, range(n_lin, n - 1, n_per)
+    n_lin, n_gap, n_kick, n = _kt_layout(cfg, sched)
+    return n, range(n_lin, n - 1, n_lin + n_gap + n_kick)
 
 
 # sample times, true spin length, tracked spin length
@@ -298,7 +303,7 @@ def check_word(cfg: LoopConfig, sched: QktSchedule | None = None, ks=()) -> None
     half = cfg.decay_half_time
     if half is not None:
         t = measured_samples(cfg, sched)[1][-1] * cfg.sample_period
-        x = -t * math.log(2.0) / half  # as controller.decay_estimate
+        x = ctl.decay_exponent(t, half)
         if not ctl.fxp_fits(x, fmt):
             raise ValueError(
                 f"loop.decay_half_time: the decay exponent -t ln2 / decay_half_time "
@@ -447,9 +452,12 @@ def _run_lmg_columns(
     ms, cz, rates = (np.empty((n, m)) for _ in range(3))
     applied = np.zeros(m)
     for k in range(n):
-        value = j_true[k] * np.clip(state[3], -1.0, 1.0) + qpn_offset + m_sn[k]
-        z_est = np.clip(value / j_est[k], -1.0, 1.0)
-        rates[k] = np.clip(k_nl * z_est, -ctl.DEFAULT_RATE_CAP, ctl.DEFAULT_RATE_CAP)
+        # np.minimum(np.maximum()) is np.clip's bits, NaN too, in half the time
+        value = (j_true[k] * np.minimum(np.maximum(state[3], -1.0), 1.0)
+                 + qpn_offset + m_sn[k])
+        z_est = np.minimum(np.maximum(value / j_est[k], -1.0), 1.0)
+        rates[k] = np.minimum(np.maximum(k_nl * z_est, -ctl.DEFAULT_RATE_CAP),
+                              ctl.DEFAULT_RATE_CAP)
 
         rec[:, k] = state[1:4]
         ms[k] = value
@@ -489,8 +497,8 @@ def _rotate_run(rec, k: int, m: int, state, rot):
     return state
 
 
-def _kt_meta(p: KtParams, sched: QktSchedule, n_lin: int, n_per: int, x, y, z) -> dict:
-    n = sched.n_steps * n_per + 1
+def _kt_meta(p: KtParams, sched: QktSchedule, n_lin: int, n_per: int, n: int,
+             x, y, z) -> dict:
     return {"final_state": (x, y, z), "model": "kt",
             "params": {"alpha": p.alpha, "k": p.k, "tau": sched.period},
             "strob_gap_idx": list(range(n_lin, n - 1, n_per)),
@@ -516,9 +524,8 @@ def run_kt_loop(
     boundaries, comparable to the iterated map).  cols is
     ``shared_columns(cfg, model.j_collective, sched)``, with one tracked
     spin length per period; it is computed here when not given."""
-    n_lin, n_gap, n_kick = _kt_layout(cfg, sched)
+    n_lin, n_gap, n_kick, n = _kt_layout(cfg, sched)
     n_per = n_lin + n_gap + n_kick
-    n = sched.n_steps * n_per + 1  # final period boundary included
 
     eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     check_word(cfg, sched, [p.k])
@@ -537,10 +544,8 @@ def run_kt_loop(
     ctl_x = np.zeros(n)
     j_col = np.full(n, math.nan)
 
-    for step in range(sched.n_steps):
-        lin = step * n_per
-        gap = lin + n_lin
-        kick = gap + n_gap
+    for step, lin in enumerate(range(0, n - 1, n_per)):
+        gap, kick = lin + n_lin, lin + n_lin + n_gap
         x, y, z = _hold_run(xs, ys, zs, lin, n_lin, x, y, z, w_lin, detuning, ts)
         # measurement in the gap; the kick value is ready because the
         # transport delay is no longer than the gap
@@ -561,7 +566,7 @@ def run_kt_loop(
 
     return TrajectoryRecord(np.array(t), xs, ys, zs, np.array(j_true),
                             meas, ctl_z, ctl_x, j_col,
-                            _kt_meta(p, sched, n_lin, n_per, x, y, z))
+                            _kt_meta(p, sched, n_lin, n_per, n, x, y, z))
 
 
 def _run_kt_columns(
@@ -580,9 +585,8 @@ def _run_kt_columns(
     once per batch and the kick's once per period; an all-still segment,
     such as the gap without detuning, is not rotated.  One elementwise
     ``kick_angle`` call per period gives every column's kick angle."""
-    n_lin, n_gap, n_kick = _kt_layout(cfg, sched)
+    n_lin, n_gap, n_kick, n = _kt_layout(cfg, sched)
     n_per = n_lin + n_gap + n_kick
-    n = sched.n_steps * n_per + 1
     ts = cfg.sample_period
     t, j_true, j_est = cols
     check_word(cfg, sched, {p.k for p in params})
@@ -600,12 +604,11 @@ def _run_kt_columns(
     ctl_x = np.zeros((n, m))
     j_col = np.full(n, math.nan)
 
-    for step in range(sched.n_steps):
-        lin = step * n_per
-        gap = lin + n_lin
-        kick = gap + n_gap
+    for step, lin in enumerate(range(0, n - 1, n_per)):
+        gap, kick = lin + n_lin, lin + n_lin + n_gap
         state = _rotate_run(rec, lin, n_lin, state, lin_rot)
-        value = j_true[gap] * np.clip(state[3], -1.0, 1.0) + qpn_offset + m_sn[step]
+        value = (j_true[gap] * np.minimum(np.maximum(state[3], -1.0), 1.0)
+                 + qpn_offset + m_sn[step])
         angle = ctl.kick_angle(value / j_est[step], ks, cfg.fixed_point)
         kick_rate = amp * angle / sched.t_kick
         state = _rotate_run(rec, gap, n_gap, state, gap_rot)
@@ -618,7 +621,7 @@ def _run_kt_columns(
     rec[:, n - 1] = state[1:4]
 
     return _column_records(t, j_true, j_col, *rec, meas, ctl_z, ctl_x,
-                           [_kt_meta(p, sched, n_lin, n_per, *state[1:4, c].tolist())
+                           [_kt_meta(p, sched, n_lin, n_per, n, *state[1:4, c].tolist())
                             for c, p in enumerate(params)])
 
 

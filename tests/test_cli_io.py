@@ -706,6 +706,14 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
     ("ftc-sweep", "[sweep]\nalpha = 3.1\n", [], "[kt]"),
     ("kt-run", "[kt]\nt_linear = 3e-6\n", [], "t_linear"),
     ("lmg-run", "[lmg]\ns = 0.7\n\n[loop]\nword_bits = 24\n", [], "loop.word_bits"),
+    # a word of no fraction bits: the decay tracker's rounding shift would be -1
+    *[(scenario, f"{text}\n[loop]\nfixed_point = true\nword_bits = 8\nint_bits = 8\n", [],
+       "loop: need 1 <= int_bits < word_bits <= 64")
+      for scenario, text in (("lmg-run", "[lmg]\ns = 0.7\n"), ("kt-run", "[kt]\nk = 2.5\n"))],
+    # 40 us is 13.3 samples of 3 us
+    ("kt-run", "[kt]\nk = 2.5\n\n[loop]\nsample_period = 3e-6\n", [],
+     "kt.t_linear (4e-05 s) is not a positive whole number of samples of "
+     "loop.sample_period (3e-06 s)"),
     # a one-shot sample variance is NaN
     ("noise-budget", "[sweep]\nn1 = 1e4 1e5 1e6\n", ["--shots", "1"], "run.n_shots"),
     ("composite-scan", "[noise]\nrabi_rate = 4e4\n\n[sweep]\ntheta = 1.0\n",

@@ -4,9 +4,12 @@ refused with one JSON error line.
 Each example draws a scenario from ``config.SCENARIOS``, a few of the
 numeric keys it reads, and a value for each from an edge set (0, -1, nan,
 +-inf), the extremes 1e-300 and 1e300, and the values the shipped configs
-use.  It runs ``simulate_main`` in process on a small base config (at most
-3 shots and 50 samples; composite-scan's floor is 100 shots) and checks one
-of two outcomes:
+use.  loop.word_bits and loop.int_bits also draw the widths 1, 2, 63, 64
+and 65, at and past their bounds, and two explicit examples give them equal
+widths (no fraction bits) on the fixed-point lmg-run and kt-run bases.  It
+runs ``simulate_main`` in process on a small base config (at most 3 shots
+and 50 samples; composite-scan's floor is 100 shots) and checks one of two
+outcomes:
 
 - exit 0, no warning, no NaN or infinity in x, y, z or in a summary
   file, and every JSON file standard JSON (no NaN or Infinity literal);
@@ -38,7 +41,7 @@ from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spinloop.cli import simulate_main
@@ -83,6 +86,9 @@ BASE = {
 EDGE = ("0", "-1", "nan", "inf", "-inf")
 NONFINITE = {"nan", "inf", "-inf"}
 EXTREME = ("1e-300", "1e300")
+# fixed-point widths around their bounds 1 <= int_bits < word_bits <= 64
+WIDTHS = {"loop.word_bits", "loop.int_bits"}
+BITS = ("1", "2", "63", "64", "65")
 # size-setting key -> the extreme that shrinks the run, if it is a float
 SIZE = {"loop.duration": "1e-300", "loop.sample_period": "1e300",
         "kt.t_linear": "1e-300", "kt.t_gap": "1e-300", "kt.t_kick": "1e-300",
@@ -114,7 +120,7 @@ SHIPPED = _shipped_values()
 def _candidates(kind: str, name: str) -> list[str]:
     if name in SIZE:
         return list(EDGE) + ([SIZE[name]] if SIZE[name] else [])
-    values = list(EDGE + EXTREME)
+    values = list(EDGE + EXTREME + (BITS if name in WIDTHS else ()))
     sec, _, key = name.partition(".")
     if sec == "sweep":
         # one bad point among good ones
@@ -204,5 +210,7 @@ def _check(kind: str, values: dict) -> None:
 @settings(derandomize=True, max_examples=300, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
+@example(("lmg-run", {"loop.word_bits": "64", "loop.int_bits": "64"}))
+@example(("kt-run", {"loop.word_bits": "2", "loop.int_bits": "2"}))
 def test_config_values_run_or_fail_cleanly(case):
     _check(*case)

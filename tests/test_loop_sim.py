@@ -203,17 +203,38 @@ def test_kt_loop_rejects_excess_latency():
             run_batch(cfg, p, MODEL, n, master_seed=0, sched=sched)
 
 
+def _refuses_layout(cfg, sched, match):
+    """run_kt_loop, and run_batch on both sides of KT_ARRAY_MIN_SHOTS, raise
+    ValueError matching match."""
+    p = KtParams(math.pi / 2, 1.0)
+    with pytest.raises(ValueError, match=match):
+        run_kt_loop(cfg, sched, p, MODEL, np.random.default_rng(0))
+    for n in (1, KT_ARRAY_MIN_SHOTS):
+        with pytest.raises(ValueError, match=match):
+            run_batch(cfg, p, MODEL, n, master_seed=0, sched=sched)
+
+
 def test_kt_loop_rejects_empty_segment():
     # at a 10 us sample period the 2 us kick rounds to no sample at all
     cfg = LoopConfig(sample_period=1e-5, latency=4e-6, duration=1.3e-3,
                      decay_half_time=None)
-    sched = qkt_schedule(40e-6, 6e-6, 2e-6, 25)
-    p = KtParams(math.pi / 2, 1.0)
-    with pytest.raises(ValueError, match="at least one sample"):
-        run_kt_loop(cfg, sched, p, MODEL, np.random.default_rng(0))
-    for n in (1, KT_ARRAY_MIN_SHOTS):
-        with pytest.raises(ValueError, match="at least one sample"):
-            run_batch(cfg, p, MODEL, n, master_seed=0, sched=sched)
+    _refuses_layout(cfg, qkt_schedule(40e-6, 10e-6, 2e-6, 25),
+                    r"^kt\.t_kick \(2e-06 s\) is not a positive whole number of samples "
+                    r"of loop\.sample_period \(1e-05 s\)$")
+
+
+@pytest.mark.parametrize("sample_period,sched,name", [
+    # 40 us is 13.3 samples of 3 us and the 2 us kick 0.67: the rounded
+    # layout (13, 2, 1) held a 1 rad kick for 3 us, a 1.5 rad turn
+    (3e-6, qkt_schedule(40e-6, 6e-6, 2e-6, 1), "t_linear"),
+    (2e-6, qkt_schedule(41e-7, 6e-6, 2e-6, 1), "t_linear"),
+    (2e-6, qkt_schedule(40e-6, 5e-6, 2e-6, 1), "t_gap"),
+], ids=["3us", "4.1us", "gap"])
+def test_kt_loop_rejects_segment_off_the_clock(sample_period, sched, name):
+    cfg = LoopConfig(sample_period=sample_period, plant_dt=sample_period, latency=0.0,
+                     duration=1e-4, decay_half_time=None)
+    _refuses_layout(cfg, sched, rf"^kt\.{name} \(.*\) is not a positive whole number "
+                    rf"of samples of loop\.sample_period \({sample_period:g} s\)$")
 
 
 def test_kt_record_layout():

@@ -1,6 +1,7 @@
 """Smoke test: each script in scripts/ runs end to end on tiny arguments,
-each config in configs/ runs through simulate with few shots and records its
-own hash, and every name the benchmark tracer patches exists."""
+each config in configs/ and perfbench/configs/ runs through simulate with few
+shots, records its own hash and writes its pinned outputs, and every name
+the benchmark tracer patches exists."""
 
 import importlib.util
 import json
@@ -45,17 +46,31 @@ def test_script_runs(script, args, out, tmp_path):
 # than its config sets
 SMOKE_SHOTS = {"ssb-ensemble": 8, "noise-budget": 2, "composite-scan": 100,
                "quantum-qmf": 1, "ftc-sweep": 2}
+SHIPPED_CONFIGS = sorted(p for d in ("configs", "perfbench/configs")
+                         for p in (ROOT / d).iterdir())
+# config -> the manifest outputs and tool_version of its smoke run.  A change
+# that moves an output on purpose rewrites it (python tests/test_scripts.py)
+# and says so.
+SHIPPED_OUTPUTS = ROOT / "tests" / "data" / "shipped_outputs.json"
 
 
-@pytest.mark.parametrize("config", sorted((ROOT / "configs").iterdir()),
-                         ids=lambda p: p.name)
-def test_shipped_config_runs(config, tmp_path):
+def _smoke_manifest(config: Path, out: Path) -> dict:
     kind = parse_config(config).kind
     shots = ["--shots", str(SMOKE_SHOTS[kind])] if kind in SMOKE_SHOTS else []
-    out = tmp_path / "out"
     assert simulate_main([kind, "--config", str(config), "--out", str(out), *shots]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    return json.loads((out / "manifest.json").read_text())
+
+
+def _pinned(manifest: dict) -> dict:
+    return {"outputs": manifest["outputs"], "tool_version": manifest["tool_version"]}
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_runs(config, tmp_path):
+    manifest = _smoke_manifest(config, tmp_path / "out")
     assert manifest["config_sha256"] == file_sha256(config)
+    pinned = json.loads(SHIPPED_OUTPUTS.read_text())
+    assert _pinned(manifest) == pinned[str(config.relative_to(ROOT))]
 
 
 def test_tracer_targets_resolve(monkeypatch):
@@ -73,3 +88,13 @@ def test_tracer_targets_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(modname), attr, None))
     ]
     assert missing == []
+
+
+if __name__ == "__main__":  # rewrite SHIPPED_OUTPUTS from this checkout
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pinned = {str(c.relative_to(ROOT)): _pinned(_smoke_manifest(c, Path(tmp) / c.name))
+                  for c in SHIPPED_CONFIGS}
+    SHIPPED_OUTPUTS.parent.mkdir(exist_ok=True)
+    SHIPPED_OUTPUTS.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
