@@ -1,6 +1,8 @@
 import configparser
+import errno
 import json
 import math
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spinloop
+from spinloop import runio
 from spinloop.analysis import (
     extract_tdd,
     ftc_rigidity,
@@ -366,18 +369,36 @@ def _edge_records():
     n = len(f)
     t = np.arange(n, dtype=float)
     col = lambda v: np.full(n, v)  # noqa: E731
-    return [
+    recs = [
         TrajectoryRecord(t, f, col(-0.0), col(math.nan), f, i, col(math.inf), i, f),
         TrajectoryRecord(t.copy(), i, f.copy(), col(-math.inf), i, f, col(-0.0), f, i),
         TrajectoryRecord(t, [0.5] * n, f.tolist(), col(1e-320), f, i.copy(), f, i, f),
     ]
+    # a shorter record: a split by rows cuts between unequal records
+    return recs + [TrajectoryRecord(*(np.asarray(c)[:2] for c in recs[1].columns()))]
 
 
-TRAJECTORY_CASES = ("lmg-array", "lmg-scalar", "kt-array", "quantum", "edge")
+# (case, usable CPUs): at 2 and 3 CPUs every file of two or more records is
+# formatted in that many processes (runio._write_parts)
+TRAJECTORY_CASES = [
+    pytest.param(case, cpus, id=case if cpus == 1 else f"{case}-{cpus}cpus")
+    for case in ("lmg-array", "lmg-scalar", "kt-array", "quantum", "edge", "one-record")
+    for cpus in (1, 2, 3)
+]
 
 
-@pytest.mark.parametrize("case", TRAJECTORY_CASES)
-def test_emit_trajectories_matches_per_row_format(tmp_path, monkeypatch, case):
+@pytest.mark.parametrize("case, cpus", TRAJECTORY_CASES)
+def test_emit_trajectories_matches_per_row_format(tmp_path, monkeypatch, case, cpus):
+    parts = []
+    real_write_parts = runio._write_parts
+
+    def write_parts(fh, columns, cuts):
+        parts.append(len(cuts) - 1)
+        real_write_parts(fh, columns, cuts)
+
+    monkeypatch.setattr(runio, "_write_parts", write_parts)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(runio, "PART_MIN_ROWS", 1)
     lmg_cfg = LoopConfig(duration=1e-4, qpn=True, shot=True,
                          rotation_noise=RotationNoise(amplitude_error_sigma=0.01))
     kt_cfg = LoopConfig(latency=2e-6, duration=2.2e-4, qpn=True)
@@ -398,9 +419,13 @@ def test_emit_trajectories_matches_per_row_format(tmp_path, monkeypatch, case):
     elif case == "quantum":
         recs = _quantum_records(tmp_path, monkeypatch)
         assert len(recs) == 3
-    else:
+    elif case == "edge":
         recs = _edge_records()
+    else:  # one record cannot be split
+        recs = run_batch(lmg_cfg, lmg, model, 1, 4)
+    parts.clear()
     path, offsets = emit_trajectories(tmp_path / "t.csv", recs)
+    assert parts == ([min(cpus, len(recs))] if min(cpus, len(recs)) > 1 else [])
     want = _reference_trajectories(tmp_path / "want.csv", recs)
     assert path.read_bytes() == want.read_bytes()
     assert offsets == [sum(len(r.t) for r in recs[:k]) for k in range(len(recs))]
@@ -427,7 +452,7 @@ def test_read_trajectory_subset(tmp_path, columns):
                 assert got is None
 
 
-def test_partial_record_is_refused(tmp_path):
+def test_partial_record_is_refused(tmp_path, monkeypatch):
     path, _ = emit_trajectories(tmp_path / "t.csv", run_batch(
         LoopConfig(duration=5e-5), LmgParams(s=0.7, lambda_=1e5), MeasurementModel(), 2, 1))
     with pytest.raises(ValueError, match="nope"):
@@ -435,9 +460,61 @@ def test_partial_record_is_refused(tmp_path):
     part = read_trajectory_csv(path, ("t", "z", "meas"))
     with pytest.raises(ValueError, match="column x"):
         part[0].column_stack()
+    # refused before the split path could fork
+    monkeypatch.setattr(runio, "PART_MIN_ROWS", 1)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     with pytest.raises(ValueError, match="column x"):
         emit_trajectories(tmp_path / "again.csv", part)
     assert not (tmp_path / "again.csv").exists()
+
+
+ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    # a child's OSError reads as it would in one process; any other
+    # exception ends the child with status 255
+    ("child", OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), ENOSPC),
+    ("child", ValueError("bad text"), "a formatting process ended with status 255"),
+    # the parent fails while its child formats: the child is killed and reaped
+    ("parent", OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), ENOSPC),
+])
+def test_split_emit_failure_reaps_every_child(tmp_path, monkeypatch, capsys,
+                                               fault, error, message):
+    monkeypatch.setattr(runio, "PART_MIN_ROWS", 1)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+    real_lines = runio._lines
+
+    def lines(columns):
+        if (os.getpid() == parent) == (fault == "parent"):
+            raise error
+        return real_lines(columns)
+
+    monkeypatch.setattr(runio, "_lines", lines)
+    recs = run_batch(LoopConfig(duration=1e-4, qpn=True), LmgParams(s=0.7, lambda_=1e5),
+                     MeasurementModel(), 3, 1)
+    path = tmp_path / "t" / "t.csv"
+    with pytest.raises(OSError) as err:
+        emit_trajectories(path, recs)
+    assert str(err.value) == f"cannot write {path}: {message}"
+
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("[run]\nkind = ssb-ensemble\nn_shots = 3\n\n[loop]\n"
+                    "duration = 1e-4\nqpn = true\n\n[lmg]\ns = 0.7\n")
+    out = tmp_path / "o"
+    assert simulate_main(["ssb-ensemble", "--config", str(cfgp), "--out", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {
+        "error": "runtime", "message": f"cannot write {out / 'trajectories.csv'}: {message}"}
+
+    with pytest.raises(ChildProcessError):  # no child left, running or not reaped
+        os.waitpid(-1, os.WNOHANG)
+    # the parts were anonymous files: only the partial output is left
+    assert [p.name for p in path.parent.iterdir()] == ["t.csv"]
+    assert [p.name for p in out.iterdir()] == ["trajectories.csv"]
 
 
 def test_simulate_cli_end_to_end(tmp_path):

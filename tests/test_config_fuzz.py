@@ -4,11 +4,13 @@ refused with one JSON error line.
 Each example draws a scenario from ``config.SCENARIOS``, a few of the
 numeric keys it reads, and a value for each from an edge set (0, -1, nan,
 +-inf), the extremes 1e-300 and 1e300, and the values the shipped configs
-use.  loop.word_bits and loop.int_bits also draw the widths 1, 2, 63, 64
-and 65, at and past their bounds, and two explicit examples give them equal
-widths (no fraction bits) on the fixed-point lmg-run and kt-run bases.  It
-runs ``simulate_main`` in process on a small base config (at most 3 shots
-and 50 samples; composite-scan's floor is 100 shots) and checks one of two
+use.  loop.word_bits and loop.int_bits are drawn only on the fixed-point
+lmg-run and kt-run bases, the ones that read them, besides the other keys,
+so no width draw ends in the fixed-point gate error; they also draw the
+widths 1, 2, 63, 64 and 65, at and past their bounds, and two explicit
+examples give them equal widths (no fraction bits).  It runs
+``simulate_main`` in process on a small base config (at most 3 shots and 50
+samples; composite-scan's floor is 100 shots) and checks one of two
 outcomes:
 
 - exit 0, no warning, no NaN or infinity in x, y, z or in a summary
@@ -132,8 +134,11 @@ def _candidates(kind: str, name: str) -> list[str]:
 @st.composite
 def runs(draw):
     kind = draw(st.sampled_from(sorted(BASE)))
-    keys = sorted(k for k in SCENARIOS[kind][0] if k in NUMERIC)
+    keys = sorted(k for k in SCENARIOS[kind][0] if k in NUMERIC and k not in WIDTHS)
     chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    if BASE[kind].get("loop", {}).get("fixed_point") == "true":
+        # the widths, read only on the fixed-point bases (config._GATES)
+        chosen += draw(st.lists(st.sampled_from(sorted(WIDTHS)), max_size=2, unique=True))
     return kind, {name: draw(st.sampled_from(_candidates(kind, name))) for name in chosen}
 
 
