@@ -2,10 +2,18 @@
 rational exponential used by the decay tracker, kick-angle wrapping, the
 LMG control law, and the kicked-top schedule, laid out by ``loop_sim._kt_layout``.
 
-Fixed-point arithmetic is done on raw integer words: the ``_fxp_*`` helpers
-map ints to ints under one format's fraction bits and raw range.
-``FixedPointValue`` (a raw word tagged with its format) is the boundary
-type that callers pass in and get back."""
+Fixed-point arithmetic is done on arrays of raw integer words, elementwise:
+the ``_fxp_*`` helpers map words to words under one format's fraction bits
+and raw range, so an ensemble's tracked spin lengths, or every column's
+kick angle, are one call.  Each element equals the arithmetic on it alone
+in Python ints.  The words are ``int64`` up to 32 bits
+(``FixedPointFormat.dtype``): a product of two raw words, or a dividend
+``|a| << frac_bits``, is then below 2^62, so nothing overflows.  Wider
+words are Python ints in object arrays, exact at any width.  Inside, the
+arrays are at least 1-d, so a scalar is an array of one element; the public
+functions give back the shape they are given.  ``FixedPointValue`` (raw
+words tagged with their format) is the boundary type that callers pass in
+and get back."""
 
 from __future__ import annotations
 
@@ -48,163 +56,197 @@ class FixedPointFormat:
     def raw_min(self) -> int:
         return -(1 << (self.word_bits - 1))
 
+    @property
+    def dtype(self):
+        """The array dtype of raw words: int64 up to 32 bits, where every
+        intermediate stays below 2^62 (module docstring), else Python ints."""
+        return np.int64 if self.word_bits <= 32 else object
+
 
 DEFAULT_FXP = FixedPointFormat()
 
 
 @dataclass(frozen=True)
 class FixedPointValue:
-    raw: int
+    """Raw words of fmt: an int, or an array of them."""
+
+    raw: object
     fmt: FixedPointFormat
 
     @property
-    def value(self) -> float:
-        return self.raw * self.fmt.step
+    def value(self):
+        return np.asarray(self.raw, dtype=float) * self.fmt.step
 
     @property
-    def saturated(self) -> bool:
-        return self.raw in (self.fmt.raw_min, self.fmt.raw_max)
+    def saturated(self):
+        return (self.raw == self.fmt.raw_min) | (self.raw == self.fmt.raw_max)
 
 
-# Raw-integer arithmetic: operands and results are raw words of a format
-# with f fraction bits and raw range [lo, hi].
+# Raw-word arithmetic: operands and results are at least 1-d arrays of
+# fmt.dtype (or broadcast against them), elementwise.
 
 
-def _sat(raw: int, lo: int, hi: int) -> int:
-    return lo if raw < lo else hi if raw > hi else raw
+def _words(raw, fmt: FixedPointFormat) -> np.ndarray:
+    return np.atleast_1d(np.asarray(raw, dtype=fmt.dtype))
 
 
-def _fxp_add(a: int, b: int, lo: int, hi: int) -> int:
-    return _sat(a + b, lo, hi)
+def _shaped(a: np.ndarray, shape):
+    """a in shape; the 0-d shape gives a scalar."""
+    return a.reshape(shape)[()]
 
 
-def _fxp_mul(a: int, b: int, f: int, lo: int, hi: int) -> int:
+def _sat(raw, fmt: FixedPointFormat):
+    return np.minimum(np.maximum(raw, fmt.raw_min), fmt.raw_max)
+
+
+def _fxp_add(a, b, fmt: FixedPointFormat):
+    return _sat(a + b, fmt)
+
+
+def _fxp_mul(a, b, fmt: FixedPointFormat):
     # round to nearest on the dropped fraction bits
-    return _sat((a * b + (1 << (f - 1))) >> f, lo, hi)
+    f = fmt.frac_bits
+    return _sat((a * b + (1 << (f - 1))) >> f, fmt)
 
 
-def _fxp_div(a: int, b: int, f: int, lo: int, hi: int) -> int:
-    if b == 0:
+def _fxp_div(a, b, fmt: FixedPointFormat):
+    # |a| / |b| rounded half away from zero, then the sign
+    if np.any(b == 0):
         raise ZeroDivisionError("fixed-point division by zero")
-    sign = 1 if (a >= 0) == (b >= 0) else -1
-    q, r = divmod(abs(a) << f, abs(b))
-    if 2 * r >= abs(b):
-        q += 1
-    return _sat(sign * q, lo, hi)
+    n, d = abs(a) << fmt.frac_bits, abs(b)
+    q = n // d + (2 * (n % d) >= d)
+    return _sat(np.where((a >= 0) == (b >= 0), q, -q), fmt)
 
 
-def _round_raw(x: float, f: int) -> int:
-    return math.floor(x * (1 << f) + 0.5)
+def _round_raw(x, f: int) -> np.ndarray:
+    """floor(x * 2^f + 0.5) as integral floats, at least 1-d.  NaN and
+    infinity, also from x * 2^f overflowing, raise as math.floor raises on
+    them, with no numpy warning."""
+    with np.errstate(over="ignore"):
+        y = np.floor(np.atleast_1d(np.multiply(x, 2.0**f)) + 0.5)
+    if not np.isfinite(y).all():
+        math.floor(y[~np.isfinite(y)][0])
+    return y
 
 
-def _quantize_raw(x: float, f: int, lo: int, hi: int) -> int:
-    return _sat(_round_raw(x, f), lo, hi)
+_TO_INT = np.frompyfunc(int, 1, 1)
 
 
-def fxp_fits(x: float, fmt: FixedPointFormat) -> bool:
+def _quantize_raw(x, fmt: FixedPointFormat) -> np.ndarray:
+    # saturate in float first, since a float beyond +-2^63 has no int64;
+    # past 53 bits float(raw_max) rounds up to 2^(word_bits-1), so the
+    # Python ints are saturated again
+    y = _sat(_round_raw(x, fmt.frac_bits), fmt)
+    return y.astype(np.int64) if fmt.dtype is np.int64 else _sat(_TO_INT(y), fmt)
+
+
+def fxp_fits(x, fmt: FixedPointFormat):
     """Whether x rounds to a raw word inside fmt's range, so that
-    fxp_quantize does not saturate it."""
-    return fmt.raw_min <= _round_raw(x, fmt.frac_bits) <= fmt.raw_max
+    fxp_quantize does not saturate it; elementwise."""
+    y = _round_raw(x, fmt.frac_bits)
+    edge = -float(fmt.raw_min)  # raw_max + 1, exact
+    return _shaped((y >= -edge) & (y < edge), np.shape(x))
 
 
-def fxp_quantize(x: float, fmt: FixedPointFormat = DEFAULT_FXP) -> FixedPointValue:
-    """Round-to-nearest quantization with silent saturation at the ends."""
-    return FixedPointValue(
-        _quantize_raw(x, fmt.frac_bits, fmt.raw_min, fmt.raw_max), fmt
-    )
+def fxp_quantize(x, fmt: FixedPointFormat = DEFAULT_FXP) -> FixedPointValue:
+    """Round-to-nearest quantization with silent saturation at the ends,
+    elementwise."""
+    return FixedPointValue(_shaped(_quantize_raw(x, fmt), np.shape(x)), fmt)
 
 
-def _pade_ratio_float(x: float) -> float:
-    num = 0.0
-    den = 0.0
-    for c in reversed(_PADE_NUM):
-        num = num * x + c
-        den = den * (-x) + c
-    if den <= 0:
-        raise ValueError("rational exponential out of domain")
-    return num / den
+def _halved(x: np.ndarray, below, halve):
+    """Halve each element of x while below(x) holds there: the reduced x and
+    each element's number of halvings."""
+    n = np.zeros(x.shape, dtype=int)
+    more = below(x)
+    while more.any():
+        x = np.where(more, halve(x), x)
+        n += more
+        more = below(x)
+    return x, n
+
+
+def _squared(r: np.ndarray, n: np.ndarray, square):
+    """Square each element of r as many times as n says there."""
+    for i in range(n.max(initial=0)):
+        r = np.where(n > i, square(r), r)
+    return r
 
 
 def pade_exp(x):
-    """Rational [5,5] approximation of exp(x) for x <= 0.
+    """Rational [5,5] approximation of exp(x) for x <= 0, elementwise.
 
-    Accepts a float or a FixedPointValue (evaluated in that format).
+    Accepts floats or a FixedPointValue (evaluated in that format).
     Arguments below -1 are range-reduced by halving and squaring so the
-    core rational is only ever evaluated on [-1, 0].
+    core rational is only ever evaluated on [-1, 0].  Horner's rule takes a
+    separate multiply and add, so each element rounds as Python floats do.
     """
     if isinstance(x, FixedPointValue):
         return _pade_exp_fxp(x)
-    if x > 0:
+    shape = np.shape(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x > 0):
         raise ValueError("pade_exp is defined for x <= 0")
-    halvings = 0
-    while x < -1.0:
-        x *= 0.5
-        halvings += 1
-    r = _pade_ratio_float(x)
-    for _ in range(halvings):
-        r *= r
-    return r
+    x, halvings = _halved(x, lambda v: v < -1.0, lambda v: v * 0.5)
+    num = den = np.zeros_like(x)
+    for c in reversed(_PADE_NUM):
+        num = num * x + c
+        den = den * (-x) + c
+    if np.any(den <= 0):
+        raise ValueError("rational exponential out of domain")
+    return _shaped(_squared(num / den, halvings, lambda r: r * r), shape)
 
 
 def _pade_exp_fxp(x: FixedPointValue) -> FixedPointValue:
     fmt = x.fmt
-    f, lo, hi, step = fmt.frac_bits, fmt.raw_min, fmt.raw_max, fmt.step
-    xr = x.raw
-    if xr > 0:
+    xr = _words(x.raw, fmt)
+    if np.any(xr > 0):
         raise ValueError("pade_exp is defined for x <= 0")
-    halvings = 0
-    while xr * step < -1.0:
-        # arithmetic shift with round-to-nearest
-        xr = (xr + 1) >> 1
-        halvings += 1
-    num = den = 0
-    for c in reversed(_PADE_NUM):
-        cq = _quantize_raw(c, f, lo, hi)
-        num = _fxp_add(_fxp_mul(num, xr, f, lo, hi), cq, lo, hi)
-        den = _fxp_add(_fxp_mul(den, -xr, f, lo, hi), cq, lo, hi)
-    if den <= 0:
+    # arithmetic shift with round-to-nearest
+    xr, halvings = _halved(xr, lambda r: r * fmt.step < -1.0, lambda r: (r + 1) >> 1)
+    num = den = np.zeros_like(xr)
+    for cq in _quantize_raw(_PADE_NUM[::-1], fmt):
+        num = _fxp_add(_fxp_mul(num, xr, fmt), cq, fmt)
+        den = _fxp_add(_fxp_mul(den, -xr, fmt), cq, fmt)
+    if np.any(den <= 0):
         raise ValueError("rational exponential out of domain")
-    r = _fxp_div(num, den, f, lo, hi)
-    for _ in range(halvings):
-        r = _fxp_mul(r, r, f, lo, hi)
-    return FixedPointValue(r, fmt)
+    r = _squared(_fxp_div(num, den, fmt), halvings, lambda r: _fxp_mul(r, r, fmt))
+    return FixedPointValue(_shaped(r, np.shape(x.raw)), fmt)
 
 
 def bmod2(x: FixedPointValue) -> FixedPointValue:
     """sign(x) * mod(|x|, 2), done by masking the fraction bits plus the
-    lowest integer bit of |x| and reapplying the sign."""
-    mask = (1 << (x.fmt.frac_bits + 1)) - 1
-    mag = abs(x.raw) & mask
-    return FixedPointValue(-mag if x.raw < 0 else mag, x.fmt)
+    lowest integer bit of |x| and reapplying the sign; elementwise."""
+    raw = _words(x.raw, x.fmt)
+    mag = abs(raw) & ((1 << (x.fmt.frac_bits + 1)) - 1)
+    return FixedPointValue(_shaped(np.where(raw < 0, -mag, mag), np.shape(x.raw)), x.fmt)
 
 
 def kick_angle(m_norm, k, fmt: FixedPointFormat | None = None):
     """Wrapped kick angle pi * bmod2(k * m_norm / pi), equivalent (mod 2pi,
     sign-matched) to the raw angle k * m_norm.  Result in (-2pi, 2pi).
     Elementwise on arrays m_norm and k, each element equal to the call on
-    it alone: fmod is exact, and the fixed-point wrap runs per element on
-    Python ints, so it stays exact at any word size."""
+    it alone: fmod is exact, and so is the fixed-point wrap on raw words."""
     x = k * np.minimum(np.maximum(m_norm, -1.0), 1.0) / math.pi  # np.clip, faster
     if fmt is None:
         wrapped = np.fmod(x, 2.0)  # sign(x) * mod(|x|, 2), exactly
     else:
-        wrapped = np.reshape([bmod2(fxp_quantize(v, fmt)).value
-                              for v in np.ravel(x).tolist()], np.shape(x))
+        wrapped = bmod2(fxp_quantize(x, fmt)).value
     return math.pi * wrapped
 
 
-def decay_exponent(t: float, half_time: float) -> float:
+def decay_exponent(t, half_time: float):
     """x = -t ln2 / half_time in the tracked spin length j0 * e^x."""
     return -t * math.log(2.0) / half_time
 
 
-def decay_estimate(
-    j0: float, half_time: float, t: float, fmt: FixedPointFormat | None = None
-) -> float:
-    """Tracked spin length j0 * 2^(-t/half_time) via the rational exponential."""
+def decay_estimate(j0: float, half_time: float, t, fmt: FixedPointFormat | None = None):
+    """Tracked spin length j0 * 2^(-t/half_time) via the rational
+    exponential, elementwise on an array of times t."""
     if half_time <= 0:
         raise ValueError("half_time must be > 0")
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be >= 0")
     x = decay_exponent(t, half_time)
     if fmt is None:

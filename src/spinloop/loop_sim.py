@@ -265,11 +265,12 @@ def shared_columns(
     each kicked-top period).
 
     They depend only on the clock, j0, the decay half-time and the
-    arithmetic format, never on the shot, so an ensemble computes them once.
-    They are lists of Python floats, so the per-sample arithmetic is the
-    same as on scalars.  A tracked length that reaches 0, as a fast
-    fixed-point decay does, raises ValueError here, so the scalar loops and
-    the array kernels refuse it alike."""
+    arithmetic format, never on the shot, so an ensemble computes them once;
+    the tracked lengths are one elementwise ``decay_estimate`` call over the
+    measurement times.  They are lists of Python floats, so the per-sample
+    arithmetic is the same as on scalars.  A tracked length that reaches 0,
+    as a fast fixed-point decay does, raises ValueError here, so the scalar
+    loops and the array kernels refuse it alike."""
     ts = cfg.sample_period
     n, meas_idx = measured_samples(cfg, sched)
     t = [k * ts for k in range(n)]
@@ -278,7 +279,8 @@ def shared_columns(
         return t, [j0] * n, [j0] * len(meas_idx)
     check_word(cfg, sched)
     j_true = [j0 * 2.0 ** (-t_k / half) for t_k in t]
-    j_est = [ctl.decay_estimate(j0, half, t[k], cfg.fixed_point) for k in meas_idx]
+    j_est = ctl.decay_estimate(j0, half, [t[k] for k in meas_idx],
+                               cfg.fixed_point).tolist()
     if min(j_est) <= 0.0:
         i = next(i for i, j in enumerate(j_est) if j <= 0.0)
         raise ValueError(f"loop.decay_half_time ({half:g} s) decays the tracked spin "

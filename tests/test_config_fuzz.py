@@ -6,9 +6,12 @@ numeric keys it reads, and a value for each from an edge set (0, -1, nan,
 +-inf), the extremes 1e-300 and 1e300, and the values the shipped configs
 use.  loop.word_bits and loop.int_bits are drawn only on the fixed-point
 lmg-run and kt-run bases, the ones that read them, besides the other keys,
-so no width draw ends in the fixed-point gate error; they also draw the
-widths 1, 2, 63, 64 and 65, at and past their bounds, and two explicit
-examples give them equal widths (no fraction bits).  It runs
+so no width draw ends in the fixed-point gate error, and the other keys of
+such an example take finite values only, so that most width draws reach
+FixedPointFormat's check.  The widths also draw 1, 2, 63, 64 and 65, at and
+past their bounds, and 32 and 33, on both sides of the int64 raw-word limit
+(FixedPointFormat.dtype); two explicit examples give them equal widths (no
+fraction bits).  It runs
 ``simulate_main`` in process on a small base config (at most 3 shots and 50
 samples; composite-scan's floor is 100 shots) and checks one of two
 outcomes:
@@ -88,9 +91,10 @@ BASE = {
 EDGE = ("0", "-1", "nan", "inf", "-inf")
 NONFINITE = {"nan", "inf", "-inf"}
 EXTREME = ("1e-300", "1e300")
-# fixed-point widths around their bounds 1 <= int_bits < word_bits <= 64
+# fixed-point widths around their bounds 1 <= int_bits < word_bits <= 64,
+# and the widest int64 word and the narrowest one held in Python ints
 WIDTHS = {"loop.word_bits", "loop.int_bits"}
-BITS = ("1", "2", "63", "64", "65")
+BITS = ("1", "2", "32", "33", "63", "64", "65")
 # size-setting key -> the extreme that shrinks the run, if it is a float
 SIZE = {"loop.duration": "1e-300", "loop.sample_period": "1e300",
         "kt.t_linear": "1e-300", "kt.t_gap": "1e-300", "kt.t_kick": "1e-300",
@@ -136,10 +140,19 @@ def runs(draw):
     kind = draw(st.sampled_from(sorted(BASE)))
     keys = sorted(k for k in SCENARIOS[kind][0] if k in NUMERIC and k not in WIDTHS)
     chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    widths = []
     if BASE[kind].get("loop", {}).get("fixed_point") == "true":
         # the widths, read only on the fixed-point bases (config._GATES)
-        chosen += draw(st.lists(st.sampled_from(sorted(WIDTHS)), max_size=2, unique=True))
-    return kind, {name: draw(st.sampled_from(_candidates(kind, name))) for name in chosen}
+        widths = draw(st.lists(st.sampled_from(sorted(WIDTHS)), max_size=2, unique=True))
+    values = {}
+    for name in chosen:
+        candidates = _candidates(kind, name)
+        if widths:
+            # finite co-keys, so that the widths reach FixedPointFormat's check
+            candidates = [v for v in candidates if not set(v.split()) & NONFINITE]
+        values[name] = draw(st.sampled_from(candidates))
+    return kind, values | {name: draw(st.sampled_from(_candidates(kind, name)))
+                           for name in widths}
 
 
 def _ini(kind: str, values: dict) -> str:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spinloop.controller import (
     FixedPointValue,
     bmod2,
     decay_estimate,
+    fxp_fits,
     fxp_quantize,
     kick_angle,
     lmg_control,
@@ -203,10 +205,12 @@ def _o_pade_exp(x):
     return r
 
 
+# 33 bits is the narrowest word held in Python ints (FixedPointFormat.dtype)
 ORACLE_FORMATS = [
     FixedPointFormat(word_bits=16, int_bits=4),
     FixedPointFormat(word_bits=24, int_bits=6),
     FixedPointFormat(word_bits=32, int_bits=4),
+    FixedPointFormat(word_bits=33, int_bits=4),
     FixedPointFormat(word_bits=48, int_bits=8),
     FixedPointFormat(word_bits=64, int_bits=8),
 ]
@@ -215,9 +219,10 @@ ORACLE_XS = [-i / 40.0 for i in range(801)] + [-1e-9, -0.999, -1.001, -2.0, -19.
 
 
 def test_raw_ops_match_oracle():
-    # raw-int helpers against the FixedPointValue-level rules, including
-    # saturation, both signs and exact halves (division ties)
-    from spinloop.controller import _fxp_add, _fxp_div, _fxp_mul
+    # raw-word helpers against the FixedPointValue-level rules, including
+    # saturation, both signs and exact halves (division ties): every pair
+    # alone, then all pairs in one call
+    from spinloop.controller import _fxp_add, _fxp_div, _fxp_mul, _words
 
     for fmt in ORACLE_FORMATS:
         f, lo, hi = fmt.frac_bits, fmt.raw_min, fmt.raw_max
@@ -225,16 +230,21 @@ def test_raw_ops_match_oracle():
         raws = [lo, lo + 1, -3 * one, -one - 1, -one, -5, -1, 0, 1, 3, one // 2,
                 one, one + 1, 5 * one // 2, hi - 1, hi]
         raws = [r for r in raws if lo <= r <= hi]
-        for ra in raws:
-            for rb in raws:
-                a, b = FixedPointValue(ra, fmt), FixedPointValue(rb, fmt)
-                assert _fxp_add(ra, rb, lo, hi) == _o_add(a, b).raw
-                assert _fxp_mul(ra, rb, f, lo, hi) == _o_mul(a, b).raw
-                if rb:
-                    assert _fxp_div(ra, rb, f, lo, hi) == _o_div(a, b).raw
+        pairs = [(ra, rb) for ra in raws for rb in raws]
+        ops = [(_fxp_add, _o_add, pairs), (_fxp_mul, _o_mul, pairs),
+               (_fxp_div, _o_div, [(ra, rb) for ra, rb in pairs if rb])]
+        for op, oracle, cases in ops:
+            want = [oracle(FixedPointValue(ra, fmt), FixedPointValue(rb, fmt)).raw
+                    for ra, rb in cases]
+            for (ra, rb), w in zip(cases, want):
+                assert op(_words(ra, fmt), _words(rb, fmt), fmt).tolist() == [w]
+            got = op(_words([a for a, _ in cases], fmt), _words([b for _, b in cases], fmt), fmt)
+            assert got.dtype == fmt.dtype and got.tolist() == want
         # 1 / (2 * one) lands exactly on a half step and rounds away from 0
-        assert _fxp_div(1, 2 * one, f, lo, hi) == 1
-        assert _fxp_div(-1, 2 * one, f, lo, hi) == -1
+        half = _words(2 * one, fmt)
+        assert _fxp_div(_words([1, -1], fmt), half, fmt).tolist() == [1, -1]
+        with pytest.raises(ZeroDivisionError):
+            _fxp_div(_words([1, 1], fmt), _words([1, 0], fmt), fmt)
 
 
 def _fmt_id(fmt):
@@ -249,24 +259,72 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize("fmt", ORACLE_FORMATS, ids=_fmt_id)
+def test_quantize_matches_oracle(fmt):
+    # saturating in float before the words are formed moves no word: far out
+    # of range, past int64, and around the largest and least words
+    top, step = fmt.raw_max * fmt.step, fmt.step
+    xs = ORACLE_XS + [0.0, -0.0, 1e250, -1e250, 2.0**70, -2.0**70, top, top + step / 2,
+                      top + step, -top - step, -top - 1.5 * step, -top - 2 * step]
+    assert fxp_quantize(np.array(xs), fmt).raw.tolist() == [_o_quantize(x, fmt).raw for x in xs]
+    scaled = [math.floor(x * (1 << fmt.frac_bits) + 0.5) for x in xs]
+    assert fxp_fits(xs, fmt).tolist() == [fmt.raw_min <= r <= fmt.raw_max for r in scaled]
+    # the errors math.floor raises, and no numpy warning besides
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN"):
+            fxp_quantize(np.array([0.5, np.nan]), fmt)
+        with pytest.raises(OverflowError, match="infinity"):
+            fxp_fits([0.5, -np.inf], fmt)
+        with pytest.raises(OverflowError, match="infinity"):
+            fxp_fits(1e308, fmt)  # x * 2^frac_bits overflows
+
+
+@pytest.mark.parametrize("fmt", ORACLE_FORMATS, ids=_fmt_id)
 def test_pade_exp_fixed_point_matches_oracle(fmt):
-    for x in ORACLE_XS:
-        q = _o_quantize(x, fmt)
+    qs = [_o_quantize(x, fmt) for x in ORACLE_XS]
+    for x, q in zip(ORACLE_XS, qs):
         got = _outcome(pade_exp, q)
         want = _outcome(_o_pade_exp, q)
         assert got == want, (x, got, want)
         assert fxp_quantize(x, fmt) == q
+    # the whole set in one call, every halving depth side by side
+    qa = fxp_quantize(np.array(ORACLE_XS), fmt)
+    assert qa.raw.tolist() == [q.raw for q in qs]
+    assert pade_exp(qa).raw.tolist() == [_o_pade_exp(q).raw for q in qs]
+    with pytest.raises(ValueError, match="x <= 0"):
+        pade_exp(FixedPointValue(np.array([-1, 0, 1], dtype=fmt.dtype), fmt))
 
 
 @pytest.mark.parametrize("fmt", ORACLE_FORMATS, ids=_fmt_id)
 def test_decay_estimate_fixed_point_matches_oracle(fmt):
     j0, half = 2.5e5, 2e-3
-    for x in ORACLE_XS:
-        t = -x * half / math.log(2.0)
-        want = _outcome(lambda: j0 * _o_pade_exp(
-            _o_quantize(-t * math.log(2.0) / half, fmt)).value)
+    ts = [-x * half / math.log(2.0) for x in ORACLE_XS]
+    want = [_outcome(lambda: j0 * _o_pade_exp(
+        _o_quantize(-t * math.log(2.0) / half, fmt)).value) for t in ts]
+    for t, w in zip(ts, want):
         got = _outcome(decay_estimate, j0, half, t, fmt)
-        assert got == want, (t, got, want)
+        assert got == w, (t, got, w)
+    got = decay_estimate(j0, half, ts, fmt)
+    assert got.dtype == float and got.tolist() == want
+    with pytest.raises(ValueError, match="^t must"):
+        decay_estimate(j0, half, [0.0, -1e-9], fmt)
+    with pytest.raises(ValueError, match="half_time"):
+        decay_estimate(j0, 0.0, ts, fmt)
+
+
+@pytest.mark.parametrize("fmt", ORACLE_FORMATS, ids=_fmt_id)
+def test_kick_angle_fixed_point_matches_wrap(fmt):
+    # every element of one call is the wrap of its own quantised k * m / pi:
+    # negative k, |m| > 1 clamped to 1, and each k alike
+    rng = np.random.default_rng(3)
+    ms = np.array([1.5, -1.5, 1.0, -1.0, 0.0, *rng.uniform(-1.3, 1.3, 30)])
+    for k in (-7.0, -2.7, 2.7, np.linspace(-7.0, 7.0, len(ms))):
+        ks = np.broadcast_to(k, ms.shape)
+        want = [math.pi * bmod2(_o_quantize(kv * max(-1.0, min(1.0, m)) / math.pi, fmt)).value
+                for m, kv in zip(ms.tolist(), ks.tolist())]
+        assert kick_angle(ms, k, fmt).tolist() == want
+    with pytest.raises(ValueError, match="NaN"):
+        kick_angle(np.array([0.5, np.nan]), 2.7, fmt)
 
 
 def test_lmg_control_clamp_and_cap():
