@@ -43,6 +43,8 @@ raised before any output directory is created:
   ``analysis.FTC_MIN_POINTS`` (16) points.
 - In noise-budget, sweep.n1 needs at least ``measurement.MIN_FIT_POINTS``
   (3) distinct points, one per fitted term.
+- In every closed loop the decay exponent -t ln2 / loop.decay_half_time at
+  the last measurement is finite.
 - With loop.fixed_point = true no controller input saturates the word
   (loop.word_bits, loop.int_bits): in kt-run and ftc-sweep |kt.k|/pi, the
   largest kick-angle argument, fits in it, and in every closed loop so does
@@ -458,7 +460,7 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
                 raise ConfigError(
                     f"{path}: kt.n_steps: must be >= {FTC_MIN_POINTS - 1} for scenario ftc-sweep"
                 )
-    try:  # the schedule fits the clock; no fixed-point controller input saturates
+    try:  # the schedule fits the clock; every controller input is finite and fits
         if sched is not None:
             _kt_layout(loop, sched)
         check_word(loop, sched, [kt.k] if sched is not None else ())

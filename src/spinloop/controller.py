@@ -142,10 +142,12 @@ def _quantize_raw(x, fmt: FixedPointFormat) -> np.ndarray:
 
 def fxp_fits(x, fmt: FixedPointFormat):
     """Whether x rounds to a raw word inside fmt's range, so that
-    fxp_quantize does not saturate it; elementwise."""
-    y = _round_raw(x, fmt.frac_bits)
+    fxp_quantize does not saturate it; elementwise.  An x whose scaled
+    value x * 2^frac_bits is not finite does not fit."""
+    with np.errstate(over="ignore"):
+        y = np.floor(np.multiply(x, 2.0**fmt.frac_bits) + 0.5)
     edge = -float(fmt.raw_min)  # raw_max + 1, exact
-    return _shaped((y >= -edge) & (y < edge), np.shape(x))
+    return (y >= -edge) & (y < edge)
 
 
 def fxp_quantize(x, fmt: FixedPointFormat = DEFAULT_FXP) -> FixedPointValue:
@@ -185,8 +187,9 @@ def pade_exp(x):
         return _pade_exp_fxp(x)
     shape = np.shape(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x > 0):
-        raise ValueError("pade_exp is defined for x <= 0")
+    # halving -inf would never reach [-1, 0]
+    if np.any(x > 0) or not np.isfinite(x).all():
+        raise ValueError("pade_exp is defined for finite x <= 0")
     x, halvings = _halved(x, lambda v: v < -1.0, lambda v: v * 0.5)
     num = den = np.zeros_like(x)
     for c in reversed(_PADE_NUM):

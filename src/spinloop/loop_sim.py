@@ -14,26 +14,33 @@ spin length and the tracked spin length depend only on time, so
 
 The same clock lets an ensemble run as one array computation:
 ``_run_lmg_columns`` and ``_run_kt_columns`` step every shot (column) of a
-batch together, with the state held as arrays of one entry per column, and
-equal ``run_lmg_loop`` and ``run_kt_loop`` on each shot bit for bit.  The
-two scalar loops stay the one-shot path and the oracles the kernels are
-tested against.
+batch together, with the state held as arrays of one entry per column.  The
+kicked top has this engine only: ``run_kt_loop`` is ``_run_kt_columns`` on
+one column.  The LMG loop keeps the scalar ``run_lmg_loop`` for batches
+below ARRAY_MIN_SHOTS, where its kernel costs several times more, and the
+kernel equals it on each shot bit for bit.
 
 Both kernels rotate by ``_rotate`` with the coefficients of ``_rotation``,
 which the kicked-top kernel computes once per segment rate, not per sample.
+A rotation whose angle |omega| t is not finite, as from a rate whose square
+overflows, raises ValueError(ROTATION_NOT_FINITE) on every path: ``_hold``
+checks its angle, and each kernel runs with numpy's overflow and invalid
+errors raised (``_finite_rotations``) and turns them into that error.
 
 What is not per-sample physics is written once: ``_column_start`` makes
-a kernel's draws in the scalar stream order, ``_column_records`` builds its
-records, ``_hold_run`` and ``_rotate_run`` record a held rate,
+a kernel's draws in a one-shot loop's stream order, ``_column_records``
+builds its records, ``_rotate_run`` records a held rate,
 ``_kt_layout`` puts a kicked-top schedule on the sample clock,
 ``measured_samples`` names the samples the controller measures, and
-``check_word`` refuses a fixed-point controller input that would saturate.
+``check_word`` refuses a controller input that is not finite or would
+saturate the fixed-point word.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -143,14 +150,22 @@ def latency_metric(alpha_lin: float, latency: float) -> float:
     return alpha_lin * latency
 
 
+# the error of a rotation whose angle is not finite, on every path
+ROTATION_NOT_FINITE = "a rotation rate is too large: the plant's angle |omega| t is not finite"
+
+
 def _hold(x, y, z, wx, wz, t):
-    """Exact flow of dv/dt = omega x v for time t, omega = (wx, 0, wz)."""
+    """Exact flow of dv/dt = omega x v for time t, omega = (wx, 0, wz);
+    ValueError(ROTATION_NOT_FINITE) if the angle |omega| t is not finite."""
     # not math.hypot: np.hypot rounds differently, and _rotation must
     # match this bit for bit
     w = math.sqrt(wx * wx + wz * wz)
     if w == 0.0:
         return x, y, z
-    return rodrigues(x, y, z, wx / w, 0.0, wz / w, -w * t)
+    angle = -w * t
+    if not math.isfinite(angle):
+        raise ValueError(ROTATION_NOT_FINITE)
+    return rodrigues(x, y, z, wx / w, 0.0, wz / w, angle)
 
 
 def _shot_start(cfg: LoopConfig, model: MeasurementModel, rng):
@@ -180,12 +195,13 @@ def _initial_vector(cfg: LoopConfig, model: MeasurementModel, rng) -> SpinVector
 
 
 def _column_start(cfg: LoopConfig, model: MeasurementModel, rngs, n_meas: int):
-    """The per-shot draws of an array kernel, column c from rngs[c] in the
-    scalar loop's stream order: ``_shot_start``, then one photon shot-noise
-    normal for each of the n_meas measurements.  Returns the detuning,
-    amplitude factor and QPN offset, one entry per column, the initial state
-    as the rows (z, x, y, z, x) of ``_rotate``, and the scaled noise as an
-    (n_meas, columns) array, so each measurement reads one row."""
+    """The per-shot draws of an array kernel, column c from rngs[c] in a
+    one-shot loop's stream order: ``_shot_start``, then one photon shot-noise
+    normal for each of the n_meas measurements, as ``measure`` draws it.
+    Returns the detuning, amplitude factor and QPN offset, one entry per
+    column, the initial state as the rows (z, x, y, z, x) of ``_rotate``,
+    and the scaled noise as an (n_meas, columns) array, so each measurement
+    reads one row."""
     eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     starts = []
     noise = np.empty((n_meas, len(rngs)))
@@ -289,10 +305,19 @@ def shared_columns(
 
 
 def check_word(cfg: LoopConfig, sched: QktSchedule | None = None, ks=()) -> None:
-    """Raise ValueError when a controller input, quantised as the controller
-    does it, saturates the fixed-point word cfg.fixed_point: the kick-angle
-    argument |k|/pi of each k in ks, or the decay exponent at the last
-    measurement of the clock (cfg, sched).  ``config`` reports the text."""
+    """Raise ValueError when a controller input cannot be computed: the
+    decay exponent at the last measurement of the clock (cfg, sched) when it
+    is not finite, or, quantised as the controller does it, when it or the
+    kick-angle argument |k|/pi of a k in ks saturates the fixed-point word
+    cfg.fixed_point.  ``config`` reports the text."""
+    half = cfg.decay_half_time
+    if half is not None:
+        t = measured_samples(cfg, sched)[1][-1] * cfg.sample_period
+        x = ctl.decay_exponent(t, half)
+        if not math.isfinite(x):
+            raise ValueError(f"loop.decay_half_time ({half:g} s): the decay exponent "
+                             f"-t ln2 / decay_half_time is {x:g} at the last measurement "
+                             f"(t = {t:g} s)")
     fmt = cfg.fixed_point
     if fmt is None:
         return
@@ -302,15 +327,11 @@ def check_word(cfg: LoopConfig, sched: QktSchedule | None = None, ks=()) -> None
         if not ctl.fxp_fits(abs(k) / math.pi, fmt):
             raise ValueError(f"kt.k: |k|/pi ({abs(k) / math.pi:g}) saturates {word}, "
                              f"whose largest value is {fmt.raw_max * fmt.step:g}")
-    half = cfg.decay_half_time
-    if half is not None:
-        t = measured_samples(cfg, sched)[1][-1] * cfg.sample_period
-        x = ctl.decay_exponent(t, half)
-        if not ctl.fxp_fits(x, fmt):
-            raise ValueError(
-                f"loop.decay_half_time: the decay exponent -t ln2 / decay_half_time "
-                f"reaches {x:g} at the last measurement (t = {t:g} s) and saturates {word}, "
-                f"whose least value is {fmt.raw_min * fmt.step:g}")
+    if half is not None and not ctl.fxp_fits(x, fmt):
+        raise ValueError(
+            f"loop.decay_half_time: the decay exponent -t ln2 / decay_half_time "
+            f"reaches {x:g} at the last measurement (t = {t:g} s) and saturates {word}, "
+            f"whose least value is {fmt.raw_min * fmt.step:g}")
 
 
 def run_lmg_loop(
@@ -379,6 +400,20 @@ def _lmg_meta(p: LmgParams, x, y, z) -> dict:
             "params": {"s": p.s, "lambda": p.lambda_}}
 
 
+@contextmanager
+def _finite_rotations():
+    """Run an array kernel, as a decorator, with numpy's overflow and
+    invalid errors raised as ``_hold``'s ValueError.  A rate whose square
+    overflows, or an angle |omega| t that does, sets them in ``_rotation``
+    where ``_hold`` finds its angle not finite; finite rates set neither, so
+    their bits do not change.  It is one errstate per batch, not per sample."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(ROTATION_NOT_FINITE) from None
+
+
 def _rotation(wx, wz, t):
     """``_hold``'s coefficients for one rate omega = (wx, 0, wz) per column,
     held for time t: the unit axis as the rows (az, ax, 0, az, ax), cos, sin
@@ -426,6 +461,7 @@ def _rotate(state, rot):
     return out
 
 
+@_finite_rotations()
 def _run_lmg_columns(
     cfg: LoopConfig,
     params: Sequence[LmgParams],
@@ -480,19 +516,10 @@ def _run_lmg_columns(
                             for c, p in enumerate(params)])
 
 
-def _hold_run(xs, ys, zs, k: int, m: int, x, y, z, wx, wz, dt):
-    """Record the state in samples k .. k+m-1 of xs, ys, zs while holding
-    one rate, advancing by one exact rotation ``_hold`` of dt per sample;
-    returns the state after the run."""
-    for i in range(k, k + m):
-        xs[i], ys[i], zs[i] = x, y, z
-        x, y, z = _hold(x, y, z, wx, wz, dt)
-    return x, y, z
-
-
 def _rotate_run(rec, k: int, m: int, state, rot):
-    """``_hold_run`` for the columns of state (``_rotate``), recorded in
-    samples k .. k+m-1 of the (3, samples, columns) array rec."""
+    """Record the columns of state in samples k .. k+m-1 of the (3, samples,
+    columns) array rec while holding one rate, advancing by one ``_rotate``
+    by rot per sample; returns the state after the run."""
     for i in range(k, k + m):
         rec[:, i] = state[1:4]
         state = _rotate(state, rot)
@@ -525,52 +552,14 @@ def run_kt_loop(
     'strob_gap_idx' (measurement samples) and 'strob_period_idx' (period
     boundaries, comparable to the iterated map).  cols is
     ``shared_columns(cfg, model.j_collective, sched)``, with one tracked
-    spin length per period; it is computed here when not given."""
-    n_lin, n_gap, n_kick, n = _kt_layout(cfg, sched)
-    n_per = n_lin + n_gap + n_kick
-
-    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
-    check_word(cfg, sched, [p.k])
-    t, j_true, j_est = cols or shared_columns(cfg, model.j_collective, sched)
-
-    detuning, amp, (x, y, z), qpn_offset = _shot_start(cfg, model, rng)
-
-    # the map's linear rotation corresponds to a drive of -alpha about the
-    # x axis in flow form, and the kick to +psi about z
-    w_lin = -amp * p.alpha / sched.t_linear
-
-    ts = cfg.sample_period
-    xs, ys, zs = (np.empty(n) for _ in range(3))
-    meas = np.full(n, math.nan)
-    ctl_z = np.zeros(n)
-    ctl_x = np.zeros(n)
-    j_col = np.full(n, math.nan)
-
-    for step, lin in enumerate(range(0, n - 1, n_per)):
-        gap, kick = lin + n_lin, lin + n_lin + n_gap
-        x, y, z = _hold_run(xs, ys, zs, lin, n_lin, x, y, z, w_lin, detuning, ts)
-        # measurement in the gap; the kick value is ready because the
-        # transport delay is no longer than the gap
-        value = measure(
-            max(-1.0, min(1.0, z)), j_true[gap], eff_model, ts, rng,
-            qpn_offset=qpn_offset,
-        )
-        angle = float(ctl.kick_angle(value / j_est[step], p.k, cfg.fixed_point))
-        kick_rate = amp * angle / sched.t_kick
-        x, y, z = _hold_run(xs, ys, zs, gap, n_gap, x, y, z, 0.0, detuning, ts)
-        x, y, z = _hold_run(xs, ys, zs, kick, n_kick, x, y, z,
-                            0.0, kick_rate + detuning, ts)
-        ctl_x[lin:gap] = w_lin
-        meas[gap] = value
-        j_col[gap:kick] = j_est[step]
-        ctl_z[kick:kick + n_kick] = kick_rate
-    xs[n - 1], ys[n - 1], zs[n - 1] = x, y, z
-
-    return TrajectoryRecord(np.array(t), xs, ys, zs, np.array(j_true),
-                            meas, ctl_z, ctl_x, j_col,
-                            _kt_meta(p, sched, n_lin, n_per, n, x, y, z))
+    spin length per period; it is computed here when not given.  This is
+    ``_run_kt_columns`` on one column, so a shot's record does not depend on
+    the batch it runs in."""
+    return _run_kt_columns(cfg, sched, [p], model, [rng],
+                           cols or shared_columns(cfg, model.j_collective, sched))[0]
 
 
+@_finite_rotations()
 def _run_kt_columns(
     cfg: LoopConfig,
     sched: QktSchedule,
@@ -579,7 +568,8 @@ def _run_kt_columns(
     rngs: Sequence[np.random.Generator],
     cols: SharedColumns,
 ) -> list[TrajectoryRecord]:
-    """``run_kt_loop`` for many shots at once, equal to it bit for bit.
+    """The kicked-top engine: ``run_kt_loop`` for each of many shots at
+    once, column c equal to its one-column run bit for bit.
 
     Column c runs params[c] on rngs[c], with one shot-noise normal per
     period for the gap measurement (``_column_start``).  Each sample is one
@@ -596,6 +586,8 @@ def _run_kt_columns(
     m = len(rngs)
     detuning, amp, state, qpn_offset, m_sn = _column_start(cfg, model, rngs, sched.n_steps)
     ks = np.array([p.k for p in params])
+    # the map's linear rotation corresponds to a drive of -alpha about the
+    # x axis in flow form, and the kick to +psi about z
     w_lin = -amp * np.array([p.alpha for p in params]) / sched.t_linear
     lin_rot = _rotation(w_lin, detuning, ts)
     gap_rot = _rotation(0.0, detuning, ts)
@@ -609,6 +601,8 @@ def _run_kt_columns(
     for step, lin in enumerate(range(0, n - 1, n_per)):
         gap, kick = lin + n_lin, lin + n_lin + n_gap
         state = _rotate_run(rec, lin, n_lin, state, lin_rot)
+        # the measurement in the gap; the kick angle is ready because
+        # the transport delay is no longer than the gap
         value = (j_true[gap] * np.minimum(np.maximum(state[3], -1.0), 1.0)
                  + qpn_offset + m_sn[step])
         angle = ctl.kick_angle(value / j_est[step], ks, cfg.fixed_point)
@@ -639,7 +633,7 @@ def point_seed(master_seed: int, i: int) -> int:
     return master_seed + 1000 * i
 
 
-# Fewest shots for which run_batch takes the array kernel.  Below it the
+# Fewest shots for which run_batch takes the LMG array kernel.  Below it the
 # kernel's fixed numpy cost per sample outweighs the per-shot Python loop it
 # replaces.  At 750 samples the two break even at about 10 shots on a 2-core
 # Xeon (best of 7, array against scalar: 1 shot 25-38 ms, 2.4-4.3 ms;
@@ -647,13 +641,6 @@ def point_seed(master_seed: int, i: int) -> int:
 # 40-44 ms, 70-71 ms), so this threshold sits a little low; it moves only
 # with a benchmark that measures both paths.
 ARRAY_MIN_SHOTS = 8
-# The same for the kicked top.  Its scalar loop does one rotation per sample
-# and one measurement per period; the kernel's rotation coefficients are
-# computed once per segment rate, which leaves about a dozen numpy operations
-# per sample.  At 601 samples the two break even at about 8-10 shots (best
-# of 7, array against scalar: 1 shot 7-12 ms, 0.8-1.3 ms; 8 shots 7-8 ms,
-# 6.5-7.4 ms; 10 shots 7-11 ms, 9-12 ms; 16 shots 7-12 ms, 13-19 ms).
-KT_ARRAY_MIN_SHOTS = 10
 
 
 def run_batch(
@@ -671,11 +658,10 @@ def run_batch(
     n_shots shots evenly: point i then runs n_shots / len(params) shots on
     shot_rng(point_seed(master_seed, i), j), and the records come back
     point by point.  The shot-independent columns (``shared_columns``) are
-    computed once.  An LMG batch of at least ARRAY_MIN_SHOTS shots, sweep
-    points included, is one array computation (``_run_lmg_columns``), and
-    so is a kicked-top batch of at least KT_ARRAY_MIN_SHOTS
-    (``_run_kt_columns``); a smaller one runs ``run_lmg_loop`` or
-    ``run_kt_loop`` per shot."""
+    computed once.  A kicked-top batch is one array computation
+    (``_run_kt_columns``), and so is an LMG batch of at least
+    ARRAY_MIN_SHOTS shots, sweep points included (``_run_lmg_columns``); a
+    smaller LMG batch runs ``run_lmg_loop`` per shot."""
     points = params if isinstance(params, (list, tuple)) else [params]
     per, extra = divmod(n_shots, len(points))
     if per < 1 or extra:
@@ -686,12 +672,9 @@ def run_batch(
     cols = shared_columns(cfg, model.j_collective, sched)
     work = [(p, shot_rng(point_seed(master_seed, i), j))
             for i, p in enumerate(points) for j in range(per)]
-    if sched is not None:
-        if n_shots < KT_ARRAY_MIN_SHOTS:
-            return [run_kt_loop(cfg, sched, p, model, rng, cols) for p, rng in work]
-        ps, rngs = zip(*work)
-        return _run_kt_columns(cfg, sched, ps, model, rngs, cols)
-    if n_shots < ARRAY_MIN_SHOTS:
+    if sched is None and n_shots < ARRAY_MIN_SHOTS:
         return [run_lmg_loop(cfg, p, model, rng, cols) for p, rng in work]
     ps, rngs = zip(*work)
+    if sched is not None:
+        return _run_kt_columns(cfg, sched, ps, model, rngs, cols)
     return _run_lmg_columns(cfg, ps, model, rngs, cols)

@@ -33,7 +33,7 @@ from spinloop.config import (
 from spinloop.controller import FixedPointFormat, QktSchedule, decay_estimate
 from spinloop.loop_sim import (
     ARRAY_MIN_SHOTS,
-    KT_ARRAY_MIN_SHOTS,
+    ROTATION_NOT_FINITE,
     LoopConfig,
     TrajectoryRecord,
     point_seed,
@@ -189,7 +189,7 @@ FTC_SWEEP = (
 
 def test_ftc_sweep_stacks_points(tmp_path):
     # the 18 shots run as one array batch; shot j of point i must be the
-    # lone loop on shot_rng(point_seed(seed, i), j), and both tables the
+    # lone run on shot_rng(point_seed(seed, i), j), and both tables the
     # per-point computation
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(FTC_SWEEP)
@@ -197,7 +197,6 @@ def test_ftc_sweep_stacks_points(tmp_path):
     assert simulate_main(["ftc-sweep", "--config", str(cfgp), "--out", str(out)]) == 0
     cfg = parse_config(cfgp)
     points = [KtParams(alpha=a, k=2.7) for a in cfg.sweep["alpha"]]
-    assert 18 >= KT_ARRAY_MIN_SHOTS
     stacked = run_batch(cfg.loop, points, cfg.measurement, 18, 11, sched=cfg.kt_schedule)
     data = {}
     for i, p in enumerate(points):
@@ -224,10 +223,10 @@ def test_ftc_sweep_stacks_points(tmp_path):
     assert (out / "rigidity.json").read_bytes() == want.read_bytes()
 
 
-def _refuses_zero_tracked_length(tmp_path, capsys, text, params, meas_idx, min_shots):
+def _refuses_zero_tracked_length(tmp_path, capsys, text, params, meas_idx, shots):
     # a fast fixed-point decay rounds the tracked spin length to 0 after a
-    # few measurements: shared_columns refuses it, naming the time, so the
-    # scalar loop and the array kernel fail alike, and simulate reports one
+    # few measurements: shared_columns refuses it, naming the time, so a
+    # batch of any size fails alike, and simulate reports one
     # runtime error with no numpy warning and no output directory.  The
     # (32, 8) word holds the decay exponent of the whole run, so the config
     # is not refused as saturating it.
@@ -240,7 +239,7 @@ def _refuses_zero_tracked_length(tmp_path, capsys, text, params, meas_idx, min_s
     assert t0 > 0.0
     message = ("loop.decay_half_time (5e-06 s) decays the tracked spin length "
                f"to 0.0 by t = {t0:g} s")
-    for n in (min_shots - 1, min_shots):
+    for n in shots:
         with pytest.raises(ValueError) as err:
             run_batch(cfg.loop, params, cfg.measurement, n, 11, sched=cfg.kt_schedule)
         assert str(err.value) == message
@@ -258,7 +257,7 @@ def test_ftc_sweep_reports_zero_tracked_length(tmp_path, capsys):
             .replace("word_bits = 24\nint_bits = 6", "word_bits = 32\nint_bits = 8"))
     # the gap sample of each 24-sample period: 20 linear, 3 gap, 1 kick
     _refuses_zero_tracked_length(tmp_path, capsys, text, KtParams(alpha=3.0, k=2.7),
-                                 range(20, 16 * 24, 24), KT_ARRAY_MIN_SHOTS)
+                                 range(20, 16 * 24, 24), (1, 10))
 
 
 @pytest.mark.filterwarnings("error")
@@ -269,7 +268,37 @@ def test_dpt_sweep_reports_zero_tracked_length(tmp_path, capsys):
             "[sweep]\ns = 0.6 0.7\n")
     # the LMG loop measures at every one of its 200 samples
     _refuses_zero_tracked_length(tmp_path, capsys, text, LmgParams(s=0.7, lambda_=1.3e5),
-                                 range(200), ARRAY_MIN_SHOTS)
+                                 range(200), (ARRAY_MIN_SHOTS - 1, ARRAY_MIN_SHOTS))
+
+
+# a drive rate whose square overflows: the LMG linear drive (1 - s) lambda,
+# and the kicked top's alpha / t_linear
+OVERFLOWING_RATE = {
+    "lmg-run": "[lmg]\ns = 0.7\nlambda = 1e300\n",
+    "ssb-ensemble": "[lmg]\ns = 0.7\nlambda = 1e300\n",
+    "dpt-sweep": "[lmg]\nlambda = 1e300\n\n[sweep]\ns = 0.7\n",
+    "kt-run": "[kt]\nalpha = 1e300\nk = 2.5\nn_steps = 2\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario", sorted(OVERFLOWING_RATE))
+def test_overflowing_rate_fails_alike(tmp_path, capsys, scenario):
+    # the scalar LMG loop (_hold) and both array kernels raise one error at
+    # the first rotation, with no numpy warning: one shot and ARRAY_MIN_SHOTS
+    # shots give the same runtime error line and leave no output directory
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(f"[run]\nkind = {scenario}\n\n[loop]\nduration = 1e-4\n\n"
+                    + OVERFLOWING_RATE[scenario])
+    errs = []
+    for n in (1, ARRAY_MIN_SHOTS):
+        out = tmp_path / f"o{n}"
+        assert simulate_main([scenario, "--config", str(cfgp), "--out", str(out),
+                              "--shots", str(n)]) == 1
+        errs.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errs[0] == errs[1] and errs[0].count("\n") == 1
+    assert json.loads(errs[0]) == {"error": "runtime", "message": ROTATION_NOT_FINITE}
 
 
 def test_missing_required_section(tmp_path):
@@ -413,8 +442,7 @@ def test_emit_trajectories_matches_per_row_format(tmp_path, monkeypatch, case, c
         assert recs[0].t is not recs[1].t
     elif case == "kt-array":
         sched = QktSchedule(40e-6, 6e-6, 2e-6, 4)
-        recs = run_batch(kt_cfg, KtParams(alpha=2.9, k=2.7), model,
-                         KT_ARRAY_MIN_SHOTS, 4, sched=sched)
+        recs = run_batch(kt_cfg, KtParams(alpha=2.9, k=2.7), model, 10, 4, sched=sched)
         assert np.isnan(recs[0].meas).any()
     elif case == "quantum":
         recs = _quantum_records(tmp_path, monkeypatch)
@@ -878,6 +906,16 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
     # the noise-budget fit has three terms, so it needs three distinct points
     *[("noise-budget", f"[sweep]\nn1 = {n1}\n", ["--shots", "2"], "sweep.n1")
       for n1 in ("1e4 1e5", "1e4 1e5 1e4")],
+    # |k|/pi * 2^52 overflows the float before the range test
+    ("kt-run", "[kt]\nk = 1e300\n\n[loop]\nfixed_point = true\nword_bits = 64\n"
+     "int_bits = 12\n", [], "kt.k: |k|/pi (3.1831e+299) saturates the fixed-point word "
+     "(loop.word_bits = 64, loop.int_bits = 12)"),
+    # a decay exponent of -inf, which the rational exponential would halve
+    # forever, in float and in fixed point
+    *[("lmg-run", f"[lmg]\ns = 0.7\n\n[loop]\ndecay_half_time = 5e-324\n{fxp}", [],
+       "loop.decay_half_time (4.94066e-324 s): the decay exponent -t ln2 / "
+       "decay_half_time is -inf at the last measurement (t = 0.001498 s)")
+      for fxp in ("", "fixed_point = true\n")],
 ])
 
 

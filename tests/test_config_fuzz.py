@@ -230,5 +230,9 @@ def _check(kind: str, values: dict) -> None:
 @given(runs())
 @example(("lmg-run", {"loop.word_bits": "64", "loop.int_bits": "64"}))
 @example(("kt-run", {"loop.word_bits": "2", "loop.int_bits": "2"}))
+# a drive rate whose square overflows, run by the array kernels: every
+# kicked-top batch, and a dpt-sweep of 2 x 4 shots
+@example(("kt-run", {"kt.alpha": "1e300"}))
+@example(("dpt-sweep", {"lmg.lambda": "1e300", "run.n_shots": "4"}))
 def test_config_values_run_or_fail_cleanly(case):
     _check(*case)

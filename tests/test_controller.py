@@ -76,6 +76,12 @@ def test_pade_exp_range_reduction():
         assert pade_exp(x) == pytest.approx(math.exp(x), rel=1e-8)
     with pytest.raises(ValueError):
         pade_exp(0.5)
+    # halving would never bring -inf into [-1, 0]
+    for x in (-math.inf, [-1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite x <= 0"):
+            pade_exp(x)
+    with pytest.raises(ValueError, match="finite x <= 0"):
+        decay_estimate(1.0, 1e-3, math.inf)
 
 
 def test_pade_exp_fixed_point_close_to_float():
@@ -268,15 +274,15 @@ def test_quantize_matches_oracle(fmt):
     assert fxp_quantize(np.array(xs), fmt).raw.tolist() == [_o_quantize(x, fmt).raw for x in xs]
     scaled = [math.floor(x * (1 << fmt.frac_bits) + 0.5) for x in xs]
     assert fxp_fits(xs, fmt).tolist() == [fmt.raw_min <= r <= fmt.raw_max for r in scaled]
-    # the errors math.floor raises, and no numpy warning besides
+    # the error math.floor raises, and no numpy warning besides; a value
+    # whose x * 2^frac_bits is not finite does not fit
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="NaN"):
             fxp_quantize(np.array([0.5, np.nan]), fmt)
-        with pytest.raises(OverflowError, match="infinity"):
-            fxp_fits([0.5, -np.inf], fmt)
-        with pytest.raises(OverflowError, match="infinity"):
-            fxp_fits(1e308, fmt)  # x * 2^frac_bits overflows
+        assert fxp_fits([0.5, -np.inf, np.inf, np.nan], fmt).tolist() == [
+            True, False, False, False]
+        assert not fxp_fits(1e308, fmt)  # x * 2^frac_bits overflows
 
 
 @pytest.mark.parametrize("fmt", ORACLE_FORMATS, ids=_fmt_id)

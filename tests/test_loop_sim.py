@@ -9,13 +9,14 @@ from spinloop.controller import (
     DEFAULT_FXP,
     FixedPointFormat,
     decay_estimate,
+    kick_angle,
     lmg_control,
     qkt_schedule,
 )
 from spinloop.loop_sim import (
     ARRAY_MIN_SHOTS,
-    KT_ARRAY_MIN_SHOTS,
     LoopConfig,
+    TrajectoryRecord,
     _run_kt_columns,
     _run_lmg_columns,
     latency_metric,
@@ -25,7 +26,7 @@ from spinloop.loop_sim import (
     shared_columns,
     shot_rng,
 )
-from spinloop.measurement import MeasurementModel
+from spinloop.measurement import MeasurementModel, measure
 from spinloop.models import KtParams, LmgParams, kt_step, lmg_energy
 from spinloop.spin_core import (
     RotationNoise,
@@ -198,18 +199,18 @@ def test_kt_loop_rejects_excess_latency():
     with pytest.raises(ValueError):
         run_kt_loop(cfg, sched, p, MODEL, np.random.default_rng(0))
     # the batch paths, through the layout shared_columns checks
-    for n in (1, KT_ARRAY_MIN_SHOTS):
+    for n in (1, 10):
         with pytest.raises(ValueError, match="measurement gap"):
             run_batch(cfg, p, MODEL, n, master_seed=0, sched=sched)
 
 
 def _refuses_layout(cfg, sched, match):
-    """run_kt_loop, and run_batch on both sides of KT_ARRAY_MIN_SHOTS, raise
-    ValueError matching match."""
+    """run_kt_loop, and run_batch of one shot and of ten, raise ValueError
+    matching match."""
     p = KtParams(math.pi / 2, 1.0)
     with pytest.raises(ValueError, match=match):
         run_kt_loop(cfg, sched, p, MODEL, np.random.default_rng(0))
-    for n in (1, KT_ARRAY_MIN_SHOTS):
+    for n in (1, 10):
         with pytest.raises(ValueError, match=match):
             run_batch(cfg, p, MODEL, n, master_seed=0, sched=sched)
 
@@ -292,6 +293,50 @@ KT_BATCH_CASES = (
 )
 
 
+def _kt_reference(cfg, sched, p, model, rng):
+    """One kicked-top shot on Python floats, the reference the kernel is
+    checked against: ``_shot_start``'s draws, then per period one ``_hold``
+    of each sample's segment rate, ``measure`` on the gap sample, and
+    ``kick_angle`` on that one value."""
+    n_lin, n_gap, n_kick, n = loop_sim._kt_layout(cfg, sched)
+    n_per = n_lin + n_gap + n_kick
+    t, j_true, j_est = shared_columns(cfg, model.j_collective, sched)
+    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
+    detuning, amp, v, qpn_offset = loop_sim._shot_start(cfg, model, rng)
+    ts = cfg.sample_period
+    w_lin = -amp * p.alpha / sched.t_linear
+    xyz = np.empty((n, 3))
+    meas, j_col = np.full(n, math.nan), np.full(n, math.nan)
+    ctl_z, ctl_x = np.zeros(n), np.zeros(n)
+
+    def hold(k, m, wx, wz):
+        nonlocal v
+        for i in range(k, k + m):
+            xyz[i] = v
+            v = loop_sim._hold(*v, wx, wz, ts)
+
+    for step, lin in enumerate(range(0, n - 1, n_per)):
+        gap, kick = lin + n_lin, lin + n_lin + n_gap
+        hold(lin, n_lin, w_lin, detuning)
+        value = measure(max(-1.0, min(1.0, v[2])), j_true[gap], eff_model, ts, rng,
+                        qpn_offset=qpn_offset)
+        angle = float(kick_angle(value / j_est[step], p.k, cfg.fixed_point))
+        kick_rate = amp * angle / sched.t_kick
+        hold(gap, n_gap, 0.0, detuning)
+        hold(kick, n_kick, 0.0, kick_rate + detuning)
+        ctl_x[lin:gap] = w_lin
+        meas[gap] = value
+        j_col[gap:kick] = j_est[step]
+        ctl_z[kick:kick + n_kick] = kick_rate
+    xyz[n - 1] = v
+    meta = {"final_state": v, "model": "kt",
+            "params": {"alpha": p.alpha, "k": p.k, "tau": sched.period},
+            "strob_gap_idx": list(range(n_lin, n - 1, n_per)),
+            "strob_period_idx": list(range(n_per, n, n_per))}
+    return TrajectoryRecord(np.array(t), *xyz.T, np.array(j_true), meas, ctl_z, ctl_x,
+                            j_col, meta)
+
+
 def _same_record(a, b):
     # bytes also tell -0.0 from 0.0, which array_equal does not
     return (a.column_stack().tobytes() == b.column_stack().tobytes()
@@ -330,7 +375,7 @@ def test_batch_starts_no_process_pool(monkeypatch):
     for cfg, model in KT_BATCH_CASES:
         recs = run_batch(cfg, KT25, model, 2, master_seed=5, sched=KT_SCHED)
         for i, rec in enumerate(recs):
-            assert _same_record(rec, run_kt_loop(cfg, KT_SCHED, KT25, model, shot_rng(5, i)))
+            assert _same_record(rec, _kt_reference(cfg, KT_SCHED, KT25, model, shot_rng(5, i)))
 
 
 KERNEL_NOISE = RotationNoise(static_detuning_sigma=300.0, amplitude_error_sigma=0.01)
@@ -373,14 +418,14 @@ def test_kt_array_kernel_matches_scalar_loop(latency, word_bits, noise):
     model = replace(MODEL, sn_coeff=0.2)
     cols = shared_columns(cfg, model.j_collective, KT_SCHED)
     # k = 0 makes the kick rate exactly zero; k = +-20 wraps several times
-    for n in (1, KT_ARRAY_MIN_SHOTS - 1, KT_ARRAY_MIN_SHOTS + 1):
+    for n in (1, 9, 11):
         params = [KtParams(alpha=(1.0, math.pi / 2.0)[c // 4 % 2],
                            k=(0.0, 2.7, 20.0, -20.0)[c % 4])
                   for c in range(n)]
         recs = _run_kt_columns(cfg, KT_SCHED, params, model,
                                [shot_rng(3, c) for c in range(n)], cols)
         for c, (p, rec) in enumerate(zip(params, recs)):
-            assert _same_record(rec, run_kt_loop(cfg, KT_SCHED, p, model, shot_rng(3, c)))
+            assert _same_record(rec, _kt_reference(cfg, KT_SCHED, p, model, shot_rng(3, c)))
     if noise is None:
         # the kick sample of the first period, and the period boundary after it
         still, moved = recs[0], recs[1]
@@ -393,11 +438,11 @@ def test_kt_array_kernel_matches_scalar_loop(latency, word_bits, noise):
 
 def test_library_refuses_fixed_point_saturation():
     # parse_config's bounds hold on the library path: a kick whose |k|/pi
-    # rounds past the (32, 4) word's largest value, 8, on both sides of
-    # KT_ARRAY_MIN_SHOTS, and a decay exponent past its least value, -8
+    # rounds past the (32, 4) word's largest value, 8, in a batch of one shot
+    # and of ten, and a decay exponent past its least value, -8
     cfg = LoopConfig(latency=2e-6, duration=3e-4, decay_half_time=None,
                      fixed_point=DEFAULT_FXP)
-    for n in (1, KT_ARRAY_MIN_SHOTS):
+    for n in (1, 10):
         for params in (KtParams(k=30), [KtParams(k=2.7), KtParams(k=-30)]):
             with pytest.raises(ValueError, match=r"^kt\.k: \|k\|/pi \(9\.5493\) saturates "
                                r"the fixed-point word \(loop\.word_bits = 32, "):
@@ -415,25 +460,15 @@ def test_library_refuses_fixed_point_saturation():
 def test_batch_takes_array_kernel_from_threshold(monkeypatch):
     cfg, model = BATCH_CASES[1]
     want = [run_lmg_loop(cfg, LMG07, model, shot_rng(5, i)) for i in range(ARRAY_MIN_SHOTS)]
-    kt_cfg, kt_model = KT_BATCH_CASES[1]
-    kt_want = [run_kt_loop(kt_cfg, KT_SCHED, KT25, kt_model, shot_rng(5, i))
-               for i in range(KT_ARRAY_MIN_SHOTS)]
 
     def no_scalar(*args, **kwargs):
         raise AssertionError("scalar loop called")
 
     monkeypatch.setattr(loop_sim, "run_lmg_loop", no_scalar)
-    monkeypatch.setattr(loop_sim, "run_kt_loop", no_scalar)
     recs = run_batch(cfg, LMG07, model, ARRAY_MIN_SHOTS, master_seed=5)
     assert all(_same_record(a, b) for a, b in zip(recs, want))
     with pytest.raises(AssertionError, match="scalar loop called"):
         run_batch(cfg, LMG07, model, ARRAY_MIN_SHOTS - 1, master_seed=5)
-    recs = run_batch(kt_cfg, KT25, kt_model, KT_ARRAY_MIN_SHOTS, master_seed=5,
-                     sched=KT_SCHED)
-    assert all(_same_record(a, b) for a, b in zip(recs, kt_want))
-    with pytest.raises(AssertionError, match="scalar loop called"):
-        run_batch(kt_cfg, KT25, kt_model, KT_ARRAY_MIN_SHOTS - 1, master_seed=5,
-                  sched=KT_SCHED)
 
 
 def test_kernel_records_share_read_only_columns():
@@ -441,8 +476,7 @@ def test_kernel_records_share_read_only_columns():
     cfg, model = BATCH_CASES[1]
     kt_cfg, kt_model = KT_BATCH_CASES[1]
     for recs in (run_batch(cfg, LMG07, model, ARRAY_MIN_SHOTS, master_seed=5),
-                 run_batch(kt_cfg, KT25, kt_model, KT_ARRAY_MIN_SHOTS, master_seed=5,
-                           sched=KT_SCHED)):
+                 run_batch(kt_cfg, KT25, kt_model, 2, master_seed=5, sched=KT_SCHED)):
         for name in ("t", "j_true", "j_est"):
             col = getattr(recs[0], name)
             assert not col.flags.writeable
