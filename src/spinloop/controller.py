@@ -10,7 +10,7 @@ in Python ints.  The words are ``int64`` up to 32 bits
 (``FixedPointFormat.dtype``): a product of two raw words, or a dividend
 ``|a| << frac_bits``, is then below 2^62, so nothing overflows.  Wider
 words are Python ints in object arrays, exact at any width.  Inside, the
-arrays are at least 1-d, so a scalar is an array of one element; the public
+arrays are flat (1-d), so a scalar is an array of one element; the public
 functions give back the shape they are given.  ``FixedPointValue`` (raw
 words tagged with their format) is the boundary type that callers pass in
 and get back."""
@@ -82,12 +82,12 @@ class FixedPointValue:
         return (self.raw == self.fmt.raw_min) | (self.raw == self.fmt.raw_max)
 
 
-# Raw-word arithmetic: operands and results are at least 1-d arrays of
-# fmt.dtype (or broadcast against them), elementwise.
+# Raw-word arithmetic: operands and results are 1-d arrays of fmt.dtype (or
+# broadcast against them), elementwise.
 
 
 def _words(raw, fmt: FixedPointFormat) -> np.ndarray:
-    return np.atleast_1d(np.asarray(raw, dtype=fmt.dtype))
+    return np.asarray(raw, dtype=fmt.dtype).reshape(-1)
 
 
 def _shaped(a: np.ndarray, shape):
@@ -118,24 +118,26 @@ def _fxp_div(a, b, fmt: FixedPointFormat):
     return _sat(np.where((a >= 0) == (b >= 0), q, -q), fmt)
 
 
-def _round_raw(x, f: int) -> np.ndarray:
-    """floor(x * 2^f + 0.5) as integral floats, at least 1-d.  NaN and
-    infinity, also from x * 2^f overflowing, raise as math.floor raises on
-    them, with no numpy warning."""
-    with np.errstate(over="ignore"):
-        y = np.floor(np.atleast_1d(np.multiply(x, 2.0**f)) + 0.5)
-    if not np.isfinite(y).all():
-        math.floor(y[~np.isfinite(y)][0])
-    return y
+def _round_raw(x: np.ndarray, f: int) -> np.ndarray:
+    """floor(x * 2^f + 0.5) as integral floats, for a 1-d float array x.
+    NaN and infinity, also from x * 2^f overflowing, raise as math.floor
+    raises on them, with no numpy warning."""
+    # scaling by 2^f is exact, so it overflows exactly from |x| = 2^(1024 - f)
+    # on: checking that bound first needs no errstate block, whose entry and
+    # exit cost about as much as the whole check on one element
+    fits = np.abs(x) < 2.0 ** (1024 - f)
+    if np.count_nonzero(fits) < x.size:
+        math.floor(float(x[~fits][0]) * 2.0**f + 0.5)  # Python floats: no warning
+    return np.floor(x * 2.0**f + 0.5)
 
 
 _TO_INT = np.frompyfunc(int, 1, 1)
 
 
-def _quantize_raw(x, fmt: FixedPointFormat) -> np.ndarray:
-    # saturate in float first, since a float beyond +-2^63 has no int64;
-    # past 53 bits float(raw_max) rounds up to 2^(word_bits-1), so the
-    # Python ints are saturated again
+def _quantize_raw(x: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
+    # x is a 1-d float array.  Saturate in float first, since a float beyond
+    # +-2^63 has no int64; past 53 bits float(raw_max) rounds up to
+    # 2^(word_bits-1), so the Python ints are saturated again
     y = _sat(_round_raw(x, fmt.frac_bits), fmt)
     return y.astype(np.int64) if fmt.dtype is np.int64 else _sat(_TO_INT(y), fmt)
 
@@ -153,7 +155,8 @@ def fxp_fits(x, fmt: FixedPointFormat):
 def fxp_quantize(x, fmt: FixedPointFormat = DEFAULT_FXP) -> FixedPointValue:
     """Round-to-nearest quantization with silent saturation at the ends,
     elementwise."""
-    return FixedPointValue(_shaped(_quantize_raw(x, fmt), np.shape(x)), fmt)
+    x = np.asarray(x, dtype=float)
+    return FixedPointValue(_shaped(_quantize_raw(x.reshape(-1), fmt), x.shape), fmt)
 
 
 def _halved(x: np.ndarray, below, halve):
@@ -185,8 +188,9 @@ def pade_exp(x):
     """
     if isinstance(x, FixedPointValue):
         return _pade_exp_fxp(x)
-    shape = np.shape(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    x = x.reshape(-1)
     # halving -inf would never reach [-1, 0]
     if np.any(x > 0) or not np.isfinite(x).all():
         raise ValueError("pade_exp is defined for finite x <= 0")
@@ -208,7 +212,7 @@ def _pade_exp_fxp(x: FixedPointValue) -> FixedPointValue:
     # arithmetic shift with round-to-nearest
     xr, halvings = _halved(xr, lambda r: r * fmt.step < -1.0, lambda r: (r + 1) >> 1)
     num = den = np.zeros_like(xr)
-    for cq in _quantize_raw(_PADE_NUM[::-1], fmt):
+    for cq in _quantize_raw(np.array(_PADE_NUM[::-1]), fmt):
         num = _fxp_add(_fxp_mul(num, xr, fmt), cq, fmt)
         den = _fxp_add(_fxp_mul(den, -xr, fmt), cq, fmt)
     if np.any(den <= 0):
@@ -220,9 +224,11 @@ def _pade_exp_fxp(x: FixedPointValue) -> FixedPointValue:
 def bmod2(x: FixedPointValue) -> FixedPointValue:
     """sign(x) * mod(|x|, 2), done by masking the fraction bits plus the
     lowest integer bit of |x| and reapplying the sign; elementwise."""
-    raw = _words(x.raw, x.fmt)
-    mag = abs(raw) & ((1 << (x.fmt.frac_bits + 1)) - 1)
-    return FixedPointValue(_shaped(np.where(raw < 0, -mag, mag), np.shape(x.raw)), x.fmt)
+    raw = np.asarray(x.raw, dtype=x.fmt.dtype)
+    flat = raw.reshape(-1)
+    mag = abs(flat) & ((1 << (x.fmt.frac_bits + 1)) - 1)
+    np.negative(mag, out=mag, where=flat < 0)
+    return FixedPointValue(_shaped(mag, raw.shape), x.fmt)
 
 
 def kick_angle(m_norm, k, fmt: FixedPointFormat | None = None):

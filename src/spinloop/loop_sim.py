@@ -20,8 +20,12 @@ one column.  The LMG loop keeps the scalar ``run_lmg_loop`` for batches
 below ARRAY_MIN_SHOTS, where its kernel costs several times more, and the
 kernel equals it on each shot bit for bit.
 
-Both kernels rotate by ``_rotate`` with the coefficients of ``_rotation``,
-which the kicked-top kernel computes once per segment rate, not per sample.
+Both kernels turn one state buffer (``_plant``) in place by ``_rotate``
+with the coefficients of ``_rotation``, which the kicked-top kernel computes
+once per segment rate.  The LMG kernel steps one transport-delay window of
+d samples at a time, since a rate acts only d samples after it is computed:
+the window's coefficients and controller step are one array call each.
+
 A rotation whose angle |omega| t is not finite, as from a rate whose square
 overflows, raises ValueError(ROTATION_NOT_FINITE) on every path: ``_hold``
 checks its angle, and each kernel runs with numpy's overflow and invalid
@@ -198,10 +202,10 @@ def _column_start(cfg: LoopConfig, model: MeasurementModel, rngs, n_meas: int):
     """The per-shot draws of an array kernel, column c from rngs[c] in a
     one-shot loop's stream order: ``_shot_start``, then one photon shot-noise
     normal for each of the n_meas measurements, as ``measure`` draws it.
-    Returns the detuning, amplitude factor and QPN offset, one entry per
-    column, the initial state as the rows (z, x, y, z, x) of ``_rotate``,
-    and the scaled noise as an (n_meas, columns) array, so each measurement
-    reads one row."""
+    Returns the detuning, amplitude factor and QPN offset as (1, columns)
+    rows, the shape of a one-sample window, the initial state as (x, y, z)
+    rows, and the scaled noise as an (n_meas, columns) array, so each
+    measurement reads one row."""
     eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     starts = []
     noise = np.empty((n_meas, len(rngs)))
@@ -209,8 +213,8 @@ def _column_start(cfg: LoopConfig, model: MeasurementModel, rngs, n_meas: int):
         starts.append(_shot_start(cfg, model, rng))
         noise[:, c] = rng.standard_normal(n_meas)
     noise *= math.sqrt(shot_noise_variance(eff_model, cfg.sample_period))
-    detuning, amp, v, qpn_offset = (np.array(a) for a in zip(*starts))
-    return detuning, amp, v.T[[2, 0, 1, 2, 0]], qpn_offset, noise
+    detuning, amp, v, qpn_offset = (np.array([a]) for a in zip(*starts))
+    return detuning, amp, v[0].T, qpn_offset, noise
 
 
 def _column_records(t, j_true, j_est, xs, ys, zs, meas, ctl_z, ctl_x, metas):
@@ -406,7 +410,8 @@ def _finite_rotations():
     invalid errors raised as ``_hold``'s ValueError.  A rate whose square
     overflows, or an angle |omega| t that does, sets them in ``_rotation``
     where ``_hold`` finds its angle not finite; finite rates set neither, so
-    their bits do not change.  It is one errstate per batch, not per sample."""
+    their bits do not change.  It is one errstate per batch, not per window
+    or sample."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
@@ -415,50 +420,72 @@ def _finite_rotations():
 
 
 def _rotation(wx, wz, t):
-    """``_hold``'s coefficients for one rate omega = (wx, 0, wz) per column,
-    held for time t: the unit axis as the rows (az, ax, 0, az, ax), cos, sin
-    and 1 - cos of the angle, and the mask of the still (zero-rate) columns,
-    or None if there is none.  None when every column is still."""
+    """``_hold``'s coefficients for rates omega = (wx, 0, wz) held for time
+    t, one rotation per row of the (rows, columns) array wz; wx and t
+    broadcast against it.  Returns one entry per row: the unit axis (ax, 0,
+    az) stacked over its shifts (az, ax, 0) and (0, az, ax), to pair with
+    the plant's shifts in ``_rotate``; cos, sin and 1 - cos of the angle;
+    and the mask of the still (zero-rate) columns, or None if there is none.
+    The entry is None when every column of the row is still."""
     w = np.sqrt(wx * wx + wz * wz)
-    still = None
-    if not w.all():
-        still = w == 0.0
-        if still.all():
-            return None
-        w = np.where(still, 1.0, w)  # any nonzero value; _rotate reverts it
-    axis = np.zeros((5, len(w)))
-    np.divide(wz, w, out=axis[0::3])
-    np.divide(wx, w, out=axis[1::3])
+    rows, m = w.shape
+    if np.count_nonzero(w) == w.size:  # w.all(), in a quarter of the time
+        still = [None] * rows
+    else:
+        zero = w == 0.0
+        still = [z if z.any() else None for z in zero]
+        w = np.where(zero, 1.0, w)  # any nonzero value; _rotate reverts it
+    axis = np.zeros((rows, 9, m))  # the rows (ax, 0, az, az, ax, 0, 0, az, ax)
+    np.divide(wx, w, out=axis[:, 0])
+    np.divide(wz, w, out=axis[:, 3])
+    axis[:, 4::4] = axis[:, 0:1]
+    axis[:, 2::5] = axis[:, 3:4]
     angle = w * -t  # -w * t exactly: rounding is symmetric in sign
     c = np.cos(angle)
-    return axis, c, np.sin(angle), 1.0 - c, still
+    rots = zip(axis.reshape(rows, 3, 3, m), c, np.sin(angle), 1.0 - c, still)
+    return [None if z is not None and z.all() else rot for z, rot in zip(still, rots)]
 
 
-def _rotate(state, rot):
-    """Rotate the columns of state, the rows (z, x, y, z, x), by ``_rotation``
-    rot with ``rodrigues``'s IEEE operations in its order, so each column
-    equals ``_hold`` bit for bit; the repeated rows make both cyclic shifts
-    of the cross product views.  Still columns, or all if rot is None, stay."""
+def _plant(start):
+    """An array kernel's plant from the (x, y, z) rows start, which
+    ``_rotate`` turns in place: the state, the columns' rows (x, y, z, x, y),
+    its (x, y, z) rows, and the other views and scratch arrays of
+    ``_rotate``, made once, so a rotation allocates and slices nothing.  The
+    repeated rows stack the shifts (x, y, z), (y, z, x) and (z, x, y) in
+    one view."""
+    state = start[[0, 1, 2, 0, 1]]
+    m = state.shape[1]
+    shifts = np.lib.stride_tricks.sliding_window_view(state, 3, axis=0).transpose(0, 2, 1)
+    prod = np.empty((3, 3, m))
+    return (state, state[:3], shifts, state[3:], state[:2], prod, *prod[0], prod[1], prod[2],
+            np.empty((3, m)), np.empty(m))
+
+
+def _rotate(plant, rot):
+    """Rotate the columns of a ``_plant`` in place by one entry rot of
+    ``_rotation``, with ``rodrigues``'s IEEE operations in its order, so each
+    column equals ``_hold`` bit for bit.  One multiplication of the stacked
+    shifts gives the dot product's terms (x ax, y 0, z az) and both cross
+    product terms.  Still columns, or all if rot is None, stay."""
     if rot is None:
-        return state
+        return
     axis, c, s, omc, still = rot
-    out = np.empty_like(state)
-    v = out[1:4]
-    cross = state[2:5] * axis[0:3]
-    cross -= state[0:3] * axis[2:5]
-    cross *= s
-    dot = state[1:4] * axis[1:4]
-    d = dot[0] + dot[1]
-    d += dot[2]
-    np.multiply(state[1:4], c, out=v)
-    v += cross
-    dot = axis[1:4] * d
-    dot *= omc
-    v += dot
-    out[0::4] = v[2::-2]  # rows 0 and 4 repeat z and x
+    state, v, shifts, rep, head, prod, dx, dy, dz, left, right, cross, d = plant
     if still is not None:
-        np.copyto(out, state, where=still)
-    return out
+        kept = state.copy()
+    np.multiply(shifts, axis, out=prod)
+    np.subtract(left, right, out=cross)
+    cross *= s
+    np.add(dx, dy, out=d)
+    d += dz
+    v *= c
+    v += cross
+    np.multiply(axis[0], d, out=left)  # left is free again
+    left *= omc
+    v += left
+    np.copyto(rep, head)  # rows 3 and 4 repeat x and y
+    if still is not None:
+        np.copyto(state, kept, where=still)
 
 
 @_finite_rotations()
@@ -472,9 +499,12 @@ def _run_lmg_columns(
     """``run_lmg_loop`` for many shots at once, equal to it bit for bit.
 
     Column c runs params[c] on rngs[c], with one shot-noise normal per
-    sample (``_column_start``).  Each sample is at most two ``_rotate``
-    rotations, at the offsets every column shares; the rate changes every
-    sample, so each has its own ``_rotation``."""
+    sample (``_column_start``).  It steps one transport-delay window of
+    max(d, 1) samples at a time: the window's rotations hold rates computed
+    d samples earlier, so one ``_rotation`` call (one more for the r-step
+    parts of split samples) and one controller step serve the window, and
+    only ``_rotate`` runs per sample.  With no delay (d = 0) a window is one
+    sample, whose controller runs before its rotation."""
     n = cfg.n_samples
     sps = cfg.steps_per_sample
     d, r = divmod(cfg.latency_steps, sps)
@@ -482,48 +512,65 @@ def _run_lmg_columns(
     t, j_true, j_est = cols
 
     m = len(rngs)
-    detuning, amp, state, qpn_offset, m_sn = _column_start(cfg, model, rngs, n)
-    k_nl = np.array([p.k_nl for p in params])
+    detuning, amp, start, qpn_offset, m_sn = _column_start(cfg, model, rngs, n)
+    k_nl = np.array([[p.k_nl for p in params]])
     wx = amp * np.array([p.alpha_lin for p in params])
+    jt, je = (np.array(a)[:, None] for a in (j_true, j_est))
 
-    rec = np.empty((3, n, m))
-    ms, cz, rates = (np.empty((n, m)) for _ in range(3))
-    applied = np.zeros(m)
-    for k in range(n):
+    plant = _plant(start)
+    xyz = plant[1]
+    # rec[:, k] is the state as sample k starts, rec[:, n] the final one;
+    # held[k] is the rate held then (ctl_z), so the rate computed at sample
+    # k is held[k + d + 1], where it is applied within the run
+    rec = np.empty((3, n + 1, m))
+    rec[:, 0] = xyz
+    ms = np.empty((n, m))
+    held = np.zeros((n + 1, m))
+
+    # 0-d bounds: numpy converts a Python float on every call
+    cap = ctl.DEFAULT_RATE_CAP
+    lo, hi, cap_lo, cap_hi = map(np.array, (-1.0, 1.0, -cap, cap))
+
+    def control(a, b):
         # np.minimum(np.maximum()) is np.clip's bits, NaN too, in half the time
-        value = (j_true[k] * np.minimum(np.maximum(state[3], -1.0), 1.0)
-                 + qpn_offset + m_sn[k])
-        z_est = np.minimum(np.maximum(value / j_est[k], -1.0), 1.0)
-        rates[k] = np.minimum(np.maximum(k_nl * z_est, -ctl.DEFAULT_RATE_CAP),
-                              ctl.DEFAULT_RATE_CAP)
+        value = ms[a:b]
+        np.add(jt[a:b] * np.minimum(np.maximum(rec[2, a:b], lo), hi) + qpn_offset,
+               m_sn[a:b], out=value)
+        z_est = np.minimum(np.maximum(value / je[a:b], lo), hi)
+        fed = held[a + d + 1:b + d + 1]  # the rates that arrive within the run
+        np.minimum(np.maximum(k_nl * z_est[:len(fed)], cap_lo), cap_hi, out=fed)
 
-        rec[:, k] = state[1:4]
-        ms[k] = value
-        cz[k] = applied
-
-        held = sps
-        if k >= d:
-            if r:
-                state = _rotate(state, _rotation(wx, amp * applied + detuning, r * dt))
-                held = sps - r
-            applied = rates[k - d]
-        state = _rotate(state, _rotation(wx, amp * applied + detuning, held * dt))
+    win = max(d, 1)
+    for a in range(0, n, win):
+        b = min(a + win, n)
+        if not d:
+            control(a, b)
+        # from sample d on, the new rate takes over r plant steps in
+        rots = _rotation(wx, amp * held[a + 1:b + 1] + detuning,
+                         (sps - r if a >= d else sps) * dt)
+        parts = (_rotation(wx, amp * held[a:b] + detuning, r * dt) if r and a >= d
+                 else [None] * (b - a))
+        for k, part, rot in zip(range(a + 1, b + 1), parts, rots):
+            _rotate(plant, part)
+            _rotate(plant, rot)
+            rec[:, k] = xyz
+        if d:
+            control(a, b)
 
     # the drive is constant in a shot: each column's ctl_x repeats wx[c]
-    return _column_records(t, j_true, j_est, *rec, ms, cz,
+    return _column_records(t, j_true, j_est, *rec[:, :n], ms, held[:n],
                            np.broadcast_to(wx, (n, m)),
-                           [_lmg_meta(p, *state[1:4, c].tolist())
+                           [_lmg_meta(p, *xyz[:, c].tolist())
                             for c, p in enumerate(params)])
 
 
-def _rotate_run(rec, k: int, m: int, state, rot):
-    """Record the columns of state in samples k .. k+m-1 of the (3, samples,
-    columns) array rec while holding one rate, advancing by one ``_rotate``
-    by rot per sample; returns the state after the run."""
+def _rotate_run(rec, k: int, m: int, plant, rot):
+    """Record the columns of a ``_plant`` in samples k .. k+m-1 of the (3,
+    samples, columns) array rec while holding one rate, advancing it by one
+    ``_rotate`` by rot per sample."""
     for i in range(k, k + m):
-        rec[:, i] = state[1:4]
-        state = _rotate(state, rot)
-    return state
+        rec[:, i] = plant[1]
+        _rotate(plant, rot)
 
 
 def _kt_meta(p: KtParams, sched: QktSchedule, n_lin: int, n_per: int, n: int,
@@ -584,13 +631,15 @@ def _run_kt_columns(
     check_word(cfg, sched, {p.k for p in params})
 
     m = len(rngs)
-    detuning, amp, state, qpn_offset, m_sn = _column_start(cfg, model, rngs, sched.n_steps)
+    detuning, amp, start, qpn_offset, m_sn = _column_start(cfg, model, rngs, sched.n_steps)
     ks = np.array([p.k for p in params])
     # the map's linear rotation corresponds to a drive of -alpha about the
     # x axis in flow form, and the kick to +psi about z
     w_lin = -amp * np.array([p.alpha for p in params]) / sched.t_linear
-    lin_rot = _rotation(w_lin, detuning, ts)
-    gap_rot = _rotation(0.0, detuning, ts)
+    lin_rot = _rotation(w_lin, detuning, ts)[0]
+    gap_rot = _rotation(0.0, detuning, ts)[0]
+    plant = _plant(start)
+    xyz = plant[1]
 
     rec = np.empty((3, n, m))
     meas = np.full((n, m), math.nan)
@@ -600,24 +649,23 @@ def _run_kt_columns(
 
     for step, lin in enumerate(range(0, n - 1, n_per)):
         gap, kick = lin + n_lin, lin + n_lin + n_gap
-        state = _rotate_run(rec, lin, n_lin, state, lin_rot)
+        _rotate_run(rec, lin, n_lin, plant, lin_rot)
         # the measurement in the gap; the kick angle is ready because
         # the transport delay is no longer than the gap
-        value = (j_true[gap] * np.minimum(np.maximum(state[3], -1.0), 1.0)
+        value = (j_true[gap] * np.minimum(np.maximum(xyz[2], -1.0), 1.0)
                  + qpn_offset + m_sn[step])
         angle = ctl.kick_angle(value / j_est[step], ks, cfg.fixed_point)
         kick_rate = amp * angle / sched.t_kick
-        state = _rotate_run(rec, gap, n_gap, state, gap_rot)
-        state = _rotate_run(rec, kick, n_kick, state,
-                            _rotation(0.0, kick_rate + detuning, ts))
+        _rotate_run(rec, gap, n_gap, plant, gap_rot)
+        _rotate_run(rec, kick, n_kick, plant, _rotation(0.0, kick_rate + detuning, ts)[0])
         ctl_x[lin:gap] = w_lin
         meas[gap] = value
         j_col[gap:kick] = j_est[step]
         ctl_z[kick:kick + n_kick] = kick_rate
-    rec[:, n - 1] = state[1:4]
+    rec[:, n - 1] = xyz
 
     return _column_records(t, j_true, j_col, *rec, meas, ctl_z, ctl_x,
-                           [_kt_meta(p, sched, n_lin, n_per, n, *state[1:4, c].tolist())
+                           [_kt_meta(p, sched, n_lin, n_per, n, *xyz[:, c].tolist())
                             for c, p in enumerate(params)])
 
 
@@ -635,11 +683,12 @@ def point_seed(master_seed: int, i: int) -> int:
 
 # Fewest shots for which run_batch takes the LMG array kernel.  Below it the
 # kernel's fixed numpy cost per sample outweighs the per-shot Python loop it
-# replaces.  At 750 samples the two break even at about 10 shots on a 2-core
-# Xeon (best of 7, array against scalar: 1 shot 25-38 ms, 2.4-4.3 ms;
-# 8 shots 39-41 ms, 32-34 ms; 10 shots 36-42 ms, 38-41 ms; 16 shots
-# 40-44 ms, 70-71 ms), so this threshold sits a little low; it moves only
-# with a benchmark that measures both paths.
+# replaces.  At 750 samples on a 2-core Xeon (best of 7, three processes,
+# array against scalar), at the default 6 us delay: 1 shot 18-23 ms,
+# 2.8-4.9 ms; 8 shots 17-27 ms, 22-41 ms; 10 shots 17-27 ms, 39-51 ms;
+# 16 shots 18-21 ms, 53-73 ms, so they break even at 5-6 shots.  With no
+# delay, windows of one sample, at about 8 (8 shots 35-39 ms, 33-41 ms).
+# It moves only with a benchmark that measures both paths.
 ARRAY_MIN_SHOTS = 8
 
 

@@ -25,8 +25,10 @@ class LmgParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.s <= 1.0:
             raise ValueError("s must lie in [0, 1]")
-        if self.lambda_ < 0:
-            raise ValueError("lambda_ must be >= 0")
+        # a quiet NaN rate sets no floating-point flag, so the array kernels
+        # would run it where the one-shot loop refuses it
+        if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
+            raise ValueError(f"lambda_ ({self.lambda_!r}) must be finite and >= 0")
 
     @property
     def alpha_lin(self) -> float:
@@ -43,6 +45,11 @@ class KtParams:
 
     alpha: float = math.pi / 2.0  # linear rotation angle per period, rad
     k: float = 0.0  # kick strength, rad
+
+    def __post_init__(self) -> None:
+        for name in ("alpha", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} ({getattr(self, name)!r}) must be finite")
 
 
 @dataclass(frozen=True)

@@ -381,7 +381,10 @@ def test_batch_starts_no_process_pool(monkeypatch):
 KERNEL_NOISE = RotationNoise(static_detuning_sigma=300.0, amplitude_error_sigma=0.01)
 
 
-@pytest.mark.parametrize("latency", [0.0, 0.1e-6, 1.3e-6, 2e-6, 5e-6, 6e-6, 13e-6])
+# 14 us is a 7-sample window against 100 samples; from 200 us on, one
+# window is the whole run and no feedback arrives
+@pytest.mark.parametrize("latency", [0.0, 0.1e-6, 1.3e-6, 2e-6, 5e-6, 6e-6, 13e-6,
+                                     14e-6, 2e-4, 3.01e-4])
 @pytest.mark.parametrize("fixed_point", [False, True])
 @pytest.mark.parametrize("noise", [None, KERNEL_NOISE])
 def test_array_kernel_matches_scalar_loop(latency, fixed_point, noise):
@@ -455,6 +458,20 @@ def test_library_refuses_fixed_point_saturation():
                            r"-t ln2 / decay_half_time reaches -8\.26\d* at the last"):
             run_batch(cfg, LMG07, MODEL, n, 1)
         run_batch(replace(cfg, decay_half_time=2.6e-5), LMG07, MODEL, n, 1)
+
+
+def test_library_refuses_non_finite_drive():
+    # a quiet NaN rate sets no numpy flag, so a kernel would return NaN
+    # records where the one-shot loop raises: the parameters refuse it, on
+    # both LMG paths and for a kicked-top column
+    cfg = LoopConfig(latency=2e-6, duration=3e-4, decay_half_time=None)
+    for bad in (math.nan, math.inf, -math.inf):
+        for n in (1, ARRAY_MIN_SHOTS):
+            with pytest.raises(ValueError, match=r"^lambda_ \(.*\) must be finite and >= 0$"):
+                run_batch(cfg, LmgParams(s=0.7, lambda_=bad), MODEL, n, 1)
+        for name in ("alpha", "k"):
+            with pytest.raises(ValueError, match=rf"^{name} \(.*\) must be finite$"):
+                run_batch(cfg, replace(KT25, **{name: bad}), MODEL, 1, 1, sched=KT_SCHED)
 
 
 def test_batch_takes_array_kernel_from_threshold(monkeypatch):
