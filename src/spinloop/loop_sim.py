@@ -14,11 +14,9 @@ spin length and the tracked spin length depend only on time, so
 
 The same clock lets an ensemble run as one array computation:
 ``_run_lmg_columns`` and ``_run_kt_columns`` step every shot (column) of a
-batch together, with the state held as arrays of one entry per column.  The
-kicked top has this engine only: ``run_kt_loop`` is ``_run_kt_columns`` on
-one column.  The LMG loop keeps the scalar ``run_lmg_loop`` for batches
-below ARRAY_MIN_SHOTS, where its kernel costs several times more, and the
-kernel equals it on each shot bit for bit.
+batch together, with the state held as arrays of one entry per column.
+They are the only engines: ``run_lmg_loop`` and ``run_kt_loop`` are a
+kernel on one column, so a shot's record does not depend on its batch.
 
 Both kernels turn one state buffer (``_plant``) in place by ``_rotate``
 with the coefficients of ``_rotation``, which the kicked-top kernel computes
@@ -27,13 +25,13 @@ d samples at a time, since a rate acts only d samples after it is computed:
 the window's coefficients and controller step are one array call each.
 
 A rotation whose angle |omega| t is not finite, as from a rate whose square
-overflows, raises ValueError(ROTATION_NOT_FINITE) on every path: ``_hold``
-checks its angle, and each kernel runs with numpy's overflow and invalid
-errors raised (``_finite_rotations``) and turns them into that error.
+overflows, raises ValueError(ROTATION_NOT_FINITE): each kernel runs with
+numpy's overflow and invalid errors raised (``_finite_rotations``) and
+turns them into that error.
 
 What is not per-sample physics is written once: ``_column_start`` makes
-a kernel's draws in a one-shot loop's stream order, ``_column_records``
-builds its records, ``_rotate_run`` records a held rate,
+a kernel's per-shot draws, each in its shot's stream order,
+``_column_records`` builds its records, ``_rotate_run`` records a held rate,
 ``_kt_layout`` puts a kicked-top schedule on the sample clock,
 ``measured_samples`` names the samples the controller measures, and
 ``check_word`` refuses a controller input that is not finite or would
@@ -53,11 +51,12 @@ from . import controller as ctl
 from .controller import FixedPointFormat, QktSchedule
 from .measurement import (
     MeasurementModel,
-    measure,
     pointing_uncertainty,
     qpn_variance,
     shot_noise_variance,
 )
+# bound here so the benchmark tracer (perfbench/tracing.py) can patch it
+from .measurement import measure  # noqa: F401
 from .models import KtParams, LmgParams, tilted
 from .spin_core import (
     RotationNoise,
@@ -65,7 +64,6 @@ from .spin_core import (
     SpinVector,
     draw_shot_noise,
     from_angles,
-    rodrigues,
 )
 
 
@@ -158,20 +156,6 @@ def latency_metric(alpha_lin: float, latency: float) -> float:
 ROTATION_NOT_FINITE = "a rotation rate is too large: the plant's angle |omega| t is not finite"
 
 
-def _hold(x, y, z, wx, wz, t):
-    """Exact flow of dv/dt = omega x v for time t, omega = (wx, 0, wz);
-    ValueError(ROTATION_NOT_FINITE) if the angle |omega| t is not finite."""
-    # not math.hypot: np.hypot rounds differently, and _rotation must
-    # match this bit for bit
-    w = math.sqrt(wx * wx + wz * wz)
-    if w == 0.0:
-        return x, y, z
-    angle = -w * t
-    if not math.isfinite(angle):
-        raise ValueError(ROTATION_NOT_FINITE)
-    return rodrigues(x, y, z, wx / w, 0.0, wz / w, angle)
-
-
 def _shot_start(cfg: LoopConfig, model: MeasurementModel, rng):
     """Per-shot draws, in stream order: rotation noise (detuning, amplitude
     factor), the initial direction, and the frozen QPN offset."""
@@ -199,9 +183,9 @@ def _initial_vector(cfg: LoopConfig, model: MeasurementModel, rng) -> SpinVector
 
 
 def _column_start(cfg: LoopConfig, model: MeasurementModel, rngs, n_meas: int):
-    """The per-shot draws of an array kernel, column c from rngs[c] in a
-    one-shot loop's stream order: ``_shot_start``, then one photon shot-noise
-    normal for each of the n_meas measurements, as ``measure`` draws it.
+    """The per-shot draws of an array kernel, column c from rngs[c] in its
+    stream order: ``_shot_start``, then one photon shot-noise normal for each
+    of the n_meas measurements, as ``measure`` draws it.
     Returns the detuning, amplitude factor and QPN offset as (1, columns)
     rows, the shape of a one-sample window, the initial state as (x, y, z)
     rows, and the scaled noise as an (n_meas, columns) array, so each
@@ -289,8 +273,8 @@ def shared_columns(
     the tracked lengths are one elementwise ``decay_estimate`` call over the
     measurement times.  They are lists of Python floats, so the per-sample
     arithmetic is the same as on scalars.  A tracked length that reaches 0,
-    as a fast fixed-point decay does, raises ValueError here, so the scalar
-    loops and the array kernels refuse it alike."""
+    as a fast fixed-point decay does, raises ValueError here, so a batch of
+    any size refuses it before a kernel runs."""
     ts = cfg.sample_period
     n, meas_idx = measured_samples(cfg, sched)
     t = [k * ts for k in range(n)]
@@ -352,51 +336,10 @@ def run_lmg_loop(
     plant steps, the rate computed at sample k takes over r plant steps into
     sample k + d, so each sample is at most two exact rotations.  cols is
     ``shared_columns(cfg, model.j_collective)``; it is computed here when
-    not given."""
-    n = cfg.n_samples
-    sps = cfg.steps_per_sample
-    d, r = divmod(cfg.latency_steps, sps)
-    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
-    t, j_true, j_est = cols or shared_columns(cfg, model.j_collective)
-
-    detuning, amp, (x, y, z), qpn_offset = _shot_start(cfg, model, rng)
-
-    wx = amp * p.alpha_lin
-
-    xs = np.empty(n)
-    ys = np.empty(n)
-    zs = np.empty(n)
-    ms = np.empty(n)
-    cz = np.empty(n)
-
-    # raw doubles: a list keeps one float object per sample alive for the
-    # whole shot, which fragmented the heap and raised the peak RSS of a
-    # 100-shot ensemble plus its analysis by about 4 MB
-    rates = np.empty(n)
-    applied = 0.0
-    dt = cfg.plant_dt
-
-    for k in range(n):
-        value = measure(
-            max(-1.0, min(1.0, z)), j_true[k], eff_model, cfg.sample_period, rng,
-            qpn_offset=qpn_offset,
-        )
-        rates[k] = ctl.lmg_control(value, j_est[k], p)
-
-        xs[k], ys[k], zs[k] = x, y, z
-        ms[k] = value
-        cz[k] = applied
-
-        held = sps
-        if k >= d:
-            if r:
-                x, y, z = _hold(x, y, z, wx, amp * applied + detuning, r * dt)
-                held = sps - r
-            applied = float(rates[k - d])
-        x, y, z = _hold(x, y, z, wx, amp * applied + detuning, held * dt)
-
-    return TrajectoryRecord(np.array(t), xs, ys, zs, np.array(j_true), ms, cz,
-                            np.full(n, wx), np.array(j_est), _lmg_meta(p, x, y, z))
+    not given.  This is ``_run_lmg_columns`` on one column, so a shot's
+    record does not depend on the batch it runs in."""
+    return _run_lmg_columns(cfg, [p], model, [rng],
+                            cols or shared_columns(cfg, model.j_collective))[0]
 
 
 def _lmg_meta(p: LmgParams, x, y, z) -> dict:
@@ -407,11 +350,10 @@ def _lmg_meta(p: LmgParams, x, y, z) -> dict:
 @contextmanager
 def _finite_rotations():
     """Run an array kernel, as a decorator, with numpy's overflow and
-    invalid errors raised as ``_hold``'s ValueError.  A rate whose square
-    overflows, or an angle |omega| t that does, sets them in ``_rotation``
-    where ``_hold`` finds its angle not finite; finite rates set neither, so
-    their bits do not change.  It is one errstate per batch, not per window
-    or sample."""
+    invalid errors raised as ValueError(ROTATION_NOT_FINITE).  A rate whose
+    square overflows, or an angle |omega| t that does, sets them in
+    ``_rotation``; finite rates set neither, so their bits do not change.
+    It is one errstate per batch, not per window or sample."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
@@ -420,13 +362,16 @@ def _finite_rotations():
 
 
 def _rotation(wx, wz, t):
-    """``_hold``'s coefficients for rates omega = (wx, 0, wz) held for time
-    t, one rotation per row of the (rows, columns) array wz; wx and t
-    broadcast against it.  Returns one entry per row: the unit axis (ax, 0,
-    az) stacked over its shifts (az, ax, 0) and (0, az, ax), to pair with
-    the plant's shifts in ``_rotate``; cos, sin and 1 - cos of the angle;
-    and the mask of the still (zero-rate) columns, or None if there is none.
-    The entry is None when every column of the row is still."""
+    """The coefficients of the exact flow of dv/dt = omega x v, for rates
+    omega = (wx, 0, wz) held for time t: the rotation about the unit axis
+    omega / |omega| through the angle -|omega| t, with |omega| taken as
+    sqrt(wx^2 + wz^2), not hypot, which rounds differently.  One rotation
+    per row of the (rows, columns) array wz; wx and t broadcast against it.
+    Returns one entry per row: the unit axis (ax, 0, az) stacked over its
+    shifts (az, ax, 0) and (0, az, ax), to pair with the plant's shifts in
+    ``_rotate``; cos, sin and 1 - cos of the angle; and the mask of the
+    still (zero-rate) columns, or None if there is none.  The entry is None
+    when every column of the row is still."""
     w = np.sqrt(wx * wx + wz * wz)
     rows, m = w.shape
     if np.count_nonzero(w) == w.size:  # w.all(), in a quarter of the time
@@ -464,9 +409,10 @@ def _plant(start):
 def _rotate(plant, rot):
     """Rotate the columns of a ``_plant`` in place by one entry rot of
     ``_rotation``, with ``rodrigues``'s IEEE operations in its order, so each
-    column equals ``_hold`` bit for bit.  One multiplication of the stacked
-    shifts gives the dot product's terms (x ax, y 0, z az) and both cross
-    product terms.  Still columns, or all if rot is None, stay."""
+    column equals ``rodrigues`` on its axis and angle bit for bit.  One
+    multiplication of the stacked shifts gives the dot product's terms
+    (x ax, y 0, z az) and both cross product terms.  Still columns, or all
+    if rot is None, stay."""
     if rot is None:
         return
     axis, c, s, omc, still = rot
@@ -496,7 +442,8 @@ def _run_lmg_columns(
     rngs: Sequence[np.random.Generator],
     cols: SharedColumns,
 ) -> list[TrajectoryRecord]:
-    """``run_lmg_loop`` for many shots at once, equal to it bit for bit.
+    """The LMG engine: ``run_lmg_loop`` for each of many shots at once,
+    column c equal to its one-column run bit for bit.
 
     Column c runs params[c] on rngs[c], with one shot-noise normal per
     sample (``_column_start``).  It steps one transport-delay window of
@@ -530,13 +477,16 @@ def _run_lmg_columns(
     # 0-d bounds: numpy converts a Python float on every call
     cap = ctl.DEFAULT_RATE_CAP
     lo, hi, cap_lo, cap_hi = map(np.array, (-1.0, 1.0, -cap, cap))
+    neg_je = -je
 
     def control(a, b):
         # np.minimum(np.maximum()) is np.clip's bits, NaN too, in half the time
         value = ms[a:b]
         np.add(jt[a:b] * np.minimum(np.maximum(rec[2, a:b], lo), hi) + qpn_offset,
                m_sn[a:b], out=value)
-        z_est = np.minimum(np.maximum(value / je[a:b], lo), hi)
+        # clamp(value, -j, j) / j is clamp(value / j, -1, 1) for j > 0, bits
+        # included, and cannot overflow, so a huge value clamps to +-1
+        z_est = np.minimum(np.maximum(value, neg_je[a:b]), je[a:b]) / je[a:b]
         fed = held[a + d + 1:b + d + 1]  # the rates that arrive within the run
         np.minimum(np.maximum(k_nl * z_est[:len(fed)], cap_lo), cap_hi, out=fed)
 
@@ -681,17 +631,6 @@ def point_seed(master_seed: int, i: int) -> int:
     return master_seed + 1000 * i
 
 
-# Fewest shots for which run_batch takes the LMG array kernel.  Below it the
-# kernel's fixed numpy cost per sample outweighs the per-shot Python loop it
-# replaces.  At 750 samples on a 2-core Xeon (best of 7, three processes,
-# array against scalar), at the default 6 us delay: 1 shot 18-23 ms,
-# 2.8-4.9 ms; 8 shots 17-27 ms, 22-41 ms; 10 shots 17-27 ms, 39-51 ms;
-# 16 shots 18-21 ms, 53-73 ms, so they break even at 5-6 shots.  With no
-# delay, windows of one sample, at about 8 (8 shots 35-39 ms, 33-41 ms).
-# It moves only with a benchmark that measures both paths.
-ARRAY_MIN_SHOTS = 8
-
-
 def run_batch(
     cfg: LoopConfig,
     params,
@@ -707,10 +646,9 @@ def run_batch(
     n_shots shots evenly: point i then runs n_shots / len(params) shots on
     shot_rng(point_seed(master_seed, i), j), and the records come back
     point by point.  The shot-independent columns (``shared_columns``) are
-    computed once.  A kicked-top batch is one array computation
-    (``_run_kt_columns``), and so is an LMG batch of at least
-    ARRAY_MIN_SHOTS shots, sweep points included (``_run_lmg_columns``); a
-    smaller LMG batch runs ``run_lmg_loop`` per shot."""
+    computed once.  Every batch, one shot and sweep points included, is one
+    array computation: ``_run_kt_columns`` for the kicked top,
+    ``_run_lmg_columns`` for the LMG loop."""
     points = params if isinstance(params, (list, tuple)) else [params]
     per, extra = divmod(n_shots, len(points))
     if per < 1 or extra:
@@ -719,11 +657,8 @@ def run_batch(
             f"{len(points)} sweep point(s)"
         )
     cols = shared_columns(cfg, model.j_collective, sched)
-    work = [(p, shot_rng(point_seed(master_seed, i), j))
-            for i, p in enumerate(points) for j in range(per)]
-    if sched is None and n_shots < ARRAY_MIN_SHOTS:
-        return [run_lmg_loop(cfg, p, model, rng, cols) for p, rng in work]
-    ps, rngs = zip(*work)
+    ps, rngs = zip(*[(p, shot_rng(point_seed(master_seed, i), j))
+                     for i, p in enumerate(points) for j in range(per)])
     if sched is not None:
         return _run_kt_columns(cfg, sched, ps, model, rngs, cols)
     return _run_lmg_columns(cfg, ps, model, rngs, cols)

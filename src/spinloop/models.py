@@ -26,7 +26,7 @@ class LmgParams:
         if not 0.0 <= self.s <= 1.0:
             raise ValueError("s must lie in [0, 1]")
         # a quiet NaN rate sets no floating-point flag, so the array kernels
-        # would run it where the one-shot loop refuses it
+        # would run it to NaN records instead of refusing it
         if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
             raise ValueError(f"lambda_ ({self.lambda_!r}) must be finite and >= 0")
 

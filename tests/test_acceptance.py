@@ -118,22 +118,24 @@ def test_02_energy_conservation():
                 f"ideal loop |dE| {loop_drift:.2e} < 1e-3")
 
 
-def _z_inf(s: float) -> float:
+def _z_infs(grid) -> dict:
+    # one sweep batch, the dpt-sweep path; with no noise a point's record
+    # does not depend on its stream
     cfg = LoopConfig(
         sample_period=1e-7, latency=0.0, plant_dt=1e-7, duration=1.5e-3,
         decay_half_time=None, initial_state=SphericalAngles(0.0, 0.0),
     )
-    p = LmgParams(s=s, lambda_=ALPHA_LIN / max(1.0 - s, 1e-12) if s < 1 else ALPHA_LIN)
-    rec = run_lmg_loop(cfg, p, MODEL, np.random.default_rng(0))
-    z_inf, _ = order_parameters([rec])
-    return z_inf
+    points = [LmgParams(s=s, lambda_=ALPHA_LIN / max(1.0 - s, 1e-12) if s < 1 else ALPHA_LIN)
+              for s in grid]
+    recs = run_batch(cfg, points, MODEL, len(grid), 0)
+    return {s: order_parameters([rec])[0] for s, rec in zip(grid, recs)}
 
 
 def test_03_dynamical_phase_transition():
     coarse = [round(0.1 * i, 1) for i in range(9)]
     fine = [0.63 + 0.005 * i for i in range(15)]
     grid = sorted(set(coarse) | set(round(s, 3) for s in fine))
-    vals = {s: _z_inf(s) for s in grid}
+    vals = _z_infs(grid)
     crossing = None
     thresh = 0.1
     for a, b in zip(grid, grid[1:]):

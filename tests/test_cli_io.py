@@ -32,7 +32,6 @@ from spinloop.config import (
 )
 from spinloop.controller import FixedPointFormat, QktSchedule, decay_estimate
 from spinloop.loop_sim import (
-    ARRAY_MIN_SHOTS,
     ROTATION_NOT_FINITE,
     LoopConfig,
     TrajectoryRecord,
@@ -159,7 +158,6 @@ def test_dpt_sweep_stacks_points(tmp_path):
     assert simulate_main(["dpt-sweep", "--config", str(cfgp), "--out", str(out)]) == 0
     cfg = parse_config(cfgp)
     points = [LmgParams(s=s) for s in (0.5, 0.7, 0.8)]
-    assert 9 >= ARRAY_MIN_SHOTS
     stacked = run_batch(cfg.loop, points, cfg.measurement, 9, 11)
     rows = []
     for i, p in enumerate(points):
@@ -268,7 +266,7 @@ def test_dpt_sweep_reports_zero_tracked_length(tmp_path, capsys):
             "[sweep]\ns = 0.6 0.7\n")
     # the LMG loop measures at every one of its 200 samples
     _refuses_zero_tracked_length(tmp_path, capsys, text, LmgParams(s=0.7, lambda_=1.3e5),
-                                 range(200), (ARRAY_MIN_SHOTS - 1, ARRAY_MIN_SHOTS))
+                                 range(200), (1, 8))
 
 
 # a drive rate whose square overflows: the LMG linear drive (1 - s) lambda,
@@ -284,14 +282,14 @@ OVERFLOWING_RATE = {
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scenario", sorted(OVERFLOWING_RATE))
 def test_overflowing_rate_fails_alike(tmp_path, capsys, scenario):
-    # the scalar LMG loop (_hold) and both array kernels raise one error at
-    # the first rotation, with no numpy warning: one shot and ARRAY_MIN_SHOTS
-    # shots give the same runtime error line and leave no output directory
+    # both array kernels raise one error at the first rotation, with no
+    # numpy warning: one shot and eight shots give the same runtime error
+    # line and leave no output directory
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(f"[run]\nkind = {scenario}\n\n[loop]\nduration = 1e-4\n\n"
                     + OVERFLOWING_RATE[scenario])
     errs = []
-    for n in (1, ARRAY_MIN_SHOTS):
+    for n in (1, 8):
         out = tmp_path / f"o{n}"
         assert simulate_main([scenario, "--config", str(cfgp), "--out", str(out),
                               "--shots", str(n)]) == 1
@@ -434,11 +432,12 @@ def test_emit_trajectories_matches_per_row_format(tmp_path, monkeypatch, case, c
     model = MeasurementModel(sn_coeff=0.2)
     lmg = LmgParams(s=0.7, lambda_=1e5)
     if case == "lmg-array":
-        recs = run_batch(lmg_cfg, lmg, model, ARRAY_MIN_SHOTS, 4)
+        recs = run_batch(lmg_cfg, lmg, model, 8, 4)
         assert recs[0].t is recs[1].t
     elif case == "lmg-scalar":
         # equal shared columns, but one array object per shot
-        recs = run_batch(LoopConfig(duration=1e-4, qpn=True), lmg, model, 3, 4)
+        recs = [run_lmg_loop(LoopConfig(duration=1e-4, qpn=True), lmg, model, shot_rng(4, i))
+                for i in range(3)]
         assert recs[0].t is not recs[1].t
     elif case == "kt-array":
         sched = QktSchedule(40e-6, 6e-6, 2e-6, 4)

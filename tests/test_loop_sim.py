@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinloop import loop_sim
 from spinloop.controller import (
@@ -14,7 +16,7 @@ from spinloop.controller import (
     qkt_schedule,
 )
 from spinloop.loop_sim import (
-    ARRAY_MIN_SHOTS,
+    ROTATION_NOT_FINITE,
     LoopConfig,
     TrajectoryRecord,
     _run_kt_columns,
@@ -293,6 +295,56 @@ KT_BATCH_CASES = (
 )
 
 
+def _hold(x, y, z, wx, wz, t):
+    """Exact flow of dv/dt = omega x v for time t, omega = (wx, 0, wz), on
+    Python floats; ValueError(ROTATION_NOT_FINITE) if the angle |omega| t is
+    not finite."""
+    # not math.hypot: np.hypot rounds differently, and the kernels'
+    # _rotation matches this bit for bit
+    w = math.sqrt(wx * wx + wz * wz)
+    if w == 0.0:
+        return x, y, z
+    angle = -w * t
+    if not math.isfinite(angle):
+        raise ValueError(ROTATION_NOT_FINITE)
+    return rodrigues(x, y, z, wx / w, 0.0, wz / w, angle)
+
+
+def _lmg_reference(cfg, p, model, rng):
+    """One LMG shot on Python floats, the reference the kernel is checked
+    against: ``_shot_start``'s draws, then per sample ``measure``,
+    ``lmg_control`` on that one value, and one ``_hold`` of the held rate,
+    two when the delay's r plant steps split the sample."""
+    n = cfg.n_samples
+    sps = cfg.steps_per_sample
+    d, r = divmod(cfg.latency_steps, sps)
+    dt = cfg.plant_dt
+    t, j_true, j_est = shared_columns(cfg, model.j_collective)
+    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
+    detuning, amp, (x, y, z), qpn_offset = loop_sim._shot_start(cfg, model, rng)
+    wx = amp * p.alpha_lin
+    xyz, ms, cz, rates = np.empty((n, 3)), np.empty(n), np.empty(n), np.empty(n)
+    applied = 0.0
+    for k in range(n):
+        value = measure(max(-1.0, min(1.0, z)), j_true[k], eff_model, cfg.sample_period,
+                        rng, qpn_offset=qpn_offset)
+        rates[k] = lmg_control(value, j_est[k], p)
+        xyz[k] = x, y, z
+        ms[k] = value
+        cz[k] = applied
+        held = sps
+        if k >= d:
+            if r:
+                x, y, z = _hold(x, y, z, wx, amp * applied + detuning, r * dt)
+                held = sps - r
+            applied = float(rates[k - d])
+        x, y, z = _hold(x, y, z, wx, amp * applied + detuning, held * dt)
+    meta = {"final_state": (x, y, z), "model": "lmg",
+            "params": {"s": p.s, "lambda": p.lambda_}}
+    return TrajectoryRecord(np.array(t), *xyz.T, np.array(j_true), ms, cz, np.full(n, wx),
+                            np.array(j_est), meta)
+
+
 def _kt_reference(cfg, sched, p, model, rng):
     """One kicked-top shot on Python floats, the reference the kernel is
     checked against: ``_shot_start``'s draws, then per period one ``_hold``
@@ -313,7 +365,7 @@ def _kt_reference(cfg, sched, p, model, rng):
         nonlocal v
         for i in range(k, k + m):
             xyz[i] = v
-            v = loop_sim._hold(*v, wx, wz, ts)
+            v = _hold(*v, wx, wz, ts)
 
     for step, lin in enumerate(range(0, n - 1, n_per)):
         gap, kick = lin + n_lin, lin + n_lin + n_gap
@@ -357,7 +409,7 @@ def test_batch_shot_isolated_reproducibility():
 
 def test_batch_starts_no_process_pool(monkeypatch):
     # SPINLOOP_JOBS is no longer read: no process pool starts, and every
-    # record still equals its scalar oracle
+    # record still equals its Python-float reference
     import concurrent.futures
     import multiprocessing
 
@@ -368,10 +420,10 @@ def test_batch_starts_no_process_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     monkeypatch.setenv("SPINLOOP_JOBS", "8")
     for cfg, model in BATCH_CASES:
-        for n in (2, ARRAY_MIN_SHOTS):
+        for n in (1, 8):
             recs = run_batch(cfg, LMG07, model, n, master_seed=5)
             for i, rec in enumerate(recs):
-                assert _same_record(rec, run_lmg_loop(cfg, LMG07, model, shot_rng(5, i)))
+                assert _same_record(rec, _lmg_reference(cfg, LMG07, model, shot_rng(5, i)))
     for cfg, model in KT_BATCH_CASES:
         recs = run_batch(cfg, KT25, model, 2, master_seed=5, sched=KT_SCHED)
         for i, rec in enumerate(recs):
@@ -397,15 +449,46 @@ def test_array_kernel_matches_scalar_loop(latency, fixed_point, noise):
     # s = 1 has no linear drive: with no detuning its rate is exactly zero
     # until the first feedback arrives
     s1 = replace(LMG07, s=1.0)
-    for n in (1, ARRAY_MIN_SHOTS - 1, ARRAY_MIN_SHOTS + 1):
+    for n in (1, 7, 9):
         params = [(s1, LMG07)[c % 2] for c in range(n)]
         recs = _run_lmg_columns(cfg, params, model, [shot_rng(3, c) for c in range(n)], cols)
         for c, (p, rec) in enumerate(zip(params, recs)):
-            assert _same_record(rec, run_lmg_loop(cfg, p, model, shot_rng(3, c)))
+            assert _same_record(rec, _lmg_reference(cfg, p, model, shot_rng(3, c)))
     if noise is None and latency >= cfg.sample_period:
         still, moved = recs[0], recs[1]
         assert [still.x[1], still.y[1], still.z[1]] == [still.x[0], still.y[0], still.z[0]]
         assert moved.z[1] != moved.z[0]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    # the delay in plant steps: 20 to a sample, so most draws leave a
+    # sub-sample remainder
+    delay=st.integers(0, 130),
+    half=st.sampled_from([None, 5e-5, 1e-3]),
+    fmt=st.sampled_from([None, FixedPointFormat(word_bits=24, int_bits=6),
+                         FixedPointFormat(word_bits=48, int_bits=8)]),
+    qpn=st.booleans(),
+    shot=st.booleans(),
+    noise=st.booleans(),
+    n=st.sampled_from([1, 2, 9]),
+    duration=st.sampled_from([2e-6, 3e-5, 1e-4]),
+    ss=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+)
+def test_lmg_kernel_matches_reference_on_drawn_loops(delay, half, fmt, qpn, shot, noise, n,
+                                                     duration, ss):
+    # every column of one kernel batch equals the Python-float reference on
+    # its own stream, bit for bit
+    cfg = LoopConfig(latency=delay * 1e-7, duration=duration, qpn=qpn, shot=shot,
+                     decay_half_time=half, fixed_point=fmt,
+                     rotation_noise=KERNEL_NOISE if noise else None)
+    assert cfg.latency_steps == delay
+    model = replace(MODEL, sn_coeff=0.2)
+    params = [replace(LMG07, s=ss[c % len(ss)]) for c in range(n)]
+    recs = _run_lmg_columns(cfg, params, model, [shot_rng(7, c) for c in range(n)],
+                            shared_columns(cfg, model.j_collective))
+    for c, (p, rec) in enumerate(zip(params, recs)):
+        assert _same_record(rec, _lmg_reference(cfg, p, model, shot_rng(7, c)))
 
 
 @pytest.mark.parametrize("latency", [0.0, 2e-6, 4e-6])
@@ -453,7 +536,7 @@ def test_library_refuses_fixed_point_saturation():
         assert len(run_batch(cfg, KtParams(k=25), MODEL, n, 1, sched=KT_SCHED)) == n
     # the LMG loop's last measurement is at 149 samples, 2.98e-4 s
     cfg = replace(cfg, decay_half_time=2.5e-5)
-    for n in (1, ARRAY_MIN_SHOTS):
+    for n in (1, 8):
         with pytest.raises(ValueError, match=r"^loop\.decay_half_time: the decay exponent "
                            r"-t ln2 / decay_half_time reaches -8\.26\d* at the last"):
             run_batch(cfg, LMG07, MODEL, n, 1)
@@ -462,11 +545,11 @@ def test_library_refuses_fixed_point_saturation():
 
 def test_library_refuses_non_finite_drive():
     # a quiet NaN rate sets no numpy flag, so a kernel would return NaN
-    # records where the one-shot loop raises: the parameters refuse it, on
-    # both LMG paths and for a kicked-top column
+    # records: the parameters refuse it, for LMG batches of one shot and of
+    # eight and for a kicked-top column
     cfg = LoopConfig(latency=2e-6, duration=3e-4, decay_half_time=None)
     for bad in (math.nan, math.inf, -math.inf):
-        for n in (1, ARRAY_MIN_SHOTS):
+        for n in (1, 8):
             with pytest.raises(ValueError, match=r"^lambda_ \(.*\) must be finite and >= 0$"):
                 run_batch(cfg, LmgParams(s=0.7, lambda_=bad), MODEL, n, 1)
         for name in ("alpha", "k"):
@@ -474,25 +557,26 @@ def test_library_refuses_non_finite_drive():
                 run_batch(cfg, replace(KT25, **{name: bad}), MODEL, 1, 1, sched=KT_SCHED)
 
 
-def test_batch_takes_array_kernel_from_threshold(monkeypatch):
-    cfg, model = BATCH_CASES[1]
-    want = [run_lmg_loop(cfg, LMG07, model, shot_rng(5, i)) for i in range(ARRAY_MIN_SHOTS)]
-
-    def no_scalar(*args, **kwargs):
-        raise AssertionError("scalar loop called")
-
-    monkeypatch.setattr(loop_sim, "run_lmg_loop", no_scalar)
-    recs = run_batch(cfg, LMG07, model, ARRAY_MIN_SHOTS, master_seed=5)
-    assert all(_same_record(a, b) for a, b in zip(recs, want))
-    with pytest.raises(AssertionError, match="scalar loop called"):
-        run_batch(cfg, LMG07, model, ARRAY_MIN_SHOTS - 1, master_seed=5)
+def test_overflowing_measurement_ratio_clamps():
+    # a subnormal spin length makes measurement / tracked length overflow:
+    # the ratio clamps to +-1, as lmg_control's Python division does, at one
+    # shot and at eight, with no ROTATION_NOT_FINITE
+    cfg = LoopConfig(duration=1e-4, decay_half_time=None, shot=True)
+    model = MeasurementModel(n1_eff=1e-310, f=0.5, sn_coeff=1.0)
+    p = LmgParams(s=0.7)
+    one, eight = (run_batch(cfg, p, model, n, 1) for n in (1, 8))
+    for i, rec in enumerate(eight):
+        assert _same_record(rec, _lmg_reference(cfg, p, model, shot_rng(1, i)))
+    assert _same_record(one[0], eight[0])
+    # the default 6 us delay: the first rate arrives in sample d + 1 = 4
+    assert np.all(np.abs(eight[0].ctl_z[4:]) == p.k_nl)
 
 
 def test_kernel_records_share_read_only_columns():
     # an array batch holds one t, j_true and j_est for all its records
     cfg, model = BATCH_CASES[1]
     kt_cfg, kt_model = KT_BATCH_CASES[1]
-    for recs in (run_batch(cfg, LMG07, model, ARRAY_MIN_SHOTS, master_seed=5),
+    for recs in (run_batch(cfg, LMG07, model, 8, master_seed=5),
                  run_batch(kt_cfg, KT25, kt_model, 2, master_seed=5, sched=KT_SCHED)):
         for name in ("t", "j_true", "j_est"):
             col = getattr(recs[0], name)
