@@ -17,7 +17,10 @@ Rows of a batch never mix: every step is made of elementwise operations,
 sums along a row and one small GEMM per row, so a trajectory's bytes do not
 depend on the batch it runs in.  (A single GEMM over all rows would be
 faster, but BLAS rounds its rows differently as the row count changes.)
-The two W hold about (2j+1)^2 / 2 reals, 4 MB at the cap j = 500."""
+That is also why ``scenarios.quantum_ensemble`` may run contiguous ranges
+of an ensemble's rows in forked processes, one per usable CPU, to the same
+bytes; the children inherit the cached eigenbases.  The two W hold about
+(2j+1)^2 / 2 reals, 4 MB at the cap j = 500."""
 
 from __future__ import annotations
 

@@ -19,7 +19,8 @@ equal rows, this process writes the first, and a forked child formats each
 other one into an anonymous temporary file that is appended in order.  Each
 range has its own text cache, so the bytes are those of one process.
 Which path runs follows only from the row count and the CPUs this process
-may use; there is no setting for it.
+may use; there is no setting for it.  ``fork_parts`` forks, waits for and
+reaps the children, here and for the quantum ensemble runner.
 """
 
 from __future__ import annotations
@@ -146,52 +147,68 @@ def _cuts(offsets: list[int], n_rows: int, n_parts: int) -> list[int]:
     return [0, *sorted(inner - {len(offsets)}), len(offsets)]
 
 
-def _write_parts(fh, columns, cuts: list[int]) -> None:
-    """Write the rows of columns[cuts[0]:cuts[1]] to fh while one forked
-    child per later range formats it into an anonymous temporary file beside
-    fh; each child's file is appended once it has exited cleanly.
+def fork_parts(n_parts: int, run, done) -> None:
+    """run(0) in this process while a forked child runs run(k) for each
+    later part k; then, in order, wait for each child and call
+    done(k, code) with its exit code.
 
     A child ends only through os._exit, so it runs no atexit handler and
-    flushes no buffer of this process; its exit status is the errno of an
-    OSError it met, 255 for any other exception.  Every child is reaped, and
-    killed first if this process raised."""
+    flushes no buffer of this process.  Its exit code is 0 once run(k) has
+    returned, the errno of an OSError it raised, and 255 for any other
+    exception.  Every child is reaped, and killed first if this process
+    raised."""
     children = []
     try:
-        with ExitStack() as temps:
-            for a, b in zip(cuts[1:-1], cuts[2:]):
-                tmp = temps.enter_context(
-                    tempfile.TemporaryFile("w+", dir=Path(fh.name).parent))
-                pid = os.fork()
-                if pid == 0:
-                    status = 255
-                    try:
-                        tmp.writelines(_lines(columns[a:b]))
-                        tmp.flush()
-                        status = 0
-                    except OSError as e:
-                        if e.errno and e.errno < 255:
-                            status = e.errno
-                    finally:
-                        os._exit(status)
-                children.append((pid, tmp))
-            fh.writelines(_lines(columns[: cuts[1]]))
-            while children:
-                pid, tmp = children[0]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                if 0 < code < 255:
-                    raise OSError(code, os.strerror(code))
-                if code:
-                    raise OSError(f"a formatting process ended with status {code}")
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh)
+        for k in range(1, n_parts):
+            pid = os.fork()
+            if pid == 0:
+                status = 255
+                try:
+                    run(k)
+                    status = 0
+                except OSError as e:
+                    if e.errno and e.errno < 255:
+                        status = e.errno
+                finally:
+                    os._exit(status)
+            children.append(pid)
+        run(0)
+        for k in range(1, n_parts):
+            code = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
+            del children[0]
+            done(k, code)
     finally:
         if children:
             import signal  # only here: not loaded at start-up
 
-            for pid, _ in children:
+            for pid in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+
+
+def _write_parts(fh, columns, cuts: list[int]) -> None:
+    """Write the rows of columns[cuts[0]:cuts[1]] to fh while one forked
+    child per later range formats it into an anonymous temporary file beside
+    fh (``fork_parts``); each child's file is appended once it has exited
+    cleanly.  A child's exit code is the errno of an OSError it met, which
+    reads here as that OSError."""
+    with ExitStack() as temps:
+        files = [fh, *(temps.enter_context(tempfile.TemporaryFile(
+            "w+", dir=Path(fh.name).parent)) for _ in cuts[2:])]
+
+        def run(k):
+            files[k].writelines(_lines(columns[cuts[k] : cuts[k + 1]]))
+            files[k].flush()
+
+        def done(k, code):
+            if 0 < code < 255:
+                raise OSError(code, os.strerror(code))
+            if code:
+                raise OSError(f"a formatting process ended with status {code}")
+            files[k].seek(0)
+            shutil.copyfileobj(files[k], fh)
+
+        fork_parts(len(cuts) - 1, run, done)
 
 
 def emit_trajectories(path, records: list[TrajectoryRecord]) -> tuple[Path, list[int]]:

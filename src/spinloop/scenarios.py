@@ -3,7 +3,9 @@ pipeline, writes result files, and records the reproducibility manifest."""
 
 from __future__ import annotations
 
+import copy
 import math
+import mmap
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -22,17 +24,26 @@ from .config import ExperimentConfig
 from .loop_sim import TrajectoryRecord, run_batch, shot_rng
 from .measurement import composite_pulse_scan, measure, noise_budget_fit
 from .models import KtParams, LmgParams, kt_map, tilted
-from .quantum import QuantumSpinState, bloch_vector, qmf_step, sample_outcome, scs_state
+from .quantum import (
+    QuantumSpinState,
+    _jx_parity_blocks,
+    bloch_vector,
+    qmf_step,
+    sample_outcome,
+    scs_state,
+)
 # bound here so the benchmark tracer (perfbench/tracing.py) can patch them
 from .quantum import expect, spin_operators  # noqa: F401
 from .runio import (
     SCHEMA_VERSION,
     RunManifest,
+    _usable_cpus,
     emit_csv,
     emit_json,
     emit_trajectories,
     file_sha256,
     fmt_float,
+    fork_parts,
 )
 from .spin_core import from_angles
 
@@ -209,6 +220,15 @@ def _run_composite(cfg, out):
 # trajectories advanced together: state memory stays O(block * dim)
 # whatever the shot count, while one step still serves many shots
 QUANTUM_BLOCK = 64
+# The least work, in shot-steps * dim^2, worth a process of its own: an
+# ensemble is cut into at most one part per QUANTUM_PART_MIN_WORK.  Two
+# processes against one broke even at 1e7-3e7 per part (2-CPU Xeon, in
+# process, alternating, medians of 21: j = 500 and 2 shots at 10, 20 and
+# 30 steps took 13.7, 28.5 and 46.6 ms in one process and 18.0, 27.4 and
+# 35.2 ms in two; j = 200 and 4 shots at 30 and 60 steps 24.2 and 38.6 ms
+# in one, 21.4 and 43.8 ms in two).  Both quantum-qmf configs, at about
+# 1.2e8 and 1.5e8 per part, split; j = 10 runs of a few shots do not.
+QUANTUM_PART_MIN_WORK = 20_000_000
 
 
 def quantum_ensemble(j, angles, params, sigma, dt, n_steps, rngs):
@@ -217,19 +237,51 @@ def quantum_ensemble(j, angles, params, sigma, dt, n_steps, rngs):
     lock-step, QUANTUM_BLOCK at a time.  Returns the Bloch vectors <J>/j
     before each step and after the last, shape (shots, n_steps + 1, 3), and
     the outcomes, shape (shots, n_steps).  Trajectory i depends only on
-    rngs[i]."""
+    rngs[i].
+
+    The shots are cut into contiguous ranges, one per usable CPU but none
+    under QUANTUM_PART_MIN_WORK.  This process runs the first range, and a
+    forked child runs each other one into its rows of the returned arrays,
+    which live in one shared anonymous mapping.  Every range draws from
+    copies of its generators, so a split run leaves rngs unadvanced.  If
+    any range fails, the children are killed and reaped, and the ensemble
+    runs again in this process from rngs, so it raises exactly the error
+    of one process.  A row's bytes do not depend on its batch, so they do
+    not depend on the range either, and no setting chooses the path."""
+    n = len(rngs)
     psi0 = scs_state(j, angles).amplitudes
-    bloch = np.empty((len(rngs), n_steps + 1, 3))
-    meas = np.empty((len(rngs), n_steps))
-    for lo in range(0, len(rngs), QUANTUM_BLOCK):
-        block = rngs[lo : lo + QUANTUM_BLOCK]
-        rows = slice(lo, lo + len(block))
-        state = QuantumSpinState(j, np.tile(psi0, (len(block), 1)))
-        for k in range(n_steps):
-            bloch[rows, k] = bloch_vector(state)
-            meas[rows, k] = sample_outcome(state, sigma, block)
-            state = qmf_step(state, meas[rows, k], params, dt, sigma)
-        bloch[rows, n_steps] = bloch_vector(state)
+    work = n * n_steps * len(psi0) ** 2
+    parts = max(1, min(_usable_cpus(), n, work // QUANTUM_PART_MIN_WORK))
+    size = n * (n_steps + 1) * 3 + n * n_steps
+    buf = np.frombuffer(mmap.mmap(-1, 8 * size)) if parts > 1 else np.empty(size)
+    bloch = buf[: n * (n_steps + 1) * 3].reshape(n, n_steps + 1, 3)
+    meas = buf[bloch.size :].reshape(n, n_steps)
+
+    def run(a, b, gens):
+        for lo in range(a, b, QUANTUM_BLOCK):
+            rows = slice(lo, min(lo + QUANTUM_BLOCK, b))
+            block = gens[rows]
+            state = QuantumSpinState(j, np.tile(psi0, (len(block), 1)))
+            for k in range(n_steps):
+                bloch[rows, k] = bloch_vector(state)
+                meas[rows, k] = sample_outcome(state, sigma, block)
+                state = qmf_step(state, meas[rows, k], params, dt, sigma)
+            bloch[rows, n_steps] = bloch_vector(state)
+
+    def check(k, code):
+        if code:
+            raise ChildProcessError(f"quantum range {k} ended with status {code}")
+
+    if parts > 1:
+        _jx_parity_blocks(j)  # cached before forking: no child repeats the eigh
+        cuts = [n * k // parts for k in range(parts + 1)]
+        gens = copy.deepcopy(rngs)  # rngs stay unadvanced for a run in one process
+        try:
+            fork_parts(parts, lambda k: run(cuts[k], cuts[k + 1], gens), check)
+            return bloch, meas
+        except Exception:  # any failure: run in one process, to its result or error
+            pass
+    run(0, n, rngs)
     return bloch, meas
 
 

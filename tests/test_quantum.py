@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -280,3 +282,169 @@ def test_ensemble_blocks_match_one_block(monkeypatch):
     blocked = quantum_ensemble(*args, [shot_rng(5, i) for i in range(12)])
     for a, b in zip(whole, blocked):
         assert np.array_equal(a, b)
+
+
+# an ensemble cut into one range per usable CPU (scenarios.fork_parts)
+# gives the bytes of one process
+def _split_at(monkeypatch, cpus):
+    parts = []
+    real = scenarios.fork_parts
+
+    def fork_parts(n_parts, run, done):
+        parts.append(n_parts)
+        real(n_parts, run, done)
+
+    monkeypatch.setattr(scenarios, "fork_parts", fork_parts)
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(scenarios, "QUANTUM_PART_MIN_WORK", 1)
+    return parts
+
+
+@pytest.mark.parametrize("j, shots", [(2.0, 63), (2.0, 64), (2.0, 65), (199.5, 3)])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_ensemble_matches_one_process(monkeypatch, j, shots, cpus):
+    # 63 to 65 rows cross both the QUANTUM_BLOCK boundary and the part cuts
+    p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
+    args = (j, SphericalAngles(0.4, 0.3), p, 3.0, 2e-6, 4)
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
+    whole = quantum_ensemble(*args, [shot_rng(5, i) for i in range(shots)])
+    parts = _split_at(monkeypatch, cpus)
+    rngs = [shot_rng(5, i) for i in range(shots)]
+    split = quantum_ensemble(*args, rngs)
+    assert parts == [cpus]
+    for a, b in zip(whole, split):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the ranges drew from copies: rngs are where they started
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
+    for a, b in zip(whole, quantum_ensemble(*args, rngs)):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ChildProcessError):  # every child reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_tiny_or_one_shot_ensemble_stays_in_process(monkeypatch):
+    p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
+    args = (10.0, SphericalAngles(0.4, 0.3), p, 3.0, 2e-6, 12)
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    # 3 shots * 12 steps * 21^2 is far below the break-even
+    quantum_ensemble(*args, [shot_rng(5, i) for i in range(3)])
+    monkeypatch.setattr(scenarios, "QUANTUM_PART_MIN_WORK", 1)
+    quantum_ensemble(*args, [shot_rng(5, 0)])
+
+
+class _Faulty:
+    """A shot generator whose Gaussian draws are `value` from the given
+    step on, where only the processes that `fails_in` accepts see it."""
+
+    def __init__(self, rng, value, fails_in=lambda pid: True, step=2):
+        self.rng, self.value, self.fails_in, self.left = rng, value, fails_in, step
+
+    def random(self):
+        return self.rng.random()
+
+    def standard_normal(self):
+        self.left -= 1
+        draw = self.rng.standard_normal()
+        return self.value if self.left < 0 and self.fails_in(os.getpid()) else draw
+
+
+class _Stalls:
+    """A shot generator that stalls for 30 s at its first draw in any
+    process but the one that made it."""
+
+    def __init__(self, rng):
+        self.rng, self.parent, self.stalled = rng, os.getpid(), False
+
+    def random(self):
+        if os.getpid() != self.parent and not self.stalled:
+            self.stalled = True
+            time.sleep(30)
+        return self.rng.random()
+
+    def standard_normal(self):
+        return self.rng.standard_normal()
+
+
+# an outcome far out in the tails leaves no probability; a NaN outcome
+# leaves a NaN state, refused at the next draw
+UNDERFLOW = (FloatingPointError, "outcome probability underflow")
+NAN = (ValueError, "probabilities contain NaN")
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as err, np.errstate(invalid="ignore"):
+        fn()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("faults, want", [
+    # row: (outcome, from step); rows 0-2 are this process's range, 3-5 the child's
+    ({0: (1e6, 2)}, UNDERFLOW),
+    ({0: (math.nan, 2)}, NAN),
+    ({5: (1e6, 2)}, UNDERFLOW),
+    ({5: (math.nan, 2)}, NAN),
+    # one process meets row 4's underflow first, this process row 1's NaN
+    ({1: (math.nan, 3), 4: (1e6, 2)}, UNDERFLOW),
+], ids=["here-underflow", "here-nan", "child-underflow", "child-nan", "both"])
+def test_split_failure_reads_as_one_process(monkeypatch, faults, want):
+    p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
+    args = (2.0, SphericalAngles(0.4, 0.3), p, 3.0, 2e-6, 6)
+
+    def rngs():
+        gens = [shot_rng(5, i) for i in range(6)]
+        for row, (value, step) in faults.items():
+            gens[row] = _Faulty(gens[row], value, step=step)
+        if 0 in faults:  # this process fails while its child still runs
+            gens[5] = _Stalls(gens[5])
+        return gens
+
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
+    assert _raised(lambda: quantum_ensemble(*args, rngs())) == want
+    parts = _split_at(monkeypatch, 2)
+    t0 = time.monotonic()
+    assert _raised(lambda: quantum_ensemble(*args, rngs())) == want
+    assert parts == [2]
+    assert time.monotonic() - t0 < 15  # the stalled child was killed, not awaited
+    with pytest.raises(ChildProcessError):  # no child left, running or not reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_split_runs_again_in_one_process(monkeypatch):
+    # a fault only the child meets: the ensemble runs again in this process,
+    # from generators no range advanced
+    p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
+    args = (2.0, SphericalAngles(0.4, 0.3), p, 3.0, 2e-6, 6)
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
+    whole = quantum_ensemble(*args, [shot_rng(5, i) for i in range(6)])
+    parent = os.getpid()
+    rngs = [shot_rng(5, i) for i in range(6)]
+    rngs[4] = _Faulty(rngs[4], math.nan, fails_in=lambda pid: pid != parent)
+    _split_at(monkeypatch, 2)
+    with np.errstate(invalid="ignore"):  # the child's NaN state
+        split = quantum_ensemble(*args, rngs)
+    for a, b in zip(whole, split):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("row", [0, 2])
+def test_split_failure_is_one_cli_error(tmp_path, monkeypatch, capsys, row):
+    # row 0 fails in this process while the child runs, row 2 in the child
+    real_rng = scenarios.shot_rng
+    monkeypatch.setattr(scenarios, "shot_rng", lambda seed, i: (
+        _Faulty(real_rng(seed, i), 1e6) if i == row else real_rng(seed, i)))
+    cfgp = _quantum_config(tmp_path, 10)
+    errors = []
+    for cpus in (1, 2):
+        parts = _split_at(monkeypatch, cpus)
+        out = tmp_path / f"o{cpus}"
+        assert simulate_main(["quantum-qmf", "--config", str(cfgp), "--out", str(out)]) == 1
+        assert parts == ([2] if cpus == 2 else [])
+        assert not out.exists()
+        stderr = capsys.readouterr().err
+        assert stderr.count("\n") == 1
+        errors.append(json.loads(stderr))
+    assert errors[0] == errors[1] == {
+        "error": "runtime", "message": "outcome probability underflow"}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
