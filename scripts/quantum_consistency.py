@@ -39,7 +39,7 @@ def main():
     cfg = LoopConfig(
         sample_period=dt, latency=0.0, plant_dt=dt,
         duration=(args.steps + 1) * dt, decay_half_time=None,
-        initial_state=SphericalAngles(1e-6, 0.0), qpn=True, shot=True,
+        initial_state=SphericalAngles(1e-6, 0.0), qpn=True,
     )
     recs = run_batch(cfg, p, model, args.traj, master_seed=888)
     zc = np.array([rec.z for rec in recs])

@@ -16,9 +16,11 @@ raised before any output directory is created:
   ftc-sweep), loop.word_bits and loop.int_bits need loop.fixed_point = true,
   measurement.sn_coeff needs loop.shot = true, loop.shot = true needs
   measurement.sn_coeff > 0, and measurement.ratio_n2_n1 needs loop.qpn =
-  true.  On the LMG plant (lmg-run, dpt-sweep and ssb-ensemble) only the
-  decay tracker computes in fixed point, so loop.fixed_point needs a
-  loop.decay_half_time other than none.
+  true.  Photon shot noise is on exactly when measurement.sn_coeff > 0; the
+  loops do not read loop.shot, which a config still sets to true beside a
+  positive sn_coeff, as these gates require.  On the LMG plant (lmg-run,
+  dpt-sweep and ssb-ensemble) only the decay tracker computes in fixed
+  point, so loop.fixed_point needs a loop.decay_half_time other than none.
 - Every key a scenario reads changes its outputs, but for six that stay
   accepted because the benchmark configs set them: lmg.s in dpt-sweep and
   kt.alpha in ftc-sweep, which each sweep point replaces, and loop.latency
@@ -421,7 +423,7 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
     if raw.get("fixed_point", False):
         fmt = _build(path, "loop", FixedPointFormat, **_given(raw, "word_bits", "int_bits"))
     timing = _given(raw, "sample_period", "latency", "plant_dt", "duration",
-                    "decay_half_time", "qpn", "shot")
+                    "decay_half_time", "qpn")
     if kind in _KT_LOOPS:  # each rate is held for whole samples
         timing["plant_dt"] = raw.get("sample_period", LoopConfig.sample_period)
     start = LoopConfig.initial_state

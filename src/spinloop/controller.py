@@ -292,6 +292,3 @@ class QktSchedule:
     @property
     def period(self) -> float:
         return self.t_linear + self.t_gap + self.t_kick
-
-
-qkt_schedule = QktSchedule

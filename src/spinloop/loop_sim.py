@@ -29,6 +29,10 @@ overflows, raises ValueError(ROTATION_NOT_FINITE): each kernel runs with
 numpy's overflow and invalid errors raised (``_finite_rotations``) and
 turns them into that error.
 
+Photon shot noise belongs to the measurement model: its variance is
+sn_coeff / sample_period, so sn_coeff = 0 is none, and its normals are
+drawn either way, so a shot's stream does not depend on it.
+
 What is not per-sample physics is written once: ``_column_start`` makes
 a kernel's per-shot draws, each in its shot's stream order,
 ``_column_records`` builds its records, ``_rotate_run`` records a held rate,
@@ -43,7 +47,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +68,7 @@ from .spin_core import (
     SpinVector,
     draw_shot_noise,
     from_angles,
+    require_finite,
 )
 
 
@@ -76,11 +81,14 @@ class LoopConfig:
     decay_half_time: float | None = 2e-3  # None disables spin-length decay
     initial_state: SphericalAngles = SphericalAngles(math.pi / 2.0, 0.0)
     qpn: bool = False  # initial-tilt + frozen-offset projection noise
-    shot: bool = False  # photon shot noise on each sample
     rotation_noise: RotationNoise | None = None
     fixed_point: FixedPointFormat | None = None  # controller arithmetic mode
 
     def __post_init__(self) -> None:
+        require_finite(self, "sample_period", "latency", "plant_dt", "duration")
+        if self.decay_half_time is not None:
+            require_finite(self, "decay_half_time")
+        require_finite(self.initial_state, "theta", "phi")
         if self.plant_dt <= 0 or self.sample_period <= 0 or self.duration <= 0:
             raise ValueError("timing fields must be > 0")
         if self.plant_dt > self.sample_period + 1e-15:
@@ -190,13 +198,12 @@ def _column_start(cfg: LoopConfig, model: MeasurementModel, rngs, n_meas: int):
     rows, the shape of a one-sample window, the initial state as (x, y, z)
     rows, and the scaled noise as an (n_meas, columns) array, so each
     measurement reads one row."""
-    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     starts = []
     noise = np.empty((n_meas, len(rngs)))
     for c, rng in enumerate(rngs):
         starts.append(_shot_start(cfg, model, rng))
         noise[:, c] = rng.standard_normal(n_meas)
-    noise *= math.sqrt(shot_noise_variance(eff_model, cfg.sample_period))
+    noise *= math.sqrt(shot_noise_variance(model, cfg.sample_period))
     detuning, amp, v, qpn_offset = (np.array([a]) for a in zip(*starts))
     return detuning, amp, v[0].T, qpn_offset, noise
 
@@ -327,19 +334,17 @@ def run_lmg_loop(
     p: LmgParams,
     model: MeasurementModel,
     rng,
-    cols: SharedColumns | None = None,
 ) -> TrajectoryRecord:
     """Closed-loop emulation of the linear-plus-quadratic flow.
 
     The plant sees a constant linear drive about x plus the delayed,
     zero-order-held feedback rate about z.  With the delay d samples plus r
     plant steps, the rate computed at sample k takes over r plant steps into
-    sample k + d, so each sample is at most two exact rotations.  cols is
-    ``shared_columns(cfg, model.j_collective)``; it is computed here when
-    not given.  This is ``_run_lmg_columns`` on one column, so a shot's
-    record does not depend on the batch it runs in."""
+    sample k + d, so each sample is at most two exact rotations.  This is
+    ``_run_lmg_columns`` on one column, so a shot's record does not depend
+    on the batch it runs in."""
     return _run_lmg_columns(cfg, [p], model, [rng],
-                            cols or shared_columns(cfg, model.j_collective))[0]
+                            shared_columns(cfg, model.j_collective))[0]
 
 
 def _lmg_meta(p: LmgParams, x, y, z) -> dict:
@@ -537,7 +542,6 @@ def run_kt_loop(
     p: KtParams,
     model: MeasurementModel,
     rng,
-    cols: SharedColumns | None = None,
 ) -> TrajectoryRecord:
     """Closed-loop kicked-top emulation on the period grid.
 
@@ -547,13 +551,11 @@ def run_kt_loop(
     in all three.  Each segment holds one rate, and the plant is rotated
     exactly over each sample.  Stroboscopic indices are stored in meta:
     'strob_gap_idx' (measurement samples) and 'strob_period_idx' (period
-    boundaries, comparable to the iterated map).  cols is
-    ``shared_columns(cfg, model.j_collective, sched)``, with one tracked
-    spin length per period; it is computed here when not given.  This is
+    boundaries, comparable to the iterated map).  This is
     ``_run_kt_columns`` on one column, so a shot's record does not depend on
     the batch it runs in."""
     return _run_kt_columns(cfg, sched, [p], model, [rng],
-                           cols or shared_columns(cfg, model.j_collective, sched))[0]
+                           shared_columns(cfg, model.j_collective, sched))[0]
 
 
 @_finite_rotations()

@@ -20,6 +20,7 @@ from .spin_core import (
     Z_HAT,
     draw_shot_noise,
     noisy_rotate,
+    require_finite,
 )
 
 MIN_SCAN_SHOTS = 100  # fewest shots composite_pulse_scan takes a variance over
@@ -34,6 +35,7 @@ class MeasurementModel:
     sn_coeff: float = 0.0  # shot-noise variance coefficient, signal^2 * s
 
     def __post_init__(self) -> None:
+        require_finite(self, "n1_eff", "ratio_n2_n1", "f", "sn_coeff")
         if self.n1_eff <= 0:
             raise ValueError("n1_eff must be > 0")
         if not 0.0 < self.ratio_n2_n1 <= 1.0:

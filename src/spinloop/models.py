@@ -47,9 +47,7 @@ class KtParams:
     k: float = 0.0  # kick strength, rad
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "k"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} ({getattr(self, name)!r}) must be finite")
+        spin_core.require_finite(self, "alpha", "k")
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,15 @@ ctl_x) once, and every later record reuses that text; the file's bytes are
 the same as formatting each value.  The reader parses only the columns the
 caller names, plus t, so ``analyze`` reads only what its kind uses.
 
-A trajectory file of 2 * ``PART_MIN_ROWS`` (6000) rows or more is
-formatted by one process per usable CPU, with no part under about
-``PART_MIN_ROWS`` rows: the records are cut into contiguous ranges of about
-equal rows, this process writes the first, and a forked child formats each
-other one into an anonymous temporary file that is appended in order.  Each
-range has its own text cache, so the bytes are those of one process.
-Which path runs follows only from the row count and the CPUs this process
-may use; there is no setting for it.  ``fork_parts`` forks, waits for and
-reaps the children, here and for the quantum ensemble runner.
+Every trajectory file has one writer, ``_write_parts``: the records are cut
+into contiguous ranges of about equal rows, one per usable CPU but none
+under about ``PART_MIN_ROWS`` rows, so a file under 6000 rows is one range
+and forks nothing.  This process writes the first range, and a forked child
+formats each other one into an anonymous temporary file that is appended in
+order.  Each range has its own text cache, so the bytes are those of one
+process; the ranges follow only from the row count and the usable CPUs.
+``fork_parts`` forks, waits for and reaps the children, here and for the
+quantum ensemble runner.
 """
 
 from __future__ import annotations
@@ -191,7 +191,8 @@ def _write_parts(fh, columns, cuts: list[int]) -> None:
     child per later range formats it into an anonymous temporary file beside
     fh (``fork_parts``); each child's file is appended once it has exited
     cleanly.  A child's exit code is the errno of an OSError it met, which
-    reads here as that OSError."""
+    reads here as that OSError.  One range (cuts of length 2) forks nothing
+    and makes no temporary file."""
     with ExitStack() as temps:
         files = [fh, *(temps.enter_context(tempfile.TemporaryFile(
             "w+", dir=Path(fh.name).parent)) for _ in cuts[2:])]
@@ -214,9 +215,9 @@ def _write_parts(fh, columns, cuts: list[int]) -> None:
 def emit_trajectories(path, records: list[TrajectoryRecord]) -> tuple[Path, list[int]]:
     """Stack records into one CSV; returns the path and per-shot row offsets.
 
-    The rows are ``_lines``.  A file of 2 * ``PART_MIN_ROWS`` rows or more
-    is formatted in one process per usable CPU, but no more than one per
-    ``PART_MIN_ROWS`` rows (``_write_parts``), to the same bytes.  Partial
+    The rows are ``_lines``, written by ``_write_parts`` in one part per
+    usable CPU but at most one per ``PART_MIN_ROWS`` rows, to the same
+    bytes.  Partial
     records (read for some columns only) are refused before the file is
     opened or a process is forked."""
     columns = [[np.asarray(c) for c in rec.columns()] for rec in records]
@@ -225,10 +226,7 @@ def emit_trajectories(path, records: list[TrajectoryRecord]) -> tuple[Path, list
     cuts = _cuts(offsets, n_rows, min(_usable_cpus(), n_rows // PART_MIN_ROWS))
     path = Path(path)
     with _created(path, TRAJECTORY_HEADER) as fh:
-        if len(cuts) > 2:
-            _write_parts(fh, columns, cuts)
-        else:
-            fh.writelines(_lines(columns))
+        _write_parts(fh, columns, cuts)
     return path, offsets
 
 

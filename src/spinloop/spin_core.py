@@ -39,6 +39,16 @@ Y_HAT = SpinVector(0.0, 1.0, 0.0)
 Z_HAT = SpinVector(0.0, 0.0, 1.0)
 
 
+def require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first of obj's fields names whose value is
+    not finite: a quiet NaN sets no floating-point flag, so the array
+    kernels would run it to NaN records instead of refusing it."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} ({value!r}) must be finite")
+
+
 @dataclass(frozen=True)
 class SphericalAngles:
     """Polar angle theta from +z in [0, pi], azimuth phi in [-pi, pi)."""
@@ -66,6 +76,8 @@ class RotationNoise:
     rabi_rate: float = 2 * math.pi * 6.3e3
 
     def __post_init__(self) -> None:
+        require_finite(self, "fixed_detuning", "static_detuning_sigma",
+                       "amplitude_error_sigma", "phase_noise_sigma", "rabi_rate")
         if self.static_detuning_sigma < 0:
             raise ValueError("static_detuning_sigma must be >= 0")
         if self.amplitude_error_sigma < 0:

@@ -17,11 +17,11 @@ from spinloop.analysis import (
 )
 from spinloop.controller import (
     DEFAULT_FXP,
+    QktSchedule,
     bmod2,
     fxp_quantize,
     kick_angle,
     pade_exp,
-    qkt_schedule,
 )
 from spinloop.loop_sim import (
     LoopConfig,
@@ -196,7 +196,7 @@ def test_05_latency_driven_decay():
 
 
 def test_06_kt_map_fidelity():
-    sched = qkt_schedule(40e-6, 6e-6, 2e-6, 25)
+    sched = QktSchedule(40e-6, 6e-6, 2e-6, 25)
     worst = 0.0
     for k in (0.5, 2.5, 3.0):
         cfg = LoopConfig(
@@ -272,7 +272,7 @@ def test_07_lyapunov():
 
 
 def _ftc_series(k, alphas, n_seeds):
-    sched = qkt_schedule(40e-6, 6e-6, 2e-6, 25)
+    sched = QktSchedule(40e-6, 6e-6, 2e-6, 25)
     data = {}
     for i, a in enumerate(alphas):
         p = KtParams(alpha=a, k=k)
@@ -400,7 +400,7 @@ def test_11_quantum_module():
     cfg = LoopConfig(
         sample_period=dt, latency=0.0, plant_dt=dt,
         duration=(n_steps + 1) * dt, decay_half_time=None,
-        initial_state=SphericalAngles(1e-6, 0.0), qpn=True, shot=True,
+        initial_state=SphericalAngles(1e-6, 0.0), qpn=True,
     )
     recs = run_batch(cfg, LMG07, model, n_traj, master_seed=888)
     zc = np.array([rec.z for rec in recs])

@@ -11,6 +11,7 @@ from spinloop.controller import (
     DEFAULT_RATE_CAP,
     FixedPointFormat,
     FixedPointValue,
+    QktSchedule,
     bmod2,
     decay_estimate,
     fxp_fits,
@@ -18,7 +19,6 @@ from spinloop.controller import (
     kick_angle,
     lmg_control,
     pade_exp,
-    qkt_schedule,
 )
 from spinloop.models import LmgParams
 from spinloop.spin_core import SpinVector, Z_HAT, rotate
@@ -345,7 +345,7 @@ def test_lmg_control_clamp_and_cap():
 
 
 def test_qkt_schedule_validation():
-    s = qkt_schedule(40e-6, 6e-6, 2e-6, 25)
+    s = QktSchedule(40e-6, 6e-6, 2e-6, 25)
     assert s.period == pytest.approx(48e-6)
     with pytest.raises(ValueError):
-        qkt_schedule(40e-6, 6e-6, 2e-6, 0)  # no period
+        QktSchedule(40e-6, 6e-6, 2e-6, 0)  # no period

@@ -10,10 +10,10 @@ from spinloop import loop_sim
 from spinloop.controller import (
     DEFAULT_FXP,
     FixedPointFormat,
+    QktSchedule,
     decay_estimate,
     kick_angle,
     lmg_control,
-    qkt_schedule,
 )
 from spinloop.loop_sim import (
     ROTATION_NOT_FINITE,
@@ -41,7 +41,7 @@ from spinloop.spin_core import (
 ALPHA_LIN = 2.0 * math.pi * 6.25e3
 LMG07 = LmgParams(s=0.7, lambda_=ALPHA_LIN / 0.3)
 MODEL = MeasurementModel()
-KT_SCHED = qkt_schedule(40e-6, 6e-6, 2e-6, 5)
+KT_SCHED = QktSchedule(40e-6, 6e-6, 2e-6, 5)
 KT25 = KtParams(alpha=math.pi / 2.0, k=2.5)
 
 IDEAL = LoopConfig(
@@ -155,7 +155,7 @@ def test_decay_tracks_half_time():
     fmt = FixedPointFormat(word_bits=24, int_bits=6)
     cfg = LoopConfig(latency=4e-6, duration=1.3e-3, decay_half_time=2e-4,
                      fixed_point=fmt)
-    rec = run_kt_loop(cfg, qkt_schedule(40e-6, 6e-6, 2e-6, 25), KtParams(1.0, 2.0),
+    rec = run_kt_loop(cfg, QktSchedule(40e-6, 6e-6, 2e-6, 25), KtParams(1.0, 2.0),
                       MODEL, np.random.default_rng(0))
     gap = rec.meta["strob_gap_idx"]
     want = [decay_estimate(MODEL.j_collective, 2e-4, rec.t[k], fmt) for k in gap]
@@ -164,7 +164,7 @@ def test_decay_tracks_half_time():
 
 
 def test_kt_loop_matches_iterated_map():
-    sched = qkt_schedule(40e-6, 6e-6, 2e-6, 25)
+    sched = QktSchedule(40e-6, 6e-6, 2e-6, 25)
     cfg = LoopConfig(latency=4e-6, plant_dt=1e-8, duration=1.3e-3,
                      decay_half_time=None, initial_state=SphericalAngles(2.0, 1.0))
     p = KtParams(alpha=math.pi / 2.0, k=2.5)
@@ -183,7 +183,7 @@ def test_kt_loop_detuning_acts_over_whole_period():
     # with no linear rotation and no kick, a static detuning precesses the
     # spin about z through the linear segment, the gap and the kick alike
     delta = 2.0 * math.pi * 500.0
-    sched = qkt_schedule(40e-6, 6e-6, 2e-6, 5)
+    sched = QktSchedule(40e-6, 6e-6, 2e-6, 5)
     cfg = LoopConfig(latency=4e-6, duration=1.3e-3, decay_half_time=None,
                      initial_state=SphericalAngles(math.pi / 2.0, 0.3),
                      rotation_noise=RotationNoise(fixed_detuning=delta))
@@ -195,7 +195,7 @@ def test_kt_loop_detuning_acts_over_whole_period():
 
 
 def test_kt_loop_rejects_excess_latency():
-    sched = qkt_schedule(40e-6, 6e-6, 2e-6, 25)
+    sched = QktSchedule(40e-6, 6e-6, 2e-6, 25)
     cfg = LoopConfig(latency=8e-6, duration=1.3e-3, decay_half_time=None)
     p = KtParams(math.pi / 2, 1.0)
     with pytest.raises(ValueError):
@@ -221,7 +221,7 @@ def test_kt_loop_rejects_empty_segment():
     # at a 10 us sample period the 2 us kick rounds to no sample at all
     cfg = LoopConfig(sample_period=1e-5, latency=4e-6, duration=1.3e-3,
                      decay_half_time=None)
-    _refuses_layout(cfg, qkt_schedule(40e-6, 10e-6, 2e-6, 25),
+    _refuses_layout(cfg, QktSchedule(40e-6, 10e-6, 2e-6, 25),
                     r"^kt\.t_kick \(2e-06 s\) is not a positive whole number of samples "
                     r"of loop\.sample_period \(1e-05 s\)$")
 
@@ -229,9 +229,9 @@ def test_kt_loop_rejects_empty_segment():
 @pytest.mark.parametrize("sample_period,sched,name", [
     # 40 us is 13.3 samples of 3 us and the 2 us kick 0.67: the rounded
     # layout (13, 2, 1) held a 1 rad kick for 3 us, a 1.5 rad turn
-    (3e-6, qkt_schedule(40e-6, 6e-6, 2e-6, 1), "t_linear"),
-    (2e-6, qkt_schedule(41e-7, 6e-6, 2e-6, 1), "t_linear"),
-    (2e-6, qkt_schedule(40e-6, 5e-6, 2e-6, 1), "t_gap"),
+    (3e-6, QktSchedule(40e-6, 6e-6, 2e-6, 1), "t_linear"),
+    (2e-6, QktSchedule(41e-7, 6e-6, 2e-6, 1), "t_linear"),
+    (2e-6, QktSchedule(40e-6, 5e-6, 2e-6, 1), "t_gap"),
 ], ids=["3us", "4.1us", "gap"])
 def test_kt_loop_rejects_segment_off_the_clock(sample_period, sched, name):
     cfg = LoopConfig(sample_period=sample_period, plant_dt=sample_period, latency=0.0,
@@ -265,7 +265,7 @@ def test_kt_record_layout():
 
 
 def test_same_seed_reproduces_trajectory():
-    cfg = LoopConfig(duration=2e-4, qpn=True, shot=True)
+    cfg = LoopConfig(duration=2e-4, qpn=True)
     model = MeasurementModel(sn_coeff=1e-2)
     a = run_lmg_loop(cfg, LMG07, model, shot_rng(9, 0))
     b = run_lmg_loop(cfg, LMG07, model, shot_rng(9, 0))
@@ -276,7 +276,7 @@ BATCH_CASES = (
     (LoopConfig(duration=1e-4, qpn=True), MODEL),
     # fixed-point decay tracker with projection and photon shot noise
     (
-        LoopConfig(duration=1e-4, qpn=True, shot=True, decay_half_time=5e-5,
+        LoopConfig(duration=1e-4, qpn=True, decay_half_time=5e-5,
                    fixed_point=FixedPointFormat(word_bits=24, int_bits=6)),
         replace(MODEL, sn_coeff=0.2),
     ),
@@ -287,7 +287,7 @@ KT_BATCH_CASES = (
     (LoopConfig(latency=4e-6, duration=3e-4, decay_half_time=None), MODEL),
     # fixed-point decay tracker with projection and photon shot noise
     (
-        LoopConfig(latency=4e-6, duration=3e-4, qpn=True, shot=True,
+        LoopConfig(latency=4e-6, duration=3e-4, qpn=True,
                    decay_half_time=1e-4,
                    fixed_point=FixedPointFormat(word_bits=24, int_bits=6)),
         replace(MODEL, sn_coeff=0.2),
@@ -320,13 +320,12 @@ def _lmg_reference(cfg, p, model, rng):
     d, r = divmod(cfg.latency_steps, sps)
     dt = cfg.plant_dt
     t, j_true, j_est = shared_columns(cfg, model.j_collective)
-    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     detuning, amp, (x, y, z), qpn_offset = loop_sim._shot_start(cfg, model, rng)
     wx = amp * p.alpha_lin
     xyz, ms, cz, rates = np.empty((n, 3)), np.empty(n), np.empty(n), np.empty(n)
     applied = 0.0
     for k in range(n):
-        value = measure(max(-1.0, min(1.0, z)), j_true[k], eff_model, cfg.sample_period,
+        value = measure(max(-1.0, min(1.0, z)), j_true[k], model, cfg.sample_period,
                         rng, qpn_offset=qpn_offset)
         rates[k] = lmg_control(value, j_est[k], p)
         xyz[k] = x, y, z
@@ -349,11 +348,12 @@ def _kt_reference(cfg, sched, p, model, rng):
     """One kicked-top shot on Python floats, the reference the kernel is
     checked against: ``_shot_start``'s draws, then per period one ``_hold``
     of each sample's segment rate, ``measure`` on the gap sample, and
-    ``kick_angle`` on that one value."""
+    ``kick_angle`` on that one value.  A k that saturates the fixed-point
+    word is refused first (``check_word``), as on the library path."""
     n_lin, n_gap, n_kick, n = loop_sim._kt_layout(cfg, sched)
+    loop_sim.check_word(cfg, sched, (p.k,))
     n_per = n_lin + n_gap + n_kick
     t, j_true, j_est = shared_columns(cfg, model.j_collective, sched)
-    eff_model = model if cfg.shot else replace(model, sn_coeff=0.0)
     detuning, amp, v, qpn_offset = loop_sim._shot_start(cfg, model, rng)
     ts = cfg.sample_period
     w_lin = -amp * p.alpha / sched.t_linear
@@ -370,7 +370,7 @@ def _kt_reference(cfg, sched, p, model, rng):
     for step, lin in enumerate(range(0, n - 1, n_per)):
         gap, kick = lin + n_lin, lin + n_lin + n_gap
         hold(lin, n_lin, w_lin, detuning)
-        value = measure(max(-1.0, min(1.0, v[2])), j_true[gap], eff_model, ts, rng,
+        value = measure(max(-1.0, min(1.0, v[2])), j_true[gap], model, ts, rng,
                         qpn_offset=qpn_offset)
         angle = float(kick_angle(value / j_est[step], p.k, cfg.fixed_point))
         kick_rate = amp * angle / sched.t_kick
@@ -441,7 +441,7 @@ KERNEL_NOISE = RotationNoise(static_detuning_sigma=300.0, amplitude_error_sigma=
 @pytest.mark.parametrize("noise", [None, KERNEL_NOISE])
 def test_array_kernel_matches_scalar_loop(latency, fixed_point, noise):
     fmt = FixedPointFormat(word_bits=24, int_bits=6) if fixed_point else None
-    cfg = LoopConfig(latency=latency, duration=2e-4, qpn=True, shot=True,
+    cfg = LoopConfig(latency=latency, duration=2e-4, qpn=True,
                      decay_half_time=1e-4 if fixed_point else None, fixed_point=fmt,
                      rotation_noise=noise)
     model = replace(MODEL, sn_coeff=0.2)
@@ -469,21 +469,21 @@ def test_array_kernel_matches_scalar_loop(latency, fixed_point, noise):
     fmt=st.sampled_from([None, FixedPointFormat(word_bits=24, int_bits=6),
                          FixedPointFormat(word_bits=48, int_bits=8)]),
     qpn=st.booleans(),
-    shot=st.booleans(),
+    sn_coeff=st.sampled_from([0.0, 0.2]),
     noise=st.booleans(),
     n=st.sampled_from([1, 2, 9]),
     duration=st.sampled_from([2e-6, 3e-5, 1e-4]),
     ss=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
 )
-def test_lmg_kernel_matches_reference_on_drawn_loops(delay, half, fmt, qpn, shot, noise, n,
-                                                     duration, ss):
+def test_lmg_kernel_matches_reference_on_drawn_loops(delay, half, fmt, qpn, sn_coeff, noise,
+                                                     n, duration, ss):
     # every column of one kernel batch equals the Python-float reference on
     # its own stream, bit for bit
-    cfg = LoopConfig(latency=delay * 1e-7, duration=duration, qpn=qpn, shot=shot,
+    cfg = LoopConfig(latency=delay * 1e-7, duration=duration, qpn=qpn,
                      decay_half_time=half, fixed_point=fmt,
                      rotation_noise=KERNEL_NOISE if noise else None)
     assert cfg.latency_steps == delay
-    model = replace(MODEL, sn_coeff=0.2)
+    model = replace(MODEL, sn_coeff=sn_coeff)
     params = [replace(LMG07, s=ss[c % len(ss)]) for c in range(n)]
     recs = _run_lmg_columns(cfg, params, model, [shot_rng(7, c) for c in range(n)],
                             shared_columns(cfg, model.j_collective))
@@ -498,7 +498,7 @@ def test_kt_array_kernel_matches_scalar_loop(latency, word_bits, noise):
     # float arithmetic, or a fixed-point decay tracker; a 64-bit word needs
     # products wider than numpy int64
     fmt = FixedPointFormat(word_bits=word_bits, int_bits=6) if word_bits else None
-    cfg = LoopConfig(latency=latency, duration=3e-4, qpn=True, shot=True,
+    cfg = LoopConfig(latency=latency, duration=3e-4, qpn=True,
                      decay_half_time=1e-4 if fmt else None, fixed_point=fmt,
                      rotation_noise=noise, initial_state=SphericalAngles(2.0, 1.0))
     model = replace(MODEL, sn_coeff=0.2)
@@ -520,6 +520,65 @@ def test_kt_array_kernel_matches_scalar_loop(latency, word_bits, noise):
         assert ([still.x[kick + 1], still.y[kick + 1], still.z[kick + 1]]
                 == [still.x[kick], still.y[kick], still.z[kick]])
         assert moved.x[kick + 1] != moved.x[kick]
+
+
+def _outcome(run):
+    """run()'s result, or the text of the ValueError it raised."""
+    try:
+        return run()
+    except ValueError as e:
+        return str(e)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    # samples in the linear, gap and kick segments, and periods
+    segs=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 2)),
+    n_steps=st.integers(1, 4),
+    delay=st.floats(0.0, 1.0),  # latency as a fraction of kt.t_gap
+    half=st.sampled_from([None, 1e-6, 1e-4]),
+    fmt=st.sampled_from([None, FixedPointFormat(word_bits=24, int_bits=6),
+                         FixedPointFormat(word_bits=48, int_bits=8),
+                         FixedPointFormat(word_bits=64, int_bits=12)]),
+    qpn=st.booleans(),
+    sn_coeff=st.sampled_from([0.0, 0.2]),
+    noise=st.booleans(),
+    n=st.sampled_from([1, 2, 9]),
+    alphas=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3),
+    ks=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=3),
+    # column 0 at an edge: |k|/pi = 32, 128 and 2048 saturate the three
+    # words, and from alpha = 1e300 the drive's square overflows
+    edge=st.one_of(st.none(), st.sampled_from([
+        ("alpha", 1e100), ("alpha", 1e300), ("k", 100.0), ("k", 101.0), ("k", 402.0),
+        ("k", 403.0), ("k", 6434.0), ("k", 6435.0), ("k", 1e300)])),
+)
+def test_kt_kernel_matches_reference_on_drawn_loops(segs, n_steps, delay, half, fmt, qpn,
+                                                    sn_coeff, noise, n, alphas, ks, edge):
+    # every column of one kernel batch equals the Python-float reference on
+    # its own stream, bit for bit, or both raise the same error; the last
+    # column equals its one-column run, and the spin stays on the sphere
+    ts = LoopConfig.sample_period
+    sched = QktSchedule(*(m * ts for m in segs), n_steps)
+    cfg = LoopConfig(latency=delay * sched.t_gap, plant_dt=ts,
+                     duration=n_steps * sum(segs) * ts, qpn=qpn, decay_half_time=half,
+                     fixed_point=fmt, rotation_noise=KERNEL_NOISE if noise else None)
+    model = replace(MODEL, sn_coeff=sn_coeff)
+    params = [KtParams(alpha=alphas[c % len(alphas)], k=ks[c % len(ks)]) for c in range(n)]
+    if edge:
+        params[0] = replace(params[0], **dict([edge]))
+    recs = _outcome(lambda: _run_kt_columns(
+        cfg, sched, params, model, [shot_rng(7, c) for c in range(n)],
+        shared_columns(cfg, model.j_collective, sched)))
+    refs = [_outcome(lambda: _kt_reference(cfg, sched, p, model, shot_rng(7, c)))
+            for c, p in enumerate(params)]
+    if isinstance(recs, str):
+        assert recs in refs
+        return
+    for rec, ref in zip(recs, refs):
+        assert _same_record(rec, ref)
+        assert np.all(np.abs(np.sqrt(rec.x**2 + rec.y**2 + rec.z**2) - 1.0) <= 1e-12)
+    assert _same_record(recs[-1], run_kt_loop(cfg, sched, params[-1], model,
+                                              shot_rng(7, n - 1)))
 
 
 def test_library_refuses_fixed_point_saturation():
@@ -557,11 +616,39 @@ def test_library_refuses_non_finite_drive():
                 run_batch(cfg, replace(KT25, **{name: bad}), MODEL, 1, 1, sched=KT_SCHED)
 
 
+def _start_at(**angle):
+    return LoopConfig(initial_state=replace(SphericalAngles(1.0, 0.0), **angle))
+
+
+# (constructor of one keyword, the field it sets): every noise setting and
+# timing a loop reads
+SETTINGS = [
+    *((MeasurementModel, name) for name in ("n1_eff", "ratio_n2_n1", "f", "sn_coeff")),
+    *((RotationNoise, name) for name in ("fixed_detuning", "static_detuning_sigma",
+                                         "amplitude_error_sigma", "phase_noise_sigma",
+                                         "rabi_rate")),
+    *((LoopConfig, name) for name in ("sample_period", "latency", "plant_dt", "duration",
+                                      "decay_half_time")),
+    (_start_at, "theta"), (_start_at, "phi"),
+]
+
+
+@pytest.mark.parametrize("make, name", SETTINGS,
+                         ids=[f"{m.__name__}.{n}" for m, n in SETTINGS])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_library_refuses_non_finite_settings(make, name, bad):
+    # parse_config's finite-number rule holds on the library path: a NaN
+    # sn_coeff or detuning would run to NaN records, a NaN detuning sigma
+    # would act as 0, and an infinite duration overflows n_samples
+    with pytest.raises(ValueError, match=rf"^{name} \({bad!r}\) must be finite$"):
+        make(**{name: bad})
+
+
 def test_overflowing_measurement_ratio_clamps():
     # a subnormal spin length makes measurement / tracked length overflow:
     # the ratio clamps to +-1, as lmg_control's Python division does, at one
     # shot and at eight, with no ROTATION_NOT_FINITE
-    cfg = LoopConfig(duration=1e-4, decay_half_time=None, shot=True)
+    cfg = LoopConfig(duration=1e-4, decay_half_time=None)
     model = MeasurementModel(n1_eff=1e-310, f=0.5, sn_coeff=1.0)
     p = LmgParams(s=0.7)
     one, eight = (run_batch(cfg, p, model, n, 1) for n in (1, 8))
