@@ -6,4 +6,4 @@ kicked-top map with chaos and subharmonic response), including controller
 latency, finite sample rate, fixed-point arithmetic, and measurement noise.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -47,6 +47,8 @@ raised before any output directory is created:
   (3) distinct points, one per fitted term.
 - In every closed loop the decay exponent -t ln2 / loop.decay_half_time at
   the last measurement is finite.
+- The photon shot-noise variance measurement.sn_coeff / loop.sample_period
+  is finite (``measurement.shot_noise_variance``); the error names both keys.
 - With loop.fixed_point = true no controller input saturates the word
   (loop.word_bits, loop.int_bits): in kt-run and ftc-sweep |kt.k|/pi, the
   largest kick-angle argument, fits in it, and in every closed loop so does
@@ -72,7 +74,12 @@ from pathlib import Path
 from .analysis import FTC_MIN_POINTS
 from .controller import FixedPointFormat, QktSchedule
 from .loop_sim import LoopConfig, _kt_layout, check_word
-from .measurement import MIN_FIT_POINTS, MIN_SCAN_SHOTS, MeasurementModel
+from .measurement import (
+    MIN_FIT_POINTS,
+    MIN_SCAN_SHOTS,
+    MeasurementModel,
+    shot_noise_variance,
+)
 from .models import KtParams, LmgParams
 from .quantum import check_j
 from .spin_core import RotationNoise, SphericalAngles
@@ -436,6 +443,8 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
         fixed_point=fmt,
     )
     meas = _build(path, "measurement", MeasurementModel, **c.get("measurement", {}))
+    _build(path, "measurement.sn_coeff / loop.sample_period", shot_noise_variance, meas,
+           loop.sample_period)
 
     lmg = None
     if "lmg" in c:

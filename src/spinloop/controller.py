@@ -2,6 +2,10 @@
 rational exponential used by the decay tracker, kick-angle wrapping, the
 LMG control law, and the kicked-top schedule, laid out by ``loop_sim._kt_layout``.
 
+Each control law is stated once, elementwise on arrays: ``kick_angle`` for
+the kicked top and ``lmg_control`` for the LMG loop, whose unchecked core
+the LMG kernel calls once per transport-delay window.
+
 Fixed-point arithmetic is done on arrays of raw integer words, elementwise:
 the ``_fxp_*`` helpers map words to words under one format's fraction bits
 and raw range, so an ensemble's tracked spin lengths, or every column's
@@ -263,14 +267,29 @@ def decay_estimate(j0: float, half_time: float, t, fmt: FixedPointFormat | None 
     return j0 * pade_exp(fxp_quantize(x, fmt)).value
 
 
-def lmg_control(m: float, j_est: float, p) -> float:
-    """Feedback z-rotation rate k_nl * clamp(m / j_est, -1, 1), saturated at
-    the drive-rate cap DEFAULT_RATE_CAP."""
-    if j_est <= 0:
+# 0-d bounds: numpy converts a Python float on every call
+_CAP_LO, _CAP_HI = np.array(-DEFAULT_RATE_CAP), np.array(DEFAULT_RATE_CAP)
+
+
+def _lmg_rate(m, j_est, k_nl, out=None):
+    """``lmg_control`` without its check: the caller ensures j_est > 0, as
+    ``loop_sim.shared_columns`` does once per batch.  Writes into out when
+    given."""
+    # clamp(m, -j, j) / j is clamp(m / j, -1, 1) for j > 0, bits included,
+    # and cannot overflow, so a huge m clamps to +-1
+    z_est = np.minimum(np.maximum(m, -j_est), j_est) / j_est
+    return np.minimum(np.maximum(k_nl * z_est, _CAP_LO), _CAP_HI, out=out)
+
+
+def lmg_control(m, j_est, k_nl):
+    """The LMG feedback law: the z-rotation rate k_nl * clamp(m / j_est, -1,
+    1), saturated at the drive-rate cap DEFAULT_RATE_CAP; elementwise and
+    broadcast over measurements m, tracked spin lengths j_est > 0 and gains
+    k_nl.  m is clamped to +-j_est before the division, so no ratio
+    overflows.  ValueError if some j_est <= 0."""
+    if np.any(np.asarray(j_est) <= 0):
         raise ValueError("j_est must be > 0")
-    z_est = max(-1.0, min(1.0, m / j_est))
-    rate = p.k_nl * z_est
-    return max(-DEFAULT_RATE_CAP, min(DEFAULT_RATE_CAP, rate))
+    return _lmg_rate(m, j_est, k_nl)
 
 
 @dataclass(frozen=True)

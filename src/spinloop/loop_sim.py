@@ -29,6 +29,12 @@ overflows, raises ValueError(ROTATION_NOT_FINITE): each kernel runs with
 numpy's overflow and invalid errors raised (``_finite_rotations``) and
 turns them into that error.
 
+The loop's rules are stated once, outside the kernels, and both kernels
+call them elementwise on a window's or period's arrays: the measured value
+is ``measurement.signal``, the LMG feedback law ``controller.lmg_control``
+(its unchecked core, since ``shared_columns`` refuses a tracked length
+<= 0 once per batch) and the kicked-top law ``controller.kick_angle``.
+
 Photon shot noise belongs to the measurement model: its variance is
 sn_coeff / sample_period, so sn_coeff = 0 is none, and its normals are
 drawn either way, so a shot's stream does not depend on it.
@@ -58,6 +64,7 @@ from .measurement import (
     pointing_uncertainty,
     qpn_variance,
     shot_noise_variance,
+    signal,
 )
 # bound here so the benchmark tracer (perfbench/tracing.py) can patch it
 from .measurement import measure  # noqa: F401
@@ -479,21 +486,12 @@ def _run_lmg_columns(
     ms = np.empty((n, m))
     held = np.zeros((n + 1, m))
 
-    # 0-d bounds: numpy converts a Python float on every call
-    cap = ctl.DEFAULT_RATE_CAP
-    lo, hi, cap_lo, cap_hi = map(np.array, (-1.0, 1.0, -cap, cap))
-    neg_je = -je
-
     def control(a, b):
-        # np.minimum(np.maximum()) is np.clip's bits, NaN too, in half the time
-        value = ms[a:b]
-        np.add(jt[a:b] * np.minimum(np.maximum(rec[2, a:b], lo), hi) + qpn_offset,
-               m_sn[a:b], out=value)
-        # clamp(value, -j, j) / j is clamp(value / j, -1, 1) for j > 0, bits
-        # included, and cannot overflow, so a huge value clamps to +-1
-        z_est = np.minimum(np.maximum(value, neg_je[a:b]), je[a:b]) / je[a:b]
+        signal(jt[a:b], rec[2, a:b], qpn_offset, m_sn[a:b], out=ms[a:b])
         fed = held[a + d + 1:b + d + 1]  # the rates that arrive within the run
-        np.minimum(np.maximum(k_nl * z_est[:len(fed)], cap_lo), cap_hi, out=fed)
+        c = a + len(fed)
+        # shared_columns refused a tracked length <= 0 for the batch
+        ctl._lmg_rate(ms[a:c], je[a:c], k_nl, out=fed)
 
     win = max(d, 1)
     for a in range(0, n, win):
@@ -604,8 +602,7 @@ def _run_kt_columns(
         _rotate_run(rec, lin, n_lin, plant, lin_rot)
         # the measurement in the gap; the kick angle is ready because
         # the transport delay is no longer than the gap
-        value = (j_true[gap] * np.minimum(np.maximum(xyz[2], -1.0), 1.0)
-                 + qpn_offset + m_sn[step])
+        value = signal(j_true[gap], xyz[2], qpn_offset, m_sn[step])
         angle = ctl.kick_angle(value / j_est[step], ks, cfg.fixed_point)
         kick_rate = amp * angle / sched.t_kick
         _rotate_run(rec, gap, n_gap, plant, gap_rot)

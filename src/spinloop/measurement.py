@@ -2,10 +2,15 @@
 
 A measurement outcome is one float, the sum of three terms in this order:
 the mean signal j * z, a projection-noise term frozen once per
-trajectory, and a photon shot-noise term whose variance falls as 1/T with
-the averaging window.  Classical projection noise (control errors, growing
-as atom number squared) enters through noisy rotations, not through this
-module's sampler.
+trajectory, and a photon shot-noise term whose variance sn_coeff / T falls
+with the averaging window T.  A variance that is not finite is refused
+(``shot_noise_variance``).  Classical projection noise (control errors,
+growing as atom number squared) enters through noisy rotations, not through
+this module's sampler.
+
+The sum is stated twice: ``measure`` on Python floats, drawing its own
+normals, and ``signal`` elementwise on arrays of drawn terms, which every
+array engine calls.  On the same normals the two give the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from .spin_core import (
 
 MIN_SCAN_SHOTS = 100  # fewest shots composite_pulse_scan takes a variance over
 MIN_FIT_POINTS = 3  # fewest distinct n1 values noise_budget_fit fits three terms to
+
+# 0-d bounds: numpy converts a Python float on every call
+_Z_LO, _Z_HI = np.array(-1.0), np.array(1.0)
 
 
 @dataclass(frozen=True)
@@ -59,9 +67,14 @@ def qpn_variance(model: MeasurementModel) -> float:
 
 
 def shot_noise_variance(model: MeasurementModel, t_avg: float) -> float:
+    """sn_coeff / t_avg; ValueError if t_avg <= 0 or the ratio is not finite."""
     if t_avg <= 0:
         raise ValueError("averaging time must be > 0")
-    return model.sn_coeff / t_avg
+    var = model.sn_coeff / t_avg
+    if not math.isfinite(var):
+        raise ValueError(f"the shot-noise variance sn_coeff / t_avg "
+                         f"({model.sn_coeff:g} / {t_avg:g}) is not finite")
+    return var
 
 
 def pointing_uncertainty(model: MeasurementModel) -> float:
@@ -90,6 +103,15 @@ def measure(
         qpn_offset = math.sqrt(qpn_variance(model)) * rng.standard_normal()
     m_sn = math.sqrt(shot_noise_variance(model, t_avg)) * rng.standard_normal()
     return m_f + qpn_offset + m_sn
+
+
+def signal(j, z, qpn_offset, sn, out=None):
+    """Measured values j * clamp(z, -1, 1) + qpn_offset + sn, elementwise
+    and broadcast, summed in ``measure``'s order, so on the same drawn
+    offset and scaled shot noise sn each element equals ``measure`` on its
+    clamped z.  Writes into out when given."""
+    # np.minimum(np.maximum()) is np.clip's bits, NaN too, in half the time
+    return np.add(j * np.minimum(np.maximum(z, _Z_LO), _Z_HI) + qpn_offset, sn, out=out)
 
 
 def noise_budget_fit(points) -> tuple[tuple[float, float, float], tuple[float, float, float]]:

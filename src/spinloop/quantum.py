@@ -252,18 +252,24 @@ def sample_outcome(state: QuantumSpinState, sigma: float, rng):
     return float(out[0]) if lone else out
 
 
+def qmf_rate(m, j: float, k_nl: float):
+    """The quantum feedback law: the z rate k_nl * (m / j) for outcomes m,
+    elementwise.  ``qmf_step`` applies it, and a trajectory record's ctl_z
+    recomputes it from the recorded outcomes, so the two hold the same bits."""
+    return k_nl * (np.asarray(m) / j)
+
+
 def qmf_step(state: QuantumSpinState, m, p, dt: float, sigma: float) -> QuantumSpinState:
     """Measurement backaction for outcome m, then the conditioned unitary
     exp[i (alpha_lin Jx + k_nl (m/j) Jz) dt]; one outcome per state.
 
-    The z rate k_nl * m/j is chosen so the conditioned rotation reproduces
-    the Heisenberg dynamics of the quadratic Hamiltonian (whose commutator
-    carries a factor 2 that cancels the 1/2 in the Hamiltonian); this is
-    the same convention as the classical control law."""
+    The z rate k_nl * m/j (``qmf_rate``) is chosen so the conditioned
+    rotation reproduces the Heisenberg dynamics of the quadratic Hamiltonian
+    (whose commutator carries a factor 2 that cancels the 1/2 in the
+    Hamiltonian).  Unlike the classical law (``controller.lmg_control``) it
+    neither clamps m / j to +-1 nor caps the rate at the drive limit."""
     post, _ = kraus_apply(state, m, sigma)
-    a = p.alpha_lin
-    b = p.k_nl * (np.asarray(m) / state.j)
-    return _axis_rotation(post, a * dt, b * dt)
+    return _axis_rotation(post, p.alpha_lin * dt, qmf_rate(m, state.j, p.k_nl) * dt)
 
 
 def _zxz(ax: float, az: float) -> tuple[float, float]:

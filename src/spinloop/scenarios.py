@@ -22,12 +22,19 @@ from .analysis import (
 )
 from .config import ExperimentConfig
 from .loop_sim import TrajectoryRecord, run_batch, shot_rng
-from .measurement import composite_pulse_scan, measure, noise_budget_fit
+from .measurement import (
+    composite_pulse_scan,
+    noise_budget_fit,
+    qpn_variance,
+    shot_noise_variance,
+    signal,
+)
 from .models import KtParams, LmgParams, kt_map, tilted
 from .quantum import (
     QuantumSpinState,
     _jx_parity_blocks,
     bloch_vector,
+    qmf_rate,
     qmf_step,
     sample_outcome,
     scs_state,
@@ -176,28 +183,29 @@ def _run_ftc(cfg, out):
     ]
 
 
-# an overflow is a FloatingPointError, so a runtime error, not a warning
-@np.errstate(over="raise", invalid="raise")
 def _run_noise_budget(cfg, out):
     """Monte Carlo of the measurement variance versus atom number.
 
     Each draw carries projection noise, shot noise, and (when a noise
     section is present) a control-error term linear in the tilt, whose
     signal contribution scales with n1 and therefore adds an n1^2 term to
-    the variance."""
+    the variance.  Each n1 point is one array draw of three normals per
+    shot, in ``measure``'s stream order (projection, shot) and then the
+    control error's, summed by ``signal``."""
     rng = shot_rng(cfg.master_seed, 0)
     noise = cfg.loop.rotation_noise
     tilt_sigma = 0.0
     if noise is not None and noise.rabi_rate > 0:
         tilt_sigma = math.atan(noise.static_detuning_sigma / noise.rabi_rate)
+    t_avg = cfg.loop.sample_period
     rows = []
     for n1 in cfg.sweep["n1"]:
         model = replace(cfg.measurement, n1_eff=n1)
-        vals = np.empty(cfg.n_shots)
-        for i in range(cfg.n_shots):
-            m = measure(0.0, model.j_collective, model, cfg.loop.sample_period, rng)
-            cpn = model.j_collective * tilt_sigma * rng.standard_normal()
-            vals[i] = m + cpn
+        j = model.j_collective
+        qpn, sn, cpn = rng.standard_normal((cfg.n_shots, 3)).T
+        vals = signal(j, 0.0, math.sqrt(qpn_variance(model)) * qpn,
+                      math.sqrt(shot_noise_variance(model, t_avg)) * sn)
+        vals += j * tilt_sigma * cpn
         rows.append((n1, float(np.var(vals, ddof=1))))
     coeffs, errs = noise_budget_fit(rows)
     return [
@@ -295,10 +303,11 @@ def _run_quantum(cfg, out):
     for bloch, meas in zip(*quantum_ensemble(
         j, cfg.loop.initial_state, p, sigma, dt, n_steps, rngs,
     )):
-        # the feedback rate k_nl*m/j acts during each step; none after the last
+        # the feedback rate qmf_step applied during each step; none after the last
         recs.append(TrajectoryRecord(
             np.arange(n) * dt, *bloch.T, np.full(n, j), np.append(meas, math.nan),
-            np.append(p.k_nl * meas / j, 0.0), np.full(n, p.alpha_lin), np.full(n, j),
+            np.append(qmf_rate(meas, j, p.k_nl), 0.0), np.full(n, p.alpha_lin),
+            np.full(n, j),
         ))
     return _emit_ensemble(
         out, recs, "trajectories.json", model="quantum",
@@ -327,7 +336,10 @@ def run_scenario(cfg: ExperimentConfig, config_path) -> RunManifest:
     at the first write, so a run that fails before it leaves no directory."""
     out = Path(cfg.out_dir)
     t0 = time.perf_counter()
-    paths = _RUNNERS[cfg.kind](cfg, out)
+    # an overflow or invalid operation is a FloatingPointError, which the
+    # CLI reports as one runtime error, not a warning beside finished output
+    with np.errstate(over="raise", invalid="raise"):
+        paths = _RUNNERS[cfg.kind](cfg, out)
     manifest = RunManifest(
         config_sha256=file_sha256(config_path),
         tool_version=__version__,

@@ -192,6 +192,11 @@ GATE_CASES = [
     ("kt-run", KT_FULL + "[loop]\nfixed_point = true\nlatency = 4e-6\n",
      "decay_half_time = 1.04e-4\n", "decay_half_time = 1.03e-4\n",
      ("loop.decay_half_time", "loop.int_bits = 4")),
+    # a shot-noise variance sn_coeff / sample_period that overflows: at the
+    # default 2 us, 1e303 / 2e-6 is past the largest float
+    ("lmg-run", LMG_TEXT + "[loop]\nshot = true\nduration = 1e-4\n\n",
+     "[measurement]\nsn_coeff = 1e300\n", "[measurement]\nsn_coeff = 1e303\n",
+     ("measurement.sn_coeff", "loop.sample_period")),
 ]
 
 

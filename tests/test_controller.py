@@ -334,14 +334,35 @@ def test_kick_angle_fixed_point_matches_wrap(fmt):
 
 
 def test_lmg_control_clamp_and_cap():
-    p = LmgParams(s=0.7, lambda_=2 * math.pi * 6.25e3 / 0.3)
-    assert lmg_control(0.0, 1e6, p) == 0.0
+    k_nl = LmgParams(s=0.7, lambda_=2 * math.pi * 6.25e3 / 0.3).k_nl
+    assert lmg_control(0.0, 1e6, k_nl) == 0.0
     # m beyond the spin length clamps to |z| = 1
-    assert lmg_control(5e6, 1e6, p) == lmg_control(1e6, 1e6, p)
-    big = LmgParams(s=1.0, lambda_=10.0 * DEFAULT_RATE_CAP)
-    assert lmg_control(1e6, 1e6, big) == DEFAULT_RATE_CAP
+    assert lmg_control(5e6, 1e6, k_nl) == lmg_control(1e6, 1e6, k_nl) == k_nl
+    assert lmg_control(1e6, 1e6, 10.0 * DEFAULT_RATE_CAP) == DEFAULT_RATE_CAP
+    assert lmg_control(-1e6, 1e6, 10.0 * DEFAULT_RATE_CAP) == -DEFAULT_RATE_CAP
     with pytest.raises(ValueError):
-        lmg_control(1.0, 0.0, p)
+        lmg_control(1.0, 0.0, k_nl)
+    with pytest.raises(ValueError):
+        lmg_control(np.array([1.0, 1.0]), np.array([1e6, -1.0]), k_nl)
+
+
+def test_lmg_control_is_elementwise():
+    # each element of one call is the call on its floats alone, and a huge
+    # m clamps before the division, so nothing overflows or warns
+    k_nl = LmgParams(s=0.7).k_nl
+    rng = np.random.default_rng(4)
+    ms = np.array([0.0, -0.0, 1e308, -1e308, 5e-324, *rng.normal(0.0, 2e6, 20)])
+    js = np.array([1e6, 5e-324, 5e-324, 1e-300, 1e6, *rng.uniform(1e5, 2e6, 20)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lmg_control(ms, js, k_nl)
+        for m, j, rate in zip(ms.tolist(), js.tolist(), got.tolist()):
+            one = lmg_control(np.array([m]), np.array([j]), k_nl)
+            assert one.shape == (1,)
+            assert one.tobytes() == np.float64(lmg_control(m, j, k_nl)).tobytes()
+            assert one[0] == rate
+        assert lmg_control(1e308, 5e-324, k_nl) == k_nl
+        assert lmg_control(-1e308, 5e-324, 2.0 * DEFAULT_RATE_CAP) == -DEFAULT_RATE_CAP
 
 
 def test_qkt_schedule_validation():

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from spinloop import loop_sim
 from spinloop.controller import (
     DEFAULT_FXP,
+    DEFAULT_RATE_CAP,
     FixedPointFormat,
     QktSchedule,
     decay_estimate,
     kick_angle,
-    lmg_control,
 )
 from spinloop.loop_sim import (
     ROTATION_NOT_FINITE,
@@ -140,7 +140,8 @@ def test_latency_with_sub_sample_remainder():
         got = (rec.x[k + 1], rec.y[k + 1], rec.z[k + 1])
         assert np.max(np.abs(np.subtract(v, got))) < 1e-12
         if k >= d:
-            assert rec.ctl_z[k + 1] == lmg_control(rec.meas[k - d], MODEL.j_collective, LMG07)
+            assert rec.ctl_z[k + 1] == _law(float(rec.meas[k - d]), MODEL.j_collective,
+                                            LMG07.k_nl)
     # the feedback moves, so a split at the wrong step would show
     assert np.min(np.abs(np.diff(rec.ctl_z[d + 1:]))) > 10.0
 
@@ -310,11 +311,19 @@ def _hold(x, y, z, wx, wz, t):
     return rodrigues(x, y, z, wx / w, 0.0, wz / w, angle)
 
 
+def _law(m, j_est, k_nl):
+    """The LMG feedback law on Python floats, stated apart from the kernel's
+    ``controller.lmg_control``: k_nl * clamp(m / j_est, -1, 1), capped at
+    DEFAULT_RATE_CAP.  An overflowing ratio is inf, which clamps."""
+    z_est = max(-1.0, min(1.0, m / j_est))
+    return max(-DEFAULT_RATE_CAP, min(DEFAULT_RATE_CAP, k_nl * z_est))
+
+
 def _lmg_reference(cfg, p, model, rng):
     """One LMG shot on Python floats, the reference the kernel is checked
-    against: ``_shot_start``'s draws, then per sample ``measure``,
-    ``lmg_control`` on that one value, and one ``_hold`` of the held rate,
-    two when the delay's r plant steps split the sample."""
+    against: ``_shot_start``'s draws, then per sample ``measure``, ``_law``
+    on that one value, and one ``_hold`` of the held rate, two when the
+    delay's r plant steps split the sample."""
     n = cfg.n_samples
     sps = cfg.steps_per_sample
     d, r = divmod(cfg.latency_steps, sps)
@@ -327,7 +336,7 @@ def _lmg_reference(cfg, p, model, rng):
     for k in range(n):
         value = measure(max(-1.0, min(1.0, z)), j_true[k], model, cfg.sample_period,
                         rng, qpn_offset=qpn_offset)
-        rates[k] = lmg_control(value, j_est[k], p)
+        rates[k] = _law(value, j_est[k], p.k_nl)
         xyz[k] = x, y, z
         ms[k] = value
         cz[k] = applied
@@ -646,7 +655,7 @@ def test_library_refuses_non_finite_settings(make, name, bad):
 
 def test_overflowing_measurement_ratio_clamps():
     # a subnormal spin length makes measurement / tracked length overflow:
-    # the ratio clamps to +-1, as lmg_control's Python division does, at one
+    # the ratio clamps to +-1, as _law's Python division does, at one
     # shot and at eight, with no ROTATION_NOT_FINITE
     cfg = LoopConfig(duration=1e-4, decay_half_time=None)
     model = MeasurementModel(n1_eff=1e-310, f=0.5, sn_coeff=1.0)

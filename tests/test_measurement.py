@@ -12,6 +12,7 @@ from spinloop.measurement import (
     pointing_uncertainty,
     qpn_variance,
     shot_noise_variance,
+    signal,
 )
 from spinloop.spin_core import RotationNoise
 
@@ -38,6 +39,11 @@ def test_shot_noise_inverse_time():
     assert shot_noise_variance(m, 2e-3) == pytest.approx(1.5)
     with pytest.raises(ValueError):
         shot_noise_variance(m, 0.0)
+    # a variance that overflows is refused, not returned as inf
+    with pytest.raises(ValueError, match="not finite"):
+        shot_noise_variance(MeasurementModel(sn_coeff=1e303), 2e-6)
+    with pytest.raises(ValueError, match="not finite"):
+        shot_noise_variance(m, 5e-324)
 
 
 def test_measure_decomposition_and_mean():
@@ -51,6 +57,25 @@ def test_measure_decomposition_and_mean():
     assert value == 0.5 * 4e6 + m_qpn + m_sn
     with pytest.raises(ValueError):
         measure(1.5, 4e6, m, 2e-6, rng)
+
+
+def test_signal_is_measure_on_the_same_normals():
+    # the array sum equals measure, element by element, on the same stream:
+    # z is clamped to +-1 first, as the kernels clamp it before measure
+    m = MeasurementModel(sn_coeff=1e-2)
+    t_avg = 2e-6
+    zs = np.array([0.0, -0.0, 1.0, -1.0, 1.0 + 1e-13, -1.0 - 1e-13, 0.3, -0.7])
+    js = np.array([4e6, 4e6, 1.0, 3e5, 4e6, 4e6, 2.5e6, 5e-324])
+    qpn = math.sqrt(qpn_variance(m)) * 1.25
+    normals = np.random.default_rng(3).standard_normal(len(zs))
+    got = signal(js, zs, qpn, math.sqrt(shot_noise_variance(m, t_avg)) * normals)
+    for k, (z, j) in enumerate(zip(zs.tolist(), js.tolist())):
+        replay = np.random.default_rng(3)
+        replay.standard_normal(k)  # the normals before this one
+        want = measure(max(-1.0, min(1.0, z)), j, m, t_avg, replay, qpn_offset=qpn)
+        assert got[k].tobytes() == np.float64(want).tobytes()
+    out = np.empty(len(zs))
+    assert signal(js, zs, qpn, 0.0, out=out) is out
 
 
 def test_measure_frozen_offset_reused():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinloop import scenarios
+from spinloop import quantum, scenarios
 from spinloop.cli import simulate_main
 from spinloop.loop_sim import shot_rng
 from spinloop.models import LmgParams
@@ -196,6 +196,27 @@ def test_quantum_shot_isolation(tmp_path):
                                        2e-6, 12, [shot_rng(41, i)])
         assert np.array_equal(np.column_stack((rec.x, rec.y, rec.z)), bloch[0])
         assert np.array_equal(rec.meas[:-1], meas[0])
+
+
+def test_ctl_z_records_the_applied_rate(tmp_path, monkeypatch):
+    # each step's ctl_z is the rate qmf_step applied, bit for bit, and the
+    # row after the last step holds none
+    applied = []
+    real = quantum.qmf_rate
+
+    def qmf_rate(m, j, k_nl):
+        applied.append(real(m, j, k_nl))
+        return applied[-1]
+
+    monkeypatch.setattr(quantum, "qmf_rate", qmf_rate)  # seen by qmf_step only
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)  # every step here
+    out = tmp_path / "o"
+    assert simulate_main(["quantum-qmf", "--config", str(_quantum_config(tmp_path, 10)),
+                          "--out", str(out)]) == 0
+    ctl_z = np.array([rec.ctl_z for rec in read_trajectory_csv(out / "trajectories.csv")])
+    assert len(applied) == 12  # one call per step for the one block of 3 shots
+    assert ctl_z[:, :-1].tobytes() == np.stack(applied, axis=1).tobytes()
+    assert ctl_z[:, -1].tolist() == [0.0] * 3
 
 
 def test_quantum_j_above_cap_is_a_json_error(tmp_path, capsys):
