@@ -98,6 +98,12 @@ class LoopConfig:
         require_finite(self.initial_state, "theta", "phi")
         if self.plant_dt <= 0 or self.sample_period <= 0 or self.duration <= 0:
             raise ValueError("timing fields must be > 0")
+        if self.latency < 0:
+            raise ValueError("latency must be >= 0")
+        for num, den in (("sample_period", "plant_dt"), ("latency", "plant_dt"),
+                         ("duration", "sample_period")):  # each rounded to steps
+            if not math.isfinite(getattr(self, num) / getattr(self, den)):
+                raise ValueError(f"{num} / {den} (inf) must be finite")
         if self.plant_dt > self.sample_period + 1e-15:
             raise ValueError(
                 f"sample_period ({self.sample_period:g}) must be >= "
@@ -108,8 +114,6 @@ class LoopConfig:
             raise ValueError("sample_period must be an integer number of plant steps")
         if self.n_samples < 1:
             raise ValueError("duration must hold at least one sample_period")
-        if self.latency < 0:
-            raise ValueError("latency must be >= 0")
         if self.decay_half_time is not None and self.decay_half_time <= 0:
             raise ValueError("decay_half_time must be > 0 or None")
 
@@ -244,7 +248,7 @@ def _kt_layout(cfg: LoopConfig, sched: QktSchedule) -> tuple[int, int, int, int]
     segs = []
     for name in ("t_linear", "t_gap", "t_kick"):
         t = getattr(sched, name)
-        seg = round(t / ts)
+        seg = round(t / ts) if math.isfinite(t / ts) else 0
         if seg < 1 or abs(t / ts - seg) > 1e-9:
             raise ValueError(f"kt.{name} ({t:g} s) is not a positive whole number of "
                              f"samples of loop.sample_period ({ts:g} s)")

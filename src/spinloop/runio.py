@@ -12,15 +12,15 @@ ctl_x) once, and every later record reuses that text; the file's bytes are
 the same as formatting each value.  The reader parses only the columns the
 caller names, plus t, so ``analyze`` reads only what its kind uses.
 
-Every trajectory file has one writer, ``_write_parts``: the records are cut
-into contiguous ranges of about equal rows, one per usable CPU but none
-under about ``PART_MIN_ROWS`` rows, so a file under 6000 rows is one range
-and forks nothing.  This process writes the first range, and a forked child
-formats each other one into an anonymous temporary file that is appended in
-order.  Each range has its own text cache, so the bytes are those of one
-process; the ranges follow only from the row count and the usable CPUs.
-``fork_parts`` forks, waits for and reaps the children, here and for the
-quantum ensemble runner.
+Forked work follows one rule.  ``part_cuts`` cuts a job into contiguous
+ranges, one per usable CPU but at most one per given share of the total,
+so a trajectory file under 6000 rows (``PART_MIN_ROWS``) forks nothing.
+``fork_parts`` runs the first range here and each other one in a forked
+child, and reports only whether all returned; if not, the caller does the
+whole job again here, so a run ends with one process's result or error.
+In the one trajectory writer, ``_write_parts``, each child formats its range
+into an anonymous temporary file, appended in order; each range has its own
+text cache, so the bytes are those of one process.
 """
 
 from __future__ import annotations
@@ -140,43 +140,45 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _cuts(offsets: list[int], n_rows: int, n_parts: int) -> list[int]:
-    """Record indices that cut the records, which start at the row offsets,
-    into at most n_parts contiguous ranges of about n_rows / n_parts rows."""
-    inner = {bisect_left(offsets, k * n_rows / n_parts) for k in range(1, n_parts)}
-    return [0, *sorted(inner - {len(offsets)}), len(offsets)]
+def part_cuts(sizes, least: int) -> list[tuple[int, int]]:
+    """Contiguous, non-empty (start, stop) ranges of the items whose sizes
+    are given, of about equal total size: one per usable CPU, but at most
+    one per `least` of the total.  No items are one empty range."""
+    *offsets, total = accumulate(sizes, initial=0)
+    n = len(offsets)
+    parts = max(1, min(_usable_cpus(), n, total // least))
+    cuts = [0]
+    for k in range(1, parts):  # each cut leaves every range an item
+        cut = bisect_left(offsets, k * total / parts)
+        cuts.append(min(max(cut, cuts[-1] + 1), n - parts + k))
+    return list(zip(cuts, [*cuts[1:], n]))
 
 
-def fork_parts(n_parts: int, run, done) -> None:
+def fork_parts(n_parts: int, run) -> bool:
     """run(0) in this process while a forked child runs run(k) for each
-    later part k; then, in order, wait for each child and call
-    done(k, code) with its exit code.
-
-    A child ends only through os._exit, so it runs no atexit handler and
-    flushes no buffer of this process.  Its exit code is 0 once run(k) has
-    returned, the errno of an OSError it raised, and 255 for any other
-    exception.  Every child is reaped, and killed first if this process
-    raised."""
+    later part k.  True once every run returned; False if any raised, here
+    or in a child, or if a fork failed, and every child is then killed.
+    Every child is reaped, and ends only through os._exit, so it runs no
+    atexit handler and flushes no buffer of this process."""
     children = []
     try:
         for k in range(1, n_parts):
             pid = os.fork()
             if pid == 0:
-                status = 255
+                status = 1
                 try:
                     run(k)
                     status = 0
-                except OSError as e:
-                    if e.errno and e.errno < 255:
-                        status = e.errno
                 finally:
                     os._exit(status)
             children.append(pid)
         run(0)
-        for k in range(1, n_parts):
-            code = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
-            del children[0]
-            done(k, code)
+        while children:
+            if os.waitstatus_to_exitcode(os.waitpid(children.pop(0), 0)[1]):
+                return False
+        return True
+    except Exception:
+        return False
     finally:
         if children:
             import signal  # only here: not loaded at start-up
@@ -186,48 +188,49 @@ def fork_parts(n_parts: int, run, done) -> None:
                 os.waitpid(pid, 0)
 
 
-def _write_parts(fh, columns, cuts: list[int]) -> None:
-    """Write the rows of columns[cuts[0]:cuts[1]] to fh while one forked
-    child per later range formats it into an anonymous temporary file beside
-    fh (``fork_parts``); each child's file is appended once it has exited
-    cleanly.  A child's exit code is the errno of an OSError it met, which
-    reads here as that OSError.  One range (cuts of length 2) forks nothing
-    and makes no temporary file."""
-    with ExitStack() as temps:
-        files = [fh, *(temps.enter_context(tempfile.TemporaryFile(
-            "w+", dir=Path(fh.name).parent)) for _ in cuts[2:])]
+def _write_parts(fh, columns, ranges: list[tuple[int, int]]) -> None:
+    """Write the rows of columns to fh: the first range here while one
+    forked child per later range formats it into an anonymous temporary
+    file beside fh (``fork_parts``), appended once every range is done.  If
+    any of that fails, fh is cut back to where it stood and every row is
+    written here.  One range forks nothing and makes no temporary file."""
+    start = fh.tell()
+    try:
+        with ExitStack() as temps:
+            files = [fh, *(temps.enter_context(tempfile.TemporaryFile(
+                "w+", dir=Path(fh.name).parent)) for _ in ranges[1:])]
 
-        def run(k):
-            files[k].writelines(_lines(columns[cuts[k] : cuts[k + 1]]))
-            files[k].flush()
+            def run(k):
+                a, b = ranges[k]
+                files[k].writelines(_lines(columns[a:b]))
+                files[k].flush()
 
-        def done(k, code):
-            if 0 < code < 255:
-                raise OSError(code, os.strerror(code))
-            if code:
-                raise OSError(f"a formatting process ended with status {code}")
-            files[k].seek(0)
-            shutil.copyfileobj(files[k], fh)
-
-        fork_parts(len(cuts) - 1, run, done)
+            if fork_parts(len(ranges), run):
+                for part in files[1:]:
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh)
+                return
+    except OSError:
+        pass
+    fh.seek(start)
+    fh.truncate()
+    fh.writelines(_lines(columns))
 
 
 def emit_trajectories(path, records: list[TrajectoryRecord]) -> tuple[Path, list[int]]:
     """Stack records into one CSV; returns the path and per-shot row offsets.
 
-    The rows are ``_lines``, written by ``_write_parts`` in one part per
-    usable CPU but at most one per ``PART_MIN_ROWS`` rows, to the same
-    bytes.  Partial
-    records (read for some columns only) are refused before the file is
-    opened or a process is forked."""
+    The rows are ``_lines``, written by ``_write_parts`` in ranges of at
+    least about ``PART_MIN_ROWS`` rows (``part_cuts``), to the same bytes.
+    Partial records (read for some columns only) are refused before the
+    file is opened or a process is forked."""
     columns = [[np.asarray(c) for c in rec.columns()] for rec in records]
-    offsets = list(accumulate((len(cols[0]) for cols in columns), initial=0))
-    n_rows = offsets.pop()
-    cuts = _cuts(offsets, n_rows, min(_usable_cpus(), n_rows // PART_MIN_ROWS))
+    sizes = [len(cols[0]) for cols in columns]
+    ranges = part_cuts(sizes, PART_MIN_ROWS)
     path = Path(path)
     with _created(path, TRAJECTORY_HEADER) as fh:
-        _write_parts(fh, columns, cuts)
-    return path, offsets
+        _write_parts(fh, columns, ranges)
+    return path, list(accumulate(sizes, initial=0))[:-1]
 
 
 def read_trajectory_csv(path, columns=TrajectoryRecord.COLUMNS) -> list[TrajectoryRecord]:

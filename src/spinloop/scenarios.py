@@ -44,13 +44,13 @@ from .quantum import expect, spin_operators  # noqa: F401
 from .runio import (
     SCHEMA_VERSION,
     RunManifest,
-    _usable_cpus,
     emit_csv,
     emit_json,
     emit_trajectories,
     file_sha256,
     fmt_float,
     fork_parts,
+    part_cuts,
 )
 from .spin_core import from_angles
 
@@ -248,20 +248,20 @@ def quantum_ensemble(j, angles, params, sigma, dt, n_steps, rngs):
     rngs[i].
 
     The shots are cut into contiguous ranges, one per usable CPU but none
-    under QUANTUM_PART_MIN_WORK.  This process runs the first range, and a
-    forked child runs each other one into its rows of the returned arrays,
-    which live in one shared anonymous mapping.  Every range draws from
-    copies of its generators, so a split run leaves rngs unadvanced.  If
-    any range fails, the children are killed and reaped, and the ensemble
-    runs again in this process from rngs, so it raises exactly the error
-    of one process.  A row's bytes do not depend on its batch, so they do
-    not depend on the range either, and no setting chooses the path."""
+    under QUANTUM_PART_MIN_WORK (``runio.part_cuts``).  This process runs
+    the first range, and a forked child runs each other one into its rows of
+    the returned arrays, which live in one shared anonymous mapping.  Every
+    range draws from copies of its generators, so a split run leaves rngs
+    unadvanced.  If any range fails, or a fork does, the ensemble runs again
+    in this process from rngs, so it returns or raises exactly as one
+    process does.  A row's bytes do not depend on its batch, so they do not
+    depend on the range either, and no setting chooses the path."""
     n = len(rngs)
     psi0 = scs_state(j, angles).amplitudes
-    work = n * n_steps * len(psi0) ** 2
-    parts = max(1, min(_usable_cpus(), n, work // QUANTUM_PART_MIN_WORK))
+    ranges = part_cuts([n_steps * len(psi0) ** 2] * n, QUANTUM_PART_MIN_WORK)
     size = n * (n_steps + 1) * 3 + n * n_steps
-    buf = np.frombuffer(mmap.mmap(-1, 8 * size)) if parts > 1 else np.empty(size)
+    split = len(ranges) > 1
+    buf = np.frombuffer(mmap.mmap(-1, 8 * size)) if split else np.empty(size)
     bloch = buf[: n * (n_steps + 1) * 3].reshape(n, n_steps + 1, 3)
     meas = buf[bloch.size :].reshape(n, n_steps)
 
@@ -276,19 +276,11 @@ def quantum_ensemble(j, angles, params, sigma, dt, n_steps, rngs):
                 state = qmf_step(state, meas[rows, k], params, dt, sigma)
             bloch[rows, n_steps] = bloch_vector(state)
 
-    def check(k, code):
-        if code:
-            raise ChildProcessError(f"quantum range {k} ended with status {code}")
-
-    if parts > 1:
+    if split:
         _jx_parity_blocks(j)  # cached before forking: no child repeats the eigh
-        cuts = [n * k // parts for k in range(parts + 1)]
         gens = copy.deepcopy(rngs)  # rngs stay unadvanced for a run in one process
-        try:
-            fork_parts(parts, lambda k: run(cuts[k], cuts[k + 1], gens), check)
+        if fork_parts(len(ranges), lambda k: run(*ranges[k], gens)):
             return bloch, meas
-        except Exception:  # any failure: run in one process, to its result or error
-            pass
     run(0, n, rngs)
     return bloch, meas
 

@@ -4,12 +4,13 @@ import json
 import math
 import os
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinloop
@@ -419,9 +420,9 @@ def test_emit_trajectories_matches_per_row_format(tmp_path, monkeypatch, case, c
     parts = []
     real_write_parts = runio._write_parts
 
-    def write_parts(fh, columns, cuts):
-        parts.append(len(cuts) - 1)
-        real_write_parts(fh, columns, cuts)
+    def write_parts(fh, columns, ranges):
+        parts.append(len(ranges))
+        real_write_parts(fh, columns, ranges)
 
     monkeypatch.setattr(runio, "_write_parts", write_parts)
     monkeypatch.setattr(runio, "_usable_cpus", lambda: cpus)
@@ -498,52 +499,153 @@ def test_partial_record_is_refused(tmp_path, monkeypatch):
     assert not (tmp_path / "again.csv").exists()
 
 
-ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(sizes=st.lists(st.integers(0, 40), max_size=12), cpus=st.integers(1, 5),
+       least=st.integers(1, 60))
+def test_part_cuts_are_contiguous_and_non_empty(sizes, cpus, least):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runio, "_usable_cpus", lambda: cpus)
+        ranges = runio.part_cuts(sizes, least)
+    assert len(ranges) == max(1, min(cpus, len(sizes), sum(sizes) // least))
+    assert ranges[0][0] == 0 and ranges[-1][1] == len(sizes)
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    assert all(a < b for a, b in ranges) or ranges == [(0, 0)]
 
 
-@pytest.mark.parametrize("fault, error, message", [
-    # a child's OSError reads as it would in one process; any other
-    # exception ends the child with status 255
-    ("child", OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), ENOSPC),
-    ("child", ValueError("bad text"), "a formatting process ended with status 255"),
-    # the parent fails while its child formats: the child is killed and reaped
-    ("parent", OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), ENOSPC),
-])
-def test_split_emit_failure_reaps_every_child(tmp_path, monkeypatch, capsys,
-                                               fault, error, message):
+def test_part_cuts_balance_equal_items(monkeypatch):
+    # equal items are cut at the ceiling of k n / parts
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 3)
+    assert runio.part_cuts([7] * 10, 1) == [(0, 4), (4, 7), (7, 10)]
+    assert runio.part_cuts([7] * 10, 30) == [(0, 5), (5, 10)]
+    assert runio.part_cuts([7] * 10, 71) == [(0, 10)]
+    assert runio.part_cuts([], 1) == [(0, 0)]
+
+
+ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+# the two kinds of fault a writer meets: the CLI reads both as runtime errors
+FAULTS = {"oserror": ENOSPC, "other": ValueError("bad text")}
+
+
+def _emit_records():
+    return run_batch(LoopConfig(duration=1e-4, qpn=True), LmgParams(s=0.7, lambda_=1e5),
+                     MeasurementModel(), 3, 1)
+
+
+def _split_emit(monkeypatch, cpus):
     monkeypatch.setattr(runio, "PART_MIN_ROWS", 1)
-    monkeypatch.setattr(runio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: cpus)
+
+
+def _failing_lines(monkeypatch, here=None, child=None):
+    """runio._lines raising `here` in this process and `child` in a forked
+    one; a child given "stall" sleeps 30 s first."""
     parent = os.getpid()
     real_lines = runio._lines
 
     def lines(columns):
-        if (os.getpid() == parent) == (fault == "parent"):
-            raise error
+        fault = here if os.getpid() == parent else child
+        if fault == "stall":
+            time.sleep(30)
+        elif fault is not None:
+            raise fault
         return real_lines(columns)
 
     monkeypatch.setattr(runio, "_lines", lines)
-    recs = run_batch(LoopConfig(duration=1e-4, qpn=True), LmgParams(s=0.7, lambda_=1e5),
-                     MeasurementModel(), 3, 1)
-    path = tmp_path / "t" / "t.csv"
-    with pytest.raises(OSError) as err:
-        emit_trajectories(path, recs)
-    assert str(err.value) == f"cannot write {path}: {message}"
 
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):  # none running, none unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_fails_after(monkeypatch, n):
+    """os.fork raising EAGAIN, as at a process limit, from its call n + 1 on."""
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(n)
+        if len(calls) > n:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _no_room(*args, **kwargs):
+    raise ENOSPC
+
+
+# (usable CPUs, the fault): a fork that fails at once or after its first
+# child started, no room for a part's temporary file, or a fault that only
+# a child meets
+@pytest.mark.parametrize("cpus, fault", [
+    (2, "fork"), (3, "second-fork"), (2, "tempfile"), (2, "oserror"), (2, "other")])
+def test_split_emit_that_fails_writes_one_process_bytes(tmp_path, monkeypatch, cpus, fault):
+    recs = _emit_records()
+    _split_emit(monkeypatch, 1)
+    want = emit_trajectories(tmp_path / "want.csv", recs)[0].read_bytes()
+    _split_emit(monkeypatch, cpus)
+    if fault in FAULTS:
+        _failing_lines(monkeypatch, child=FAULTS[fault])
+    elif fault == "tempfile":
+        monkeypatch.setattr(runio.tempfile, "TemporaryFile", _no_room)
+    else:
+        _fork_fails_after(monkeypatch, int(fault == "second-fork"))
+    path, offsets = emit_trajectories(tmp_path / "t" / "t.csv", recs)
+    assert path.read_bytes() == want
+    assert offsets == [0, 50, 100]
+    _no_child_left()
+    # the parts were anonymous files
+    assert [p.name for p in path.parent.iterdir()] == ["t.csv"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_split_emit_failure_reads_as_one_process(tmp_path, monkeypatch, capsys, fault):
+    # a fault every process meets: the same error at 1 and 2 CPUs, from the
+    # library and from the CLI, and the same partial output
+    error = FAULTS[fault]
+    _failing_lines(monkeypatch, here=error, child=error)
+    recs = _emit_records()
+    path = tmp_path / "t" / "t.csv"
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text("[run]\nkind = ssb-ensemble\nn_shots = 3\n\n[loop]\n"
                     "duration = 1e-4\nqpn = true\n\n[lmg]\ns = 0.7\n")
     out = tmp_path / "o"
-    assert simulate_main(["ssb-ensemble", "--config", str(cfgp), "--out", str(out)]) == 1
-    stderr = capsys.readouterr().err
+    seen = []
+    for cpus in (1, 2):
+        _split_emit(monkeypatch, cpus)
+        with pytest.raises(type(error)) as err:
+            emit_trajectories(path, recs)
+        assert simulate_main(["ssb-ensemble", "--config", str(cfgp), "--out", str(out)]) == 1
+        seen.append((str(err.value), capsys.readouterr().err,
+                     [p.name for p in path.parent.iterdir()], [p.name for p in out.iterdir()]))
+        _no_child_left()
+    assert seen[0] == seen[1]
+    message, stderr, left, left_out = seen[0]
+    if isinstance(error, OSError):
+        assert message == f"cannot write {path}: {error}"
+    else:
+        assert message == "bad text"
     assert stderr.count("\n") == 1
-    assert json.loads(stderr) == {
-        "error": "runtime", "message": f"cannot write {out / 'trajectories.csv'}: {message}"}
+    assert json.loads(stderr) == {"error": "runtime", "message": message.replace(
+        str(path), str(out / "trajectories.csv"))}
+    assert left == ["t.csv"] and left_out == ["trajectories.csv"]
 
-    with pytest.raises(ChildProcessError):  # no child left, running or not reaped
-        os.waitpid(-1, os.WNOHANG)
-    # the parts were anonymous files: only the partial output is left
+
+def test_split_emit_failure_reaps_every_child(tmp_path, monkeypatch):
+    # this process fails while its child formats: the child is killed, not
+    # awaited, and reaped, and the rows are written again here, to the error
+    # of one process
+    _split_emit(monkeypatch, 2)
+    _failing_lines(monkeypatch, here=ENOSPC, child="stall")
+    path = tmp_path / "t" / "t.csv"
+    t0 = time.monotonic()
+    with pytest.raises(OSError) as err:
+        emit_trajectories(path, _emit_records())
+    assert time.monotonic() - t0 < 15
+    assert str(err.value) == f"cannot write {path}: {ENOSPC}"
+    _no_child_left()
     assert [p.name for p in path.parent.iterdir()] == ["t.csv"]
-    assert [p.name for p in out.iterdir()] == ["trajectories.csv"]
 
 
 def test_simulate_cli_end_to_end(tmp_path):

@@ -197,6 +197,16 @@ GATE_CASES = [
     ("lmg-run", LMG_TEXT + "[loop]\nshot = true\nduration = 1e-4\n\n",
      "[measurement]\nsn_coeff = 1e300\n", "[measurement]\nsn_coeff = 1e303\n",
      ("measurement.sn_coeff", "loop.sample_period")),
+    # a timing whose step count is not finite: each ratio is rounded to an
+    # integer, and round(inf) raises
+    ("lmg-run", LMG_TEXT + "[loop]\n", "duration = 1e-4\n", "duration = 1.7e308\n",
+     ("loop: duration / sample_period (inf)",)),
+    ("lmg-run", LMG_TEXT + "[loop]\nduration = 1e-4\n", "latency = 1e300\n",
+     "latency = 1.7e308\n", ("loop: latency / plant_dt (inf)",)),
+    ("lmg-run", LMG_TEXT + "[loop]\n", "sample_period = 1e-6\n", "sample_period = 1.7e308\n",
+     ("loop: sample_period / plant_dt (inf)",)),
+    ("kt-run", KT_TEXT, "t_linear = 4e-5\n", "t_linear = 1.7e308\n",
+     ("kt.t_linear (1.7e+308 s)", "loop.sample_period")),
 ]
 
 

@@ -469,6 +469,14 @@ def test_array_kernel_matches_scalar_loop(latency, fixed_point, noise):
         assert moved.z[1] != moved.z[0]
 
 
+def _outcome(run):
+    """run()'s result, or the text of the ValueError it raised."""
+    try:
+        return run()
+    except ValueError as e:
+        return str(e)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(
     # the delay in plant steps: 20 to a sample, so most draws leave a
@@ -483,21 +491,35 @@ def test_array_kernel_matches_scalar_loop(latency, fixed_point, noise):
     n=st.sampled_from([1, 2, 9]),
     duration=st.sampled_from([2e-6, 3e-5, 1e-4]),
     ss=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    # column 0 at the overflow edge: from lambda = 1e300 the drive's square
+    # overflows
+    edge=st.one_of(st.none(), st.sampled_from([1e100, 1e300])),
 )
 def test_lmg_kernel_matches_reference_on_drawn_loops(delay, half, fmt, qpn, sn_coeff, noise,
-                                                     n, duration, ss):
+                                                     n, duration, ss, edge):
     # every column of one kernel batch equals the Python-float reference on
-    # its own stream, bit for bit
+    # its own stream, bit for bit, or both raise the same error; the last
+    # column equals its one-column run, and the spin stays on the sphere
     cfg = LoopConfig(latency=delay * 1e-7, duration=duration, qpn=qpn,
                      decay_half_time=half, fixed_point=fmt,
                      rotation_noise=KERNEL_NOISE if noise else None)
     assert cfg.latency_steps == delay
     model = replace(MODEL, sn_coeff=sn_coeff)
     params = [replace(LMG07, s=ss[c % len(ss)]) for c in range(n)]
-    recs = _run_lmg_columns(cfg, params, model, [shot_rng(7, c) for c in range(n)],
-                            shared_columns(cfg, model.j_collective))
-    for c, (p, rec) in enumerate(zip(params, recs)):
-        assert _same_record(rec, _lmg_reference(cfg, p, model, shot_rng(7, c)))
+    if edge:
+        params[0] = replace(params[0], lambda_=edge)
+    recs = _outcome(lambda: _run_lmg_columns(
+        cfg, params, model, [shot_rng(7, c) for c in range(n)],
+        shared_columns(cfg, model.j_collective)))
+    refs = [_outcome(lambda: _lmg_reference(cfg, p, model, shot_rng(7, c)))
+            for c, p in enumerate(params)]
+    if isinstance(recs, str):
+        assert recs in refs
+        return
+    for rec, ref in zip(recs, refs):
+        assert _same_record(rec, ref)
+        assert np.all(np.abs(np.sqrt(rec.x**2 + rec.y**2 + rec.z**2) - 1.0) <= 1e-12)
+    assert _same_record(recs[-1], run_lmg_loop(cfg, params[-1], model, shot_rng(7, n - 1)))
 
 
 @pytest.mark.parametrize("latency", [0.0, 2e-6, 4e-6])
@@ -529,14 +551,6 @@ def test_kt_array_kernel_matches_scalar_loop(latency, word_bits, noise):
         assert ([still.x[kick + 1], still.y[kick + 1], still.z[kick + 1]]
                 == [still.x[kick], still.y[kick], still.z[kick]])
         assert moved.x[kick + 1] != moved.x[kick]
-
-
-def _outcome(run):
-    """run()'s result, or the text of the ValueError it raised."""
-    try:
-        return run()
-    except ValueError as e:
-        return str(e)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinloop import quantum, scenarios
+from spinloop import quantum, runio, scenarios
 from spinloop.cli import simulate_main
 from spinloop.loop_sim import shot_rng
 from spinloop.models import LmgParams
@@ -209,7 +210,7 @@ def test_ctl_z_records_the_applied_rate(tmp_path, monkeypatch):
         return applied[-1]
 
     monkeypatch.setattr(quantum, "qmf_rate", qmf_rate)  # seen by qmf_step only
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)  # every step here
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 1)  # every step here
     out = tmp_path / "o"
     assert simulate_main(["quantum-qmf", "--config", str(_quantum_config(tmp_path, 10)),
                           "--out", str(out)]) == 0
@@ -311,12 +312,12 @@ def _split_at(monkeypatch, cpus):
     parts = []
     real = scenarios.fork_parts
 
-    def fork_parts(n_parts, run, done):
+    def fork_parts(n_parts, run):
         parts.append(n_parts)
-        real(n_parts, run, done)
+        return real(n_parts, run)
 
     monkeypatch.setattr(scenarios, "fork_parts", fork_parts)
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(scenarios, "QUANTUM_PART_MIN_WORK", 1)
     return parts
 
@@ -327,7 +328,7 @@ def test_split_ensemble_matches_one_process(monkeypatch, j, shots, cpus):
     # 63 to 65 rows cross both the QUANTUM_BLOCK boundary and the part cuts
     p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
     args = (j, SphericalAngles(0.4, 0.3), p, 3.0, 2e-6, 4)
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 1)
     whole = quantum_ensemble(*args, [shot_rng(5, i) for i in range(shots)])
     parts = _split_at(monkeypatch, cpus)
     rngs = [shot_rng(5, i) for i in range(shots)]
@@ -336,7 +337,7 @@ def test_split_ensemble_matches_one_process(monkeypatch, j, shots, cpus):
     for a, b in zip(whole, split):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     # the ranges drew from copies: rngs are where they started
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 1)
     for a, b in zip(whole, quantum_ensemble(*args, rngs)):
         assert a.tobytes() == b.tobytes()
     with pytest.raises(ChildProcessError):  # every child reaped
@@ -346,7 +347,7 @@ def test_split_ensemble_matches_one_process(monkeypatch, j, shots, cpus):
 def test_tiny_or_one_shot_ensemble_stays_in_process(monkeypatch):
     p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
     args = (10.0, SphericalAngles(0.4, 0.3), p, 3.0, 2e-6, 12)
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     # 3 shots * 12 steps * 21^2 is far below the break-even
     quantum_ensemble(*args, [shot_rng(5, i) for i in range(3)])
@@ -420,7 +421,7 @@ def test_split_failure_reads_as_one_process(monkeypatch, faults, want):
             gens[5] = _Stalls(gens[5])
         return gens
 
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 1)
     assert _raised(lambda: quantum_ensemble(*args, rngs())) == want
     parts = _split_at(monkeypatch, 2)
     t0 = time.monotonic()
@@ -431,21 +432,43 @@ def test_split_failure_reads_as_one_process(monkeypatch, faults, want):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_failed_split_runs_again_in_one_process(monkeypatch):
-    # a fault only the child meets: the ensemble runs again in this process,
-    # from generators no range advanced
+def _fork_fails_after(monkeypatch, n):
+    """os.fork raising EAGAIN, as at a process limit, from its call n + 1 on."""
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(n)
+        if len(calls) > n:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+# (usable CPUs, the fault): a fault only the child meets, or a fork that
+# fails at once or after its first child started
+@pytest.mark.parametrize("cpus, fault", [(2, "child"), (2, "fork"), (3, "second-fork")])
+def test_failed_split_runs_again_in_one_process(monkeypatch, cpus, fault):
+    # the ensemble runs again in this process, from generators no range
+    # advanced, to the bytes of one process
     p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
     args = (2.0, SphericalAngles(0.4, 0.3), p, 3.0, 2e-6, 6)
-    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 1)
     whole = quantum_ensemble(*args, [shot_rng(5, i) for i in range(6)])
     parent = os.getpid()
     rngs = [shot_rng(5, i) for i in range(6)]
-    rngs[4] = _Faulty(rngs[4], math.nan, fails_in=lambda pid: pid != parent)
-    _split_at(monkeypatch, 2)
+    if fault == "child":
+        rngs[4] = _Faulty(rngs[4], math.nan, fails_in=lambda pid: pid != parent)
+    else:
+        _fork_fails_after(monkeypatch, int(fault == "second-fork"))
+    parts = _split_at(monkeypatch, cpus)
     with np.errstate(invalid="ignore"):  # the child's NaN state
         split = quantum_ensemble(*args, rngs)
+    assert parts == [cpus]
     for a, b in zip(whole, split):
         assert a.tobytes() == b.tobytes()
+    with pytest.raises(ChildProcessError):  # no child left, running or not reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("row", [0, 2])
