@@ -7,11 +7,12 @@ shape (shots, dim) whose rows advance in lock-step.  Jz is diagonal and
 Jx, Jy are tridiagonal, so the engine keeps only the ladder coefficients and
 the cached real eigenbases of Jx's two parity blocks: Jx commutes with the
 reflection m -> -m, so it splits into an even and an odd tridiagonal block
-of about dim/2 each (block = W diag(lam) W^T).  The conditioned unitary is a
-ZXZ Euler product: two diagonal Jz phases around e^{i b Jx}, which costs two
-real products with each block's W.  Coherent states use the same rotation,
-because Jy is Jx conjugated by a diagonal Jz phase.  The Bloch read-out is
-O(dim).
+of about dim/2 each (block = W diag(lam) W^T).  lam is the exact m, and W
+comes from a twisted factorization at those shifts, with no LAPACK call
+(``_jx_parity_blocks``).  The conditioned unitary is a ZXZ Euler product:
+two diagonal Jz phases around e^{i b Jx}, which costs two real products
+with each block's W.  Coherent states use the same rotation, because Jy is
+Jx conjugated by a diagonal Jz phase.  The Bloch read-out is O(dim).
 
 Rows of a batch never mix: every step is made of elementwise operations,
 sums along a row and one small GEMM per row, so a trajectory's bytes do not
@@ -20,7 +21,8 @@ faster, but BLAS rounds its rows differently as the row count changes.)
 That is also why ``scenarios.quantum_ensemble`` may run contiguous ranges
 of an ensemble's rows in forked processes, one per usable CPU, to the same
 bytes; the children inherit the cached eigenbases.  The two W hold about
-(2j+1)^2 / 2 reals, 4 MB at the cap j = 500."""
+(2j+1)^2 / 2 reals, 4 MB at the cap j = 500, and their build peaks under
+7 MB."""
 
 from __future__ import annotations
 
@@ -72,11 +74,12 @@ def _unit_rows(psi: np.ndarray) -> np.ndarray:
 
 
 def check_j(j: float) -> None:
-    """Raise ValueError unless 2j is a positive integer and j <= J_MAX."""
-    if not (math.isfinite(j) and j >= 0.5 and abs(2 * j - round(2 * j)) <= 1e-9):
-        raise ValueError("2j must be a positive integer")
+    """Raise ValueError unless 2j is a positive integer and j <= J_MAX.  The
+    cap comes first: rounding 2j overflows for j near the largest float."""
     if j > J_MAX:
         raise ValueError(f"j = {j} too large for dense storage (cap {J_MAX})")
+    if not (math.isfinite(j) and j >= 0.5 and abs(2 * j - round(2 * j)) <= 1e-9):
+        raise ValueError("2j must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -118,30 +121,86 @@ def spin_operators(j: float) -> SpinOperators:
     return SpinOperators(j, jx, jy, np.diag(m.astype(complex)))
 
 
+def _tridiagonal_eigvecs(e: np.ndarray, last: float, lam: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors W, one column per eigenvalue of lam, of the
+    symmetric tridiagonal block with off-diagonal e and a diagonal that is
+    zero except for its last entry.  lam must hold the exact eigenvalues.
+
+    A twisted factorization at every shift at once (Dhillon & Parlett,
+    Linear Algebra Appl. 387:1-28, 2004): the forward and backward LDL^T
+    pivots of block - lam, the twist r at the smallest |gamma_r|, and the
+    vector unrolled from z_r = 1 by cumulative products of the pivot
+    ratios.  The eigenvalues are at least 2 apart, so the vectors need no
+    reorthogonalisation.  A pivot of exactly zero, as integer j meets at
+    shift 0, is replaced by eps * max|e|.  Rows index the block and columns
+    the shifts, and only the two pivot arrays are n x n: the forward one
+    becomes W."""
+    n = len(lam)
+    guard = np.finfo(float).eps * np.abs(e).max(initial=0.0)
+    e2 = e * e
+    fwd = np.empty((n, n))
+    bwd = np.empty((n, n))
+    np.negative(lam, out=fwd[0])
+    for i in range(1, n):
+        p = fwd[i - 1]
+        p[p == 0.0] = guard
+        np.divide(-e2[i - 1], p, out=fwd[i])
+        fwd[i] -= lam
+    fwd[-1] += last
+    np.subtract(last, lam, out=bwd[-1])
+    # gamma_i = fwd_i + bwd_i - (d_i - lam): fwd_i in the last row, since
+    # bwd starts there at d - lam, and fwd_i + bwd_i + lam above it
+    best = np.abs(fwd[-1])
+    twist = np.full(n, n - 1)
+    for i in range(n - 2, -1, -1):
+        p = bwd[i + 1]
+        p[p == 0.0] = guard
+        np.divide(-e2[i], p, out=bwd[i])
+        bwd[i] -= lam
+        gamma = np.abs(fwd[i] + bwd[i] + lam)
+        better = gamma < best
+        best[better] = gamma[better]
+        twist[better] = i
+    rows = np.arange(n)[:, None]
+    np.divide(-e[:, None], fwd[:-1], out=fwd[:-1])  # z_i = -(e_i / fwd_i) z_{i+1}, i < r
+    np.putmask(fwd, rows >= twist, 1.0)
+    np.multiply.accumulate(fwd[::-1], axis=0, out=fwd[::-1])
+    np.divide(-e[:, None], bwd[1:], out=bwd[1:])  # z_i = -(e_{i-1} / bwd_i) z_{i-1}, i > r
+    np.putmask(bwd, rows <= twist, 1.0)
+    np.multiply.accumulate(bwd, axis=0, out=bwd)
+    fwd *= bwd
+    fwd /= np.sqrt(np.einsum("ij,ij->j", fwd, fwd))
+    return fwd
+
+
 @lru_cache(maxsize=8)
 def _jx_parity_blocks(j: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Eigensystems (lam, W) of the two parity blocks of Jx, even then odd.
+    """Eigensystems (lam, W) of the two parity blocks of Jx, even then odd,
+    each with its eigenvalues ascending.
 
     The ladder reads the same from both ends, so Jx commutes with the
     reflection m -> -m.  In the basis (|m> + |-m>)/sqrt2 (plus |0> for
     integer j) and (|m> - |-m>)/sqrt2, m > 0, it splits into two real
-    symmetric tridiagonal blocks of about dim/2 each: block = W diag(lam) W^T."""
+    symmetric tridiagonal blocks of about dim/2 each: block = W diag(lam) W^T.
+    The spectrum of Jx is exactly m = -j .. j; the even block holds
+    m = j, j - 2, ... and the odd block m = j - 1, j - 3, ..., so lam is
+    exact and W follows from ``_tridiagonal_eigvecs``, with no LAPACK call
+    and no dense block.  A build holds at most two n x n work arrays next
+    to the W already built, under 7 MB at j = 500."""
     h = 0.5 * _ladder(j)
     n = (len(h) + 1) // 2  # the number of (m, -m) pairs
     inner = h[: n - 1]
     if len(h) % 2:  # half-integer j: the middle pair couples to itself
-        even = np.diag(inner, 1) + np.diag(inner, -1)
-        odd = even.copy()
-        even[-1, -1] = h[n - 1]
-        odd[-1, -1] = -h[n - 1]
+        specs = ((inner, h[n - 1]), (inner, -h[n - 1]))
     else:  # integer j: m = 0 joins the even block
-        edge = np.append(inner, math.sqrt(2.0) * h[n - 1])
-        even = np.diag(edge, 1) + np.diag(edge, -1)
-        odd = np.diag(inner, 1) + np.diag(inner, -1)
-    blocks = tuple(np.linalg.eigh(t) for t in (even, odd))
+        specs = ((np.append(inner, math.sqrt(2.0) * h[n - 1]), 0.0), (inner, 0.0))
+    blocks = []
+    for (e, last), top in zip(specs, (j, j - 1)):
+        lam = top - 2.0 * np.arange(len(e), -1, -1)  # ascending, up to top
+        blocks.append((lam, _tridiagonal_eigvecs(e, last, lam)))
     for arr in (a for block in blocks for a in block):
         arr.setflags(write=False)
-    return blocks
+    return tuple(blocks)
 
 
 def _real_matvec(mat: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -277,7 +277,7 @@ def quantum_ensemble(j, angles, params, sigma, dt, n_steps, rngs):
             bloch[rows, n_steps] = bloch_vector(state)
 
     if split:
-        _jx_parity_blocks(j)  # cached before forking: no child repeats the eigh
+        _jx_parity_blocks(j)  # cached before forking: no child builds the basis again
         gens = copy.deepcopy(rngs)  # rngs stay unadvanced for a run in one process
         if fork_parts(len(ranges), lambda k: run(*ranges[k], gens)):
             return bloch, meas

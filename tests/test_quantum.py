@@ -2,7 +2,10 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +245,56 @@ def test_parity_blocks_match_dense_jx(j):
     b = np.array([0.3, -2.1])
     want = np.stack([w @ (np.exp(1j * bi * lam) * (w.T @ row)) for bi, row in zip(b, psi)])
     assert np.max(np.abs(_exp_i_jx(j, psi, b) - want)) < 1e-10 * math.sqrt(dim)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 7.5, 50.0, 199.5, 200.0, 500.0])
+def test_parity_blocks_are_exact_eigensystems(j):
+    # lam is exactly the m of each parity (j - m even, then odd), ascending,
+    # and W is an orthonormal eigenbasis of the block that dense Jx takes in
+    # the parity basis (|m> +- |-m>)/sqrt2, |0> last in the even one
+    dim = int(2 * j) + 1
+    n = dim // 2
+    m = j - np.arange(dim)
+    basis = np.zeros((dim, dim))
+    for k in range(n):
+        basis[[k, dim - 1 - k], k] = math.sqrt(0.5)
+        basis[[k, dim - 1 - k], dim - n + k] = math.sqrt(0.5), -math.sqrt(0.5)
+    if dim % 2:
+        basis[n, n] = 1.0
+    jx = basis.T @ spin_operators(j).jx.real @ basis
+    blocks = (jx[: dim - n, : dim - n], jx[dim - n :, dim - n :])
+    for (lam, w), want, block in zip(_jx_parity_blocks(j), (m[::2], m[1::2]), blocks):
+        assert lam.tolist() == want[::-1].tolist()
+        assert np.max(np.abs(w.T @ w - np.eye(len(lam)))) < 1e-13
+        assert np.max(np.abs((w * lam) @ w.T - block)) < 1e-12 * j
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_parity_blocks_build_in_little_memory():
+    # a fresh interpreter: the j = 500 build must not raise the peak RSS by
+    # much more than the two W it keeps (a dense eigh of each block needs
+    # about 4.4x).  The peak is VmHWM, the high-water mark of the
+    # interpreter's own memory: ru_maxrss keeps the launching process's
+    # RSS across exec, and pytest's exceeds the whole build.
+    code = (
+        "import spinloop.quantum as q\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(s.split()[1]) for s in fh if s.startswith('VmHWM'))\n"
+        "q._ladder(500.0)\n"
+        "before = hwm()\n"
+        "blocks = q._jx_parity_blocks(500.0)\n"
+        "print((hwm() - before) * 1024, sum(w.nbytes for _, w in blocks))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(quantum.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown, kept = map(int, proc.stdout.split())
+    assert grown < 3 * kept, (grown, kept)
 
 
 @pytest.mark.parametrize("j", [0.5, 10.0, 199.5, 500.0])
