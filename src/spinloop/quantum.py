@@ -21,8 +21,8 @@ faster, but BLAS rounds its rows differently as the row count changes.)
 That is also why ``scenarios.quantum_ensemble`` may run contiguous ranges
 of an ensemble's rows in forked processes, one per usable CPU, to the same
 bytes; the children inherit the cached eigenbases.  The two W hold about
-(2j+1)^2 / 2 reals, 4 MB at the cap j = 500, and their build peaks under
-7 MB."""
+(2j+1)^2 / 2 reals, 4 MB at the cap j = 500, and their build raises the
+peak by under 5 MB."""
 
 from __future__ import annotations
 
@@ -121,54 +121,38 @@ def spin_operators(j: float) -> SpinOperators:
     return SpinOperators(j, jx, jy, np.diag(m.astype(complex)))
 
 
-def _tridiagonal_eigvecs(e: np.ndarray, last: float, lam: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvectors W, one column per eigenvalue of lam, of the
+def _tridiagonal_eigvecs(e: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors W, one column per eigenvalue of lam, of a
     symmetric tridiagonal block with off-diagonal e and a diagonal that is
-    zero except for its last entry.  lam must hold the exact eigenvalues.
+    zero except perhaps for its last entry.  lam must hold the exact
+    eigenvalues: then rows 0 .. n-2 of (block - lam) z = 0 fix z, and the
+    last diagonal entry is never read.
 
     A twisted factorization at every shift at once (Dhillon & Parlett,
-    Linear Algebra Appl. 387:1-28, 2004): the forward and backward LDL^T
-    pivots of block - lam, the twist r at the smallest |gamma_r|, and the
-    vector unrolled from z_r = 1 by cumulative products of the pivot
-    ratios.  The eigenvalues are at least 2 apart, so the vectors need no
-    reorthogonalisation.  A pivot of exactly zero, as integer j meets at
-    shift 0, is replaced by eps * max|e|.  Rows index the block and columns
-    the shifts, and only the two pivot arrays are n x n: the forward one
-    becomes W."""
+    Linear Algebra Appl. 387:1-28, 2004), with the twist fixed at the last
+    row: the forward LDL^T pivots of block - lam, and the vector unrolled
+    upward from z = 1 in the last row by cumulative products of
+    -e_i / pivot_i.  The last row is the middle of the ladder (m = 0 or
+    +-1/2).  Every eigenvalue has lam^2 <= j(j+1), so the middle lies inside
+    the classically allowed band |m| <= sqrt(j(j+1) - lam^2) of every
+    eigenvector, and z there is never small.  The eigenvalues are at least
+    2 apart, so the vectors need no reorthogonalisation.  A pivot of exactly
+    zero, as integer j meets at shift 0, is replaced by eps * max|e|.  Rows
+    index the block and columns the shifts; the pivot array is the only
+    n x n array, and it becomes W."""
     n = len(lam)
     guard = np.finfo(float).eps * np.abs(e).max(initial=0.0)
     e2 = e * e
     fwd = np.empty((n, n))
-    bwd = np.empty((n, n))
     np.negative(lam, out=fwd[0])
     for i in range(1, n):
         p = fwd[i - 1]
         p[p == 0.0] = guard
         np.divide(-e2[i - 1], p, out=fwd[i])
         fwd[i] -= lam
-    fwd[-1] += last
-    np.subtract(last, lam, out=bwd[-1])
-    # gamma_i = fwd_i + bwd_i - (d_i - lam): fwd_i in the last row, since
-    # bwd starts there at d - lam, and fwd_i + bwd_i + lam above it
-    best = np.abs(fwd[-1])
-    twist = np.full(n, n - 1)
-    for i in range(n - 2, -1, -1):
-        p = bwd[i + 1]
-        p[p == 0.0] = guard
-        np.divide(-e2[i], p, out=bwd[i])
-        bwd[i] -= lam
-        gamma = np.abs(fwd[i] + bwd[i] + lam)
-        better = gamma < best
-        best[better] = gamma[better]
-        twist[better] = i
-    rows = np.arange(n)[:, None]
-    np.divide(-e[:, None], fwd[:-1], out=fwd[:-1])  # z_i = -(e_i / fwd_i) z_{i+1}, i < r
-    np.putmask(fwd, rows >= twist, 1.0)
+    np.divide(-e[:, None], fwd[:-1], out=fwd[:-1])  # z_i = -(e_i / fwd_i) z_{i+1}
+    fwd[-1] = 1.0
     np.multiply.accumulate(fwd[::-1], axis=0, out=fwd[::-1])
-    np.divide(-e[:, None], bwd[1:], out=bwd[1:])  # z_i = -(e_{i-1} / bwd_i) z_{i-1}, i > r
-    np.putmask(bwd, rows <= twist, 1.0)
-    np.multiply.accumulate(bwd, axis=0, out=bwd)
-    fwd *= bwd
     fwd /= np.sqrt(np.einsum("ij,ij->j", fwd, fwd))
     return fwd
 
@@ -185,19 +169,19 @@ def _jx_parity_blocks(j: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     The spectrum of Jx is exactly m = -j .. j; the even block holds
     m = j, j - 2, ... and the odd block m = j - 1, j - 3, ..., so lam is
     exact and W follows from ``_tridiagonal_eigvecs``, with no LAPACK call
-    and no dense block.  A build holds at most two n x n work arrays next
-    to the W already built, under 7 MB at j = 500."""
+    and no dense block.  A build holds one n x n work array, which becomes
+    its W, next to the W already built: under 5 MB at j = 500."""
     h = 0.5 * _ladder(j)
     n = (len(h) + 1) // 2  # the number of (m, -m) pairs
     inner = h[: n - 1]
-    if len(h) % 2:  # half-integer j: the middle pair couples to itself
-        specs = ((inner, h[n - 1]), (inner, -h[n - 1]))
-    else:  # integer j: m = 0 joins the even block
-        specs = ((np.append(inner, math.sqrt(2.0) * h[n - 1]), 0.0), (inner, 0.0))
+    # half-integer j: the middle pair couples to itself, on the last diagonal
+    # entry, which the eigenvectors never read; integer j: m = 0 joins the
+    # even block
+    even = inner if len(h) % 2 else np.append(inner, math.sqrt(2.0) * h[n - 1])
     blocks = []
-    for (e, last), top in zip(specs, (j, j - 1)):
+    for e, top in ((even, j), (inner, j - 1)):
         lam = top - 2.0 * np.arange(len(e), -1, -1)  # ascending, up to top
-        blocks.append((lam, _tridiagonal_eigvecs(e, last, lam)))
+        blocks.append((lam, _tridiagonal_eigvecs(e, lam)))
     for arr in (a for block in blocks for a in block):
         arr.setflags(write=False)
     return tuple(blocks)
