@@ -5,24 +5,29 @@ the measurement-conditioned unitary.
 State vectors live in the Jz basis, one state of shape (dim,) or a batch of
 shape (shots, dim) whose rows advance in lock-step.  Jz is diagonal and
 Jx, Jy are tridiagonal, so the engine keeps only the ladder coefficients and
-the cached real eigenbases of Jx's two parity blocks: Jx commutes with the
+the cached real eigensystems of Jx's two parity blocks: Jx commutes with the
 reflection m -> -m, so it splits into an even and an odd tridiagonal block
-of about dim/2 each (block = W diag(lam) W^T).  lam is the exact m, and W
-comes from a twisted factorization at those shifts, with no LAPACK call
-(``_jx_parity_blocks``).  The conditioned unitary is a ZXZ Euler product:
-two diagonal Jz phases around e^{i b Jx}, which costs two real products
-with each block's W.  Coherent states use the same rotation, because Jy is
-Jx conjugated by a diagonal Jz phase.  The Bloch read-out is O(dim).
+of about dim/2 each.  Their eigenvalues are the exact m, and their
+eigenvectors come from a twisted factorization at those shifts, with no
+LAPACK call (``_jx_parity_blocks``).  For integer j each block has a zero
+diagonal and splits once more, between its rows of even and odd j - m: its
+eigenvalues pair as +-sigma, and two bases U and V of about dim/4 each hold
+its eigenvectors.  The conditioned unitary is a ZXZ Euler product: two
+diagonal Jz phases around e^{i b Jx}, which costs two real products with
+each block's eigenbasis W for half-integer j, and four with U and V for
+integer j, half the multiply-adds.  Coherent states use the same rotation,
+because Jy is Jx conjugated by a diagonal Jz phase.  The Bloch read-out is
+O(dim).
 
 Rows of a batch never mix: every step is made of elementwise operations,
-sums along a row and one small GEMM per row, so a trajectory's bytes do not
+sums along a row and small GEMMs per row, so a trajectory's bytes do not
 depend on the batch it runs in.  (A single GEMM over all rows would be
 faster, but BLAS rounds its rows differently as the row count changes.)
 That is also why ``scenarios.quantum_ensemble`` may run contiguous ranges
 of an ensemble's rows in forked processes, one per usable CPU, to the same
-bytes; the children inherit the cached eigenbases.  The two W hold about
-(2j+1)^2 / 2 reals, 4 MB at the cap j = 500, and their build raises the
-peak by under 5 MB."""
+bytes; the children inherit the cached eigenbases.  At the cap j = 500 the
+four U and V hold about (2j+1)^2 / 4 reals, 2 MB, and their build, which
+writes them in place, raises the peak by about 2.4 MB."""
 
 from __future__ import annotations
 
@@ -121,67 +126,110 @@ def spin_operators(j: float) -> SpinOperators:
     return SpinOperators(j, jx, jy, np.diag(m.astype(complex)))
 
 
-def _tridiagonal_eigvecs(e: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvectors W, one column per eigenvalue of lam, of a
-    symmetric tridiagonal block with off-diagonal e and a diagonal that is
-    zero except perhaps for its last entry.  lam must hold the exact
-    eigenvalues: then rows 0 .. n-2 of (block - lam) z = 0 fix z, and the
-    last diagonal entry is never read.
+def _tridiagonal_eigvecs(e: np.ndarray, lam: np.ndarray, rows) -> None:
+    """Eigenvectors, one column per eigenvalue of lam, of a symmetric
+    tridiagonal block with off-diagonal e and a diagonal that is zero except
+    perhaps for its last entry, written unnormalised into rows: rows[i] is a
+    writable view of len(lam) that receives row i of the block, so the caller
+    chooses where each row lives.  lam must hold the exact eigenvalues: then
+    rows 0 .. n-2 of (block - lam) z = 0 fix z, and the last diagonal entry
+    is never read.
 
     A twisted factorization at every shift at once (Dhillon & Parlett,
     Linear Algebra Appl. 387:1-28, 2004), with the twist fixed at the last
     row: the forward LDL^T pivots of block - lam, and the vector unrolled
     upward from z = 1 in the last row by cumulative products of
-    -e_i / pivot_i.  The last row is the middle of the ladder (m = 0 or
+    -e_i / pivot_i.  The last row is the middle of the ladder (m = 0, +-1 or
     +-1/2).  Every eigenvalue has lam^2 <= j(j+1), so the middle lies inside
     the classically allowed band |m| <= sqrt(j(j+1) - lam^2) of every
     eigenvector, and z there is never small.  The eigenvalues are at least
     2 apart, so the vectors need no reorthogonalisation.  A pivot of exactly
-    zero, as integer j meets at shift 0, is replaced by eps * max|e|.  Rows
-    index the block and columns the shifts; the pivot array is the only
-    n x n array, and it becomes W."""
-    n = len(lam)
+    zero, as integer j meets at shift 0, is replaced by eps * max|e|.  The
+    pivots are computed in rows, which then become the vectors: no other
+    array of the block's size is made."""
+    n = len(rows)
     guard = np.finfo(float).eps * np.abs(e).max(initial=0.0)
     e2 = e * e
-    fwd = np.empty((n, n))
-    np.negative(lam, out=fwd[0])
+    np.negative(lam, out=rows[0])
     for i in range(1, n):
-        p = fwd[i - 1]
+        p = rows[i - 1]
         p[p == 0.0] = guard
-        np.divide(-e2[i - 1], p, out=fwd[i])
-        fwd[i] -= lam
-    np.divide(-e[:, None], fwd[:-1], out=fwd[:-1])  # z_i = -(e_i / fwd_i) z_{i+1}
-    fwd[-1] = 1.0
-    np.multiply.accumulate(fwd[::-1], axis=0, out=fwd[::-1])
-    fwd /= np.sqrt(np.einsum("ij,ij->j", fwd, fwd))
-    return fwd
+        np.divide(-e2[i - 1], p, out=rows[i])
+        rows[i] -= lam
+    rows[n - 1].fill(1.0)
+    for i in range(n - 2, -1, -1):
+        np.divide(-e[i], rows[i], out=rows[i])  # z_i = -(e_i / pivot_i) z_{i+1}
+        rows[i] *= rows[i + 1]
+
+
+def _unit_columns(a: np.ndarray) -> np.ndarray:
+    a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+    return a
+
+
+def _colour_split(e: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma, U, V) of a tridiagonal block with off-diagonal e, a zero
+    diagonal and the eigenvalues top, top - 2, ..., -top.
+
+    The block couples each row only to its neighbours, so it is bipartite
+    between its even rows (colour A) and its odd rows (colour B):
+    block = [[0, C], [C^T, 0]] with C of shape (|A|, |B|).  Its eigenvalues
+    are the pairs +-sigma, plus one 0 when the size is odd, and the
+    eigenvectors of +-sigma are (u, +-v)/sqrt2, where C v = sigma u and
+    C^T u = sigma v.  So sigma >= 0 ascending, U (|A| x |A|) with one column
+    per sigma, and V (|B| x |B|) with one column per sigma > 0 hold the whole
+    eigensystem; the zero mode, when there is one, is U's first column and
+    has C^T u = 0.  The twisted factorization runs at the shifts sigma > 0
+    with its A rows written into U and its B rows into V, and once more at 0
+    into one small column, so the build makes no array beyond U and V."""
+    size = len(e) + 1
+    na, nb = size - size // 2, size // 2
+    sigma = top - 2.0 * np.arange(na - 1, -1, -1)
+    zero = na - nb  # 1 when the block has a zero mode, in colour A
+    u, v = np.empty((na, na)), np.empty((nb, nb))
+    rows = [None] * size
+    rows[::2], rows[1::2] = u[:, zero:], v
+    _tridiagonal_eigvecs(e, sigma[zero:], rows)
+    if zero:
+        z = np.empty((size, 1))
+        _tridiagonal_eigvecs(e, sigma[:1], z)
+        u[:, 0] = z[::2, 0]
+    return sigma, _unit_columns(u), _unit_columns(v)
 
 
 @lru_cache(maxsize=8)
-def _jx_parity_blocks(j: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Eigensystems (lam, W) of the two parity blocks of Jx, even then odd,
-    each with its eigenvalues ascending.
+def _jx_parity_blocks(j: float) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Eigensystems of the two parity blocks of Jx, even then odd.
 
     The ladder reads the same from both ends, so Jx commutes with the
     reflection m -> -m.  In the basis (|m> + |-m>)/sqrt2 (plus |0> for
     integer j) and (|m> - |-m>)/sqrt2, m > 0, it splits into two real
-    symmetric tridiagonal blocks of about dim/2 each: block = W diag(lam) W^T.
+    symmetric tridiagonal blocks of about dim/2 each, row k holding m = j - k.
     The spectrum of Jx is exactly m = -j .. j; the even block holds
-    m = j, j - 2, ... and the odd block m = j - 1, j - 3, ..., so lam is
-    exact and W follows from ``_tridiagonal_eigvecs``, with no LAPACK call
-    and no dense block.  A build holds one n x n work array, which becomes
-    its W, next to the W already built: under 5 MB at j = 500."""
+    m = j, j - 2, ... and the odd block m = j - 1, j - 3, ..., so the
+    eigenvalues are exact and the eigenvectors follow from
+    ``_tridiagonal_eigvecs``, with no LAPACK call and no dense block.
+
+    Half-integer j: the middle pair couples to itself, on the last diagonal
+    entry, and each block is (lam, W), block = W diag(lam) W^T, lam
+    ascending.  Integer j: m = 0 joins the even block, both diagonals are
+    zero, and each block is (sigma, U, V) split by colour, the parity of
+    j - m (``_colour_split``).  Half-integer j allows no such split: parity
+    and colour anticommute there.  U and V hold about (2j+1)^2 / 4 reals,
+    2 MB at j = 500, and are built in place."""
     h = 0.5 * _ladder(j)
     n = (len(h) + 1) // 2  # the number of (m, -m) pairs
     inner = h[: n - 1]
-    # half-integer j: the middle pair couples to itself, on the last diagonal
-    # entry, which the eigenvectors never read; integer j: m = 0 joins the
-    # even block
-    even = inner if len(h) % 2 else np.append(inner, math.sqrt(2.0) * h[n - 1])
-    blocks = []
-    for e, top in ((even, j), (inner, j - 1)):
-        lam = top - 2.0 * np.arange(len(e), -1, -1)  # ascending, up to top
-        blocks.append((lam, _tridiagonal_eigvecs(e, lam)))
+    if len(h) % 2:
+        blocks = []
+        for top in (j, j - 1):
+            lam = top - 2.0 * np.arange(len(inner), -1, -1)  # ascending, up to top
+            w = np.empty((len(lam),) * 2)
+            _tridiagonal_eigvecs(inner, lam, w)
+            blocks.append((lam, _unit_columns(w)))
+    else:
+        even = np.append(inner, math.sqrt(2.0) * h[n - 1])
+        blocks = [_colour_split(even, j), _colour_split(inner, j - 1)]
     for arr in (a for block in blocks for a in block):
         arr.setflags(write=False)
     return tuple(blocks)
@@ -196,9 +244,35 @@ def _real_matvec(mat: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return r[..., 0, :] + 1j * r[..., 1, :]
 
 
+def _exp_i_eigenbasis(lam, w, x: np.ndarray, b) -> np.ndarray:
+    """e^{i b T} x for a block T = W diag(lam) W^T: two real products."""
+    return _real_matvec(w, np.exp(1j * np.multiply.outer(b, lam)) * _real_matvec(w.T, x))
+
+
+def _exp_i_colours(sigma, u, v, x: np.ndarray, b) -> np.ndarray:
+    """e^{i b T} x for a block T = (sigma, U, V) of ``_colour_split``:
+    A <- U [cos(b sigma) U^T x_A + i sin(b sigma) V^T x_B] and
+    B <- V [i sin(b sigma) U^T x_A + cos(b sigma) V^T x_B], where the sin
+    terms skip the zero mode.  Four real products of about n/2 x n/2 per
+    state, against two of n x n for the whole block."""
+    zero = len(sigma) - len(v)
+    ua = _real_matvec(u.T, x[..., ::2])
+    vb = _real_matvec(v.T, x[..., 1::2])
+    angle = np.multiply.outer(b, sigma)
+    cos, isin = np.cos(angle), 1j * np.sin(angle[..., zero:])
+    ya = cos * ua
+    ya[..., zero:] += isin * vb
+    out = np.empty_like(x)
+    out[..., ::2] = _real_matvec(u, ya)
+    out[..., 1::2] = _real_matvec(v, isin * ua[..., zero:] + cos[..., zero:] * vb)
+    return out
+
+
 def _exp_i_jx(j: float, psi: np.ndarray, b) -> np.ndarray:
     """e^{i b Jx} psi for states psi (..., dim), one parity block at a time;
-    b is a scalar or holds one angle per state."""
+    b is a scalar or holds one angle per state.  Half-integer j (dim even)
+    rotates each block in its eigenbasis W; integer j (dim odd) splits each
+    block by colour (``_exp_i_colours``), half the multiply-adds."""
     dim = psi.shape[-1]
     n = dim // 2
     r = math.sqrt(0.5)
@@ -206,11 +280,9 @@ def _exp_i_jx(j: float, psi: np.ndarray, b) -> np.ndarray:
     even = (top + bottom) * r
     if dim % 2:
         even = np.concatenate((even, psi[..., n : n + 1]), axis=-1)
-    parts = [
-        _real_matvec(w, np.exp(1j * np.multiply.outer(b, lam)) * _real_matvec(w.T, v))
-        for (lam, w), v in zip(_jx_parity_blocks(j), (even, (top - bottom) * r))
-    ]
-    even, odd = parts
+    rotate = _exp_i_colours if dim % 2 else _exp_i_eigenbasis
+    even, odd = (rotate(*block, v, b)
+                 for block, v in zip(_jx_parity_blocks(j), (even, (top - bottom) * r)))
     out = np.empty_like(psi)
     out[..., :n] = (even[..., :n] + odd) * r
     out[..., : -n - 1 : -1] = (even[..., :n] - odd) * r

@@ -230,13 +230,14 @@ def _run_composite(cfg, out):
 QUANTUM_BLOCK = 64
 # The least work, in shot-steps * dim^2, worth a process of its own: an
 # ensemble is cut into at most one part per QUANTUM_PART_MIN_WORK.  Two
-# processes against one broke even at 1e7-3e7 per part (2-CPU Xeon, in
-# process, alternating, medians of 21: j = 500 and 2 shots at 10, 20 and
-# 30 steps took 13.7, 28.5 and 46.6 ms in one process and 18.0, 27.4 and
-# 35.2 ms in two; j = 200 and 4 shots at 30 and 60 steps 24.2 and 38.6 ms
-# in one, 21.4 and 43.8 ms in two).  Both quantum-qmf configs, at about
-# 1.2e8 and 1.5e8 per part, split; j = 10 runs of a few shots do not.
-QUANTUM_PART_MIN_WORK = 20_000_000
+# processes against one broke even at about 3e7 per part (2-CPU Xeon, in
+# process, alternating, medians of 21, three series; j = 500 and 2 shots at
+# 20, 30 and 45 steps took 12.6-14.4, 18.2-22.9 and 26.5-44.9 ms in one
+# process and 14.0-28.4, 17.3-26.4 and 23.8-36.4 ms in two, slower in 3, 1
+# and 0 of the 3 series; j = 200 and 4 shots at 60 and 90 steps were slower
+# in two in 2 and 1 of 3).  Both quantum-qmf configs, at about 1.2e8 and
+# 1.5e8 per part, split; j = 10 runs of a few shots do not.
+QUANTUM_PART_MIN_WORK = 30_000_000
 
 
 def quantum_ensemble(j, angles, params, sigma, dt, n_steps, rngs):
@@ -277,7 +278,10 @@ def quantum_ensemble(j, angles, params, sigma, dt, n_steps, rngs):
             bloch[rows, n_steps] = bloch_vector(state)
 
     if split:
-        _jx_parity_blocks(j)  # cached before forking: no child builds the basis again
+        # cached before forking, so no child builds the basis again: the
+        # children share its pages (U and V, 2 MB at j = 500; W of
+        # half-integer j, 4 MB near the cap)
+        _jx_parity_blocks(j)
         gens = copy.deepcopy(rngs)  # rngs stay unadvanced for a run in one process
         if fork_parts(len(ranges), lambda k: run(*ranges[k], gens)):
             return bloch, meas

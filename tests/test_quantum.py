@@ -231,14 +231,25 @@ def test_quantum_j_above_cap_is_a_json_error(tmp_path, capsys):
     assert "cap 500" in err["message"]
 
 
-@pytest.mark.parametrize("j", [0.5, 1.0, 7.5, 199.5, 200.0, 500.0])
+def _spectrum(block):
+    """The eigenvalues of one block of _jx_parity_blocks: lam, or +-sigma
+    for a block split by colour (integer j)."""
+    if len(block) == 2:
+        return block[0]
+    sigma, _, v = block
+    return np.append(-sigma[len(sigma) - len(v):], sigma)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 2.0, 3.0, 7.5, 199.5, 200.0, 500.0])
 def test_parity_blocks_match_dense_jx(j):
     # the two blocks hold the whole spectrum m = -j .. j, and e^{i b Jx}
     # through them equals the rotation in the dense eigenbasis
     dim = int(2 * j) + 1
-    (lam_e, w_e), (lam_o, w_o) = _jx_parity_blocks(j)
-    assert w_e.shape == (dim - dim // 2,) * 2 and w_o.shape == (dim // 2,) * 2
-    assert np.max(np.abs(np.sort(np.append(lam_e, lam_o)) - np.arange(-j, j + 1))) < 1e-9
+    even, odd = _jx_parity_blocks(j)
+    sizes = [sum(len(a) for a in block[1:]) for block in (even, odd)]
+    assert sizes == [dim - dim // 2, dim // 2]
+    lam = np.sort(np.append(_spectrum(even), _spectrum(odd)))
+    assert np.max(np.abs(lam - np.arange(-j, j + 1))) < 1e-9
     lam, w = np.linalg.eigh(spin_operators(j).jx.real)
     rng = np.random.default_rng(7)
     psi = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
@@ -249,12 +260,18 @@ def test_parity_blocks_match_dense_jx(j):
 
 @pytest.mark.parametrize("j", [k / 2 for k in range(1, 41)] + [50.0, 199.5, 200.0, 500.0])
 def test_parity_blocks_are_exact_eigensystems(j):
-    # lam is exactly the m of each parity (j - m even, then odd), ascending,
-    # and W is an orthonormal eigenbasis of the block that dense Jx takes in
-    # the parity basis (|m> +- |-m>)/sqrt2, |0> last in the even one.  Each
+    # The eigenvalues are exactly the m of each parity (j - m even, then
+    # odd), of the block that dense Jx takes in the parity basis
+    # (|m> +- |-m>)/sqrt2, |0> last in the even one.
+    # Half-integer j: lam ascending, and W an orthonormal eigenbasis; each
     # column's residual |(block - lam_k) w_k| is pinned near rounding: the
     # fixed twist at the middle of the ladder keeps it under 3.3e-15 j for
     # every 2j up to 1000.
+    # Integer j: the block is [[0, C], [C^T, 0]] between its even rows (A)
+    # and odd rows (B); sigma >= 0 ascending, U and V orthonormal, and
+    # C v_k = sigma_k u_k, C^T u_k = sigma_k v_k, with residuals under
+    # 2.6e-15 j for every j up to 500; a zero mode is U's first column,
+    # with C^T u_0 = 0 and no column of V.
     dim = int(2 * j) + 1
     n = dim // 2
     m = j - np.arange(dim)
@@ -266,21 +283,37 @@ def test_parity_blocks_are_exact_eigensystems(j):
         basis[n, n] = 1.0
     jx = basis.T @ spin_operators(j).jx.real @ basis
     blocks = (jx[: dim - n, : dim - n], jx[dim - n :, dim - n :])
-    for (lam, w), want, block in zip(_jx_parity_blocks(j), (m[::2], m[1::2]), blocks):
-        assert lam.tolist() == want[::-1].tolist()
-        assert np.max(np.abs(w.T @ w - np.eye(len(lam)))) < 1e-13
-        assert np.max(np.abs(block @ w - w * lam)) <= 1e-14 * j
-        assert np.max(np.abs((w * lam) @ w.T - block)) < 1e-12 * j
+    for got, want, block in zip(_jx_parity_blocks(j), (m[::2], m[1::2]), blocks):
+        if dim % 2 == 0:
+            lam, w = got
+            assert lam.tolist() == want[::-1].tolist()
+            assert np.max(np.abs(w.T @ w - np.eye(len(lam)))) < 1e-13
+            assert np.max(np.abs(block @ w - w * lam)) <= 1e-14 * j
+            assert np.max(np.abs((w * lam) @ w.T - block)) < 1e-12 * j
+            continue
+        sigma, u, v = got
+        zero = len(sigma) - len(v)
+        assert sigma.tolist() == want[want >= 0][::-1].tolist()
+        assert u.shape == (len(sigma),) * 2 and zero in (0, 1)
+        assert not block[::2, ::2].any() and not block[1::2, 1::2].any()
+        c = block[::2, 1::2]
+        for q in (u, v):
+            assert np.max(np.abs(q.T @ q - np.eye(len(q))), initial=0) < 1e-13
+        assert np.max(np.abs(c @ v - u[:, zero:] * sigma[zero:]), initial=0) <= 1e-14 * j
+        assert np.max(np.abs(c.T @ u[:, zero:] - v * sigma[zero:]), initial=0) <= 1e-14 * j
+        if zero:
+            assert sigma[0] == 0.0
+            assert np.max(np.abs(c.T @ u[:, 0]), initial=0) <= 1e-14 * j
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 def test_parity_blocks_build_in_little_memory():
-    # a fresh interpreter: the j = 500 build must not raise the peak RSS by
-    # much more than the two W it keeps (a dense eigh of each block needs
-    # about 4.4x, and a second n x n pivot array about 1.7x).  The peak is
-    # VmHWM, the high-water mark of the interpreter's own memory: ru_maxrss
-    # keeps the launching process's RSS across exec, and pytest's exceeds
-    # the whole build.
+    # a fresh interpreter: the j = 500 build keeps U and V of each block,
+    # 2,004,008 B, and must not raise the peak RSS by much more than that (a
+    # work array per block with the colour halves copied out of it reads
+    # 1.6x; writing them in place, 1.2x).  The peak is VmHWM, the high-water
+    # mark of the interpreter's own memory: ru_maxrss keeps the launching
+    # process's RSS across exec, and pytest's exceeds the whole build.
     code = (
         "import spinloop.quantum as q\n"
         "def hwm():\n"
@@ -289,7 +322,7 @@ def test_parity_blocks_build_in_little_memory():
         "q._ladder(500.0)\n"
         "before = hwm()\n"
         "blocks = q._jx_parity_blocks(500.0)\n"
-        "print((hwm() - before) * 1024, sum(w.nbytes for _, w in blocks))\n"
+        "print((hwm() - before) * 1024, sum(a.nbytes for b in blocks for a in b if a.ndim == 2))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -299,6 +332,7 @@ def test_parity_blocks_build_in_little_memory():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     grown, kept = map(int, proc.stdout.split())
+    assert kept <= 2 * (251**2 + 250**2) * 8  # 2,004,008 B
     assert grown < 1.5 * kept, (grown, kept)
 
 
@@ -365,30 +399,43 @@ def test_ensemble_blocks_match_one_block(monkeypatch):
 
 
 # an ensemble cut into one range per usable CPU (scenarios.fork_parts)
-# gives the bytes of one process
-def _split_at(monkeypatch, cpus):
+# gives the bytes of one process, and no child builds j's basis again
+def _split_at(monkeypatch, cpus, j):
     parts = []
     real = scenarios.fork_parts
 
     def fork_parts(n_parts, run):
+        if not parts:
+            misses = _jx_parity_blocks.cache_info().misses
+            _jx_parity_blocks(j)
+            assert _jx_parity_blocks.cache_info().misses == misses, "basis not cached"
         parts.append(n_parts)
         return real(n_parts, run)
 
+    _jx_parity_blocks.cache_clear()  # a basis this test built earlier does not count
     monkeypatch.setattr(scenarios, "fork_parts", fork_parts)
     monkeypatch.setattr(runio, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(scenarios, "QUANTUM_PART_MIN_WORK", 1)
     return parts
 
 
-@pytest.mark.parametrize("j, shots", [(2.0, 63), (2.0, 64), (2.0, 65), (199.5, 3)])
+TILTED = SphericalAngles(0.4, 0.3)
+POLE = SphericalAngles(0.0, 0.0)  # scs_state needs no basis for it
+
+
+@pytest.mark.parametrize("j, shots, start", [
+    pytest.param(*case, TILTED, id=f"{case[0]}-{case[1]}")
+    for case in ((2.0, 63), (2.0, 64), (2.0, 65), (199.5, 3))
+] + [pytest.param(20.0, 3, POLE, id="20.0-3-pole")])
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_split_ensemble_matches_one_process(monkeypatch, j, shots, cpus):
-    # 63 to 65 rows cross both the QUANTUM_BLOCK boundary and the part cuts
+def test_split_ensemble_matches_one_process(monkeypatch, j, shots, start, cpus):
+    # 63 to 65 rows cross both the QUANTUM_BLOCK boundary and the part cuts;
+    # j = 20 has colour blocks with and without a zero mode
     p = LmgParams(s=0.7, lambda_=1.3089969389957471e5)
-    args = (j, SphericalAngles(0.4, 0.3), p, 3.0, 2e-6, 4)
+    args = (j, start, p, 3.0, 2e-6, 4)
     monkeypatch.setattr(runio, "_usable_cpus", lambda: 1)
     whole = quantum_ensemble(*args, [shot_rng(5, i) for i in range(shots)])
-    parts = _split_at(monkeypatch, cpus)
+    parts = _split_at(monkeypatch, cpus, j)
     rngs = [shot_rng(5, i) for i in range(shots)]
     split = quantum_ensemble(*args, rngs)
     assert parts == [cpus]
@@ -481,7 +528,7 @@ def test_split_failure_reads_as_one_process(monkeypatch, faults, want):
 
     monkeypatch.setattr(runio, "_usable_cpus", lambda: 1)
     assert _raised(lambda: quantum_ensemble(*args, rngs())) == want
-    parts = _split_at(monkeypatch, 2)
+    parts = _split_at(monkeypatch, 2, 2.0)
     t0 = time.monotonic()
     assert _raised(lambda: quantum_ensemble(*args, rngs())) == want
     assert parts == [2]
@@ -519,7 +566,7 @@ def test_failed_split_runs_again_in_one_process(monkeypatch, cpus, fault):
         rngs[4] = _Faulty(rngs[4], math.nan, fails_in=lambda pid: pid != parent)
     else:
         _fork_fails_after(monkeypatch, int(fault == "second-fork"))
-    parts = _split_at(monkeypatch, cpus)
+    parts = _split_at(monkeypatch, cpus, 2.0)
     with np.errstate(invalid="ignore"):  # the child's NaN state
         split = quantum_ensemble(*args, rngs)
     assert parts == [cpus]
@@ -538,7 +585,7 @@ def test_split_failure_is_one_cli_error(tmp_path, monkeypatch, capsys, row):
     cfgp = _quantum_config(tmp_path, 10)
     errors = []
     for cpus in (1, 2):
-        parts = _split_at(monkeypatch, cpus)
+        parts = _split_at(monkeypatch, cpus, 10.0)
         out = tmp_path / f"o{cpus}"
         assert simulate_main(["quantum-qmf", "--config", str(cfgp), "--out", str(out)]) == 1
         assert parts == ([2] if cpus == 2 else [])
