@@ -46,7 +46,10 @@ raised before any output directory is created:
 - In noise-budget, sweep.n1 needs at least ``measurement.MIN_FIT_POINTS``
   (3) distinct points, one per fitted term.
 - In every closed loop the decay exponent -t ln2 / loop.decay_half_time at
-  the last measurement is finite.
+  the last measurement is finite, and the tracked spin length stays above
+  0 at every measurement (``loop_sim.tracked_length``): a fast fixed-point
+  decay, or a float half-time near the smallest normal double, rounds it
+  to 0.
 - The photon shot-noise variance measurement.sn_coeff / loop.sample_period
   is finite (``measurement.shot_noise_variance``); the error names both keys.
 - With loop.fixed_point = true no controller input saturates the word
@@ -73,7 +76,7 @@ from pathlib import Path
 
 from .analysis import FTC_MIN_POINTS
 from .controller import FixedPointFormat, QktSchedule
-from .loop_sim import LoopConfig, _kt_layout, check_word
+from .loop_sim import LoopConfig, _kt_layout, check_word, tracked_length
 from .measurement import (
     MIN_FIT_POINTS,
     MIN_SCAN_SHOTS,
@@ -475,6 +478,8 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
         if sched is not None:
             _kt_layout(loop, sched)
         check_word(loop, sched, [kt.k] if sched is not None else ())
+        if kind in _LOOPS:  # the tracked spin length stays above 0
+            tracked_length(loop, meas.j_collective, sched)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
 

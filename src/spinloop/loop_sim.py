@@ -43,7 +43,8 @@ What is not per-sample physics is written once: ``_column_start`` makes
 a kernel's per-shot draws, each in its shot's stream order,
 ``_column_records`` builds its records, ``_rotate_run`` records a held rate,
 ``_kt_layout`` puts a kicked-top schedule on the sample clock,
-``measured_samples`` names the samples the controller measures, and
+``measured_samples`` names the samples the controller measures,
+``tracked_length`` gives the spin length it tracks at them, and
 ``check_word`` refuses a controller input that is not finite or would
 saturate the fixed-point word.
 """
@@ -284,30 +285,40 @@ def shared_columns(
     """The columns every shot shares: the sample times, the true spin length
     at each sample, and the tracked spin length at each measurement the
     controller takes (every sample of the LMG loop, or the gap sample of
-    each kicked-top period).
+    each kicked-top period; ``tracked_length``).
 
     They depend only on the clock, j0, the decay half-time and the
-    arithmetic format, never on the shot, so an ensemble computes them once;
-    the tracked lengths are one elementwise ``decay_estimate`` call over the
-    measurement times.  They are lists of Python floats, so the per-sample
-    arithmetic is the same as on scalars.  A tracked length that reaches 0,
-    as a fast fixed-point decay does, raises ValueError here, so a batch of
-    any size refuses it before a kernel runs."""
-    ts = cfg.sample_period
-    n, meas_idx = measured_samples(cfg, sched)
-    t = [k * ts for k in range(n)]
+    arithmetic format, never on the shot, so an ensemble computes them once.
+    They are lists of Python floats, so the per-sample arithmetic is the
+    same as on scalars."""
+    n = measured_samples(cfg, sched)[0]
+    t = [k * cfg.sample_period for k in range(n)]
+    j_est = tracked_length(cfg, j0, sched)
     half = cfg.decay_half_time
     if half is None:
-        return t, [j0] * n, [j0] * len(meas_idx)
+        return t, [j0] * n, j_est
+    return t, [j0 * 2.0 ** (-t_k / half) for t_k in t], j_est
+
+
+def tracked_length(cfg: LoopConfig, j0: float, sched: QktSchedule | None = None) -> list[float]:
+    """The spin length the controller tracks at each measurement it takes:
+    one elementwise ``decay_estimate`` call over the measurement times, or
+    j0 throughout with no decay.  A tracked length that reaches 0, as a fast
+    fixed-point decay or a float half-time near the smallest normal does,
+    raises ValueError naming loop.decay_half_time, so a batch of any size
+    refuses it before a kernel runs; ``config`` runs it at parse time."""
+    ts = cfg.sample_period
+    meas_idx = measured_samples(cfg, sched)[1]
+    half = cfg.decay_half_time
+    if half is None:
+        return [j0] * len(meas_idx)
     check_word(cfg, sched)
-    j_true = [j0 * 2.0 ** (-t_k / half) for t_k in t]
-    j_est = ctl.decay_estimate(j0, half, [t[k] for k in meas_idx],
-                               cfg.fixed_point).tolist()
+    j_est = ctl.decay_estimate(j0, half, [k * ts for k in meas_idx], cfg.fixed_point).tolist()
     if min(j_est) <= 0.0:
         i = next(i for i, j in enumerate(j_est) if j <= 0.0)
         raise ValueError(f"loop.decay_half_time ({half:g} s) decays the tracked spin "
-                         f"length to {j_est[i]!r} by t = {t[meas_idx[i]]:g} s")
-    return t, j_true, j_est
+                         f"length to {j_est[i]!r} by t = {meas_idx[i] * ts:g} s")
+    return j_est
 
 
 def check_word(cfg: LoopConfig, sched: QktSchedule | None = None, ks=()) -> None:

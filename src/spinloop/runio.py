@@ -14,13 +14,21 @@ caller names, plus t, so ``analyze`` reads only what its kind uses.
 
 Forked work follows one rule.  ``part_cuts`` cuts a job into contiguous
 ranges, one per usable CPU but at most one per given share of the total,
-so a trajectory file under 6000 rows (``PART_MIN_ROWS``) forks nothing.
-``fork_parts`` runs the first range here and each other one in a forked
-child, and reports only whether all returned; if not, the caller does the
-whole job again here, so a run ends with one process's result or error.
-In the one trajectory writer, ``_write_parts``, each child formats its range
-into an anonymous temporary file, appended in order; each range has its own
-text cache, so the bytes are those of one process.
+so a trajectory file under 6000 rows (``PART_MIN_ROWS``) is written, and
+one under 2 MiB of body (twice ``READ_PART_MIN_BYTES``) is read, without a
+fork.  ``fork_parts`` runs the first range here and each other one in a
+forked child, and reports only whether all returned; if not, the caller
+does the whole job again here, so a run ends with one process's result or
+error.  Both trajectory directions follow it, and ``_fork_to_files`` hands
+each child's output back in an anonymous temporary file:
+
+- the one writer, ``_write_parts``, cuts the records; each child formats
+  its range, appended in order, and each range has its own text cache, so
+  the bytes are those of one process;
+- the one reader, ``_read_parts``, cuts the body into byte ranges that
+  start at line starts (``_body_ranges``); each child parses its lines with
+  the same ``np.loadtxt`` call and hands back raw float64 rows, read in
+  order after this process's own, so the arrays are those of one process.
 """
 
 from __future__ import annotations
@@ -30,10 +38,11 @@ import json
 import os
 import shutil
 import tempfile
+import warnings
 from bisect import bisect_left
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +59,19 @@ TRAJECTORY_HEADER = ",".join(TrajectoryRecord.COLUMNS)
 # part gets half of 6000.  The quantum-qmf files (302 and 1510 rows) stay
 # whole.
 PART_MIN_ROWS = 3000
+# The fewest body bytes worth a process of their own when a trajectory file
+# is read: its body is parsed in at most one range per READ_PART_MIN_BYTES,
+# cut on a grid of READ_BLOCK bytes, which is also about the most text a
+# range holds at once.  Parsing three columns in two processes broke even
+# with one process at 1-2 MB of body, as the host's speed moved (2-CPU Xeon,
+# in process, alternating, three series of 40, 40 and 30; medians, one |
+# two processes: 1 MB 14.3 | 12.8, 7.4 | 12.1 and 9.2 | 11.9 ms, faster in
+# two in 38, 0 and 12 runs; 2 MB 28.4 | 21.0, 19.8 | 18.3 and 29.4 | 21.0
+# ms, faster in two in 38, 29 and 27 runs), so each range gets half of
+# 2 MiB.  The quantum-qmf files (43 and 217 kB) stay whole; a 100-shot
+# ssb-ensemble file (11.6 MB) is read in two ranges.
+READ_PART_MIN_BYTES = 1 << 20
+READ_BLOCK = 1 << 16
 
 
 def fmt_float(v: float) -> str:
@@ -188,30 +210,52 @@ def fork_parts(n_parts: int, run) -> bool:
                 os.waitpid(pid, 0)
 
 
+def _fork_to_files(n_parts: int, run, gather, mode: str, dir=None) -> bool:
+    """``fork_parts`` whose later parts hand back their output in files:
+    run(0, None) runs here while a forked child runs run(k, part) for each
+    later part k, with part an anonymous temporary file (in dir, opened in
+    mode) that the child flushes.  Once every run returned, gather(parts)
+    takes those files in order, rewound.  False if a run failed, if a fork
+    did, or if a file could not be made, written or read; the files are
+    closed either way.  One part makes no file."""
+    try:
+        with ExitStack() as temps:
+            files = [None, *(temps.enter_context(tempfile.TemporaryFile(mode, dir=dir))
+                             for _ in range(1, n_parts))]
+
+            def part(k):
+                run(k, files[k])
+                if k:
+                    files[k].flush()
+
+            if not fork_parts(n_parts, part):
+                return False
+            for f in files[1:]:
+                f.seek(0)
+            gather(files[1:])
+            return True
+    except OSError:
+        return False
+
+
 def _write_parts(fh, columns, ranges: list[tuple[int, int]]) -> None:
     """Write the rows of columns to fh: the first range here while one
     forked child per later range formats it into an anonymous temporary
-    file beside fh (``fork_parts``), appended once every range is done.  If
-    any of that fails, fh is cut back to where it stood and every row is
+    file beside fh (``_fork_to_files``), appended once every range is done.
+    If any of that fails, fh is cut back to where it stood and every row is
     written here.  One range forks nothing and makes no temporary file."""
     start = fh.tell()
-    try:
-        with ExitStack() as temps:
-            files = [fh, *(temps.enter_context(tempfile.TemporaryFile(
-                "w+", dir=Path(fh.name).parent)) for _ in ranges[1:])]
 
-            def run(k):
-                a, b = ranges[k]
-                files[k].writelines(_lines(columns[a:b]))
-                files[k].flush()
+    def run(k, part):
+        a, b = ranges[k]
+        (part or fh).writelines(_lines(columns[a:b]))
 
-            if fork_parts(len(ranges), run):
-                for part in files[1:]:
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh)
-                return
-    except OSError:
-        pass
+    def append(parts):
+        for part in parts:
+            shutil.copyfileobj(part, fh)
+
+    if _fork_to_files(len(ranges), run, append, "w+", Path(fh.name).parent):
+        return
     fh.seek(start)
     fh.truncate()
     fh.writelines(_lines(columns))
@@ -233,11 +277,96 @@ def emit_trajectories(path, records: list[TrajectoryRecord]) -> tuple[Path, list
     return path, list(accumulate(sizes, initial=0))[:-1]
 
 
+def _body_ranges(path, least: int) -> list[tuple[int, int]]:
+    """Contiguous, non-empty byte ranges (start, stop) of a trajectory
+    file's body, each starting at a line start: ``part_cuts`` over blocks
+    of READ_BLOCK bytes, at most one range per `least` bytes, with each cut
+    moved on to the next line start.  A cut that meets the one before it or
+    the end is dropped.  A file whose first line is not exactly the header
+    and a newline, as the writer leaves it, is one range."""
+    head = (TRAJECTORY_HEADER + "\n").encode()
+    with open(path, "rb") as fb:
+        end = os.fstat(fb.fileno()).st_size
+        if fb.read(len(head)) != head:
+            return [(0, end)]
+        blocks, rest = divmod(end - len(head), READ_BLOCK)
+        cuts = [len(head)]
+        for a, _ in part_cuts([READ_BLOCK] * blocks + [rest], least)[1:]:
+            fb.seek(cuts[0] + a * READ_BLOCK - 1)
+            fb.readline()  # to the end of the line holding the byte before the cut
+            if cuts[-1] < fb.tell() < end:
+                cuts.append(fb.tell())
+    return list(zip(cuts, [*cuts[1:], end]))
+
+
+def _range_rows(path, start: int, stop: int, use, encoding: str) -> np.ndarray:
+    """np.loadtxt of the lines in bytes [start, stop) of path, which start
+    at line starts.  They are read about READ_BLOCK bytes at a time, so the
+    range is never held as text.  A warning is raised as an error, so a
+    range parses quietly or fails."""
+
+    def blocks(fb):
+        fb.seek(start)
+        left = stop - start
+        while left > 0:
+            lines = fb.readlines(min(left, READ_BLOCK))
+            if not lines:
+                return
+            size = sum(map(len, lines))
+            while size > left:  # read on past stop: those lines are the next range's
+                size -= len(lines.pop())
+            left -= size
+            yield lines
+
+    with open(path, "rb") as fb, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(chain.from_iterable(blocks(fb)), delimiter=",", ndmin=2,
+                          usecols=use, encoding=encoding)
+
+
+def _read_parts(fh, ranges: list[tuple[int, int]], use) -> np.ndarray:
+    """The rows of the body of fh, a trajectory file open for reading just
+    past its header, as np.loadtxt parses them: with one range, that call
+    here; else the first range here while one forked child per later range
+    parses it (``_range_rows``) and hands back its float64 rows in an
+    anonymous temporary file (``_fork_to_files``), read in order into one
+    array after this process's rows.  If any of that fails, the whole body
+    is parsed here by that one call, so the result or error is that of one
+    process."""
+    if len(ranges) > 1:
+        got = []
+
+        def run(k, part):
+            rows = _range_rows(fh.name, *ranges[k], use, fh.encoding)
+            if part is None:
+                got.append(rows)
+            else:
+                part.write(rows.tobytes())
+
+        def gather(parts):
+            # each child's rows read straight into this process's rows,
+            # grown in place, so the body is never held twice
+            rows = got[0]
+            ends = list(accumulate((os.fstat(p.fileno()).st_size // (8 * len(use))
+                                    for p in parts), initial=len(rows)))
+            rows.resize((ends[-1], len(use)), refcheck=False)
+            for part, a, b in zip(parts, ends, ends[1:]):
+                part.readinto(rows[a:b])
+
+        if _fork_to_files(len(ranges), run, gather, "w+b"):
+            return got[0]
+    return np.loadtxt(fh, delimiter=",", ndmin=2, usecols=use)
+
+
 def read_trajectory_csv(path, columns=TrajectoryRecord.COLUMNS) -> list[TrajectoryRecord]:
     """Inverse of emit_trajectories; shots split where t restarts at 0.
 
     Only t and the named columns are parsed; the others are None on the
-    returned records, which emit_trajectories and column_stack refuse."""
+    returned records, which emit_trajectories and column_stack refuse.  The
+    body is parsed by ``_read_parts`` in line-aligned byte ranges of at
+    least about READ_PART_MIN_BYTES (``_body_ranges``), to the arrays or
+    the error of one process.  Unknown columns are refused before the file
+    is opened or a process is forked."""
     names = TrajectoryRecord.COLUMNS
     unknown = sorted(set(columns) - set(names))
     if unknown:
@@ -248,7 +377,7 @@ def read_trajectory_csv(path, columns=TrajectoryRecord.COLUMNS) -> list[Trajecto
         header = fh.readline().strip()
         if header != TRAJECTORY_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=use)
+        data = _read_parts(fh, _body_ranges(path, READ_PART_MIN_BYTES), use)
     if data.size == 0:
         return []
     starts = np.flatnonzero(data[1:, 0] == 0.0) + 1

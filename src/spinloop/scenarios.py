@@ -52,7 +52,7 @@ from .runio import (
     fork_parts,
     part_cuts,
 )
-from .spin_core import from_angles
+from .spin_core import PULSE_NOT_FINITE, from_angles
 
 
 def _emit_table(cfg: ExperimentConfig, out: Path, name: str, header: str, rows):
@@ -218,10 +218,20 @@ def _run_noise_budget(cfg, out):
     ]
 
 
+# the keys that set a composite pulse's rotation angle and axis
+_PULSE_KEYS = ("sweep.theta", "noise.fixed_detuning", "noise.static_detuning_sigma",
+               "noise.amplitude_error_sigma", "noise.phase_noise_sigma", "noise.rabi_rate")
+
+
 def _run_composite(cfg, out):
     rng = shot_rng(cfg.master_seed, 0)
     noise = cfg.loop.rotation_noise
-    pts = composite_pulse_scan(cfg.sweep["theta"], noise, cfg.n_shots, rng)
+    try:
+        pts = composite_pulse_scan(cfg.sweep["theta"], noise, cfg.n_shots, rng)
+    except ValueError as e:
+        if str(e) != PULSE_NOT_FINITE:
+            raise
+        raise ValueError(f"{e}; it is set by {', '.join(_PULSE_KEYS)}") from None
     return [_emit_table(cfg, out, "composite", "theta,variance", pts)]
 
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 _NORM_TOL = 1e-6
+PULSE_NOT_FINITE = "a noisy pulse's rotation angle or axis azimuth is not finite"
 
 
 @dataclass(frozen=True)
@@ -165,14 +166,18 @@ def noisy_rotate(
     atan(delta / rabi_rate) and rescales the rotation angle by the
     generalized Rabi factor sqrt(1 + (delta/rabi)^2).  shot carries the
     slow channels (``draw_shot_noise``), shared by the pulses of one shot;
-    rng draws only the per-pulse phase jitter.
+    rng draws only the per-pulse phase jitter.  An angle or azimuth that
+    overflows raises ValueError(PULSE_NOT_FINITE).
     """
     phi = axis_phase
     if noise.phase_noise_sigma > 0:
         phi += noise.phase_noise_sigma * rng.standard_normal()
     ratio = shot.detuning / noise.rabi_rate
     scale = math.sqrt(1.0 + ratio * ratio)
+    total = angle * scale * (1.0 + shot.amp_error)
+    if not (math.isfinite(total) and math.isfinite(phi)):
+        raise ValueError(PULSE_NOT_FINITE)
     beta = math.atan(ratio)
     cb = math.cos(beta)
     axis = SpinVector(cb * math.cos(phi), cb * math.sin(phi), math.sin(beta))
-    return rotate(v, axis, angle * scale * (1.0 + shot.amp_error))
+    return rotate(v, axis, total)

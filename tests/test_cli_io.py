@@ -53,7 +53,7 @@ from spinloop.runio import (
     fmt_float,
     read_trajectory_csv,
 )
-from spinloop.spin_core import RotationNoise, SphericalAngles
+from spinloop.spin_core import PULSE_NOT_FINITE, RotationNoise, SphericalAngles
 
 
 MINIMAL = """
@@ -224,29 +224,32 @@ def test_ftc_sweep_stacks_points(tmp_path):
 
 def _refuses_zero_tracked_length(tmp_path, capsys, text, params, meas_idx, shots):
     # a fast fixed-point decay rounds the tracked spin length to 0 after a
-    # few measurements: shared_columns refuses it, naming the time, so a
-    # batch of any size fails alike, and simulate reports one
-    # runtime error with no numpy warning and no output directory.  The
-    # (32, 8) word holds the decay exponent of the whole run, so the config
-    # is not refused as saturating it.
+    # few measurements: parse_config refuses it, naming the time, so
+    # simulate reports one config error with no numpy warning and no output
+    # directory.  A library caller that builds the loop itself meets the
+    # same check in run_batch, with a batch of any size.  The (32, 8) word
+    # holds the decay exponent of the whole run, so the config is not
+    # refused as saturating it.
     cfgp = tmp_path / "c.cfg"
-    cfgp.write_text(text)
+    cfgp.write_text(text.replace("decay_half_time = 5e-6", "decay_half_time = 1.0"))
     cfg = parse_config(cfgp)
-    ts = cfg.loop.sample_period
+    loop = replace(cfg.loop, decay_half_time=5e-6)
+    ts = loop.sample_period
     t0 = next(k * ts for k in meas_idx if decay_estimate(
-        cfg.measurement.j_collective, 5e-6, k * ts, cfg.loop.fixed_point) == 0.0)
+        cfg.measurement.j_collective, 5e-6, k * ts, loop.fixed_point) == 0.0)
     assert t0 > 0.0
     message = ("loop.decay_half_time (5e-06 s) decays the tracked spin length "
                f"to 0.0 by t = {t0:g} s")
     for n in shots:
         with pytest.raises(ValueError) as err:
-            run_batch(cfg.loop, params, cfg.measurement, n, 11, sched=cfg.kt_schedule)
+            run_batch(loop, params, cfg.measurement, n, 11, sched=cfg.kt_schedule)
         assert str(err.value) == message
+    cfgp.write_text(text)
     out = tmp_path / "o"
     assert simulate_main([cfg.kind, "--config", str(cfgp), "--out", str(out)]) == 1
     stderr = capsys.readouterr().err
     assert stderr.count("\n") == 1
-    assert json.loads(stderr) == {"error": "runtime", "message": message}
+    assert json.loads(stderr) == {"error": "config", "message": f"{cfgp}: {message}"}
     assert not out.exists()
 
 
@@ -406,27 +409,7 @@ def _edge_records():
     return recs + [TrajectoryRecord(*(np.asarray(c)[:2] for c in recs[1].columns()))]
 
 
-# (case, usable CPUs): every file goes through runio._write_parts, and at 2
-# and 3 CPUs every file of two or more records is cut into that many parts
-TRAJECTORY_CASES = [
-    pytest.param(case, cpus, id=case if cpus == 1 else f"{case}-{cpus}cpus")
-    for case in ("lmg-array", "lmg-scalar", "kt-array", "quantum", "edge", "one-record")
-    for cpus in (1, 2, 3)
-]
-
-
-@pytest.mark.parametrize("case, cpus", TRAJECTORY_CASES)
-def test_emit_trajectories_matches_per_row_format(tmp_path, monkeypatch, case, cpus):
-    parts = []
-    real_write_parts = runio._write_parts
-
-    def write_parts(fh, columns, ranges):
-        parts.append(len(ranges))
-        real_write_parts(fh, columns, ranges)
-
-    monkeypatch.setattr(runio, "_write_parts", write_parts)
-    monkeypatch.setattr(runio, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(runio, "PART_MIN_ROWS", 1)
+def _case_records(case, tmp_path, monkeypatch):
     lmg_cfg = LoopConfig(duration=1e-4, qpn=True,
                          rotation_noise=RotationNoise(amplitude_error_sigma=0.01))
     kt_cfg = LoopConfig(latency=2e-6, duration=2.2e-4, qpn=True)
@@ -451,6 +434,31 @@ def test_emit_trajectories_matches_per_row_format(tmp_path, monkeypatch, case, c
         recs = _edge_records()
     else:  # one record cannot be split
         recs = run_batch(lmg_cfg, lmg, model, 1, 4)
+    return recs
+
+
+# (case, usable CPUs): every file goes through runio._write_parts, and at 2
+# and 3 CPUs every file of two or more records is cut into that many parts
+TRAJECTORY_CASES = [
+    pytest.param(case, cpus, id=case if cpus == 1 else f"{case}-{cpus}cpus")
+    for case in ("lmg-array", "lmg-scalar", "kt-array", "quantum", "edge", "one-record")
+    for cpus in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("case, cpus", TRAJECTORY_CASES)
+def test_emit_trajectories_matches_per_row_format(tmp_path, monkeypatch, case, cpus):
+    parts = []
+    real_write_parts = runio._write_parts
+
+    def write_parts(fh, columns, ranges):
+        parts.append(len(ranges))
+        real_write_parts(fh, columns, ranges)
+
+    monkeypatch.setattr(runio, "_write_parts", write_parts)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(runio, "PART_MIN_ROWS", 1)
+    recs = _case_records(case, tmp_path, monkeypatch)
     parts.clear()
     if min(cpus, len(recs)) == 1:  # one part is written here: no child
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
@@ -497,6 +505,9 @@ def test_partial_record_is_refused(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="column x"):
         emit_trajectories(tmp_path / "again.csv", part)
     assert not (tmp_path / "again.csv").exists()
+    _split_read(monkeypatch, 2)
+    with pytest.raises(ValueError, match="nope"):
+        read_trajectory_csv(path, ("z", "nope"))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -521,6 +532,87 @@ def test_part_cuts_balance_equal_items(monkeypatch):
     assert runio.part_cuts([], 1) == [(0, 0)]
 
 
+def _split_read(monkeypatch, cpus):
+    # blocks longer than a line, so a range's last block of lines is read on
+    # past its end and cut back
+    monkeypatch.setattr(runio, "READ_PART_MIN_BYTES", 1)
+    monkeypatch.setattr(runio, "READ_BLOCK", 500)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: cpus)
+
+
+def _same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in TrajectoryRecord.COLUMNS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None and y is None) or np.array_equal(x, y, equal_nan=True)
+
+
+# every file goes through runio._read_parts, and at 2 and 3 CPUs, with the
+# threshold down to a byte, every file is parsed in that many byte ranges
+@pytest.mark.parametrize("case, cpus", TRAJECTORY_CASES)
+def test_split_read_matches_one_process(tmp_path, monkeypatch, case, cpus):
+    path, _ = emit_trajectories(tmp_path / "t.csv", _case_records(case, tmp_path, monkeypatch))
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 1)
+    want = [read_trajectory_csv(path, columns) for columns in SUBSETS]
+    parts = []
+    real_read_parts = runio._read_parts
+
+    def read_parts(fh, ranges, use):
+        parts.append(len(ranges))
+        return real_read_parts(fh, ranges, use)
+
+    monkeypatch.setattr(runio, "_read_parts", read_parts)
+    _split_read(monkeypatch, cpus)
+    if cpus == 1:  # one range is parsed here: no child
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    for columns, one in zip(SUBSETS, want):
+        _same_records(read_trajectory_csv(path, columns), one)
+    assert parts == [cpus] * len(SUBSETS)
+    _no_child_left()
+
+
+def test_small_file_is_read_in_one_process(tmp_path, monkeypatch):
+    # a body under two READ_PART_MIN_BYTES, as every quantum-qmf file is
+    # (43 and 217 kB), is one range at any CPU count, and its read forks
+    # nothing; one line more makes two ranges
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 3)
+    least = runio.READ_PART_MIN_BYTES
+    line = ",".join(["0.12345678901234567"] * 9) + "\n"
+    path = tmp_path / "t.csv"
+    path.write_text(TRAJECTORY_HEADER + "\n" + line * ((2 * least - 1) // len(line)))
+    assert len(runio._body_ranges(path, least)) == 1
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert len(read_trajectory_csv(path, ("z",))) == 1
+    with open(path, "a") as fh:
+        fh.write(line)
+    assert len(runio._body_ranges(path, least)) == 2
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(lines=st.lists(st.integers(0, 30), max_size=40), cpus=st.integers(1, 5),
+       least=st.integers(1, 200), block=st.integers(1, 50), header=st.booleans())
+def test_body_ranges_are_line_aligned_and_non_empty(tmp_path_factory, lines, cpus, least,
+                                                    block, header):
+    head = (TRAJECTORY_HEADER if header else "t,x") + "\n"
+    data = (head + "".join("1" * n + "\n" for n in lines)).encode()
+    path = tmp_path_factory.mktemp("ranges") / "t.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runio, "_usable_cpus", lambda: cpus)
+        mp.setattr(runio, "READ_BLOCK", block)
+        ranges = runio._body_ranges(path, least)
+    body = len(data) - len(head)
+    if not header:  # not the writer's header: one range, parsed as text
+        assert ranges == [(0, len(data))]
+        return
+    assert 1 <= len(ranges) <= max(1, min(cpus, body // least))
+    assert ranges[0][0] == len(head) and ranges[-1][1] == len(data)
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    assert all(a < b for a, b in ranges) or ranges == [(len(data), len(data))]
+    assert all(data[a - 1:a] == b"\n" for a, _ in ranges)
+
+
 ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 # the two kinds of fault a writer meets: the CLI reads both as runtime errors
 FAULTS = {"oserror": ENOSPC, "other": ValueError("bad text")}
@@ -536,21 +628,21 @@ def _split_emit(monkeypatch, cpus):
     monkeypatch.setattr(runio, "_usable_cpus", lambda: cpus)
 
 
-def _failing_lines(monkeypatch, here=None, child=None):
-    """runio._lines raising `here` in this process and `child` in a forked
-    one; a child given "stall" sleeps 30 s first."""
+def _failing(monkeypatch, name, here=None, child=None):
+    """runio's function `name` raising `here` in this process and `child` in
+    a forked one; a child given "stall" sleeps 30 s first."""
     parent = os.getpid()
-    real_lines = runio._lines
+    real = getattr(runio, name)
 
-    def lines(columns):
+    def failing(*args):
         fault = here if os.getpid() == parent else child
         if fault == "stall":
             time.sleep(30)
         elif fault is not None:
             raise fault
-        return real_lines(columns)
+        return real(*args)
 
-    monkeypatch.setattr(runio, "_lines", lines)
+    monkeypatch.setattr(runio, name, failing)
 
 
 def _no_child_left():
@@ -586,7 +678,7 @@ def test_split_emit_that_fails_writes_one_process_bytes(tmp_path, monkeypatch, c
     want = emit_trajectories(tmp_path / "want.csv", recs)[0].read_bytes()
     _split_emit(monkeypatch, cpus)
     if fault in FAULTS:
-        _failing_lines(monkeypatch, child=FAULTS[fault])
+        _failing(monkeypatch, "_lines", child=FAULTS[fault])
     elif fault == "tempfile":
         monkeypatch.setattr(runio.tempfile, "TemporaryFile", _no_room)
     else:
@@ -604,7 +696,7 @@ def test_split_emit_failure_reads_as_one_process(tmp_path, monkeypatch, capsys, 
     # a fault every process meets: the same error at 1 and 2 CPUs, from the
     # library and from the CLI, and the same partial output
     error = FAULTS[fault]
-    _failing_lines(monkeypatch, here=error, child=error)
+    _failing(monkeypatch, "_lines", here=error, child=error)
     recs = _emit_records()
     path = tmp_path / "t" / "t.csv"
     cfgp = tmp_path / "c.cfg"
@@ -637,7 +729,7 @@ def test_split_emit_failure_reaps_every_child(tmp_path, monkeypatch):
     # awaited, and reaped, and the rows are written again here, to the error
     # of one process
     _split_emit(monkeypatch, 2)
-    _failing_lines(monkeypatch, here=ENOSPC, child="stall")
+    _failing(monkeypatch, "_lines", here=ENOSPC, child="stall")
     path = tmp_path / "t" / "t.csv"
     t0 = time.monotonic()
     with pytest.raises(OSError) as err:
@@ -646,6 +738,88 @@ def test_split_emit_failure_reaps_every_child(tmp_path, monkeypatch):
     assert str(err.value) == f"cannot write {path}: {ENOSPC}"
     _no_child_left()
     assert [p.name for p in path.parent.iterdir()] == ["t.csv"]
+
+
+def _read_file(tmp_path):
+    return emit_trajectories(tmp_path / "t.csv", _emit_records())[0]
+
+
+# (usable CPUs, the fault): a fork that fails at once or after its first
+# child started, no room for a range's temporary file, a fault that only a
+# child meets, or one only this process meets
+@pytest.mark.parametrize("cpus, fault", [
+    (2, "fork"), (3, "second-fork"), (2, "tempfile"), (2, "oserror"), (2, "other"),
+    (3, "here")])
+def test_split_read_that_fails_reads_as_one_process(tmp_path, monkeypatch, cpus, fault):
+    path = _read_file(tmp_path)
+    monkeypatch.setattr(runio, "_usable_cpus", lambda: 1)
+    want = read_trajectory_csv(path, ("z", "meas"))
+    _split_read(monkeypatch, cpus)
+    if fault in FAULTS:
+        _failing(monkeypatch, "_range_rows", child=FAULTS[fault])
+    elif fault == "here":
+        _failing(monkeypatch, "_range_rows", here=FAULTS["other"])
+    elif fault == "tempfile":
+        monkeypatch.setattr(runio.tempfile, "TemporaryFile", _no_room)
+    else:
+        _fork_fails_after(monkeypatch, int(fault == "second-fork"))
+    _same_records(read_trajectory_csv(path, ("z", "meas")), want)
+    _no_child_left()
+
+
+def test_split_read_failure_reaps_every_child(tmp_path, monkeypatch):
+    # this process fails while its child parses: the child is killed, not
+    # awaited, and reaped, and the body is parsed again here
+    path = _read_file(tmp_path)
+    want = read_trajectory_csv(path)
+    _split_read(monkeypatch, 2)
+    _failing(monkeypatch, "_range_rows", here=FAULTS["other"], child="stall")
+    t0 = time.monotonic()
+    got = read_trajectory_csv(path)
+    assert time.monotonic() - t0 < 15
+    _same_records(got, want)
+    _no_child_left()
+
+
+def test_malformed_later_range_reads_as_one_process(tmp_path, monkeypatch, capsys):
+    # a bad row in the second of two ranges fails the child, and the body is
+    # parsed again here: the library and analyze give the error of one
+    # process, with the row's number in the body (line 140 of the file),
+    # not in its range
+    path = _read_file(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[140] = "x" + lines[140]
+    path.write_text("".join(lines))
+    _split_read(monkeypatch, 2)
+    (_, cut), _ = runio._body_ranges(path, 1)
+    assert len("".join(lines[:140])) > cut
+    seen = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(runio, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError) as err:
+            read_trajectory_csv(path, ("z",))
+        assert analyze_main(["symmetry", "--in", str(path), "--out", str(tmp_path / "a")]) == 1
+        seen.append((str(err.value), capsys.readouterr().err))
+        _no_child_left()
+    assert seen[0] == seen[1]
+    message, stderr = seen[0]
+    assert message.startswith("could not convert string 'x") and "at row 139, column 1" in message
+    assert json.loads(stderr) == {"error": "runtime", "message": message}
+    assert not (tmp_path / "a").exists()
+
+
+def test_blank_range_reads_as_one_process(tmp_path, monkeypatch, recwarn):
+    # a range of blank lines only would warn that it holds no data: its
+    # parse fails instead, and the body is parsed again here, quietly
+    path = _read_file(tmp_path)
+    want = read_trajectory_csv(path)
+    text = path.read_text()
+    head = len(TRAJECTORY_HEADER) + 1
+    path.write_text(text[:head] + "\n" * (2 * len(text)) + text[head:])
+    _split_read(monkeypatch, 2)
+    _same_records(read_trajectory_csv(path), want)
+    assert not recwarn.list
+    _no_child_left()
 
 
 def test_simulate_cli_end_to_end(tmp_path):
@@ -733,6 +907,29 @@ def test_simulate_cli_reports_arithmetic_error(tmp_path, capsys, scenario, text,
     assert err["error"] == "runtime"
     assert message in err["message"]
     assert not out.exists()  # the run failed before its first write
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value", [
+    ("fixed_detuning", "1e303"), ("static_detuning_sigma", "1e303"),
+    ("rabi_rate", "2.2250738585072014e-308"), ("phase_noise_sigma", "1.7e308")])
+def test_composite_scan_names_the_pulse_keys(tmp_path, capsys, key, value):
+    # a detuning ratio, and so a rotation angle, that overflows, or an axis
+    # azimuth that does, is one runtime error naming the keys that set them
+    noise = {"static_detuning_sigma": "3.0", "rabi_rate": "39584.07", key: value}
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("[run]\nkind = composite-scan\nn_shots = 100\n\n[noise]\n"
+                    + "".join(f"{k} = {v}\n" for k, v in noise.items())
+                    + "\n[sweep]\ntheta = 0.785 1.571\n")
+    out = tmp_path / "o"
+    assert simulate_main(["composite-scan", "--config", str(cfgp), "--out", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {"error": "runtime", "message": (
+        f"{PULSE_NOT_FINITE}; it is set by sweep.theta, noise.fixed_detuning, "
+        "noise.static_detuning_sigma, noise.amplitude_error_sigma, "
+        "noise.phase_noise_sigma, noise.rabi_rate")}
+    assert not out.exists()
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1019,6 +1216,16 @@ def test_simulate_cli_rejects_unread_key(tmp_path, capsys, scenario):
        "loop.decay_half_time (4.94066e-324 s): the decay exponent -t ln2 / "
        "decay_half_time is -inf at the last measurement (t = 0.001498 s)")
       for fxp in ("", "fixed_point = true\n")],
+    # a float half-time of the smallest normal double decays the tracked
+    # length to 0 by the first measurement after the start, in every closed
+    # loop (loop_sim.tracked_length, which the run would meet as well)
+    *[(scenario, f"{text}\n[loop]\ndecay_half_time = 2.2250738585072014e-308\n", [],
+       "loop.decay_half_time (2.22507e-308 s) decays the tracked spin length to 0.0 "
+       f"by t = {t} s")
+      for scenario, text, t in (
+          ("lmg-run", "[lmg]\ns = 0.7\n", "2e-06"), ("ssb-ensemble", "[lmg]\ns = 0.7\n", "2e-06"),
+          ("dpt-sweep", "[sweep]\ns = 0.5\n", "2e-06"), ("kt-run", "[kt]\nk = 2.5\n", "4e-05"),
+          ("ftc-sweep", "[kt]\nk = 2.7\n\n[sweep]\nalpha = 3.1\n", "4e-05"))],
 ])
 
 
