@@ -207,11 +207,12 @@ def _ensemble_psd(series_list):
     n -= n % 2
     if n < FTC_MIN_POINTS:
         raise ValueError(f"need at least {FTC_MIN_POINTS} stroboscopic steps")
-    acc = None
-    for s in series_list:
-        arr = np.asarray(s, dtype=float)[:n]
-        spec = np.abs(np.fft.rfft(arr)) ** 2
-        acc = spec if acc is None else acc + spec
+    # one transform of every series, each row as rfft gives it alone; the
+    # spectra are then added in series order
+    specs = np.abs(np.fft.rfft([np.asarray(s, dtype=float)[:n] for s in series_list])) ** 2
+    acc = specs[0]
+    for spec in specs[1:]:
+        np.add(acc, spec, acc)
     acc /= len(series_list)
     return np.fft.rfftfreq(n), acc
 

@@ -49,7 +49,8 @@ raised before any output directory is created:
   the last measurement is finite, and the tracked spin length stays above
   0 at every measurement (``loop_sim.tracked_length``): a fast fixed-point
   decay, or a float half-time near the smallest normal double, rounds it
-  to 0.
+  to 0.  The config keeps the tracked length (ExperimentConfig.j_est), so a
+  run does not compute it again.
 - The photon shot-noise variance measurement.sn_coeff / loop.sample_period
   is finite (``measurement.shot_noise_variance``); the error names both keys.
 - With loop.fixed_point = true no controller input saturates the word
@@ -110,6 +111,10 @@ class ExperimentConfig:
     sweep: dict = field(default_factory=dict)
     kt_schedule: QktSchedule | None = None
     quantum: dict = field(default_factory=lambda: dict(QUANTUM_DEFAULTS))
+    # the tracked spin length at each measurement of a closed loop, which
+    # parse_config computes for its loop, measurement and kt_schedule, so a
+    # run does not compute it again; dataclasses.replace leaves it unset
+    j_est: list[float] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         least = _MIN_SHOTS.get(self.kind, 1)
@@ -474,16 +479,17 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
                 raise ConfigError(
                     f"{path}: kt.n_steps: must be >= {FTC_MIN_POINTS - 1} for scenario ftc-sweep"
                 )
+    j_est = None
     try:  # the schedule fits the clock; every controller input is finite and fits
         if sched is not None:
             _kt_layout(loop, sched)
         check_word(loop, sched, [kt.k] if sched is not None else ())
         if kind in _LOOPS:  # the tracked spin length stays above 0
-            tracked_length(loop, meas.j_collective, sched)
+            j_est = tracked_length(loop, meas.j_collective, sched)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         kind=kind,
         loop=loop,
         measurement=meas,
@@ -494,3 +500,5 @@ def parse_config(path, run_overrides: dict | None = None) -> ExperimentConfig:
         quantum={**QUANTUM_DEFAULTS, **c.get("quantum", {})},
         **{_RUN_FIELDS[k]: v for k, v in run.items() if k in _RUN_FIELDS},
     )
+    cfg.j_est = j_est
+    return cfg

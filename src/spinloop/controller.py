@@ -271,14 +271,18 @@ def decay_estimate(j0: float, half_time: float, t, fmt: FixedPointFormat | None 
 _CAP_LO, _CAP_HI = np.array(-DEFAULT_RATE_CAP), np.array(DEFAULT_RATE_CAP)
 
 
+def _z_estimate(m, j_est):
+    """The estimate clamp(m / j_est, -1, 1) of z from measurements m, for
+    j_est > 0, elementwise.  clamp(m, -j, j) / j has its bits and cannot
+    overflow, so a huge m clamps to +-1."""
+    return np.minimum(np.maximum(m, -j_est), j_est) / j_est
+
+
 def _lmg_rate(m, j_est, k_nl, out=None):
     """``lmg_control`` without its check: the caller ensures j_est > 0, as
     ``loop_sim.shared_columns`` does once per batch.  Writes into out when
     given."""
-    # clamp(m, -j, j) / j is clamp(m / j, -1, 1) for j > 0, bits included,
-    # and cannot overflow, so a huge m clamps to +-1
-    z_est = np.minimum(np.maximum(m, -j_est), j_est) / j_est
-    return np.minimum(np.maximum(k_nl * z_est, _CAP_LO), _CAP_HI, out=out)
+    return np.minimum(np.maximum(k_nl * _z_estimate(m, j_est), _CAP_LO), _CAP_HI, out=out)
 
 
 def lmg_control(m, j_est, k_nl):

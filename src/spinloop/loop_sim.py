@@ -27,20 +27,24 @@ the window's coefficients and controller step are one array call each.
 A rotation whose angle |omega| t is not finite, as from a rate whose square
 overflows, raises ValueError(ROTATION_NOT_FINITE): each kernel runs with
 numpy's overflow and invalid errors raised (``_finite_rotations``) and
-turns them into that error.
+turns them into that error, to which the scenario runners add the config
+keys that set the rates.
 
 The loop's rules are stated once, outside the kernels, and both kernels
 call them elementwise on a window's or period's arrays: the measured value
 is ``measurement.signal``, the LMG feedback law ``controller.lmg_control``
 (its unchecked core, since ``shared_columns`` refuses a tracked length
 <= 0 once per batch) and the kicked-top law ``controller.kick_angle``.
+Both laws read the z estimate ``controller._z_estimate``, which clamps a
+measurement to the tracked length before dividing, so no ratio overflows.
 
 Photon shot noise belongs to the measurement model: its variance is
 sn_coeff / sample_period, so sn_coeff = 0 is none, and its normals are
 drawn either way, so a shot's stream does not depend on it.
 
 What is not per-sample physics is written once: ``_column_start`` makes
-a kernel's per-shot draws, each in its shot's stream order,
+a kernel's per-shot draws, each in its shot's stream order, with what no
+shot changes computed once per batch (``_shot_starts``),
 ``_column_records`` builds its records, ``_rotate_run`` records a held rate,
 ``_kt_layout`` puts a kicked-top schedule on the sample clock,
 ``measured_samples`` names the samples the controller measures,
@@ -73,7 +77,6 @@ from .models import KtParams, LmgParams, tilted
 from .spin_core import (
     RotationNoise,
     SphericalAngles,
-    SpinVector,
     draw_shot_noise,
     from_angles,
     require_finite,
@@ -176,48 +179,53 @@ def latency_metric(alpha_lin: float, latency: float) -> float:
 ROTATION_NOT_FINITE = "a rotation rate is too large: the plant's angle |omega| t is not finite"
 
 
+def _shot_starts(cfg: LoopConfig, model: MeasurementModel, rngs) -> tuple[list, ...]:
+    """The per-shot draws of the streams rngs, each in its stream order:
+    rotation noise (detuning, amplitude factor), the initial direction, and
+    the frozen QPN offset.  What no shot changes is computed once: the start
+    direction, its tangent basis (``tilted``) and the noise scales.
+    Returns the streams' detunings, amplitude factors, initial (x, y, z) and
+    QPN offsets, as four lists."""
+    v0 = from_angles(cfg.initial_state)
+    n = len(rngs)
+    detuning, amp = [0.0] * n, [1.0] * n
+    chis, tilts, qpn_offset = [], [], [0.0] * n
+    if cfg.qpn:
+        pointing, qpn_sd = pointing_uncertainty(model), math.sqrt(qpn_variance(model))
+    for c, rng in enumerate(rngs):
+        if cfg.rotation_noise is not None:
+            draw = draw_shot_noise(cfg.rotation_noise, rng)
+            detuning[c] = draw.detuning
+            amp[c] = 1.0 + draw.amp_error
+        if cfg.qpn:
+            # projection-noise pointing error: Gaussian tilt at a random azimuth
+            tilts.append(pointing * rng.standard_normal())
+            chis.append(rng.uniform(0.0, 2.0 * math.pi))
+            qpn_offset[c] = qpn_sd * rng.standard_normal()
+    starts = tilted(v0, chis, tilts) if cfg.qpn else [v0] * n
+    return detuning, amp, [v.as_tuple() for v in starts], qpn_offset
+
+
 def _shot_start(cfg: LoopConfig, model: MeasurementModel, rng):
-    """Per-shot draws, in stream order: rotation noise (detuning, amplitude
-    factor), the initial direction, and the frozen QPN offset."""
-    detuning = 0.0
-    amp = 1.0
-    if cfg.rotation_noise is not None:
-        draw = draw_shot_noise(cfg.rotation_noise, rng)
-        detuning = draw.detuning
-        amp = 1.0 + draw.amp_error
-    v = _initial_vector(cfg, model, rng)
-    qpn_offset = (
-        math.sqrt(qpn_variance(model)) * rng.standard_normal() if cfg.qpn else 0.0
-    )
-    return detuning, amp, v.as_tuple(), qpn_offset
-
-
-def _initial_vector(cfg: LoopConfig, model: MeasurementModel, rng) -> SpinVector:
-    v = from_angles(cfg.initial_state)
-    if not cfg.qpn:
-        return v
-    # projection-noise pointing error: Gaussian tilt at a random azimuth
-    tilt = pointing_uncertainty(model) * rng.standard_normal()
-    chi = rng.uniform(0.0, 2.0 * math.pi)
-    return tilted(v, chi, tilt)
+    """``_shot_starts`` of one stream: its detuning, amplitude factor,
+    initial (x, y, z) and QPN offset."""
+    return tuple(col[0] for col in _shot_starts(cfg, model, [rng]))
 
 
 def _column_start(cfg: LoopConfig, model: MeasurementModel, rngs, n_meas: int):
     """The per-shot draws of an array kernel, column c from rngs[c] in its
-    stream order: ``_shot_start``, then one photon shot-noise normal for each
-    of the n_meas measurements, as ``measure`` draws it.
+    stream order: ``_shot_starts``, then one photon shot-noise normal for
+    each of the n_meas measurements, as ``measure`` draws it.
     Returns the detuning, amplitude factor and QPN offset as (1, columns)
     rows, the shape of a one-sample window, the initial state as (x, y, z)
     rows, and the scaled noise as an (n_meas, columns) array, so each
     measurement reads one row."""
-    starts = []
+    detuning, amp, v, qpn_offset = _shot_starts(cfg, model, rngs)
     noise = np.empty((n_meas, len(rngs)))
     for c, rng in enumerate(rngs):
-        starts.append(_shot_start(cfg, model, rng))
         noise[:, c] = rng.standard_normal(n_meas)
     noise *= math.sqrt(shot_noise_variance(model, cfg.sample_period))
-    detuning, amp, v, qpn_offset = (np.array([a]) for a in zip(*starts))
-    return detuning, amp, v[0].T, qpn_offset, noise
+    return np.array([detuning]), np.array([amp]), np.array(v).T, np.array([qpn_offset]), noise
 
 
 def _column_records(t, j_true, j_est, xs, ys, zs, meas, ctl_z, ctl_x, metas):
@@ -280,7 +288,8 @@ SharedColumns = tuple[list[float], list[float], list[float]]
 
 
 def shared_columns(
-    cfg: LoopConfig, j0: float, sched: QktSchedule | None = None
+    cfg: LoopConfig, j0: float, sched: QktSchedule | None = None,
+    j_est: list[float] | None = None,
 ) -> SharedColumns:
     """The columns every shot shares: the sample times, the true spin length
     at each sample, and the tracked spin length at each measurement the
@@ -290,10 +299,12 @@ def shared_columns(
     They depend only on the clock, j0, the decay half-time and the
     arithmetic format, never on the shot, so an ensemble computes them once.
     They are lists of Python floats, so the per-sample arithmetic is the
-    same as on scalars."""
+    same as on scalars.  A caller that has ``tracked_length(cfg, j0,
+    sched)`` already, as a parsed config does, passes it as j_est."""
     n = measured_samples(cfg, sched)[0]
     t = [k * cfg.sample_period for k in range(n)]
-    j_est = tracked_length(cfg, j0, sched)
+    if j_est is None:
+        j_est = tracked_length(cfg, j0, sched)
     half = cfg.decay_half_time
     if half is None:
         return t, [j0] * n, j_est
@@ -396,9 +407,11 @@ def _rotation(wx, wz, t):
     per row of the (rows, columns) array wz; wx and t broadcast against it.
     Returns one entry per row: the unit axis (ax, 0, az) stacked over its
     shifts (az, ax, 0) and (0, az, ax), to pair with the plant's shifts in
-    ``_rotate``; cos, sin and 1 - cos of the angle; and the mask of the
-    still (zero-rate) columns, or None if there is none.  The entry is None
-    when every column of the row is still."""
+    ``_rotate``; cos, sin and 1 - cos of the angle, each repeated over the
+    plant's three (x, y, z) rows, so that ``_rotate`` multiplies
+    full-shape operands; and the mask of the still (zero-rate) columns, or
+    None if there is none.  The entry is None when every column of the row
+    is still."""
     w = np.sqrt(wx * wx + wz * wz)
     rows, m = w.shape
     if np.count_nonzero(w) == w.size:  # w.all(), in a quarter of the time
@@ -408,13 +421,17 @@ def _rotation(wx, wz, t):
         still = [z if z.any() else None for z in zero]
         w = np.where(zero, 1.0, w)  # any nonzero value; _rotate reverts it
     axis = np.zeros((rows, 9, m))  # the rows (ax, 0, az, az, ax, 0, 0, az, ax)
-    np.divide(wx, w, out=axis[:, 0])
-    np.divide(wz, w, out=axis[:, 3])
+    np.divide(wx, w, axis[:, 0])
+    np.divide(wz, w, axis[:, 3])
     axis[:, 4::4] = axis[:, 0:1]
     axis[:, 2::5] = axis[:, 3:4]
     angle = w * -t  # -w * t exactly: rounding is symmetric in sign
-    c = np.cos(angle)
-    rots = zip(axis.reshape(rows, 3, 3, m), c, np.sin(angle), 1.0 - c, still)
+    cs = np.empty((2, rows, 3, m))  # cos and sin, each on three rows
+    np.cos(angle, cs[0, :, 0])
+    np.sin(angle, cs[1, :, 0])
+    cs[:, :, 1:] = cs[:, :, :1]
+    c, s = cs
+    rots = zip(axis.reshape(rows, 3, 3, m), c, s, 1.0 - c, still)
     return [None if z is not None and z.all() else rot for z, rot in zip(still, rots)]
 
 
@@ -439,23 +456,31 @@ def _rotate(plant, rot):
     column equals ``rodrigues`` on its axis and angle bit for bit.  One
     multiplication of the stacked shifts gives the dot product's terms
     (x ax, y 0, z az) and both cross product terms.  Still columns, or all
-    if rot is None, stay."""
+    if rot is None, stay.
+
+    It runs once per sample, so each ufunc call takes full-shape operands,
+    the (3, columns) cos, sin and 1 - cos of ``_rotation``, and its output
+    positionally, not through an in-place operator.  Only the one-row dot
+    product d broadcasts against the axis; repeating it would cost a call.
+    At 100 columns one multiply of (3, columns) operands took 0.39 us, 0.96
+    us with a (columns,) operand and 0.46 us as ``v *= c`` (2-core Xeon,
+    numpy 2.4)."""
     if rot is None:
         return
     axis, c, s, omc, still = rot
     state, v, shifts, rep, head, prod, dx, dy, dz, left, right, cross, d = plant
     if still is not None:
         kept = state.copy()
-    np.multiply(shifts, axis, out=prod)
-    np.subtract(left, right, out=cross)
-    cross *= s
-    np.add(dx, dy, out=d)
-    d += dz
-    v *= c
-    v += cross
-    np.multiply(axis[0], d, out=left)  # left is free again
-    left *= omc
-    v += left
+    np.multiply(shifts, axis, prod)
+    np.subtract(left, right, cross)
+    np.multiply(cross, s, cross)
+    np.add(dx, dy, d)
+    np.add(d, dz, d)
+    np.multiply(v, c, v)
+    np.add(v, cross, v)
+    np.multiply(axis[0], d, left)  # left is free again
+    np.multiply(left, omc, left)
+    np.add(v, left, v)
     np.copyto(rep, head)  # rows 3 and 4 repeat x and y
     if still is not None:
         np.copyto(state, kept, where=still)
@@ -541,12 +566,13 @@ def _rotate_run(rec, k: int, m: int, plant, rot):
         _rotate(plant, rot)
 
 
-def _kt_meta(p: KtParams, sched: QktSchedule, n_lin: int, n_per: int, n: int,
+def _kt_meta(p: KtParams, sched: QktSchedule, gap_idx: list, period_idx: list,
              x, y, z) -> dict:
+    """A kicked-top record's meta, with its own copies of the batch's
+    stroboscopic index lists."""
     return {"final_state": (x, y, z), "model": "kt",
             "params": {"alpha": p.alpha, "k": p.k, "tau": sched.period},
-            "strob_gap_idx": list(range(n_lin, n - 1, n_per)),
-            "strob_period_idx": list(range(n_per, n, n_per))}
+            "strob_gap_idx": gap_idx[:], "strob_period_idx": period_idx[:]}
 
 
 def run_kt_loop(
@@ -618,7 +644,7 @@ def _run_kt_columns(
         # the measurement in the gap; the kick angle is ready because
         # the transport delay is no longer than the gap
         value = signal(j_true[gap], xyz[2], qpn_offset, m_sn[step])
-        angle = ctl.kick_angle(value / j_est[step], ks, cfg.fixed_point)
+        angle = ctl.kick_angle(ctl._z_estimate(value, j_est[step]), ks, cfg.fixed_point)
         kick_rate = amp * angle / sched.t_kick
         _rotate_run(rec, gap, n_gap, plant, gap_rot)
         _rotate_run(rec, kick, n_kick, plant, _rotation(0.0, kick_rate + detuning, ts)[0])
@@ -628,8 +654,9 @@ def _run_kt_columns(
         ctl_z[kick:kick + n_kick] = kick_rate
     rec[:, n - 1] = xyz
 
+    strob = list(range(n_lin, n - 1, n_per)), list(range(n_per, n, n_per))
     return _column_records(t, j_true, j_col, *rec, meas, ctl_z, ctl_x,
-                           [_kt_meta(p, sched, n_lin, n_per, n, *xyz[:, c].tolist())
+                           [_kt_meta(p, sched, *strob, *xyz[:, c].tolist())
                             for c, p in enumerate(params)])
 
 
@@ -652,6 +679,7 @@ def run_batch(
     n_shots: int,
     master_seed: int,
     sched: QktSchedule | None = None,
+    j_est: list[float] | None = None,
 ) -> list[TrajectoryRecord]:
     """Ensemble driver.  Shot j draws from shot_rng(master_seed, j), so its
     record does not depend on the batch it runs in.
@@ -660,8 +688,9 @@ def run_batch(
     n_shots shots evenly: point i then runs n_shots / len(params) shots on
     shot_rng(point_seed(master_seed, i), j), and the records come back
     point by point.  The shot-independent columns (``shared_columns``) are
-    computed once.  Every batch, one shot and sweep points included, is one
-    array computation: ``_run_kt_columns`` for the kicked top,
+    computed once, from the tracked length j_est when the caller has it.
+    Every batch, one shot and sweep points included, is one array
+    computation: ``_run_kt_columns`` for the kicked top,
     ``_run_lmg_columns`` for the LMG loop."""
     points = params if isinstance(params, (list, tuple)) else [params]
     per, extra = divmod(n_shots, len(points))
@@ -670,7 +699,7 @@ def run_batch(
             f"n_shots ({n_shots}) must be a positive multiple of the "
             f"{len(points)} sweep point(s)"
         )
-    cols = shared_columns(cfg, model.j_collective, sched)
+    cols = shared_columns(cfg, model.j_collective, sched, j_est)
     ps, rngs = zip(*[(p, shot_rng(point_seed(master_seed, i), j))
                      for i, p in enumerate(points) for j in range(per)])
     if sched is not None:

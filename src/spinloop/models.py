@@ -141,13 +141,14 @@ def _tangent_basis(v: SpinVector) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def tilted(v: SpinVector, chi: float, angle: float) -> SpinVector:
-    """v rotated through angle about the tangent axis at azimuth chi,
-    cos(chi) e1 + sin(chi) e2 in the ``_tangent_basis`` of v."""
+def tilted(v: SpinVector, chis, angles) -> list[SpinVector]:
+    """Copies of v, each rotated through its angle about the tangent axis at
+    its azimuth chi, cos(chi) e1 + sin(chi) e2 in the ``_tangent_basis`` of
+    v, which is computed once for all of them."""
     e1, e2 = _tangent_basis(v)
-    axis = math.cos(chi) * e1 + math.sin(chi) * e2
+    axes = [SpinVector(*(math.cos(chi) * e1 + math.sin(chi) * e2).tolist()) for chi in chis]
     # spin_core.rotate is looked up at call time, so a patched one is used
-    return spin_core.rotate(v, SpinVector(*axis.tolist()), angle)
+    return [spin_core.rotate(v, axis, angle) for axis, angle in zip(axes, angles)]
 
 
 def kt_jacobian(v: SpinVector, p: KtParams) -> np.ndarray:

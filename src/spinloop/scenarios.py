@@ -7,6 +7,7 @@ import copy
 import math
 import mmap
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .analysis import (
     symmetry_stats,
 )
 from .config import ExperimentConfig
-from .loop_sim import TrajectoryRecord, run_batch, shot_rng
+from .loop_sim import ROTATION_NOT_FINITE, TrajectoryRecord, run_batch, shot_rng
 from .measurement import (
     composite_pulse_scan,
     noise_budget_fit,
@@ -77,11 +78,43 @@ def _emit_ensemble(out: Path, recs, sidecar: str, **fields):
     return [path, side]
 
 
+@contextmanager
+def _set_by(error: str, keys):
+    """Let the ValueError(error) of a quantity that is not finite name the
+    config keys that set it; the kernels know no config names."""
+    try:
+        yield
+    except ValueError as e:
+        if str(e) != error:
+            raise
+        raise ValueError(f"{e}; it is set by {', '.join(keys)}") from None
+
+
+# the keys that set the plant's rotation rates, in each closed loop: the
+# drive (a sweep point replaces its own key), the feedback gain, the
+# kicked top's segment times, and the per-shot detuning and amplitude error
+_NOISE_RATE_KEYS = ("noise.fixed_detuning", "noise.static_detuning_sigma",
+                    "noise.amplitude_error_sigma")
+_RATE_KEYS = {
+    "lmg-run": ("lmg.s", "lmg.lambda", *_NOISE_RATE_KEYS),
+    "ssb-ensemble": ("lmg.s", "lmg.lambda", *_NOISE_RATE_KEYS),
+    "dpt-sweep": ("sweep.s", "lmg.lambda", *_NOISE_RATE_KEYS),
+    "kt-run": ("kt.alpha", "kt.k", "kt.t_linear", "kt.t_kick", *_NOISE_RATE_KEYS),
+    "ftc-sweep": ("sweep.alpha", "kt.k", "kt.t_linear", "kt.t_kick", *_NOISE_RATE_KEYS),
+}
+
+
+def _loop_batch(cfg, params, n_shots):
+    """``run_batch`` of a closed loop on cfg's loop, measurement, seed and
+    schedule, with the tracked length parse_config computed."""
+    with _set_by(ROTATION_NOT_FINITE, _RATE_KEYS[cfg.kind]):
+        return run_batch(cfg.loop, params, cfg.measurement, n_shots, cfg.master_seed,
+                         sched=cfg.kt_schedule, j_est=cfg.j_est)
+
+
 def _run_loop(cfg, out):
     """lmg-run and kt-run: one closed-loop ensemble, every trajectory kept."""
-    params = cfg.kt if cfg.kt_schedule else cfg.lmg
-    recs = run_batch(cfg.loop, params, cfg.measurement, cfg.n_shots, cfg.master_seed,
-                     sched=cfg.kt_schedule)
+    recs = _loop_batch(cfg, cfg.kt if cfg.kt_schedule else cfg.lmg, cfg.n_shots)
     meta = recs[0].meta
     strob = {k: meta[k] for k in ("strob_gap_idx", "strob_period_idx") if k in meta}
     return _emit_ensemble(
@@ -95,8 +128,7 @@ def _run_dpt(cfg, out):
     base = cfg.lmg or LmgParams()
     ss = cfg.sweep["s"]
     n = cfg.n_shots
-    batch = run_batch(cfg.loop, [replace(base, s=s) for s in ss], cfg.measurement,
-                      n * len(ss), cfg.master_seed)
+    batch = _loop_batch(cfg, [replace(base, s=s) for s in ss], n * len(ss))
     rows = []
     for i, s in enumerate(ss):
         recs = batch[i * n:(i + 1) * n]
@@ -112,7 +144,7 @@ def _run_dpt(cfg, out):
 
 
 def _run_ssb(cfg, out):
-    recs = run_batch(cfg.loop, cfg.lmg, cfg.measurement, cfg.n_shots, cfg.master_seed)
+    recs = _loop_batch(cfg, cfg.lmg, cfg.n_shots)
     return _emit_ensemble(out, recs, "symmetry_stats.json", **symmetry_stats(recs),
                           final_z=[float(rec.z[-1]) for rec in recs])
 
@@ -121,10 +153,9 @@ def _tilted_kt_ensemble(alpha, ks, x0, tilt, n, rng, n_steps):
     """Elevation angles of the first n_steps map iterates of n Gaussian-tilted
     copies of x0, one set of copies under every kick strength in ks; shape
     (len(ks), n, n_steps)."""
-    x, y, z = np.array([
-        tilted(x0, rng.uniform(0.0, 2.0 * math.pi), tilt * rng.standard_normal()).as_tuple()
-        for _ in range(n)
-    ]).T
+    chis, angles = zip(*[(rng.uniform(0.0, 2.0 * math.pi), tilt * rng.standard_normal())
+                         for _ in range(n)])
+    x, y, z = np.array([v.as_tuple() for v in tilted(x0, chis, angles)]).T
     k = np.asarray(ks, dtype=float)[:, None]
     series = np.empty((len(ks), n, n_steps))
     for i in range(n_steps):
@@ -153,8 +184,7 @@ def _run_lyapunov(cfg, out):
 
 
 def _strob_z(rec):
-    idx = [0] + list(rec.meta["strob_period_idx"])
-    return [float(rec.z[i]) for i in idx]
+    return rec.z[[0, *rec.meta["strob_period_idx"]]].tolist()
 
 
 def _run_ftc(cfg, out):
@@ -162,9 +192,7 @@ def _run_ftc(cfg, out):
     k = cfg.kt.k
     alphas = cfg.sweep["alpha"]
     n = cfg.n_shots
-    batch = run_batch(cfg.loop, [KtParams(alpha=a, k=k) for a in alphas],
-                      cfg.measurement, n * len(alphas), cfg.master_seed,
-                      sched=cfg.kt_schedule)
+    batch = _loop_batch(cfg, [KtParams(alpha=a, k=k) for a in alphas], n * len(alphas))
     data = {a: [_strob_z(rec) for rec in batch[i * n:(i + 1) * n]]
             for i, a in enumerate(alphas)}
     del batch  # the records are done with; free them before the analysis
@@ -226,12 +254,8 @@ _PULSE_KEYS = ("sweep.theta", "noise.fixed_detuning", "noise.static_detuning_sig
 def _run_composite(cfg, out):
     rng = shot_rng(cfg.master_seed, 0)
     noise = cfg.loop.rotation_noise
-    try:
+    with _set_by(PULSE_NOT_FINITE, _PULSE_KEYS):
         pts = composite_pulse_scan(cfg.sweep["theta"], noise, cfg.n_shots, rng)
-    except ValueError as e:
-        if str(e) != PULSE_NOT_FINITE:
-            raise
-        raise ValueError(f"{e}; it is set by {', '.join(_PULSE_KEYS)}") from None
     return [_emit_table(cfg, out, "composite", "theta,variance", pts)]
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from spinloop.analysis import (
+    FTC_MIN_POINTS,
+    _ensemble_psd,
     extract_tdd,
     ftc_rigidity,
     lyapunov_exponents,
@@ -138,8 +140,8 @@ def test_tilted_ensemble_matches_one_member_loop():
     ks = [0.5, 2.5, 3.0]
     got = _tilted_kt_ensemble(math.pi / 2.0, ks, x0, 2.5e-4, 60, np.random.default_rng(4), 6)
     rng = np.random.default_rng(4)
-    starts = [tilted(x0, rng.uniform(0.0, 2.0 * math.pi), 2.5e-4 * rng.standard_normal())
-              for _ in range(60)]
+    starts = [tilted(x0, [rng.uniform(0.0, 2.0 * math.pi)],
+                     [2.5e-4 * rng.standard_normal()])[0] for _ in range(60)]
     for series, k in zip(got, ks):
         for row, v in zip(series, starts):
             want = []
@@ -259,3 +261,31 @@ def test_ftc_rigidity_synthetic():
     assert not out["dominant"][0.9 * math.pi]
     assert out["rigidity_window"] == pytest.approx(0.06 * math.pi)
     assert out["window_edges"] == (0.97 * math.pi, 1.03 * math.pi)
+
+
+def _psd_one_by_one(series_list):
+    """The ensemble power spectrum one series at a time: each series cut to
+    the shortest even length, transformed alone, and added in order."""
+    n = min(len(s) for s in series_list)
+    n -= n % 2
+    acc = None
+    for s in series_list:
+        spec = np.abs(np.fft.rfft(np.asarray(s, dtype=float)[:n])) ** 2
+        acc = spec if acc is None else acc + spec
+    acc /= len(series_list)
+    return np.fft.rfftfreq(n), acc
+
+
+@pytest.mark.parametrize("lengths", [(16,), (26,) * 20, (17, 17, 17), (31, 26, 19, 40),
+                                     (16, 101, 17)])
+def test_ensemble_psd_matches_one_series_at_a_time(lengths):
+    # one stacked transform gives every series' spectrum as rfft gives it
+    # alone, and the sum keeps the series order, so the bytes match; odd
+    # and unequal lengths are cut to the shortest even length
+    rng = np.random.default_rng(len(lengths))
+    series = [list(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)) for n in lengths]
+    got, want = _ensemble_psd(series), _psd_one_by_one(series)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert len(got[0]) == (min(lengths) - min(lengths) % 2) // 2 + 1
+    with pytest.raises(ValueError, match="stroboscopic"):
+        _ensemble_psd([s[:FTC_MIN_POINTS - 1] for s in series])

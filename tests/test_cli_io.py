@@ -283,12 +283,25 @@ OVERFLOWING_RATE = {
 }
 
 
+# the keys that set each closed loop's rotation rates, which its rotation
+# error names
+NOISE_RATE_KEYS = ("noise.fixed_detuning, noise.static_detuning_sigma, "
+                   "noise.amplitude_error_sigma")
+RATE_KEYS = {
+    "lmg-run": f"lmg.s, lmg.lambda, {NOISE_RATE_KEYS}",
+    "ssb-ensemble": f"lmg.s, lmg.lambda, {NOISE_RATE_KEYS}",
+    "dpt-sweep": f"sweep.s, lmg.lambda, {NOISE_RATE_KEYS}",
+    "kt-run": f"kt.alpha, kt.k, kt.t_linear, kt.t_kick, {NOISE_RATE_KEYS}",
+    "ftc-sweep": f"sweep.alpha, kt.k, kt.t_linear, kt.t_kick, {NOISE_RATE_KEYS}",
+}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scenario", sorted(OVERFLOWING_RATE))
 def test_overflowing_rate_fails_alike(tmp_path, capsys, scenario):
     # both array kernels raise one error at the first rotation, with no
     # numpy warning: one shot and eight shots give the same runtime error
-    # line and leave no output directory
+    # line, naming the scenario's rate keys, and leave no output directory
     cfgp = tmp_path / "c.cfg"
     cfgp.write_text(f"[run]\nkind = {scenario}\n\n[loop]\nduration = 1e-4\n\n"
                     + OVERFLOWING_RATE[scenario])
@@ -300,7 +313,110 @@ def test_overflowing_rate_fails_alike(tmp_path, capsys, scenario):
         errs.append(capsys.readouterr().err)
         assert not out.exists()
     assert errs[0] == errs[1] and errs[0].count("\n") == 1
-    assert json.loads(errs[0]) == {"error": "runtime", "message": ROTATION_NOT_FINITE}
+    assert json.loads(errs[0]) == {"error": "runtime", "message": (
+        f"{ROTATION_NOT_FINITE}; it is set by {RATE_KEYS[scenario]}")}
+
+
+# small closed loops of each scenario, as {section: {key: value}}
+SMALL_LOOPS = {
+    "lmg-run": {"loop": {"duration": "1e-4"},
+                "lmg": {"s": "0.7", "lambda": "1.3089969389957471e5"}},
+    "ssb-ensemble": {"run": {"n_shots": "2"}, "loop": {"duration": "1e-4"},
+                     "lmg": {"s": "0.7", "lambda": "1.3089969389957471e5"}},
+    "dpt-sweep": {"loop": {"duration": "1e-4"}, "lmg": {"lambda": "1.3089969389957471e5"},
+                  "sweep": {"s": "0.5 0.7"}},
+    "kt-run": {"loop": {"latency": "2e-6", "duration": "1e-4", "decay_half_time": "none"},
+               "kt": {"alpha": "1.5707963267948966", "k": "2.5", "n_steps": "16",
+                      "t_linear": "2e-6", "t_gap": "2e-6", "t_kick": "2e-6"}},
+    "ftc-sweep": {"run": {"n_shots": "2"},
+                  "loop": {"latency": "2e-6", "duration": "1e-4", "decay_half_time": "none"},
+                  "kt": {"k": "2.7", "n_steps": "16", "t_linear": "2e-6", "t_gap": "2e-6",
+                         "t_kick": "2e-6"},
+                  "sweep": {"alpha": "3.0 3.14"}},
+}
+# every single-key case of the extreme-value sweep (each numeric key alone,
+# over the fuzzer's candidates plus -1.7e308, 1e303, -5e-324 and the
+# smallest normal double) that ends in the rotation error: one value each
+NOISE_RATE_CASES = [("noise.fixed_detuning", "-1.7e308"),
+                    ("noise.static_detuning_sigma", "1e303"),
+                    ("noise.amplitude_error_sigma", "1e303")]
+ROTATION_CASES = [
+    *((kind, key, value) for kind in ("lmg-run", "ssb-ensemble", "dpt-sweep")
+      for key, value in [("lmg.lambda", "1e303"), *NOISE_RATE_CASES]),
+    *(("kt-run", key, value) for key, value in [("kt.alpha", "1e303"),
+                                                ("kt.alpha", "-1.7e308"), *NOISE_RATE_CASES]),
+    *(("ftc-sweep", key, value) for key, value in [("sweep.alpha", "3.0 1e303"),
+                                                   *NOISE_RATE_CASES]),
+]
+
+
+def _ini(kind, sections):
+    sections = {"run": {}, **sections}
+    sections["run"] = {"kind": kind, **sections["run"]}
+    return "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()) + "\n"
+                   for sec, body in sections.items())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario, key, value", ROTATION_CASES)
+def test_rotation_error_names_the_key(tmp_path, capsys, scenario, key, value):
+    # a rate that is too large is a runtime error, which names the key set
+    sections = {sec: dict(body) for sec, body in SMALL_LOOPS[scenario].items()}
+    sec, _, name = key.partition(".")
+    sections.setdefault(sec, {})[name] = value
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(_ini(scenario, sections))
+    out = tmp_path / "o"
+    assert simulate_main([scenario, "--config", str(cfgp), "--out", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {"error": "runtime", "message": (
+        f"{ROTATION_NOT_FINITE}; it is set by {RATE_KEYS[scenario]}")}
+    assert key in RATE_KEYS[scenario].split(", ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_kt_run_clamps_an_overflowing_measurement_ratio(tmp_path, capsys):
+    # the last case of that sweep: a tracked spin length near the smallest
+    # normal double makes measurement / tracked length overflow, which
+    # clamps to +-1 as in the LMG loop, so the run ends cleanly
+    sections = {sec: dict(body) for sec, body in SMALL_LOOPS["kt-run"].items()}
+    sections["measurement"] = {"n1_eff": "2.2250738585072014e-308", "sn_coeff": "0.2"}
+    sections["loop"]["shot"] = "true"
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(_ini("kt-run", sections))
+    out = tmp_path / "o"
+    assert simulate_main(["kt-run", "--config", str(cfgp), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rec, = read_trajectory_csv(out / "trajectories.csv")
+    assert np.isfinite(rec.column_stack()[~np.isnan(rec.column_stack())]).all()
+    assert np.all(np.abs(rec.ctl_z[rec.ctl_z != 0.0]) <= 2.0 * math.pi / 2e-6)
+
+
+def test_simulate_computes_the_tracked_length_once(tmp_path, monkeypatch):
+    # parse_config computes the tracked length (a fixed-point decay_estimate
+    # over every measurement) and the run reuses it; a library run_batch
+    # computes it itself, once
+    from spinloop import controller
+
+    calls = []
+    estimate = controller.decay_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(controller, "decay_estimate", counted)
+    cfgp = ROOT / "perfbench/configs/dpt_fxp.cfg"
+    assert simulate_main(["dpt-sweep", "--config", str(cfgp), "--shots", "5",
+                          "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+    cfg = parse_config(cfgp)
+    assert len(calls) == 2
+    run_batch(cfg.loop, cfg.lmg, cfg.measurement, 2, 0)
+    assert len(calls) == 3
+    assert cfg.j_est is not None and replace(cfg, n_shots=5).j_est is None
 
 
 def test_missing_required_section(tmp_path):

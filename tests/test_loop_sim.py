@@ -728,3 +728,66 @@ def test_qpn_tilt_statistics():
     ]
     tilts = np.arccos(np.clip(ys, -1.0, 1.0))  # |sigma * N(0,1)|, half-normal
     assert np.mean(tilts) == pytest.approx(2.5e-4 * math.sqrt(2.0 / math.pi), rel=0.2)
+
+
+def test_rotation_coefficients_are_full_shape(monkeypatch):
+    # every _rotation entry either kernel turns its plant by holds cos, sin
+    # and 1 - cos at the plant's (3, columns) shape, rows with still
+    # columns included: a zero drive leaves the first sweep point's columns
+    # still beside moving ones.  Each column still equals its reference.
+    rotation = loop_sim._rotation
+    stills = []
+
+    def checked(wx, wz, t):
+        rots = rotation(wx, wz, t)
+        m = wz.shape[-1]
+        for rot in rots:
+            if rot is not None:
+                axis, c, s, omc, still = rot
+                assert axis.shape == (3, 3, m)
+                assert c.shape == s.shape == omc.shape == (3, m)
+                stills.append(still is not None)
+        return rots
+
+    monkeypatch.setattr(loop_sim, "_rotation", checked)
+    cfg, model = BATCH_CASES[1]
+    points = [LmgParams(s=0.7, lambda_=0.0), LMG07]
+    recs = run_batch(cfg, points, model, 4, master_seed=5)
+    for k, rec in enumerate(recs):
+        ref = _lmg_reference(cfg, points[k // 2], model, shot_rng(5 + 1000 * (k // 2), k % 2))
+        assert _same_record(rec, ref)
+    assert any(stills)
+    stills.clear()
+    cfg, model = KT_BATCH_CASES[1]
+    points = [KtParams(alpha=0.0, k=0.0), KT25]
+    recs = run_batch(cfg, points, model, 4, master_seed=5, sched=KT_SCHED)
+    for k, rec in enumerate(recs):
+        ref = _kt_reference(cfg, KT_SCHED, points[k // 2], model,
+                            shot_rng(5 + 1000 * (k // 2), k % 2))
+        assert _same_record(rec, ref)
+    assert any(stills)
+
+
+def test_kt_records_own_their_strob_lists():
+    # the stroboscopic index lists are built once per batch, and each record
+    # holds its own copy, so editing one record's meta edits no other
+    cfg, model = KT_BATCH_CASES[0]
+    recs = run_batch(cfg, [KT25, replace(KT25, alpha=1.0)], model, 4, master_seed=5,
+                     sched=KT_SCHED)
+    for key in ("strob_gap_idx", "strob_period_idx"):
+        lists = [rec.meta[key] for rec in recs]
+        assert all(idx == lists[0] for idx in lists)
+        assert len({id(idx) for idx in lists}) == len(lists)
+
+
+def test_kt_kernel_clamps_an_overflowing_measurement_ratio():
+    # a subnormal spin length makes measurement / tracked length overflow in
+    # the kicked top too: the ratio clamps to +-1, as _kt_reference's Python
+    # division to inf does, at one shot and at eight, with no
+    # ROTATION_NOT_FINITE
+    cfg = LoopConfig(latency=4e-6, duration=3e-4, decay_half_time=None)
+    model = MeasurementModel(n1_eff=1e-310, f=0.5, sn_coeff=1.0)
+    one, eight = (run_batch(cfg, KT25, model, n, 1, sched=KT_SCHED) for n in (1, 8))
+    for i, rec in enumerate(eight):
+        assert _same_record(rec, _kt_reference(cfg, KT_SCHED, KT25, model, shot_rng(1, i)))
+    assert _same_record(one[0], eight[0])
